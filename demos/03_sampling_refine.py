@@ -31,13 +31,16 @@ scene = result.scene
 heads = DecodeHeads.seeded(query_dim=scene.feature_dim,
                            feature_dim=scene.feature_dim,
                            n_offsets=8, hidden=(32,), seed=0)
-g = scene.gaussian(0)
-offsets = gen_offsets(g.f, heads)
-samples = place_samples(g, offsets)
-d = samples - g.mu
-q = np.einsum("ij,ij->i", d, np.linalg.solve(covariance3d(g.s, g.r), d.T).T)
-print(f"{len(samples)} samples placed, max Mahalanobis q = {q.max():.3f} "
-      f"(support bound 3.0)")
+# The sampling steps work on row batches; here the first four Gaussians.
+rows = slice(0, 4)
+offsets = gen_offsets(scene.feature[rows], heads)            # (4, 8, 3)
+samples = place_samples(scene.mu[rows], scene.scale[rows],
+                        scene.quat[rows], offsets)           # (4, 8, 3)
+q = [np.einsum("ij,ij->i", d, np.linalg.solve(covariance3d(s, r), d.T).T)
+     for d, s, r in zip(samples - scene.mu[rows, None], scene.scale[rows],
+                        scene.quat[rows])]
+print(f"{samples.shape[0] * samples.shape[1]} samples placed, "
+      f"max Mahalanobis q = {np.max(q):.3f} (support bound 3.0)")
 
 # --- refinement, with and without decode heads -------------------------
 center_only = refine_scene(scene, result.views, heads=None)

@@ -56,12 +56,7 @@ def quat_to_rotmat(r) -> np.ndarray:
     The input is renormalized, so q and -q (and any positive scaling) give the
     same matrix.
     """
-    w, x, y, z = quat_normalize(r)
-    return np.array([
-        [1.0 - 2.0 * (y * y + z * z), 2.0 * (x * y - w * z), 2.0 * (x * z + w * y)],
-        [2.0 * (x * y + w * z), 1.0 - 2.0 * (x * x + z * z), 2.0 * (y * z - w * x)],
-        [2.0 * (x * z - w * y), 2.0 * (y * z + w * x), 1.0 - 2.0 * (x * x + y * y)],
-    ])
+    return quats_to_rotmats(quat_normalize(r)[None])[0]
 
 
 def quats_to_rotmats(r: np.ndarray) -> np.ndarray:

@@ -46,13 +46,12 @@ class DensifyConfig:
             raise InvalidInputError("init_opacity must lie in [0, 1]")
 
 
-def fps(points: np.ndarray, k: int, seed=None) -> np.ndarray:
+def fps(points: np.ndarray, k: int) -> np.ndarray:
     """Greedy farthest-point sampling; returns k indices in selection order.
 
     Fully deterministic: the first pick is index 0 and every later pick is
     the point maximizing the distance to the chosen set, ties broken by
-    lowest index.  `seed` is accepted for interface symmetry with the other
-    samplers but never consulted.
+    lowest index.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
@@ -105,7 +104,7 @@ def _spawn(points: np.ndarray, cfg: DensifyConfig):
             np.zeros((k, cfg.feature_dim)))
 
 
-def base_init(views: list[CameraView], cfg: DensifyConfig, seed=None) -> GaussianScene:
+def base_init(views: list[CameraView], cfg: DensifyConfig) -> GaussianScene:
     """Layer-0 scene: FPS of the pooled pseudo cloud, isotropic fresh Gaussians.
 
     Fresh Gaussians share the configured scale/opacity, identity orientation,
@@ -115,7 +114,7 @@ def base_init(views: list[CameraView], cfg: DensifyConfig, seed=None) -> Gaussia
     if cloud.shape[0] < cfg.base_count:
         raise InsufficientPointsError(
             f"pseudo cloud has {cloud.shape[0]} points, need {cfg.base_count}")
-    picks = fps(cloud, cfg.base_count, seed)
+    picks = fps(cloud, cfg.base_count)
     mu, s, q, o, f = _spawn(cloud[picks], cfg)
     return GaussianScene(mu, s, q, o, f, (cfg.base_count,))
 
@@ -143,17 +142,20 @@ def select_under_represented(rendered: RenderOutput, ref_depth: np.ndarray,
     return ref_ok & (resid > gamma)
 
 
-def selection_residual(rendered: RenderOutput, ref_depth: np.ndarray,
-                       selected: np.ndarray) -> float:
-    """Mean |rendered - reference| over selected pixels the render resolves.
+def selection_residual(renders: list[RenderOutput], views: list[CameraView],
+                       selected: list[np.ndarray]) -> float:
+    """Mean |rendered - reference| pooled over every view's selected pixels.
 
+    `renders`, `views` and `selected` run in parallel, one entry per view.
     Render-invalid pixels are excluded (their residual is unbounded); returns
     inf when none of the selected pixels is resolved.
     """
-    m = np.asarray(selected, dtype=bool) & rendered.valid
-    if not np.any(m):
-        return float("inf")
-    return float(np.mean(np.abs(rendered.depth[m] - np.asarray(ref_depth)[m])))
+    diffs = []
+    for out, v, sel in zip(renders, views, selected):
+        m = np.asarray(sel, dtype=bool) & out.valid
+        diffs.append(np.abs(out.depth[m] - np.asarray(v.ref_depth)[m]))
+    pooled = np.concatenate(diffs) if diffs else np.zeros(0)
+    return float(pooled.mean()) if pooled.size else float("inf")
 
 
 @dataclass
@@ -167,7 +169,7 @@ class DensifyReport:
 
 
 def densify_layer(scene: GaussianScene, views: list[CameraView], cfg: DensifyConfig,
-                  layer: int, seed=None, renders: list[RenderOutput] | None = None,
+                  layer: int, renders: list[RenderOutput] | None = None,
                   with_report: bool = False):
     """Grow one layer; returns the new scene (and a report if requested).
 
@@ -189,18 +191,19 @@ def densify_layer(scene: GaussianScene, views: list[CameraView], cfg: DensifyCon
 
     report = DensifyReport(layer=layer)
     clouds = []
-    selections = []
+    hit_views, hit_renders, hit_masks = [], [], []   # views with a selection
     for vi, v in enumerate(views):
         if v.ref_depth is None:
             report.selected_per_view.append(0)
-            selections.append(None)
             continue
         out = renders[vi] if renders is not None else render(scene, v)
         sel = select_under_represented(out, v.ref_depth, v.ref_valid,
                                        cfg.gamma, cfg.select_mode)
-        selections.append((out, sel))
         report.selected_per_view.append(int(np.count_nonzero(sel)))
         if np.any(sel):
+            hit_views.append(v)
+            hit_renders.append(out)
+            hit_masks.append(sel)
             clouds.append(backproject(v, v.ref_depth, sel))
 
     pool = np.concatenate(clouds, axis=0) if clouds else np.zeros((0, 3))
@@ -212,23 +215,13 @@ def densify_layer(scene: GaussianScene, views: list[CameraView], cfg: DensifyCon
         return (grown, report) if with_report else grown
 
     k = min(budget, pool.shape[0])
-    picks = fps(pool, k, seed)
+    picks = fps(pool, k)
     grown = scene.with_layer(*_spawn(pool[picks], cfg))
     report.added = k
 
     if with_report:
-        diffs_b, diffs_a = [], []
-        for v, s in zip(views, selections):
-            if s is None or not np.any(s[1]):
-                continue
-            out_b, sel = s
-            out_a = render(grown, v)
-            diffs_b.append(np.abs(out_b.depth - v.ref_depth)[sel & out_b.valid])
-            diffs_a.append(np.abs(out_a.depth - v.ref_depth)[sel & out_a.valid])
-        if diffs_b:
-            cat_b = np.concatenate(diffs_b)
-            cat_a = np.concatenate(diffs_a)
-            report.residual_before = float(np.mean(cat_b)) if cat_b.size else float("inf")
-            report.residual_after = float(np.mean(cat_a)) if cat_a.size else float("inf")
+        report.residual_before = selection_residual(hit_renders, hit_views, hit_masks)
+        report.residual_after = selection_residual(
+            [render(grown, v) for v in hit_views], hit_views, hit_masks)
         return grown, report
     return grown

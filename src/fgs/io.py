@@ -10,6 +10,8 @@ FormatError.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from pathlib import Path
 
@@ -27,6 +29,10 @@ HEAD_MAGIC = b"HEAD"
 
 
 def _read_exact(f, n: int, what: str) -> bytes:
+    # A corrupt header can declare sizes far beyond the file; refuse those
+    # before asking the OS for the bytes.
+    if n > os.fstat(f.fileno()).st_size - f.tell():
+        raise FormatError(f"truncated file while reading {what}")
     buf = f.read(n)
     if len(buf) != n:
         raise FormatError(f"truncated file while reading {what}")
@@ -211,7 +217,7 @@ def load_tensors(path) -> dict[str, np.ndarray]:
             name = _read_exact(f, nlen, "name").decode("utf-8")
             (ndim,) = struct.unpack("<I", _read_exact(f, 4, "ndim"))
             shape = struct.unpack(f"<{ndim}I", _read_exact(f, 4 * ndim, "shape"))
-            n = int(np.prod(shape)) if ndim else 1
+            n = math.prod(shape)
             data = np.frombuffer(_read_exact(f, 4 * n, f"tensor {name}"), dtype="<f4")
             out[name] = data.astype(np.float64).reshape(shape)
     return out

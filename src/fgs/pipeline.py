@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import CameraView, GaussianScene
 from .densify import (DensifyConfig, GAMMA, base_init, densify_layer, fps,
-                      select_under_represented)
+                      select_under_represented, selection_residual)
 from .errors import FgsError, InvalidInputError
 from .io import save_scene, save_voxel_grid
 from .raster import RenderOutput, render, render_oracle
@@ -163,20 +163,6 @@ def _render_all(scene, views, threads):
     return outs, time.perf_counter() - t0
 
 
-def _selection_stats(renders, views, gamma, mode):
-    masks, diffs, counts = [], [], []
-    for out, v in zip(renders, views):
-        sel = select_under_represented(out, v.ref_depth, v.ref_valid,
-                                       gamma=gamma, mode=mode)
-        masks.append(sel)
-        counts.append(int(sel.sum()))
-        m = sel & out.valid
-        diffs.append(np.abs(out.depth[m] - v.ref_depth[m]))
-    pooled = np.concatenate(diffs) if diffs else np.zeros(0)
-    mean = float(pooled.mean()) if pooled.size else float("inf")
-    return masks, counts, mean
-
-
 def run_pipeline(config: PipelineConfig) -> dict:
     """Execute the configured stages; returns the run report.
 
@@ -186,7 +172,6 @@ def run_pipeline(config: PipelineConfig) -> dict:
     report: dict = {"seed": config.seed, "threads": config.threads,
                     "stages": [], "layers": []}
     st = _State()
-    sel_masks = None
     dconf = None
 
     for stage in config.stages:
@@ -236,15 +221,18 @@ def run_pipeline(config: PipelineConfig) -> dict:
                     fresh, _ = _render_all(st.scene, active[len(st.renders):],
                                            config.threads)
                     st.renders = st.renders + fresh
-                sel_masks, counts, before = _selection_stats(
-                    st.renders, active, config.gamma, config.select_mode)
+                sel_masks = [select_under_represented(
+                    out, v.ref_depth, v.ref_valid, gamma=config.gamma,
+                    mode=config.select_mode) for out, v in zip(st.renders, active)]
+                counts = [int(m.sum()) for m in sel_masks]
+                before = selection_residual(st.renders, active, sel_masks)
                 n_before = len(st.scene)
                 st.scene = densify_layer(st.scene, active, dconf, layer,
                                          renders=st.renders)
                 stage_s = time.perf_counter() - t0
                 st.renders, render_s = _render_all(st.scene, active,
                                                    config.threads)
-                after = _selection_residual_on(st.renders, active, sel_masks)
+                after = selection_residual(st.renders, active, sel_masks)
                 entry = {"name": stage, "layer": layer,
                          "added": len(st.scene) - n_before,
                          "views_active": len(active),
@@ -295,15 +283,6 @@ def run_pipeline(config: PipelineConfig) -> dict:
     if config.out_dir is not None:
         _write_artifacts(config.out_dir, st, report)
     return report
-
-
-def _selection_residual_on(renders, views, masks):
-    diffs = []
-    for out, v, sel in zip(renders, views, masks):
-        m = sel & out.valid
-        diffs.append(np.abs(out.depth[m] - v.ref_depth[m]))
-    pooled = np.concatenate(diffs) if diffs else np.zeros(0)
-    return float(pooled.mean()) if pooled.size else float("inf")
 
 
 def _evaluate(st: _State, config: PipelineConfig) -> dict:

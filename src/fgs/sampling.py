@@ -8,6 +8,10 @@ interpolation, and aggregates the valid (point, view) pairs with a
 softmax-weighted mean.  A set of small affine heads decodes the aggregate
 back into a Gaussian update with bounded position shift and floored scales.
 
+The four steps - `gen_offsets`, `place_samples`, `aggregate`,
+`decode_update` - work on row batches of m Gaussians at once, and
+`refine_scene` is a chunk loop that composes them.
+
 All heads are plain ReLU MLPs with loadable weights; `heads=None` selects the
 weight-free fallback: center sampling, uniform aggregation, geometry kept,
 feature replaced by the aggregate.
@@ -20,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .core import (CameraView, FeatureGaussian, GaussianScene, IDENTITY_QUAT,
-                   Z_NEAR, quat_to_rotmat, quats_to_rotmats)
+from .core import (CameraView, GaussianScene, IDENTITY_QUAT, Z_NEAR,
+                   quats_to_rotmats)
 from .errors import InvalidInputError, NumericalDegeneracyError
 
 N_OFFSETS = 16
@@ -147,27 +151,32 @@ class DecodeHeads:
 # Offsets and placement
 # ---------------------------------------------------------------------------
 
-def gen_offsets(query: np.ndarray, heads: DecodeHeads, n: int | None = None) -> np.ndarray:
-    """(n, 3) offsets in the open unit cube: tanh of the offset head."""
-    n = heads.n_offsets if n is None else int(n)
-    if n != heads.n_offsets:
-        raise InvalidInputError(f"heads produce {heads.n_offsets} offsets, asked for {n}")
-    raw = heads.offset(np.asarray(query, dtype=np.float64))
-    return np.tanh(raw).reshape(n, 3)
+def gen_offsets(queries: np.ndarray, heads: DecodeHeads) -> np.ndarray:
+    """(m, n, 3) offsets in the open unit cube: tanh of the offset head."""
+    queries = np.asarray(queries, dtype=np.float64)
+    if queries.ndim != 2:
+        raise InvalidInputError("queries must be (m, Q)")
+    raw = heads.offset(queries)
+    return np.tanh(raw).reshape(queries.shape[0], heads.n_offsets, 3)
 
 
-def place_samples(g: FeatureGaussian, offsets: np.ndarray) -> np.ndarray:
-    """Map unit-cube offsets into the Gaussian's ellipsoid: mu + R (s * delta).
+def place_samples(mu: np.ndarray, scale: np.ndarray, quat: np.ndarray,
+                  offsets: np.ndarray) -> np.ndarray:
+    """Map unit-cube offsets into each Gaussian's ellipsoid: mu + R (s * delta).
 
-    With |delta|_inf <= 1 every sample has squared Mahalanobis distance
-    |delta|^2 <= 3, i.e. it stays within sqrt(3) sigma of the center.
+    `mu`, `scale` and `quat` are the (m, 3), (m, 3), (m, 4) rows of m
+    Gaussians and `offsets` is (m, n, 3); the result is (m, n, 3).  With
+    |delta|_inf <= 1 every sample has squared Mahalanobis distance
+    |delta|^2 <= 3, i.e. it stays within sqrt(3) sigma of its center.
     """
     offsets = np.asarray(offsets, dtype=np.float64)
-    if offsets.ndim != 2 or offsets.shape[1] != 3:
-        raise InvalidInputError("offsets must be (n, 3)")
+    mu = np.asarray(mu, dtype=np.float64)
+    if offsets.ndim != 3 or offsets.shape[2] != 3 or offsets.shape[0] != mu.shape[0]:
+        raise InvalidInputError("offsets must be (m, n, 3), one block per Gaussian")
     if np.any(np.abs(offsets) > 1.0 + 1e-12):
         raise InvalidInputError("offsets must lie in the unit cube")
-    return g.mu + (g.s * offsets) @ quat_to_rotmat(g.r).T
+    local = np.asarray(scale, dtype=np.float64)[:, None, :] * offsets
+    return mu[:, None, :] + np.einsum("mij,mnj->mni", quats_to_rotmats(quat), local)
 
 
 # ---------------------------------------------------------------------------
@@ -252,55 +261,60 @@ def sample_features(points: np.ndarray, views: list[CameraView],
 # ---------------------------------------------------------------------------
 
 def aggregate(features: np.ndarray, valid: np.ndarray,
-              weights_head: Mlp | None = None, query: np.ndarray | None = None):
-    """Softmax-weighted mean of valid (point, view) feature pairs.
+              weights_head: Mlp | None = None,
+              queries: np.ndarray | None = None) -> np.ndarray:
+    """Per-Gaussian softmax-weighted mean of valid (point, view) feature pairs.
 
-    Logits come from the weights head applied to the query, one per sample
-    point, shared across views (so permuting the view list only reorders the
-    summation).  Without a weights head the mean is uniform.  Returns None
-    when no pair is valid - the caller keeps its previous state.
+    `features` is (m, n, L, F) and `valid` (m, n, L): m Gaussians with n
+    sample points each, seen from L views.  Logits come from the weights
+    head applied to each Gaussian's query, one per sample point, shared
+    across views (so permuting the view list only reorders the summation).
+    Without a weights head the mean is uniform.  Returns (m, F); a row with
+    no valid pair is zero, and the caller keeps that Gaussian's previous
+    state.
     """
     features = np.asarray(features, dtype=np.float64)
     valid = np.asarray(valid, dtype=bool)
-    if features.ndim != 3 or valid.shape != features.shape[:2]:
-        raise InvalidInputError("features must be (n, L, F) with matching validity")
-    if not np.any(valid):
-        return None
+    if features.ndim != 4 or valid.shape != features.shape[:3]:
+        raise InvalidInputError("features must be (m, n, L, F) with matching validity")
     if weights_head is None:
         w = valid.astype(np.float64)
     else:
-        if query is None:
-            raise InvalidInputError("a weights head needs the query vector")
-        logits = weights_head(np.asarray(query, dtype=np.float64))
-        if logits.shape != (features.shape[0],):
+        if queries is None:
+            raise InvalidInputError("a weights head needs the query vectors")
+        logits = weights_head(np.asarray(queries, dtype=np.float64))
+        if logits.shape != features.shape[:2]:
             raise InvalidInputError("weights head must emit one logit per sample point")
-        z = np.where(valid, logits[:, None], -np.inf)
-        w = np.exp(z - z.max())
+        z = np.where(valid, logits[:, :, None], -np.inf)
+        zmax = z.max(axis=(1, 2), keepdims=True)
+        w = np.exp(z - np.where(np.isfinite(zmax), zmax, 0.0))
         w[~valid] = 0.0
-    w = w / w.sum()
-    return np.einsum("nl,nlf->f", w, features)
+    totals = w.sum(axis=(1, 2))
+    w = w / np.where(totals > 0.0, totals, 1.0)[:, None, None]
+    return np.einsum("mnl,mnlf->mf", w, features)
 
 
-def decode_update(f_a: np.ndarray, heads: DecodeHeads,
-                  g_prev: FeatureGaussian) -> FeatureGaussian:
-    """Decode an aggregated feature into the Gaussian's next state.
+def decode_update(f_a: np.ndarray, heads: DecodeHeads, mu_prev: np.ndarray):
+    """Decode (m, F) aggregated features into the Gaussians' next state.
 
-    Position moves by at most delta_max per axis (tanh-bounded residual),
-    scales are softplus-floored at s_min, opacity is squashed to (0, 1) and
-    the orientation is the normalized raw quaternion (identity when the raw
-    norm vanishes).  The feature head output is taken raw.
+    Returns (mu, scale, quat, opacity, feature) rows.  Position moves from
+    `mu_prev` by at most delta_max per axis (tanh-bounded residual), scales
+    are softplus-floored at s_min, opacity is squashed to (0, 1) and the
+    orientation is the raw quaternion, normalized once the rows enter a
+    scene (identity when its norm vanishes).  The feature head output is
+    taken raw.
     """
     f_a = np.asarray(f_a, dtype=np.float64)
     new_f = heads.feat(f_a)
     geo = heads.geo(f_a)
     if not (np.all(np.isfinite(geo)) and np.all(np.isfinite(new_f))):
         raise NumericalDegeneracyError("decode heads produced non-finite values")
-    mu = g_prev.mu + heads.delta_max * np.tanh(geo[0:3])
-    s = np.logaddexp(0.0, geo[3:6]) + heads.s_min
-    r_raw = geo[6:10]
-    r = IDENTITY_QUAT if np.linalg.norm(r_raw) < 1e-8 else r_raw
-    sigma = float(expit(geo[10]))
-    return FeatureGaussian(mu, s, r, sigma, new_f)
+    mu = mu_prev + heads.delta_max * np.tanh(geo[:, 0:3])
+    s = np.logaddexp(0.0, geo[:, 3:6]) + heads.s_min
+    r_raw = geo[:, 6:10]
+    norms = np.linalg.norm(r_raw, axis=1)
+    r = np.where(norms[:, None] < 1e-8, IDENTITY_QUAT, r_raw)
+    return mu, s, r, expit(geo[:, 10]), new_f
 
 
 # ---------------------------------------------------------------------------
@@ -327,63 +341,29 @@ def refine_scene(scene: GaussianScene, views: list[CameraView],
     if rows.size == 0:
         return scene
 
-    mu = scene.mu.copy()
-    sc = scene.scale.copy()
-    qu = scene.quat.copy()
-    op = scene.opacity.copy()
-    ft = scene.feature.copy()
-
+    out = [a.copy() for a in (scene.mu, scene.scale, scene.quat,
+                              scene.opacity, scene.feature)]
     for lo in range(0, rows.size, chunk):
         sel = rows[lo:lo + chunk]
-        m = sel.size
         queries = scene.feature[sel]
         if heads is None:
             pts = scene.mu[sel][:, None, :]                      # center sample only
-            n = 1
         else:
-            raw = heads.offset(queries)                          # (m, 3n)
-            n = heads.n_offsets
-            offs = np.tanh(raw).reshape(m, n, 3)
-            rot = quats_to_rotmats(scene.quat[sel])
-            local = scene.scale[sel][:, None, :] * offs          # (m, n, 3)
-            pts = scene.mu[sel][:, None, :] + np.einsum("mij,mnj->mni", rot, local)
-
+            pts = place_samples(scene.mu[sel], scene.scale[sel], scene.quat[sel],
+                                gen_offsets(queries, heads))
+        m, n = pts.shape[:2]
         feats, valid = sample_features(pts.reshape(-1, 3), views,
                                        occlusion_margin=occlusion_margin)
-        nl = feats.shape[1]
-        feats = feats.reshape(m, n, nl, -1)
-        valid = valid.reshape(m, n, nl)
-        any_valid = valid.any(axis=(1, 2))
-
-        if heads is not None and heads.weights is not None:
-            logits = heads.weights(queries)                      # (m, n)
-            z = np.where(valid, logits[:, :, None], -np.inf)
-            zmax = z.max(axis=(1, 2), keepdims=True)
-            w = np.exp(z - np.where(np.isfinite(zmax), zmax, 0.0))
-            w[~valid] = 0.0
-        else:
-            w = valid.astype(np.float64)
-        totals = w.sum(axis=(1, 2))
-        w = w / np.where(totals > 0.0, totals, 1.0)[:, None, None]
-        f_a = np.einsum("mnl,mnlf->mf", w, feats)
-
+        feats = feats.reshape(m, n, feats.shape[1], -1)
+        valid = valid.reshape(m, n, -1)
+        f_a = aggregate(feats, valid, None if heads is None else heads.weights,
+                        queries)
+        seen = valid.any(axis=(1, 2))
+        upd = sel[seen]
         if heads is None:
-            upd = sel[any_valid]
-            ft[upd] = f_a[any_valid]
-            continue
+            out[4][upd] = f_a[seen]                              # feature only
+        else:
+            for dst, val in zip(out, decode_update(f_a[seen], heads, scene.mu[upd])):
+                dst[upd] = val
 
-        new_f = heads.feat(f_a)
-        geo = heads.geo(f_a)
-        if not (np.all(np.isfinite(geo[any_valid])) and np.all(np.isfinite(new_f[any_valid]))):
-            raise NumericalDegeneracyError("decode heads produced non-finite values")
-        upd = sel[any_valid]
-        ga = geo[any_valid]
-        mu[upd] = scene.mu[upd] + heads.delta_max * np.tanh(ga[:, 0:3])
-        sc[upd] = np.logaddexp(0.0, ga[:, 3:6]) + heads.s_min
-        r_raw = ga[:, 6:10]
-        norms = np.linalg.norm(r_raw, axis=1)
-        qu[upd] = np.where(norms[:, None] < 1e-8, IDENTITY_QUAT, r_raw)
-        op[upd] = expit(ga[:, 10])
-        ft[upd] = new_f[any_valid]
-
-    return GaussianScene(mu, sc, qu, op, ft, scene.layer_offsets)
+    return GaussianScene(*out, scene.layer_offsets)

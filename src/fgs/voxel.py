@@ -204,14 +204,13 @@ def _gaussian_precisions(scene: GaussianScene):
 def _accumulate_kernel(points, scene, weights, cutoff):
     """Sum_i exp(-0.5 * mahalanobis^2(points, gaussian_i)) * weights_i.
 
-    `weights` is (N,) or (N, C); result is (M,) or (M, C).  `cutoff` (if not
-    None) zeroes contributions beyond that Mahalanobis radius.
+    `weights` is (N, C); the result is (M, C).  `cutoff` (if not None)
+    zeroes contributions beyond that Mahalanobis radius.
     """
     points = np.asarray(points, dtype=np.float64)
     rot, inv_var = _gaussian_precisions(scene)
     weights = np.asarray(weights, dtype=np.float64)
-    out_shape = (points.shape[0],) if weights.ndim == 1 else (points.shape[0], weights.shape[1])
-    out = np.zeros(out_shape)
+    out = np.zeros((points.shape[0], weights.shape[1]))
     for i in range(len(scene)):
         local = (points - scene.mu[i]) @ rot[i]        # into the Gaussian's frame
         q = np.einsum("md,d,md->m", local, inv_var[i], local)
@@ -219,17 +218,9 @@ def _accumulate_kernel(points, scene, weights, cutoff):
             sel = q <= cutoff * cutoff
             if not np.any(sel):
                 continue
-            k = np.exp(-0.5 * q[sel])
-            if weights.ndim == 1:
-                out[sel] += k * weights[i]
-            else:
-                out[sel] += k[:, None] * weights[i]
+            out[sel] += np.exp(-0.5 * q[sel])[:, None] * weights[i]
         else:
-            k = np.exp(-0.5 * q)
-            if weights.ndim == 1:
-                out += k * weights[i]
-            else:
-                out += k[:, None] * weights[i]
+            out += np.exp(-0.5 * q)[:, None] * weights[i]
     return out
 
 
@@ -338,9 +329,9 @@ def query_points(scene: GaussianScene, points: np.ndarray,
         raise InvalidInputError("points must be (M, 3)")
     if len(scene) == 0:
         return np.zeros(points.shape[0]), np.zeros((points.shape[0], scene.feature_dim))
-    p_occ = _accumulate_kernel(points, scene, scene.opacity, cutoff)
-    p_feat = _accumulate_kernel(points, scene, scene.feature, cutoff)
-    return p_occ, p_feat
+    acc = _accumulate_kernel(points, scene,
+                             np.column_stack([scene.opacity, scene.feature]), cutoff)
+    return acc[:, 0], acc[:, 1:]
 
 
 def retrieval_scores(scene: GaussianScene, bank: TextBank, points: np.ndarray,

@@ -277,7 +277,7 @@ def test_criterion_06_sample_containment_and_bilinear():
         scene = _random_scene(rng, 1)
         g = scene.gaussian(0)
         offsets = rng.uniform(-1.0, 1.0, size=(100, 3))
-        pts = place_samples(g, offsets)
+        pts = place_samples(scene.mu, scene.scale, scene.quat, offsets[None])[0]
         d = pts - g.mu
         cov = covariance3d(g.s, g.r)
         q = np.einsum("nj,nj->n", d, np.linalg.solve(cov, d.T).T)

@@ -14,6 +14,7 @@ test writes its own outputs into its function-scoped tmp_path.
 from __future__ import annotations
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -334,6 +335,17 @@ def test_corrupt_scene_exit_4(fixture_dir, tmp_path, capsys):
                                  "--bank", str(fixture_dir / "bank.json"),
                                  "--out", str(tmp_path / "p.voxg"),
                                  "--origin", "0,0,0", "--dims", "2,2,2"])
+    assert code == 4
+    assert "format error" in err
+
+
+def test_oversized_scene_header_exit_4(fixture_dir, tmp_path, capsys):
+    # magic, version 1, N = F = 2^32 - 1, one layer ending at 0: 24 bytes
+    bad = tmp_path / "big.fgs"
+    bad.write_bytes(b"FGSC" + struct.pack("<5I", 1, 2**32 - 1, 2**32 - 1, 1, 0))
+    code, _, err = _run(capsys, ["eval-map", "--scene", str(bad),
+                                 "--bank", str(fixture_dir / "bank.json"),
+                                 "--gt", str(fixture_dir / "gt.voxg")])
     assert code == 4
     assert "format error" in err
 

@@ -90,11 +90,6 @@ def test_fps_oracle_equality_with_duplicate_points():
         npt.assert_array_equal(fps(pts, k), fps_oracle(pts, k))
 
 
-def test_fps_ignores_seed():
-    pts = np.random.default_rng(1).normal(size=(30, 3))
-    npt.assert_array_equal(fps(pts, 10, seed=None), fps(pts, 10, seed=99))
-
-
 # ---------------------------------------------------------------------------
 # Pseudo cloud and base layer
 # ---------------------------------------------------------------------------
@@ -177,11 +172,21 @@ def test_selection_shape_and_mode_errors():
 def test_selection_residual_excludes_unresolved_pixels():
     out = _made_output(np.array([[5.0, 6.0, 9.0]]),
                        np.array([[True, True, False]]))
-    ref = np.full((1, 3), 5.0)
+    view = replace(_camera(3, 1), ref_depth=np.full((1, 3), 5.0))
     sel = np.ones((1, 3), dtype=bool)
-    assert selection_residual(out, ref, sel) == pytest.approx(0.5)
+    assert selection_residual([out], [view], [sel]) == pytest.approx(0.5)
     none_resolved = _made_output(np.zeros((1, 3)), np.zeros((1, 3), dtype=bool))
-    assert selection_residual(none_resolved, ref, sel) == np.inf
+    assert selection_residual([none_resolved], [view], [sel]) == np.inf
+
+
+def test_selection_residual_pools_pixels_across_views():
+    a = _made_output(np.array([[5.0, 6.0]]), np.ones((1, 2), dtype=bool))
+    b = _made_output(np.array([[9.0, 9.0]]), np.array([[True, False]]))
+    view = replace(_camera(2, 1), ref_depth=np.full((1, 2), 5.0))
+    sel = np.ones((1, 2), dtype=bool)
+    # pixel mean (0 + 1 + 4) / 3, not the mean of the per-view means
+    assert selection_residual([a, b], [view, view], [sel, sel]) == pytest.approx(5.0 / 3.0)
+    assert selection_residual([], [], []) == np.inf
 
 
 # ---------------------------------------------------------------------------

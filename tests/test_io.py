@@ -10,6 +10,7 @@ exactly and are asserted with assert_array_equal.
 from __future__ import annotations
 
 import json
+import struct
 
 import numpy as np
 import numpy.testing as npt
@@ -256,6 +257,34 @@ def test_tensor_sidecar_errors(tmp_path):
     junk.write_bytes(b"NOPE")
     with pytest.raises(FormatError):
         load_tensors(junk)
+
+
+# ---------------------------------------------------------------------------
+# Declared sizes beyond the file
+# ---------------------------------------------------------------------------
+
+BIG = 2**32 - 1
+
+OVERSIZED = {
+    "scene": (load_scene, b"FGSC" + struct.pack("<5I", 1, BIG, BIG, 1, 0)),
+    "plane": (load_plane, b"PLNE" + struct.pack("<3I", BIG, BIG, BIG)),
+    "voxel_grid": (load_voxel_grid, b"VOXG" + struct.pack("<3I", BIG, BIG, BIG)
+                   + struct.pack("<4f", 0.0, 0.0, 0.0, 0.5)),
+    "points": (load_points, b"PNTS" + struct.pack("<I", BIG)),
+    # the element count 2^64 wraps to 0 in 64-bit integer arithmetic
+    "tensors": (load_tensors, b"HEAD" + struct.pack("<2I", 1, 1)
+                + struct.pack("<H", 1) + b"w"
+                + struct.pack("<5I", 4, 2**16, 2**16, 2**16, 2**16)),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(OVERSIZED))
+def test_oversized_declared_size_is_a_format_error(tmp_path, fmt):
+    loader, payload = OVERSIZED[fmt]
+    path = tmp_path / f"big.{fmt}"
+    path.write_bytes(payload)
+    with pytest.raises(FormatError):
+        loader(path)
 
 
 # ---------------------------------------------------------------------------

@@ -105,25 +105,31 @@ def test_decode_heads_validation_and_roundtrip():
 # Offsets and placement
 # ---------------------------------------------------------------------------
 
+def _place(g, offsets):
+    """place_samples for one Gaussian and its (n, 3) offsets."""
+    return place_samples(g.mu[None], g.s[None], g.r[None], offsets[None])[0]
+
+
 def test_gen_offsets_zero_head_and_range():
     heads = _zero_heads()
-    npt.assert_array_equal(gen_offsets(np.ones(4), heads), np.zeros((4, 3)))
+    npt.assert_array_equal(gen_offsets(np.ones((2, 4)), heads), np.zeros((2, 4, 3)))
     seeded = DecodeHeads.seeded(4, 4, n_offsets=N_OFFSETS, seed=7)
-    offs = gen_offsets(np.random.default_rng(0).normal(size=4), seeded)
-    assert offs.shape == (N_OFFSETS, 3)
+    offs = gen_offsets(np.random.default_rng(0).normal(size=(3, 4)), seeded)
+    assert offs.shape == (3, N_OFFSETS, 3)
     assert np.all(np.abs(offs) < 1.0)
     with pytest.raises(InvalidInputError):
-        gen_offsets(np.ones(4), seeded, n=4)
+        gen_offsets(np.ones(4), seeded)           # one query, not a batch
 
 
 def test_place_samples_axis_aligned():
     g = _gaussian()
-    npt.assert_allclose(place_samples(g, np.zeros((3, 3))),
-                        np.tile(g.mu, (3, 1)))
-    moved = place_samples(g, np.array([[1.0, 0.0, 0.0]]))
+    npt.assert_allclose(_place(g, np.zeros((3, 3))), np.tile(g.mu, (3, 1)))
+    moved = _place(g, np.array([[1.0, 0.0, 0.0]]))
     npt.assert_allclose(moved[0], g.mu + [g.s[0], 0.0, 0.0], atol=1e-12)
     with pytest.raises(InvalidInputError):
-        place_samples(g, np.array([[1.2, 0.0, 0.0]]))
+        _place(g, np.array([[1.2, 0.0, 0.0]]))
+    with pytest.raises(InvalidInputError):
+        place_samples(g.mu[None], g.s[None], g.r[None], np.zeros((3, 3)))
 
 
 def test_place_samples_respects_mahalanobis_bound():
@@ -133,7 +139,7 @@ def test_place_samples_respects_mahalanobis_bound():
         g = FeatureGaussian(rng.normal(size=3), rng.uniform(0.05, 2.0, 3),
                             rng.normal(size=4), 0.5, np.zeros(2))
         offs = rng.uniform(-1.0, 1.0, size=(50, 3))
-        pts = place_samples(g, offs)
+        pts = _place(g, offs)
         prec = np.linalg.inv(covariance3d(g.s, g.r))
         d = pts - g.mu
         q = np.einsum("nd,de,ne->n", d, prec, d)
@@ -222,40 +228,42 @@ def test_sample_features_occlusion_margin():
 def test_aggregate_uniform_cases():
     a = np.array([1.0, 2.0])
     b = np.array([3.0, 6.0])
-    feats = np.stack([a, b])[None, :, :]          # 1 point, 2 views
-    valid = np.array([[True, True]])
-    npt.assert_allclose(aggregate(feats, valid), (a + b) / 2.0)
-    only_a = np.array([[True, False]])
-    npt.assert_allclose(aggregate(feats, only_a), a)
-    assert aggregate(feats, np.zeros((1, 2), dtype=bool)) is None
+    feats = np.tile(np.stack([a, b])[None, None], (3, 1, 1, 1))  # 3 Gaussians, 1 point, 2 views
+    valid = np.array([[[True, True]], [[True, False]], [[False, False]]])
+    got = aggregate(feats, valid)
+    npt.assert_allclose(got[0], (a + b) / 2.0)
+    npt.assert_allclose(got[1], a)
+    npt.assert_array_equal(got[2], 0.0)           # no valid pair: zero row
 
 
 def test_aggregate_matches_softmax_oracle_and_view_permutation():
     rng = np.random.default_rng(12)
     head = Mlp.seeded([5, 16], rng)
-    query = rng.normal(size=5)
-    feats = rng.normal(size=(16, 3, 4))
-    valid = rng.random((16, 3)) < 0.6
-    valid[0, 0] = True
-    got = aggregate(feats, valid, weights_head=head, query=query)
+    queries = rng.normal(size=(2, 5))
+    feats = rng.normal(size=(2, 16, 3, 4))
+    valid = rng.random((2, 16, 3)) < 0.6
+    valid[:, 0, 0] = True
+    got = aggregate(feats, valid, weights_head=head, queries=queries)
 
-    logits = head(query)
-    z = np.where(valid, logits[:, None], -np.inf)
-    w = np.exp(z - z.max())
-    w[~valid] = 0.0
-    w /= w.sum()
-    want = np.einsum("nl,nlf->f", w, feats)
-    npt.assert_allclose(got, want, atol=1e-12)
+    for i in range(2):
+        logits = head(queries[i])
+        z = np.where(valid[i], logits[:, None], -np.inf)
+        w = np.exp(z - z.max())
+        w[~valid[i]] = 0.0
+        w /= w.sum()
+        want = np.einsum("nl,nlf->f", w, feats[i])
+        npt.assert_allclose(got[i], want, atol=1e-12)
 
     perm = [2, 0, 1]
-    again = aggregate(feats[:, perm], valid[:, perm], weights_head=head, query=query)
+    again = aggregate(feats[:, :, perm], valid[:, :, perm], weights_head=head,
+                      queries=queries)
     npt.assert_allclose(again, got, atol=1e-12)
 
 
 def test_aggregate_requires_query_with_weights_head():
     head = Mlp.seeded([5, 4], np.random.default_rng(0))
     with pytest.raises(InvalidInputError):
-        aggregate(np.zeros((4, 2, 3)), np.ones((4, 2), dtype=bool),
+        aggregate(np.zeros((1, 4, 2, 3)), np.ones((1, 4, 2), dtype=bool),
                   weights_head=head)
 
 
@@ -266,22 +274,22 @@ def test_aggregate_requires_query_with_weights_head():
 def test_decode_update_zero_heads_fixture():
     heads = _zero_heads()
     g = _gaussian(f=[1.0, 2.0, 3.0, 4.0])
-    out = decode_update(np.ones(4), heads, g)
-    npt.assert_array_equal(out.mu, g.mu)                       # tanh(0) = 0
-    npt.assert_allclose(out.s, np.log(2.0) + S_MIN)            # softplus(0) + floor
-    npt.assert_array_equal(out.r, [1, 0, 0, 0])                # zero-norm fallback
-    assert out.sigma == 0.5                                    # logistic(0)
-    npt.assert_array_equal(out.f, 0.0)
+    mu, s, r, sigma, f = decode_update(np.ones((1, 4)), heads, g.mu[None])
+    npt.assert_array_equal(mu[0], g.mu)                        # tanh(0) = 0
+    npt.assert_allclose(s[0], np.log(2.0) + S_MIN)             # softplus(0) + floor
+    npt.assert_array_equal(r[0], [1, 0, 0, 0])                 # zero-norm fallback
+    assert sigma[0] == 0.5                                     # logistic(0)
+    npt.assert_array_equal(f[0], 0.0)
 
 
 def test_decode_update_position_bound():
     rng = np.random.default_rng(3)
     heads = DecodeHeads.seeded(4, 4, n_offsets=4, seed=11)
     g = _gaussian(f=[0.5, -1.0, 2.0, 0.0])
-    for _ in range(50):
-        out = decode_update(rng.normal(size=4) * 10.0, heads, g)
-        assert np.all(np.abs(out.mu - g.mu) <= DELTA_MAX)
-        assert np.all(out.s >= S_MIN) and 0.0 < out.sigma < 1.0
+    mu, s, _, sigma, _ = decode_update(rng.normal(size=(50, 4)) * 10.0, heads,
+                                       np.tile(g.mu, (50, 1)))
+    assert np.all(np.abs(mu - g.mu) <= DELTA_MAX)
+    assert np.all(s >= S_MIN) and np.all((0.0 < sigma) & (sigma < 1.0))
 
 
 def test_decode_update_rejects_non_finite():
@@ -289,7 +297,7 @@ def test_decode_update_rejects_non_finite():
     heads.geo.layers[0] = (heads.geo.layers[0][0],
                            np.full(11, np.inf))
     with pytest.raises(NumericalDegeneracyError):
-        decode_update(np.ones(4), heads, _gaussian(f=np.zeros(4)))
+        decode_update(np.ones((1, 4)), heads, np.zeros((1, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +354,29 @@ def test_refine_newest_only_touches_last_layer():
         refine_scene(grown, views, which="oldest")
 
 
+def _refine_one(g, views, heads):
+    """Per-Gaussian reference for one decoded refinement step.
+
+    Written out from the definitions (tanh offsets, mu + R (s * delta),
+    softmax over valid pairs, tanh / softplus / logistic decode) rather
+    than through the batched sampling functions.
+    """
+    offs = np.tanh(heads.offset(g.f)).reshape(heads.n_offsets, 3)
+    pts = g.mu + (g.s * offs) @ g.rotation.T
+    feats, valid = sample_features(pts, views)
+    if not np.any(valid):
+        return g
+    z = np.where(valid, heads.weights(g.f)[:, None], -np.inf)
+    w = np.exp(z - z.max())
+    w[~valid] = 0.0
+    f_a = np.einsum("nl,nlf->f", w / w.sum(), feats)
+    geo = heads.geo(f_a)
+    r = geo[6:10] if np.linalg.norm(geo[6:10]) >= 1e-8 else [1.0, 0.0, 0.0, 0.0]
+    return FeatureGaussian(g.mu + heads.delta_max * np.tanh(geo[0:3]),
+                           np.log1p(np.exp(geo[3:6])) + heads.s_min, r,
+                           1.0 / (1.0 + np.exp(-geo[10])), heads.feat(f_a))
+
+
 def test_refine_with_heads_matches_per_gaussian_composition():
     rng = np.random.default_rng(6)
     fdim = 4
@@ -357,14 +388,7 @@ def test_refine_with_heads_matches_per_gaussian_composition():
 
     for i in range(len(scene)):
         g = scene.gaussian(i)
-        offs = gen_offsets(g.f, heads)
-        pts = place_samples(g, offs)
-        feats, valid = sample_features(pts, views)
-        f_a = aggregate(feats, valid, weights_head=heads.weights, query=g.f)
-        if f_a is None:
-            expected = g
-        else:
-            expected = decode_update(f_a, heads, g)
+        expected = _refine_one(g, views, heads)
         npt.assert_allclose(out.mu[i], expected.mu, atol=1e-9)
         npt.assert_allclose(out.scale[i], expected.s, atol=1e-9)
         npt.assert_allclose(out.feature[i], expected.f, atol=1e-9)
