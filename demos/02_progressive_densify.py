@@ -14,31 +14,26 @@ the originally selected pixels collapses.
 import numpy as np
 
 from fgs import (DensifyConfig, densify_layer, fps, fps_oracle,
-                 missing_wall_fixture, render, select_under_represented)
+                 missing_wall_fixture, render, selection_residual)
 
 fix = missing_wall_fixture(seed=0)
 scene, views = fix.scene, fix.views
 print(f"scene without the east wall: {len(scene)} Gaussians")
 
-# Render every reference view once and mark the pixels whose rendered
-# depth exceeds the reference by more than gamma (signed mode: only
-# overshoot counts -- the scene seeing *past* a surface it should hit).
+# Render every reference view once and grow layer 1.  densify_layer marks
+# the pixels whose rendered depth exceeds the reference by more than gamma
+# (signed mode: only overshoot counts -- the scene seeing *past* a surface
+# it should hit) and reports the mean |rendered - reference| over them.
 cfg = DensifyConfig(gamma=0.2, layer_budgets=(1000,),
                     feature_dim=scene.feature_dim)
 renders = [render(scene, v) for v in views]
-counts = [int(select_under_represented(r, v.ref_depth, v.ref_valid,
-                                        cfg.gamma).sum())
-          for r, v in zip(renders, views)]
-print(f"under-represented pixels per view: {counts}")
-
-# Grow layer 1.  The report carries the mean |rendered - reference|
-# over the selected pixels before and after the new layer.
-grown, report = densify_layer(scene, views, cfg, layer=1, renders=renders,
-                              with_report=True)
+grown, report = densify_layer(scene, views, cfg, layer=1, renders=renders)
+print(f"under-represented pixels per view: {report.selected_per_view}")
 print(f"candidates pooled: {report.candidate_points}, "
       f"added: {report.added} (budget {cfg.layer_budgets[0]})")
-print(f"selection residual: {report.residual_before:.3f} m -> "
-      f"{report.residual_after:.3f} m")
+after = selection_residual([render(grown, v) for v in views], views,
+                           report.selected)
+print(f"selection residual: {report.residual_before:.3f} m -> {after:.3f} m")
 print(f"layers now: {grown.layer_count}, offsets {grown.layer_offsets}")
 
 # The thinning step is plain farthest-point sampling; the vectorized

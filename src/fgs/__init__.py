@@ -11,7 +11,7 @@ from .errors import (EmptyInputError, FgsError, FormatError,
 from .raster import alpha_at, project_gaussian, render, render_oracle
 from .densify import (DensifyConfig, DensifyReport, base_init, densify_layer,
                       fps, fps_oracle, pooled_backprojection,
-                      select_under_represented)
+                      select_under_represented, selection_residual)
 from .sampling import (DecodeHeads, Mlp, aggregate, bilinear_sample,
                        decode_update, gen_offsets, place_samples,
                        refine_scene, sample_features)
@@ -39,6 +39,7 @@ __all__ = [
     "alpha_at", "project_gaussian", "render", "render_oracle",
     "DensifyConfig", "DensifyReport", "base_init", "densify_layer", "fps",
     "fps_oracle", "pooled_backprojection", "select_under_represented",
+    "selection_residual",
     "DecodeHeads", "Mlp", "aggregate", "bilinear_sample", "decode_update",
     "gen_offsets", "place_samples", "refine_scene", "sample_features",
     "AsaMask", "AttentionWeights", "asa_forward", "build_mask",

@@ -14,37 +14,24 @@ import sys
 
 import numpy as np
 
-from .densify import DensifyConfig, base_init, densify_layer
+from .densify import DensifyConfig, base_init, densify_layer, selection_residual
 from .errors import (FormatError, InvalidInputError, NumericalDegeneracyError)
-from .io import (depth_preview, load_bank, load_points, load_rig, load_scene,
-                 load_tensors, load_voxel_grid, save_bank, save_depth_plane,
-                 save_plane, save_rig, save_scene, save_voxel_grid)
+from .io import (depth_preview, dump_json, load_bank, load_points, load_rig,
+                 load_scene, load_tensors, load_voxel_grid, save_bank,
+                 save_depth_plane, save_plane, save_rig, save_scene,
+                 save_voxel_grid)
 from .losses import LossComponents, feat_loss, l1_depth, silog, total_loss
-from .pipeline import PipelineConfig, bench, run_pipeline
+from .pipeline import PipelineConfig, bench, retrieval_map, run_pipeline
 from .raster import render
 from .sampling import DecodeHeads, refine_scene
 from .synth import SynthSpec, gen_scene, room_spec
-from .voxel import (DEFAULT_CUTOFF, GridSpec, TAU_OCC, eval_map, eval_miou,
+from .voxel import (DEFAULT_CUTOFF, GridSpec, TAU_OCC, eval_miou,
                     retrieval_scores, voxelize)
 
 
 def _emit(args, payload: dict) -> None:
     if not args.quiet:
-        json.dump(payload, sys.stdout, indent=2, default=_default)
-        sys.stdout.write("\n")
-
-
-def _default(x):
-    if isinstance(x, np.integer):
-        return int(x)
-    if isinstance(x, np.floating):
-        x = float(x)
-        return x if np.isfinite(x) else None
-    if isinstance(x, float) and not np.isfinite(x):
-        return None
-    if isinstance(x, np.ndarray):
-        return x.tolist()
-    raise TypeError(f"not JSON-serializable: {type(x)}")
+        dump_json(payload, sys.stdout)
 
 
 def _outdir(path) -> None:
@@ -122,15 +109,17 @@ def cmd_densify(args) -> int:
     layer = scene.layer_count
     cfg = _densify_config(args, views,
                           layer_budgets=tuple([args.budget] * layer))
-    grown, report = densify_layer(scene, views, cfg, layer, with_report=True)
+    grown, report = densify_layer(scene, views, cfg, layer)
     _outdir(args.out)
     save_scene(args.out, grown)
+    after = selection_residual([render(grown, v) for v in views], views,
+                               report.selected)
     _emit(args, {
         "out": args.out, "layer": layer,
         "selected_pixels_per_view": report.selected_per_view,
         "added_count": report.added,
         "residual_before": report.residual_before,
-        "residual_after": report.residual_after,
+        "residual_after": after,
     })
     return 0
 
@@ -214,8 +203,7 @@ def cmd_retrieve(args) -> int:
     if args.out:
         _outdir(args.out)
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+            dump_json(payload, fh)
         _emit(args, {"out": args.out, "points": points.shape[0]})
     else:
         _emit(args, payload)
@@ -265,43 +253,12 @@ def cmd_eval_miou(args) -> int:
     return 0
 
 
-def _visible_mask(points, views) -> np.ndarray:
-    from .core import Z_NEAR
-    vis = np.zeros(points.shape[0], dtype=bool)
-    for v in views:
-        pc = v.ego_to_cam(points)
-        z = pc[:, 2]
-        front = z > Z_NEAR
-        with np.errstate(divide="ignore", invalid="ignore"):
-            u = v.fx * pc[:, 0] / z + v.cx
-            w = v.fy * pc[:, 1] / z + v.cy
-        vis |= front & (u >= 0) & (u <= v.width - 1) & (w >= 0) & (w <= v.height - 1)
-    return vis
-
-
 def cmd_eval_map(args) -> int:
     scene = load_scene(args.scene)
     bank = load_bank(args.bank)
     gt = load_voxel_grid(args.gt)
-    occ = gt.occupied.ravel()
-    if not np.any(occ):
-        raise InvalidInputError("ground-truth grid has no occupied voxels")
-    centers = GridSpec(gt.origin, gt.dims, gt.voxel_size).centers_flat()
-    points = centers[occ]
-    labels = gt.labels.ravel()[occ]
-    scores, _ = retrieval_scores(scene, bank, points, cutoff=args.cutoff)
-    material = [c for c in range(bank.num_classes) if c != bank.empty_index]
-    rows = np.stack([labels == c for c in material])
-    visible = None
-    if args.rig:
-        visible = _visible_mask(points, load_rig(args.rig))
-    result = eval_map(scores[material], rows, visible=visible)
-    names = [e.class_name for e in bank.entries]
-    _emit(args, {"map": result.map,
-                 "per_class": {names[material[q]]: v
-                               for q, v in result.per_query.items()},
-                 "visible_points": None if visible is None else int(visible.sum()),
-                 "points": points.shape[0]})
+    views = load_rig(args.rig) if args.rig else None
+    _emit(args, retrieval_map(scene, bank, gt, cutoff=args.cutoff, views=views))
     return 0
 
 

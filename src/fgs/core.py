@@ -329,10 +329,8 @@ def project_point(p, cam: CameraView):
     filter.
     """
     p = _as_float(p, (3,), "point")
-    x, y, z = cam.ego_to_cam(p[None, :])[0]
-    if z <= Z_NEAR:
-        return None
-    return (cam.fx * x / z + cam.cx, cam.fy * y / z + cam.cy, z)
+    uv, z, in_front = project_points(p[None, :], cam)
+    return (uv[0, 0], uv[0, 1], z[0]) if in_front[0] else None
 
 
 def project_points(points: np.ndarray, cam: CameraView):

@@ -147,11 +147,14 @@ def selection_residual(renders: list[RenderOutput], views: list[CameraView],
     """Mean |rendered - reference| pooled over every view's selected pixels.
 
     `renders`, `views` and `selected` run in parallel, one entry per view.
-    Render-invalid pixels are excluded (their residual is unbounded); returns
-    inf when none of the selected pixels is resolved.
+    Views with no selected pixel are skipped, so they need no reference
+    depth.  Render-invalid pixels are excluded (their residual is
+    unbounded); returns inf when none of the selected pixels is resolved.
     """
     diffs = []
     for out, v, sel in zip(renders, views, selected):
+        if not np.any(sel):
+            continue
         m = np.asarray(sel, dtype=bool) & out.valid
         diffs.append(np.abs(out.depth[m] - np.asarray(v.ref_depth)[m]))
     pooled = np.concatenate(diffs) if diffs else np.zeros(0)
@@ -160,18 +163,23 @@ def selection_residual(renders: list[RenderOutput], views: list[CameraView],
 
 @dataclass
 class DensifyReport:
+    """What one growth layer did; `selected` holds one pixel mask per view.
+
+    The residual after growth is `selection_residual(after_renders, views,
+    report.selected)`, from renders of the grown scene.
+    """
+
     layer: int
+    selected: list[np.ndarray] = field(default_factory=list)
     selected_per_view: list[int] = field(default_factory=list)
     candidate_points: int = 0
     added: int = 0
     residual_before: float = float("inf")
-    residual_after: float = float("inf")
 
 
 def densify_layer(scene: GaussianScene, views: list[CameraView], cfg: DensifyConfig,
-                  layer: int, renders: list[RenderOutput] | None = None,
-                  with_report: bool = False):
-    """Grow one layer; returns the new scene (and a report if requested).
+                  layer: int, renders: list[RenderOutput] | None = None):
+    """Grow one layer; returns (grown scene, DensifyReport).
 
     `layer` = b >= 1 must equal the scene's current layer count.  Candidate
     pixels from every view are backprojected and pooled; an FPS subset of at
@@ -190,38 +198,24 @@ def densify_layer(scene: GaussianScene, views: list[CameraView], cfg: DensifyCon
     budget = cfg.layer_budgets[layer - 1]
 
     report = DensifyReport(layer=layer)
-    clouds = []
-    hit_views, hit_renders, hit_masks = [], [], []   # views with a selection
+    clouds, used = [], []
     for vi, v in enumerate(views):
         if v.ref_depth is None:
-            report.selected_per_view.append(0)
-            continue
-        out = renders[vi] if renders is not None else render(scene, v)
-        sel = select_under_represented(out, v.ref_depth, v.ref_valid,
-                                       cfg.gamma, cfg.select_mode)
+            out = None
+            sel = np.zeros((v.height, v.width), dtype=bool)
+        else:
+            out = renders[vi] if renders is not None else render(scene, v)
+            sel = select_under_represented(out, v.ref_depth, v.ref_valid,
+                                           cfg.gamma, cfg.select_mode)
+        used.append(out)
+        report.selected.append(sel)
         report.selected_per_view.append(int(np.count_nonzero(sel)))
         if np.any(sel):
-            hit_views.append(v)
-            hit_renders.append(out)
-            hit_masks.append(sel)
             clouds.append(backproject(v, v.ref_depth, sel))
+    report.residual_before = selection_residual(used, views, report.selected)
 
     pool = np.concatenate(clouds, axis=0) if clouds else np.zeros((0, 3))
     report.candidate_points = int(pool.shape[0])
-    if pool.shape[0] == 0:
-        grown = scene.with_layer(np.zeros((0, 3)), np.zeros((0, 3)),
-                                 np.zeros((0, 4)), np.zeros(0),
-                                 np.zeros((0, scene.feature_dim)))
-        return (grown, report) if with_report else grown
-
-    k = min(budget, pool.shape[0])
-    picks = fps(pool, k)
-    grown = scene.with_layer(*_spawn(pool[picks], cfg))
-    report.added = k
-
-    if with_report:
-        report.residual_before = selection_residual(hit_renders, hit_views, hit_masks)
-        report.residual_after = selection_residual(
-            [render(grown, v) for v in hit_views], hit_views, hit_masks)
-        return grown, report
-    return grown
+    report.added = min(budget, pool.shape[0])
+    picks = fps(pool, report.added) if report.added else []
+    return scene.with_layer(*_spawn(pool[picks], cfg)), report

@@ -45,6 +45,28 @@ def _expect_magic(f, magic: bytes, path):
         raise FormatError(f"{path}: expected magic {magic!r}, got {got!r}")
 
 
+def jsonable(x):
+    """Plain-JSON copy of `x`; non-finite floats become None."""
+    if isinstance(x, dict):
+        return {k: jsonable(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [jsonable(v) for v in x]
+    if isinstance(x, np.integer):
+        return int(x)
+    if isinstance(x, (np.floating, float)):
+        x = float(x)
+        return x if np.isfinite(x) else None
+    if isinstance(x, np.ndarray):
+        return jsonable(x.tolist())
+    return x
+
+
+def dump_json(obj, fh) -> None:
+    """Write `jsonable(obj)` as strict JSON (no NaN/Infinity), plus a newline."""
+    json.dump(jsonable(obj), fh, indent=2, allow_nan=False)
+    fh.write("\n")
+
+
 # ---------------------------------------------------------------------------
 # Scenes: magic, u32 version, u32 N, u32 F, u32 layer count, layer offsets,
 # then N records of f32 (mu[3], s[3], r[4], sigma, f[F]).
@@ -254,16 +276,23 @@ def save_rig(path, views: list[CameraView], write_planes: bool = True) -> None:
     path.write_text(json.dumps({"views": entries}, indent=2))
 
 
-def load_rig(path) -> list[CameraView]:
-    path = Path(path)
+def _json_object(path: Path, key: str) -> dict:
+    """The JSON object at `path`; its `key` must be a list of objects."""
     try:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as e:
         raise FormatError(f"{path}: invalid JSON ({e})") from e
-    if "views" not in doc or not isinstance(doc["views"], list):
-        raise FormatError(f"{path}: rig JSON must contain a 'views' list")
+    if not isinstance(doc, dict) or not isinstance(doc.get(key), list):
+        raise FormatError(f"{path}: JSON must be an object with a {key!r} list")
+    if not all(isinstance(e, dict) for e in doc[key]):
+        raise FormatError(f"{path}: every {key!r} entry must be an object")
+    return doc
+
+
+def load_rig(path) -> list[CameraView]:
+    path = Path(path)
     views = []
-    for entry in doc["views"]:
+    for entry in _json_object(path, "views")["views"]:
         try:
             pose = np.asarray(entry["pose"], dtype=np.float64)
             if pose.shape != (3, 4):
@@ -277,16 +306,19 @@ def load_rig(path) -> list[CameraView]:
                     feature = feature[:, :, None]
             if entry.get("photo"):
                 photo = load_plane(path.parent / entry["photo"])
-            views.append(CameraView(
-                fx=float(entry["fx"]), fy=float(entry["fy"]),
-                cx=float(entry["cx"]), cy=float(entry["cy"]),
-                width=int(entry["width"]), height=int(entry["height"]),
-                rotation=pose[:, :3], translation=pose[:, 3],
-                timestamp=int(entry.get("timestamp", 0)),
-                ref_depth=depth, ref_valid=valid, ref_feature=feature, photo=photo,
-            ))
+            fields = dict(fx=float(entry["fx"]), fy=float(entry["fy"]),
+                          cx=float(entry["cx"]), cy=float(entry["cy"]),
+                          width=int(entry["width"]), height=int(entry["height"]),
+                          timestamp=int(entry.get("timestamp", 0)))
         except KeyError as e:
             raise FormatError(f"{path}: rig view missing field {e}") from e
+        except (TypeError, ValueError, OverflowError) as e:
+            raise FormatError(f"{path}: rig view has a malformed field ({e})") from e
+        # outside the try: CameraView's own range checks are invalid input
+        views.append(CameraView(
+            **fields, rotation=pose[:, :3], translation=pose[:, 3],
+            ref_depth=depth, ref_valid=valid, ref_feature=feature, photo=photo,
+        ))
     return views
 
 
@@ -314,20 +346,17 @@ def _safe_name(name: str) -> str:
 
 def load_bank(path) -> TextBank:
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
-        raise FormatError(f"{path}: invalid JSON ({e})") from e
-    if "classes" not in doc:
-        raise FormatError(f"{path}: bank JSON must contain a 'classes' list")
+    doc = _json_object(path, "classes")
     entries = []
     for c in doc["classes"]:
         try:
-            emb = load_plane(path.parent / c["embedding_path"])
-            emb = np.atleast_2d(emb)
-            entries.append(TextBankEntry(c["class"], list(c["prompts"]), emb))
+            emb = np.atleast_2d(load_plane(path.parent / c["embedding_path"]))
+            name, prompts = c["class"], list(c["prompts"])
         except KeyError as e:
             raise FormatError(f"{path}: bank entry missing field {e}") from e
+        except (TypeError, ValueError, OverflowError) as e:
+            raise FormatError(f"{path}: bank entry has a malformed field ({e})") from e
+        entries.append(TextBankEntry(name, prompts, emb))
     return TextBank(entries, empty_class=doc.get("empty_class", "empty"))
 
 

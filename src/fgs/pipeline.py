@@ -10,18 +10,19 @@ count.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CameraView, GaussianScene
+from .core import CameraView, GaussianScene, project_points
 from .densify import (DensifyConfig, GAMMA, base_init, densify_layer, fps,
-                      select_under_represented, selection_residual)
+                      selection_residual)
+# perfbench's tracer wraps select_under_represented on this module too.
+from .densify import select_under_represented  # noqa: F401
 from .errors import FgsError, InvalidInputError
-from .io import save_scene, save_voxel_grid
+from .io import dump_json, jsonable, save_scene, save_voxel_grid
 from .raster import RenderOutput, render, render_oracle
 from .sampling import DecodeHeads, refine_scene
 from .synth import SynthSpec, gen_scene, room_spec
@@ -123,21 +124,6 @@ class PipelineConfig:
         return cls(**kw)
 
 
-def _jsonable(x):
-    if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, (np.integer,)):
-        return int(x)
-    if isinstance(x, (np.floating, float)):
-        x = float(x)
-        return x if np.isfinite(x) else None
-    if isinstance(x, np.ndarray):
-        return _jsonable(x.tolist())
-    return x
-
-
 @dataclass
 class _State:
     scene: GaussianScene | None = None
@@ -221,28 +207,23 @@ def run_pipeline(config: PipelineConfig) -> dict:
                     fresh, _ = _render_all(st.scene, active[len(st.renders):],
                                            config.threads)
                     st.renders = st.renders + fresh
-                sel_masks = [select_under_represented(
-                    out, v.ref_depth, v.ref_valid, gamma=config.gamma,
-                    mode=config.select_mode) for out, v in zip(st.renders, active)]
-                counts = [int(m.sum()) for m in sel_masks]
-                before = selection_residual(st.renders, active, sel_masks)
-                n_before = len(st.scene)
-                st.scene = densify_layer(st.scene, active, dconf, layer,
-                                         renders=st.renders)
+                st.scene, growth = densify_layer(st.scene, active, dconf, layer,
+                                                 renders=st.renders)
                 stage_s = time.perf_counter() - t0
                 st.renders, render_s = _render_all(st.scene, active,
                                                    config.threads)
-                after = selection_residual(st.renders, active, sel_masks)
+                after = selection_residual(st.renders, active, growth.selected)
                 entry = {"name": stage, "layer": layer,
-                         "added": len(st.scene) - n_before,
+                         "added": growth.added,
                          "views_active": len(active),
-                         "selected_pixels_per_view": counts,
-                         "residual_before": before, "residual_after": after,
+                         "selected_pixels_per_view": growth.selected_per_view,
+                         "residual_before": growth.residual_before,
+                         "residual_after": after,
                          "time_s": stage_s}
                 report["layers"].append({"index": layer, "count": len(st.scene),
                                          "views": len(active),
                                          "time_s": render_s})
-                report["stages"].append(_jsonable(entry))
+                report["stages"].append(jsonable(entry))
                 continue
 
             elif stage == "refine":
@@ -258,7 +239,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
                 report["layers"][-1]["time_s"] += refine_s
                 entry = {"name": stage, "which": config.refine_which,
                          "count": len(st.scene), "time_s": refine_s}
-                report["stages"].append(_jsonable(entry))
+                report["stages"].append(jsonable(entry))
                 continue
 
             elif stage == "voxelize":
@@ -278,7 +259,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
         except FgsError as e:
             raise type(e)(f"stage '{stage}' failed: {e}") from e
         entry.setdefault("time_s", time.perf_counter() - t0)
-        report["stages"].append(_jsonable(entry))
+        report["stages"].append(jsonable(entry))
 
     if config.out_dir is not None:
         _write_artifacts(config.out_dir, st, report)
@@ -294,22 +275,49 @@ def _evaluate(st: _State, config: PipelineConfig) -> dict:
         "miou": iou.miou,
         "iou_per_class": {names[c]: v for c, v in iou.per_class.items()},
     }
-    occupied = st.gt.occupied
-    if np.any(occupied):
-        centers = GridSpec(st.gt.origin, st.gt.dims,
-                           st.gt.voxel_size).centers_flat()
-        pts = centers[occupied.ravel()]
-        labels = st.gt.labels.ravel()[occupied.ravel()]
-        scores, _ = retrieval_scores(st.scene, st.bank, pts,
-                                     cutoff=config.cutoff)
-        material = [c for c in range(st.bank.num_classes)
-                    if c != st.bank.empty_index]
-        gt_rows = np.stack([labels == c for c in material])
-        mp = eval_map(scores[material], gt_rows)
-        metrics["map"] = mp.map
-        metrics["ap_per_class"] = {names[material[q]]: v
-                                   for q, v in mp.per_query.items()}
-    return {"metrics": _jsonable(metrics)}
+    if np.any(st.gt.occupied):
+        mp = retrieval_map(st.scene, st.bank, st.gt, cutoff=config.cutoff)
+        metrics["map"] = mp["map"]
+        metrics["ap_per_class"] = mp["per_class"]
+    return {"metrics": jsonable(metrics)}
+
+
+def retrieval_map(scene: GaussianScene, bank: TextBank, gt: VoxelGrid,
+                  cutoff: float | None = DEFAULT_CUTOFF,
+                  views: list[CameraView] | None = None) -> dict:
+    """Retrieval mAP of the scene's text scores at the occupied GT voxels.
+
+    Every non-empty bank class is one query, ranked over the occupied voxel
+    centres and judged against the GT labels.  With `views`, only centres
+    that project in front of and inside at least one camera are ranked.
+    Returns map, per_class (class name -> AP), visible_points (None
+    without views) and points.
+    """
+    occ = gt.occupied.ravel()
+    if not np.any(occ):
+        raise InvalidInputError("ground-truth grid has no occupied voxels")
+    points = GridSpec(gt.origin, gt.dims, gt.voxel_size).centers_flat()[occ]
+    labels = gt.labels.ravel()[occ]
+    scores, _ = retrieval_scores(scene, bank, points, cutoff=cutoff)
+    material = [c for c in range(bank.num_classes) if c != bank.empty_index]
+    rows = np.stack([labels == c for c in material])
+    visible = None if views is None else _visible_mask(points, views)
+    result = eval_map(scores[material], rows, visible=visible)
+    names = [e.class_name for e in bank.entries]
+    return {"map": result.map,
+            "per_class": {names[material[q]]: v
+                          for q, v in result.per_query.items()},
+            "visible_points": None if visible is None else int(visible.sum()),
+            "points": int(points.shape[0])}
+
+
+def _visible_mask(points: np.ndarray, views: list[CameraView]) -> np.ndarray:
+    vis = np.zeros(points.shape[0], dtype=bool)
+    for v in views:
+        uv, _, front = project_points(points, v)
+        vis |= (front & (uv[:, 0] >= 0) & (uv[:, 0] <= v.width - 1)
+                & (uv[:, 1] >= 0) & (uv[:, 1] <= v.height - 1))
+    return vis
 
 
 def _write_artifacts(out_dir: str, st: _State, report: dict) -> None:
@@ -325,8 +333,7 @@ def _write_artifacts(out_dir: str, st: _State, report: dict) -> None:
         arts["grid"] = path
     report["artifacts"] = arts
     with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
-        json.dump(_jsonable(report), fh, indent=2)
-        fh.write("\n")
+        dump_json(report, fh)
 
 
 # ---------------------------------------------------------------------------

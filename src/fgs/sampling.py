@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .core import (CameraView, GaussianScene, IDENTITY_QUAT, Z_NEAR,
+from .core import (CameraView, GaussianScene, IDENTITY_QUAT, project_points,
                    quats_to_rotmats)
 from .errors import InvalidInputError, NumericalDegeneracyError
 
@@ -235,12 +235,8 @@ def sample_features(points: np.ndarray, views: list[CameraView],
     for l, v in enumerate(feat_views):
         if v.ref_feature.shape[2] != fdim:
             raise InvalidInputError("views disagree on feature dimension")
-        pc = v.ego_to_cam(points)
-        z = pc[:, 2]
-        front = z > Z_NEAR
-        with np.errstate(divide="ignore", invalid="ignore"):
-            u = v.fx * pc[:, 0] / z + v.cx
-            vv = v.fy * pc[:, 1] / z + v.cy
+        uv, z, front = project_points(points, v)
+        u, vv = uv[:, 0], uv[:, 1]
         ok = front & (u >= 0) & (u <= v.width - 1) & (vv >= 0) & (vv <= v.height - 1)
         if occlusion_margin is not None and v.ref_depth is not None and np.any(ok):
             iu = np.clip(np.rint(u[ok]).astype(int), 0, v.width - 1)

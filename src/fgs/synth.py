@@ -17,6 +17,7 @@ import numpy as np
 
 from .core import CameraView, GaussianScene, Z_NEAR
 from .errors import InvalidInputError
+from .io import dump_json
 from .voxel import EMPTY_LABEL, GridSpec, TextBank, VoxelGrid, orthonormal_bank
 
 DEFAULT_IMAGE = (120, 160)     # (height, width)
@@ -259,8 +260,7 @@ class SynthSpec:
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
+            dump_json(self.to_dict(), fh)
 
     @classmethod
     def load(cls, path) -> "SynthSpec":

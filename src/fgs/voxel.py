@@ -226,7 +226,7 @@ def _accumulate_kernel(points, scene, weights, cutoff):
 
 def voxelize(scene: GaussianScene, bank: TextBank, grid: GridSpec,
              tau_occ: float = TAU_OCC, cutoff: float | None = DEFAULT_CUTOFF,
-             reduce: str = "max", keep_class_probs: bool = True) -> VoxelGrid:
+             reduce: str = "max") -> VoxelGrid:
     """Accumulate a scene into an occupancy + semantics grid.
 
     Per voxel center x: occupancy mass V_o(x) = sum_i k_i(x) * opacity_i and
@@ -281,8 +281,7 @@ def voxelize(scene: GaussianScene, bank: TextBank, grid: GridSpec,
     if bank.empty_index is not None:
         occupied &= labels != bank.empty_index
     labels[~occupied] = EMPTY_LABEL
-    return VoxelGrid(grid.origin, grid.voxel_size, occ, labels,
-                     cls if keep_class_probs else None)
+    return VoxelGrid(grid.origin, grid.voxel_size, occ, labels, cls)
 
 
 def voxelize_oracle(scene: GaussianScene, bank: TextBank, grid: GridSpec,

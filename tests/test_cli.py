@@ -350,6 +350,55 @@ def test_oversized_scene_header_exit_4(fixture_dir, tmp_path, capsys):
     assert "format error" in err
 
 
+_POSE = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
+
+
+@pytest.mark.parametrize("view, code", [
+    ({"fx": "abc", "fy": 1, "cx": 0, "cy": 0, "width": 2, "height": 2,
+      "pose": _POSE}, 4),
+    ("view0", 4),
+    ({"fx": 1, "fy": 1, "cx": 0, "cy": 0, "width": float("inf"),
+      "height": 2, "pose": _POSE}, 4),
+    ({"fx": 0, "fy": 1, "cx": 0, "cy": 0, "width": 2, "height": 2,
+      "pose": _POSE}, 2),
+], ids=["non_numeric_fx", "view_not_an_object", "infinite_width", "zero_fx"])
+def test_malformed_rig_view_exit_code(tmp_path, capsys, view, code):
+    rig = tmp_path / "rig.json"
+    rig.write_text(json.dumps({"views": [view]}))
+    got, _, err = _run(capsys, ["init", "--rig", str(rig),
+                                "--out", str(tmp_path / "s.fgs")])
+    assert got == code
+    assert ("format error" if code == 4 else "invalid input") in err
+
+
+def test_non_object_bank_exit_4(fixture_dir, tmp_path, capsys):
+    bank = tmp_path / "bank.json"
+    bank.write_text("5")
+    code, _, err = _run(capsys, ["eval-map",
+                                 "--scene", str(fixture_dir / "scene.fgs"),
+                                 "--bank", str(bank),
+                                 "--gt", str(fixture_dir / "gt.voxg")])
+    assert code == 4
+    assert "format error" in err
+
+
+def test_stdout_is_strict_json(fixture_dir, tmp_path, capsys):
+    rig = str(fixture_dir / "rig.json")
+    base = str(tmp_path / "base.fgs")
+    assert main(["init", "--rig", rig, "--out", base, "--count", "80",
+                 "--quiet"]) == 0
+    # nothing is selected at gamma = 100, so both residuals are infinite
+    code = main(["densify", "--rig", rig, "--scene", base, "--gamma", "100",
+                 "--out", str(tmp_path / "grown.fgs")])
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert code == 0 and payload["added_count"] == 0
+    assert payload["residual_before"] is None
+    assert payload["residual_after"] is None
+
+
 def test_threads_env_fallback(fixture_dir, tmp_path, capsys, monkeypatch):
     argv = ["render", "--rig", str(fixture_dir / "rig.json"),
             "--scene", str(fixture_dir / "scene.fgs"), "--view", "1"]

@@ -1,4 +1,4 @@
-"""Smoke tests for the demos that exercise the growth and sampling APIs.
+"""Smoke tests for the demos that exercise the library APIs.
 
 Each demo runs as its own process with `src` on the import path and must
 exit cleanly, so an API change that breaks a demo fails here.
@@ -16,8 +16,11 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("demo", ["02_progressive_densify.py",
-                                  "03_sampling_refine.py"])
+@pytest.mark.parametrize("demo", ["01_render_room.py",
+                                  "02_progressive_densify.py",
+                                  "03_sampling_refine.py",
+                                  "04_voxel_retrieval.py",
+                                  "05_losses.py"])
 def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -187,6 +187,10 @@ def test_selection_residual_pools_pixels_across_views():
     # pixel mean (0 + 1 + 4) / 3, not the mean of the per-view means
     assert selection_residual([a, b], [view, view], [sel, sel]) == pytest.approx(5.0 / 3.0)
     assert selection_residual([], [], []) == np.inf
+    # a view with nothing selected is skipped; it needs no reference depth
+    blind = _camera(2, 1)
+    assert selection_residual([a, b, a], [view, view, blind],
+                              [sel, sel, ~sel]) == pytest.approx(5.0 / 3.0)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +219,8 @@ def test_selected_set_equals_masked_residual_region():
 def test_densify_layer_budget_membership_and_prefix():
     scene, view, hole = _wall_fixture()
     cfg = DensifyConfig(layer_budgets=(100,), feature_dim=4)
-    grown, report = densify_layer(scene, [view], cfg, 1, with_report=True)
+    grown, report = densify_layer(scene, [view], cfg, 1)
+    npt.assert_array_equal(report.selected[0], hole)
     assert report.selected_per_view == [int(hole.sum())]
     assert report.candidate_points == int(hole.sum())
     assert report.added == 100 and len(grown) == len(scene) + 100
@@ -230,13 +235,26 @@ def test_densify_layer_budget_membership_and_prefix():
     npt.assert_array_equal(grown.scale[len(scene):], cfg.init_scale)
     npt.assert_array_equal(grown.opacity[len(scene):], cfg.init_opacity)
     # one grown layer strictly reduces the selected-set residual
-    assert report.residual_after < report.residual_before
+    after = selection_residual([render(grown, view)], [view], report.selected)
+    assert after < report.residual_before
+
+
+def test_densify_layer_masks_views_without_reference_depth():
+    scene, view, hole = _wall_fixture()
+    blind = replace(view, ref_depth=None, ref_valid=None)
+    cfg = DensifyConfig(layer_budgets=(100,), feature_dim=4)
+    grown, report = densify_layer(scene, [blind, view], cfg, 1)
+    assert report.selected_per_view == [0, int(hole.sum())]
+    assert report.selected[0].shape == hole.shape and not report.selected[0].any()
+    after = selection_residual([render(grown, v) for v in (blind, view)],
+                               [blind, view], report.selected)
+    assert after < report.residual_before
 
 
 def test_densify_layer_takes_all_candidates_under_budget():
     scene, view, hole = _wall_fixture()
     cfg = DensifyConfig(layer_budgets=(10 ** 6,), feature_dim=4)
-    grown = densify_layer(scene, [view], cfg, 1)
+    grown, _ = densify_layer(scene, [view], cfg, 1)
     assert len(grown) == len(scene) + int(hole.sum())
 
 
@@ -246,7 +264,7 @@ def test_densify_layer_zero_growth_on_perfect_scene():
     out = render(scene, cam)
     view = replace(cam, ref_depth=out.depth.copy(), ref_valid=out.valid.copy())
     cfg = DensifyConfig(layer_budgets=(50,), feature_dim=4)
-    grown, report = densify_layer(scene, [view], cfg, 1, with_report=True)
+    grown, report = densify_layer(scene, [view], cfg, 1)
     assert len(grown) == len(scene)
     assert grown.layer_offsets == (len(scene), len(scene))
     assert report.added == 0 and report.candidate_points == 0
@@ -255,8 +273,8 @@ def test_densify_layer_zero_growth_on_perfect_scene():
 def test_densify_layer_accepts_precomputed_renders():
     scene, view, _ = _wall_fixture()
     cfg = DensifyConfig(layer_budgets=(64,), feature_dim=4)
-    direct = densify_layer(scene, [view], cfg, 1)
-    cached = densify_layer(scene, [view], cfg, 1, renders=[render(scene, view)])
+    direct, _ = densify_layer(scene, [view], cfg, 1)
+    cached, _ = densify_layer(scene, [view], cfg, 1, renders=[render(scene, view)])
     npt.assert_array_equal(direct.mu, cached.mu)
 
 
@@ -267,7 +285,7 @@ def test_densify_layer_validates_arguments():
         densify_layer(scene, [view], cfg, 2)     # scene has 1 layer, not 2
     with pytest.raises(InvalidInputError):
         densify_layer(scene, [view], cfg, 0)
-    grown = densify_layer(scene, [view], cfg, 1)
+    grown, _ = densify_layer(scene, [view], cfg, 1)
     with pytest.raises(InvalidInputError):
         densify_layer(grown, [view], cfg, 2)     # no budget for layer 2
     bad = DensifyConfig(layer_budgets=(64,), feature_dim=9)

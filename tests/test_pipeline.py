@@ -182,6 +182,28 @@ def test_report_densify_residuals(full_run):
     assert after is not None and after < before
 
 
+def test_densify_selects_once_per_active_view(monkeypatch):
+    import fgs.densify
+    import fgs.pipeline
+    calls = []
+    real = fgs.densify.select_under_represented
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+    # Patch every module that names the function, so a second selection
+    # pass outside densify_layer would be counted too.
+    for mod in (fgs.densify, fgs.pipeline):
+        monkeypatch.setattr(mod, "select_under_represented", counting)
+    report = run_pipeline(_tiny_config(
+        stages=("synth", "init", "densify", "refine", "densify", "refine"),
+        layer_budgets=(60, 60)))
+    active = [s["views_active"] for s in report["stages"]
+              if s["name"] == "densify"]
+    assert len(active) == 2
+    assert len(calls) == sum(active)
+
+
 def test_report_refine_and_voxelize(full_run):
     report, _ = full_run
     refine, voxelize = report["stages"][3], report["stages"][4]

@@ -152,7 +152,6 @@ def test_voxelize_single_gaussian_hand_masses():
     npt.assert_allclose(out.occ_mass[4, 4, 4], corner, atol=1e-12)
     assert corner < TAU_OCC and out.labels[4, 4, 4] == EMPTY_LABEL
     assert out.class_probs is not None
-    assert voxelize(scene, bank, grid, keep_class_probs=False).class_probs is None
 
 
 def test_voxelize_empty_class_and_threshold_edge():
