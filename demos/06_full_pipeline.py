@@ -7,7 +7,7 @@ fit to the first camera ring, each densify stage activates the next ring
 and fills in whatever those new views expose, refine re-samples features
 across everything active, and the finished scene is voxelized and scored
 against ground truth.  Artifacts (scene, grid, report) land in the output
-directory and reload bit-for-bit.  Takes ~20 s at the default sizes.
+directory and reload bit-for-bit.  Takes ~25 s at the default sizes.
 
 Same thing from a shell:
 
@@ -44,10 +44,14 @@ for entry in report["stages"]:
         detail = json.dumps(entry["metrics"], default=str)
     print(f"{name:9s} {entry['time_s']:6.2f}s  {detail}")
 
-# The layer table: how the scene grew and how long each layer's views
-# took to render (refine time is folded into its layer).
-print("layers:", [(l["index"], l["count"], l["views"])
-                  for l in report["layers"]])
+# The layer table: how the scene grew, how long each layer's views took to
+# render (refine time is folded into its layer), and the growth step that
+# built it: FPS picks out of the pseudo cloud, and its own time.
+for l in report["layers"]:
+    g = l["growth"]
+    print(f"layer {l['index']}: {l['count']} Gaussians over {l['views']} "
+          f"views, render+refine {l['time_s']:.2f}s; growth "
+          f"{g['picks']} of {g['cloud_points']} points in {g['time_s']:.2f}s")
 
 # Artifacts round-trip through their binary formats.
 scene = load_scene(report["artifacts"]["scene"])

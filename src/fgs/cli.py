@@ -8,7 +8,6 @@ every subcommand; FGS_THREADS is the thread-count fallback.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -16,10 +15,10 @@ import numpy as np
 
 from .densify import DensifyConfig, base_init, densify_layer, selection_residual
 from .errors import (FormatError, InvalidInputError, NumericalDegeneracyError)
-from .io import (depth_preview, dump_json, load_bank, load_points, load_rig,
-                 load_scene, load_tensors, load_voxel_grid, save_bank,
-                 save_depth_plane, save_plane, save_rig, save_scene,
-                 save_voxel_grid)
+from .io import (depth_preview, dump_json, load_bank, load_json_object,
+                 load_points, load_rig, load_scene, load_tensors,
+                 load_voxel_grid, save_bank, save_depth_plane, save_plane,
+                 save_rig, save_scene, save_voxel_grid)
 from .losses import LossComponents, feat_loss, l1_depth, silog, total_loss
 from .pipeline import PipelineConfig, bench, retrieval_map, run_pipeline
 from .raster import render
@@ -278,10 +277,7 @@ def _parse_pair(text):
 
 
 def cmd_pipeline(args) -> int:
-    cfg_dict = {}
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            cfg_dict = json.load(fh)
+    cfg_dict = load_json_object(args.config) if args.config else {}
     if args.stages:
         cfg_dict["stages"] = [s for s in args.stages.split(",") if s]
     if args.seed is not None:

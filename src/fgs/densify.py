@@ -52,6 +52,12 @@ def fps(points: np.ndarray, k: int) -> np.ndarray:
     Fully deterministic: the first pick is index 0 and every later pick is
     the point maximizing the distance to the chosen set, ties broken by
     lowest index.
+
+    Each round reads the coordinates as contiguous 1-D columns and adds the
+    squared differences left to right, (x-xi)^2 + (y-yi)^2 + ..., into two
+    reused buffers.  For D < 8 that is the order in which NumPy reduces a
+    row, so the distances, and hence the picks, are bit-identical to
+    `np.sum((points - points[i]) ** 2, axis=1)`.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
@@ -59,13 +65,21 @@ def fps(points: np.ndarray, k: int) -> np.ndarray:
     n = points.shape[0]
     if not 1 <= k <= n:
         raise InvalidInputError(f"need 1 <= k <= {n}, got k={k}")
+    cols = [np.ascontiguousarray(points[:, j]) for j in range(points.shape[1])]
+    acc, term = np.zeros(n), np.empty(n)
+    dist2 = np.full(n, np.inf)
     chosen = np.empty(k, dtype=int)
     chosen[0] = 0
-    dist2 = np.sum((points - points[0]) ** 2, axis=1)
     for i in range(1, k):
-        nxt = int(np.argmax(dist2))  # argmax takes the lowest index on ties
-        chosen[i] = nxt
-        np.minimum(dist2, np.sum((points - points[nxt]) ** 2, axis=1), out=dist2)
+        last = chosen[i - 1]
+        for j, col in enumerate(cols):
+            out = acc if j == 0 else term
+            np.subtract(col, col[last], out=out)
+            np.multiply(out, out, out=out)
+            if j:
+                np.add(acc, term, out=acc)
+        np.minimum(dist2, acc, out=dist2)
+        chosen[i] = np.argmax(dist2)  # argmax takes the lowest index on ties
     return chosen
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import struct
 from pathlib import Path
@@ -276,13 +277,59 @@ def save_rig(path, views: list[CameraView], write_planes: bool = True) -> None:
     path.write_text(json.dumps({"views": entries}, indent=2))
 
 
+# JSON field readers for the loaders below and the spec/config parsers: a
+# value of the wrong JSON type raises TypeError, which they report as a
+# FormatError.  Nothing is coerced: "7" is not a number and 1.9 not an int.
+
+def json_float(v) -> float:
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        raise TypeError(f"expected a number, got {v!r}")
+    return float(v)
+
+
+def json_int(v) -> int:
+    """An integer; a float with an integral value, such as 2.0, is one too."""
+    if isinstance(v, float) and v.is_integer():
+        return int(v)
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+        raise TypeError(f"expected an integer, got {v!r}")
+    return int(v)
+
+
+def json_bool(v) -> bool:
+    if not isinstance(v, bool):
+        raise TypeError(f"expected true or false, got {v!r}")
+    return v
+
+
+def json_str(v) -> str:
+    if not isinstance(v, str):
+        raise TypeError(f"expected a string, got {v!r}")
+    return v
+
+
+def json_list(v, item=None) -> list:
+    """A list (or tuple), each element read with `item` when given."""
+    if not isinstance(v, (list, tuple)):
+        raise TypeError(f"expected a list, got {v!r}")
+    return list(v) if item is None else [item(x) for x in v]
+
+
+def load_json_object(path) -> dict:
+    """The JSON object stored at `path`; anything else is a FormatError."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as e:  # JSONDecodeError or UnicodeDecodeError
+        raise FormatError(f"{path}: invalid JSON ({e})") from e
+    if not isinstance(doc, dict):
+        raise FormatError(f"{path}: JSON must be an object")
+    return doc
+
+
 def _json_object(path: Path, key: str) -> dict:
     """The JSON object at `path`; its `key` must be a list of objects."""
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
-        raise FormatError(f"{path}: invalid JSON ({e})") from e
-    if not isinstance(doc, dict) or not isinstance(doc.get(key), list):
+    doc = load_json_object(path)
+    if not isinstance(doc.get(key), list):
         raise FormatError(f"{path}: JSON must be an object with a {key!r} list")
     if not all(isinstance(e, dict) for e in doc[key]):
         raise FormatError(f"{path}: every {key!r} entry must be an object")
@@ -294,7 +341,8 @@ def load_rig(path) -> list[CameraView]:
     views = []
     for entry in _json_object(path, "views")["views"]:
         try:
-            pose = np.asarray(entry["pose"], dtype=np.float64)
+            pose = np.asarray(json_list(entry["pose"],
+                                        lambda row: json_list(row, json_float)))
             if pose.shape != (3, 4):
                 raise FormatError(f"{path}: pose must be 3x4 row-major")
             depth = valid = feature = photo = None
@@ -306,10 +354,11 @@ def load_rig(path) -> list[CameraView]:
                     feature = feature[:, :, None]
             if entry.get("photo"):
                 photo = load_plane(path.parent / entry["photo"])
-            fields = dict(fx=float(entry["fx"]), fy=float(entry["fy"]),
-                          cx=float(entry["cx"]), cy=float(entry["cy"]),
-                          width=int(entry["width"]), height=int(entry["height"]),
-                          timestamp=int(entry.get("timestamp", 0)))
+            fields = dict(fx=json_float(entry["fx"]), fy=json_float(entry["fy"]),
+                          cx=json_float(entry["cx"]), cy=json_float(entry["cy"]),
+                          width=json_int(entry["width"]),
+                          height=json_int(entry["height"]),
+                          timestamp=json_int(entry.get("timestamp", 0)))
         except KeyError as e:
             raise FormatError(f"{path}: rig view missing field {e}") from e
         except (TypeError, ValueError, OverflowError) as e:
@@ -351,7 +400,8 @@ def load_bank(path) -> TextBank:
     for c in doc["classes"]:
         try:
             emb = np.atleast_2d(load_plane(path.parent / c["embedding_path"]))
-            name, prompts = c["class"], list(c["prompts"])
+            name = json_str(c["class"])
+            prompts = json_list(c["prompts"], json_str)
         except KeyError as e:
             raise FormatError(f"{path}: bank entry missing field {e}") from e
         except (TypeError, ValueError, OverflowError) as e:

@@ -2,10 +2,11 @@
 
 The pipeline interprets an ordered stage list, carries the scene/views/grid
 state across stages, and produces a JSON-able report with one entry per
-executed stage plus a per-layer table (Gaussian count and wall time at each
-layer).  Timings never influence artifacts, so runs with identical config
-and seed write byte-identical scene and grid files regardless of thread
-count.
+executed stage plus a per-layer table: Gaussian count and wall time at each
+layer, and a `growth` row for the step that built the layer (pseudo-cloud
+points, FPS picks, and the time of base init or of the densify step).
+Timings never influence artifacts, so runs with identical config and seed
+write byte-identical scene and grid files regardless of thread count.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ from .densify import (DensifyConfig, GAMMA, base_init, densify_layer, fps,
                       selection_residual)
 # perfbench's tracer wraps select_under_represented on this module too.
 from .densify import select_under_represented  # noqa: F401
-from .errors import FgsError, InvalidInputError
-from .io import dump_json, jsonable, save_scene, save_voxel_grid
+from .errors import FgsError, FormatError, InvalidInputError
+from .io import (dump_json, json_float, json_int, json_list, json_str,
+                 jsonable, save_scene, save_voxel_grid)
 from .raster import RenderOutput, render, render_oracle
 from .sampling import DecodeHeads, refine_scene
 from .synth import SynthSpec, gen_scene, room_spec
@@ -108,20 +110,60 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
-        kw = dict(d)
-        if "spec" in kw and isinstance(kw["spec"], dict):
-            kw["spec"] = SynthSpec.from_dict(kw["spec"])
-        if "stages" in kw:
-            kw["stages"] = tuple(kw["stages"])
-        if "layer_budgets" in kw:
-            kw["layer_budgets"] = tuple(kw["layer_budgets"])
-        if kw.get("view_waves") is not None:
-            kw["view_waves"] = tuple(kw["view_waves"])
-        known = {f for f in cls.__dataclass_fields__}
-        bad = set(kw) - known
+        """Config from a JSON object, e.g. the CLI's `--config` file.
+
+        Unknown keys are invalid input, and so are the spec's own range
+        checks; a document that is not an object or a field of the wrong
+        JSON type is a FormatError.
+        """
+        if not isinstance(d, dict):
+            raise FormatError("pipeline config must be a JSON object")
+        bad = set(d) - set(_CONFIG_FIELDS)
         if bad:
             raise InvalidInputError(f"unknown pipeline config keys: {sorted(bad)}")
+        try:
+            kw = {k: _CONFIG_FIELDS[k](v) for k, v in d.items()}
+        except InvalidInputError:
+            raise
+        except (TypeError, ValueError, OverflowError) as e:
+            raise FormatError(f"pipeline config: malformed field ({e})") from e
         return cls(**kw)
+
+
+def _optional(read):
+    return lambda v: None if v is None else read(v)
+
+
+def _ints(v) -> tuple[int, ...]:
+    return tuple(json_list(v, json_int))
+
+
+def _path(v) -> str | os.PathLike:
+    if not isinstance(v, (str, os.PathLike)):
+        raise TypeError(f"expected a path string, got {v!r}")
+    return v
+
+
+def _spec(v) -> SynthSpec:
+    return v if isinstance(v, SynthSpec) else SynthSpec.from_dict(v)
+
+
+def _heads(v) -> DecodeHeads:
+    if not isinstance(v, DecodeHeads):
+        raise TypeError("heads must be a DecodeHeads; a config file cannot hold one")
+    return v
+
+
+# How PipelineConfig.from_dict reads each field; a key missing here is unknown.
+_CONFIG_FIELDS = {
+    "stages": lambda v: tuple(json_list(v, json_str)),
+    "seed": json_int, "threads": json_int, "out_dir": _optional(_path),
+    "spec": _optional(_spec), "base_count": json_int,
+    "layer_budgets": _ints, "gamma": json_float, "select_mode": json_str,
+    "occlusion_margin": _optional(json_float), "tau_occ": json_float,
+    "cutoff": _optional(json_float), "heads": _optional(_heads),
+    "refine_which": json_str, "view_waves": _optional(_ints),
+}
 
 
 @dataclass
@@ -188,14 +230,22 @@ def run_pipeline(config: PipelineConfig) -> dict:
                                       layer_budgets=config.layer_budgets,
                                       select_mode=config.select_mode,
                                       feature_dim=fdim)
+                t_grow = time.perf_counter()
                 st.scene = base_init(active, dconf)
+                # backproject emits one pseudo-cloud point per valid pixel
+                growth = {"cloud_points": sum(int(np.count_nonzero(v.ref_valid))
+                                              for v in active
+                                              if v.ref_depth is not None),
+                          "picks": len(st.scene),
+                          "time_s": time.perf_counter() - t_grow}
                 entry = {"name": stage, "count": len(st.scene),
                          "views_active": len(active)}
                 st.renders, render_s = _render_all(st.scene, active,
                                                    config.threads)
                 report["layers"].append({"index": 0, "count": len(st.scene),
                                          "views": len(active),
-                                         "time_s": render_s})
+                                         "time_s": render_s,
+                                         "growth": growth})
 
             elif stage == "densify":
                 layer = st.scene.layer_count
@@ -207,8 +257,10 @@ def run_pipeline(config: PipelineConfig) -> dict:
                     fresh, _ = _render_all(st.scene, active[len(st.renders):],
                                            config.threads)
                     st.renders = st.renders + fresh
+                t_grow = time.perf_counter()
                 st.scene, growth = densify_layer(st.scene, active, dconf, layer,
                                                  renders=st.renders)
+                grow_s = time.perf_counter() - t_grow
                 stage_s = time.perf_counter() - t0
                 st.renders, render_s = _render_all(st.scene, active,
                                                    config.threads)
@@ -220,9 +272,12 @@ def run_pipeline(config: PipelineConfig) -> dict:
                          "residual_before": growth.residual_before,
                          "residual_after": after,
                          "time_s": stage_s}
-                report["layers"].append({"index": layer, "count": len(st.scene),
-                                         "views": len(active),
-                                         "time_s": render_s})
+                report["layers"].append({
+                    "index": layer, "count": len(st.scene),
+                    "views": len(active), "time_s": render_s,
+                    "growth": {"cloud_points": growth.candidate_points,
+                               "picks": growth.added,
+                               "time_s": grow_s}})
                 report["stages"].append(jsonable(entry))
                 continue
 

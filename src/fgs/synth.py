@@ -9,15 +9,15 @@ a pure function of the spec and its seed.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .core import CameraView, GaussianScene, Z_NEAR
-from .errors import InvalidInputError
-from .io import dump_json
+from .errors import FormatError, InvalidInputError
+from .io import (dump_json, json_bool, json_float, json_int, json_list,
+                 json_str, load_json_object)
 from .voxel import EMPTY_LABEL, GridSpec, TextBank, VoxelGrid, orthonormal_bank
 
 DEFAULT_IMAGE = (120, 160)     # (height, width)
@@ -177,6 +177,12 @@ class RigSpec:
         return (self.width / 2.0) / math.tan(math.radians(self.hfov_deg) / 2.0)
 
 
+def _object(x, what: str) -> dict:
+    if not isinstance(x, dict):
+        raise FormatError(f"{what} must be a JSON object, got {type(x).__name__}")
+    return x
+
+
 @dataclass
 class SynthSpec:
     """Full description of a synthetic fixture; seed determines everything."""
@@ -232,31 +238,55 @@ class SynthSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SynthSpec":
-        rig_d = d.get("rig", {})
-        rig = RigSpec(
-            rings=[RingSpec(r["count"], r["radius"], r["height"],
-                            r["pitch_deg"], r.get("offset_deg", 0.0),
-                            r.get("inward", True))
-                   for r in rig_d.get("rings", [])] or RigSpec().rings,
-            height=rig_d.get("height", DEFAULT_IMAGE[0]),
-            width=rig_d.get("width", DEFAULT_IMAGE[1]),
-            hfov_deg=rig_d.get("hfov_deg", DEFAULT_HFOV_DEG),
-        )
-        grid = None
-        if d.get("grid") is not None:
-            g = d["grid"]
-            grid = GridSpec(np.asarray(g["origin"]), tuple(g["dims"]),
-                            g["voxel_size"])
-        prims = [Primitive(p["shape"], p["class"], p["center"], p["size"],
-                           p.get("yaw", 0.0), p.get("name", ""))
-                 for p in d.get("primitives", [])]
-        return cls(seed=d.get("seed", 0), feature_dim=d.get("feature_dim", 16),
-                   primitives=prims, rig=rig, grid=grid,
-                   n_gaussians=d.get("n_gaussians", 6000),
-                   gaussian_scale=d.get("gaussian_scale", 0.1),
-                   gaussian_opacity=d.get("gaussian_opacity", 0.9),
-                   depth_noise=d.get("depth_noise", 0.0),
-                   pose_noise=d.get("pose_noise", 0.0))
+        """Spec from its `to_dict` form.
+
+        A document that is not an object, a missing required field or a
+        field of the wrong type is a FormatError; the primitives' and the
+        grid's own range checks stay invalid input.
+        """
+        d = _object(d, "synth spec")
+        rig_d = _object(d.get("rig", {}), "synth spec rig")
+        try:
+            rig = RigSpec(
+                rings=[RingSpec(json_int(r["count"]), json_float(r["radius"]),
+                                json_float(r["height"]),
+                                json_float(r["pitch_deg"]),
+                                json_float(r.get("offset_deg", 0.0)),
+                                json_bool(r.get("inward", True)))
+                       for r in json_list(rig_d.get("rings", []),
+                                          lambda r: _object(r, "rig ring"))]
+                or RigSpec().rings,
+                height=json_int(rig_d.get("height", DEFAULT_IMAGE[0])),
+                width=json_int(rig_d.get("width", DEFAULT_IMAGE[1])),
+                hfov_deg=json_float(rig_d.get("hfov_deg", DEFAULT_HFOV_DEG)),
+            )
+            grid = None
+            if d.get("grid") is not None:
+                g = _object(d["grid"], "synth spec grid")
+                grid = GridSpec(np.asarray(json_list(g["origin"], json_float)),
+                                tuple(json_list(g["dims"], json_int)),
+                                json_float(g["voxel_size"]))
+            prims = [Primitive(json_str(p["shape"]), json_str(p["class"]),
+                               json_list(p["center"], json_float),
+                               json_list(p["size"], json_float),
+                               json_float(p.get("yaw", 0.0)),
+                               json_str(p.get("name", "")))
+                     for p in json_list(d.get("primitives", []),
+                                        lambda p: _object(p, "primitive"))]
+            return cls(seed=json_int(d.get("seed", 0)),
+                       feature_dim=json_int(d.get("feature_dim", 16)),
+                       primitives=prims, rig=rig, grid=grid,
+                       n_gaussians=json_int(d.get("n_gaussians", 6000)),
+                       gaussian_scale=json_float(d.get("gaussian_scale", 0.1)),
+                       gaussian_opacity=json_float(d.get("gaussian_opacity", 0.9)),
+                       depth_noise=json_float(d.get("depth_noise", 0.0)),
+                       pose_noise=json_float(d.get("pose_noise", 0.0)))
+        except InvalidInputError:
+            raise
+        except KeyError as e:
+            raise FormatError(f"synth spec: missing field {e}") from e
+        except (TypeError, ValueError, OverflowError) as e:
+            raise FormatError(f"synth spec: malformed field ({e})") from e
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -264,8 +294,7 @@ class SynthSpec:
 
     @classmethod
     def load(cls, path) -> "SynthSpec":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(load_json_object(path))
 
 
 @dataclass

@@ -544,6 +544,19 @@ def test_criterion_11_performance_shape(room_runs):
              f"{monotone}), tiled {speedup:.1f}x oracle (>= 10x)")
 
 
+def test_growth_rows_count_the_pseudo_clouds(room_runs):
+    """Each layer's growth row names the cloud its FPS ran on: seed 0's
+    8 init views of 120x160 pixels, then the two densify candidate pools,
+    161,590 points in all."""
+    reports, _ = room_runs
+    for seed in range(5):
+        growth = [row["growth"] for row in reports[seed]["layers"]]
+        assert [g["picks"] for g in growth] == [4000, 1000, 1000]
+        assert growth[0]["cloud_points"] == 8 * 120 * 160
+    clouds = [row["growth"]["cloud_points"] for row in reports[0]["layers"]]
+    assert clouds == [153600, 6585, 1405] and sum(clouds) == 161590
+
+
 # ---------------------------------------------------------------------------
 # 12. Bytewise determinism
 # ---------------------------------------------------------------------------

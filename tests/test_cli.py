@@ -317,6 +317,60 @@ def test_pipeline_bad_config_key_exit_2(tmp_path, capsys):
     assert code == 2 and "unknown pipeline config" in err
 
 
+@pytest.mark.parametrize("text, code", [
+    ("{bad", 4),
+    ("[1]", 4),
+    ('{"seed": "x"}', 4),
+    ('{"spec": [1]}', 4),
+    ('{"stages": ["synth"], "spec": {"primitives": [{"shape": "box"}]}}', 4),
+    ('{"layer_budgets": 5}', 4),
+    ('{"layer_budgets": "12"}', 4),
+    ('{"seed": 1.9}', 4),
+    ('{"gamma": "1e3"}', 4),
+    ('{"stages": ["eval"]}', 2),
+    ('{"spec": {"primitives": [{"shape": "cone", "class": "a", '
+     '"center": [0, 0, 0], "size": [1, 1, 1]}]}}', 2),
+    ('{"spec": {"primitives": [{"shape": "box", "class": "a", '
+     '"center": [0, 0, 0], "size": [1, 0, 1]}]}}', 2),
+], ids=["invalid_json", "not_an_object", "string_seed", "spec_not_an_object",
+        "primitive_without_class", "scalar_budgets", "string_budgets",
+        "fractional_seed", "string_gamma", "eval_without_voxelize",
+        "spec_unknown_shape", "spec_flat_box"])
+def test_malformed_pipeline_config_exit_code(tmp_path, capsys, text, code):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    got, payload, err = _run(capsys, ["pipeline", "--config", str(cfg_path),
+                                      "--stages", ""])
+    assert got == code and payload is None
+    assert ("format error" if code == 4 else "invalid input") in err
+
+
+@pytest.mark.parametrize("text, code", [
+    ("{bad", 4),
+    ("[1]", 4),
+    ('{"primitives": [{"shape": "box", "center": [0, 0, 0], '
+     '"size": [1, 1, 1]}]}', 4),
+    ('{"seed": "x"}', 4),
+    ('{"rig": {"rings": [{"count": 2}]}}', 4),
+    ('{"rig": {"rings": [{"count": 2.7, "radius": 1, "height": 1, '
+     '"pitch_deg": 0}]}}', 4),
+    ('{"primitives": [{"shape": "box", "class": "a", '
+     '"center": ["0", "0", "0"], "size": [1, 1, 1]}]}', 4),
+    ('{"primitives": [{"shape": "cone", "class": "a", "center": [0, 0, 0], '
+     '"size": [1, 1, 1]}]}', 2),
+], ids=["invalid_json", "not_an_object", "primitive_without_class",
+        "string_seed", "ring_without_radius", "fractional_ring_count",
+        "string_center", "unknown_shape"])
+def test_malformed_synth_spec_exit_code(tmp_path, capsys, text, code):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(text)
+    got, payload, err = _run(capsys, ["synth", "--spec", str(spec_path),
+                                      "--out", str(tmp_path / "out")])
+    assert got == code and payload is None
+    assert ("format error" if code == 4 else "invalid input") in err
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # Exit codes and global flags
 # ---------------------------------------------------------------------------
@@ -359,9 +413,14 @@ _POSE = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
     ("view0", 4),
     ({"fx": 1, "fy": 1, "cx": 0, "cy": 0, "width": float("inf"),
       "height": 2, "pose": _POSE}, 4),
+    ({"fx": "1.5", "fy": 1, "cx": 0, "cy": 0, "width": 2, "height": 2,
+      "pose": _POSE}, 4),
+    ({"fx": 1, "fy": 1, "cx": 0, "cy": 0, "width": 2.5, "height": 2,
+      "pose": _POSE}, 4),
     ({"fx": 0, "fy": 1, "cx": 0, "cy": 0, "width": 2, "height": 2,
       "pose": _POSE}, 2),
-], ids=["non_numeric_fx", "view_not_an_object", "infinite_width", "zero_fx"])
+], ids=["non_numeric_fx", "view_not_an_object", "infinite_width",
+        "numeric_string_fx", "fractional_width", "zero_fx"])
 def test_malformed_rig_view_exit_code(tmp_path, capsys, view, code):
     rig = tmp_path / "rig.json"
     rig.write_text(json.dumps({"views": [view]}))

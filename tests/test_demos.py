@@ -20,7 +20,8 @@ ROOT = Path(__file__).resolve().parents[1]
                                   "02_progressive_densify.py",
                                   "03_sampling_refine.py",
                                   "04_voxel_retrieval.py",
-                                  "05_losses.py"])
+                                  "05_losses.py",
+                                  "06_full_pipeline.py"])
 def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -90,6 +90,70 @@ def test_fps_oracle_equality_with_duplicate_points():
         npt.assert_array_equal(fps(pts, k), fps_oracle(pts, k))
 
 
+def _fps_rowwise(points, k):
+    """FPS with distances from the row reduction `np.sum(..., axis=1)`: the
+    formula the column-wise sampler must reproduce bit for bit."""
+    points = np.asarray(points, dtype=np.float64)
+    chosen = [0]
+    dist2 = np.sum((points - points[0]) ** 2, axis=1)
+    for _ in range(1, k):
+        chosen.append(int(np.argmax(dist2)))
+        np.minimum(dist2, np.sum((points - points[chosen[-1]]) ** 2, axis=1),
+                   out=dist2)
+    return np.asarray(chosen)
+
+
+def _lattice(side, d):
+    axes = np.meshgrid(*[np.arange(side, dtype=np.float64)] * d, indexing="ij")
+    return np.stack([a.ravel() for a in axes], axis=1)
+
+
+def _tied_clouds(side, d, seed):
+    """An integer lattice (exact distance ties everywhere), the same lattice
+    shuffled and scaled, and a cloud holding each of its points twice."""
+    rng = np.random.default_rng(seed)
+    lattice = _lattice(side, d)
+    shuffled = 0.1 * lattice[rng.permutation(len(lattice))]
+    half = shuffled[:len(shuffled) // 2]
+    return lattice, shuffled, np.concatenate([half, half[::-1]])
+
+
+@pytest.mark.parametrize("d, side", [(1, 40), (2, 7), (3, 4)])
+def test_fps_matches_oracle_on_tied_clouds(d, side):
+    for pts in _tied_clouds(side, d, seed=d):
+        for k in (2, 7, 19):
+            npt.assert_array_equal(fps(pts, k), fps_oracle(pts, k))
+
+
+@pytest.mark.parametrize("d, side", [(1, 5000), (2, 71), (3, 17)])
+def test_fps_matches_rowwise_formula_on_tied_clouds(d, side):
+    rng = np.random.default_rng(d)
+    clouds = _tied_clouds(side, d, seed=d) + (rng.normal(size=(5000, d)),)
+    for pts in clouds:
+        npt.assert_array_equal(fps(pts, 300), _fps_rowwise(pts, 300))
+
+
+def test_fps_accepts_strided_and_float32_input_without_modifying_it():
+    rng = np.random.default_rng(7)
+    wide = rng.normal(size=(5000, 4))
+    view = wide[:, :3]  # rows 32 bytes apart, columns not contiguous
+    before = wide.copy()
+    want = _fps_rowwise(np.ascontiguousarray(view), 300)
+    npt.assert_array_equal(fps(view, 300), want)
+    npt.assert_array_equal(wide, before)
+
+    pts32 = (0.1 * _lattice(17, 3)).astype(np.float32)
+    before32 = pts32.copy()
+    npt.assert_array_equal(fps(pts32, 300), _fps_rowwise(pts32, 300))
+    npt.assert_array_equal(pts32, before32)
+    assert pts32.dtype == np.float32
+
+    contiguous = np.ascontiguousarray(view)
+    before = contiguous.copy()
+    fps(contiguous, 300)  # float64 input is read in place, never written
+    npt.assert_array_equal(contiguous, before)
+
+
 # ---------------------------------------------------------------------------
 # Pseudo cloud and base layer
 # ---------------------------------------------------------------------------

@@ -134,6 +134,18 @@ def test_config_from_dict_rejects_unknown_keys():
         PipelineConfig.from_dict({"sigma": 1.0})
 
 
+def test_config_from_dict_reads_every_field():
+    from fgs.pipeline import _CONFIG_FIELDS
+    assert set(_CONFIG_FIELDS) == set(PipelineConfig.__dataclass_fields__)
+
+
+def test_config_from_dict_passes_objects_through(tmp_path):
+    spec = _tiny_spec()
+    cfg = PipelineConfig.from_dict({"spec": spec, "out_dir": tmp_path,
+                                    "seed": 3.0})
+    assert cfg.spec is spec and cfg.out_dir == tmp_path and cfg.seed == 3
+
+
 # ---------------------------------------------------------------------------
 # Full run: report structure
 # ---------------------------------------------------------------------------
@@ -202,6 +214,32 @@ def test_densify_selects_once_per_active_view(monkeypatch):
               if s["name"] == "densify"]
     assert len(active) == 2
     assert len(calls) == sum(active)
+
+
+def test_growth_rows_count_every_fps_call(monkeypatch):
+    import fgs.densify
+    calls = []
+    real = fgs.densify.fps
+
+    def counting(points, k):
+        calls.append((len(points), k))
+        return real(points, k)
+    monkeypatch.setattr(fgs.densify, "fps", counting)
+    report = run_pipeline(_tiny_config(
+        stages=("synth", "init", "densify", "refine", "densify", "refine"),
+        layer_budgets=(60, 60)))
+    layers = report["layers"]
+    growth = [row["growth"] for row in layers]
+    # an empty candidate pool grows nothing and never reaches fps
+    assert [(g["cloud_points"], g["picks"]) for g in growth
+            if g["cloud_points"]] == calls
+    counts = [row["count"] for row in layers]
+    assert [g["picks"] for g in growth] == [counts[0]] + [
+        b - a for a, b in zip(counts, counts[1:])]
+    densify = [s for s in report["stages"] if s["name"] == "densify"]
+    assert [g["cloud_points"] for g in growth[1:]] == [
+        sum(s["selected_pixels_per_view"]) for s in densify]
+    assert all(g["time_s"] > 0 for g in growth)
 
 
 def test_report_refine_and_voxelize(full_run):
