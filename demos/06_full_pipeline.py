@@ -7,7 +7,7 @@ fit to the first camera ring, each densify stage activates the next ring
 and fills in whatever those new views expose, refine re-samples features
 across everything active, and the finished scene is voxelized and scored
 against ground truth.  Artifacts (scene, grid, report) land in the output
-directory and reload bit-for-bit.  Takes ~25 s at the default sizes.
+directory and reload bit-for-bit.  Takes ~15 s at the default sizes.
 
 Same thing from a shell:
 

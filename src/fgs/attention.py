@@ -6,9 +6,11 @@ attend only to old ones while new queries see everything.  Positions enter
 through a sinusoidal 3-axis encoding added to Q and K inputs only - values
 stay position-free, which keeps the prefix outputs bit-for-bit reusable.
 
-The "minus infinity" mask entries are realized as the most negative finite
-float64; after the row-max shift they underflow to exp(.) == 0 exactly, so
-masked columns carry zero weight without producing NaNs.
+`asa_forward` applies the mask by construction: settled rows attend over
+the settled columns only, and new rows over all columns, each in blocks of
+ROW_BLOCK rows per head, so no (n, n) array is built.  The dense additive
+form (`AsaMask.matrix`) realizes "minus infinity" as the most negative finite
+float64, which underflows to exp(.) == 0 after the row-max shift.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .errors import InvalidInputError
 HEADS = 8
 MODEL_DIM = 256
 LAMBDA_MAX = 100.0  # meters; longest wavelength of the positional ladder
+ROW_BLOCK = 1024    # query rows per head and softmax block in asa_forward
 NEG_MASK = -np.finfo(np.float64).max
 
 
@@ -155,9 +158,9 @@ def asa_forward(queries: np.ndarray, positions: np.ndarray,
 
     Q and K project (queries + positional encoding); V projects the bare
     queries.  Per head: softmax(Q K^T / sqrt(D/h) + M) V, heads concatenated
-    and output-projected.  Rows below mask.x_prev provably equal the same
-    computation run on the prefix alone (masked columns get exactly zero
-    weight), up to float summation order.
+    and output-projected.  Rows below mask.x_prev attend to the first
+    mask.x_prev columns only, so they equal the same computation run on the
+    prefix alone, bit for bit.
     """
     q = np.asarray(queries, dtype=np.float64)
     if q.ndim != 2:
@@ -182,14 +185,18 @@ def asa_forward(queries: np.ndarray, positions: np.ndarray,
     h = weights.heads
     dh = d // h
     scale = 1.0 / np.sqrt(dh)
-    m = mask.matrix
+    x_prev = mask.x_prev
     out = np.empty((n, d))
     with np.errstate(under="ignore"):
         for i in range(h):
             sl = slice(i * dh, (i + 1) * dh)
-            logits = (big_q[:, sl] @ big_k[:, sl].T) * scale + m
-            logits -= logits.max(axis=1, keepdims=True)
-            e = np.exp(logits)
-            attn = e / e.sum(axis=1, keepdims=True)
-            out[:, sl] = attn @ big_v[:, sl]
+            # settled rows see settled columns; new rows see every column
+            for first, stop, cols in ((0, x_prev, x_prev), (x_prev, n, n)):
+                for lo in range(first, stop, ROW_BLOCK):
+                    rows = slice(lo, min(lo + ROW_BLOCK, stop))
+                    logits = (big_q[rows, sl] @ big_k[:cols, sl].T) * scale
+                    logits -= logits.max(axis=1, keepdims=True)
+                    np.exp(logits, out=logits)
+                    logits /= logits.sum(axis=1, keepdims=True)
+                    out[rows, sl] = logits @ big_v[:cols, sl]
     return out @ weights.wo.T + weights.bo

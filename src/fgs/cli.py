@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 invalid input, 3 numerical degeneracy, 4 I/O or
 file-format failure.  `--seed`, `--threads` and `--quiet` are accepted by
-every subcommand; FGS_THREADS is the thread-count fallback.
+every subcommand; FGS_THREADS is the thread-count fallback.  The thread
+count is validated but does not affect rendering or any output.
 """
 
 from __future__ import annotations
@@ -300,7 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None,
                         help="random seed (fixture-determining)")
     common.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default: FGS_THREADS or 1)")
+                        help="thread count, >= 1; does not affect rendering "
+                             "(default: FGS_THREADS or 1)")
     common.add_argument("--quiet", action="store_true",
                         help="suppress the JSON summary on stdout")
 

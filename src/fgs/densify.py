@@ -91,12 +91,9 @@ def fps_oracle(points: np.ndarray, k: int) -> np.ndarray:
         raise InvalidInputError(f"need 1 <= k <= {n}, got k={k}")
     chosen = [0]
     for _ in range(1, k):
-        best_idx, best_d = -1, -1.0
-        for cand in range(n):
-            d = min(float(np.sum((points[cand] - points[c]) ** 2)) for c in chosen)
-            if d > best_d:
-                best_idx, best_d = cand, d
-        chosen.append(best_idx)
+        diff = points[:, None, :] - points[chosen][None, :, :]
+        d = np.sum(diff ** 2, axis=2).min(axis=1)
+        chosen.append(int(np.argmax(d)))    # lowest index on ties
     return np.asarray(chosen, dtype=int)
 
 

@@ -16,14 +16,22 @@ verbatim by the two renderers:
   contributing Gaussians so convexity survives floating-point division; the
   feature image is the unnormalized weighted sum.
 
-`render` is the production tiled path; `render_oracle` evaluates every
-surviving Gaussian at every pixel with its own covariance inversion and no
-tiling or early termination.  The two agree to float accumulation order.
+`render` is the production tiled path.  It bins footprints to tiles (16x16
+by default) with one stable sort of (tile, footprint) keys and blends each
+tile's rows in chunks of 64.  Before each chunk it drops the tile's saturated pixels
+(live-pixel compaction).  This is exact: T never increases along a pixel's
+rows, so a pixel whose T fell below the floor gets weight 0 from every later
+row and its sums are final.  The tile ends when no pixel is live.  The
+compacted block is laid out so that every pixel gets the same bits as in an
+uncompacted one (`_live_columns`).
+
+`render_oracle` evaluates every surviving Gaussian at every pixel with its
+own covariance inversion and no tiling or early termination.  The two agree
+to float accumulation order.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,23 +151,61 @@ def alpha_at(p2d: Projected2D, pixel) -> float:
 
 
 def _alpha_block(proj: _ProjectedArrays, rows, us, vs):
-    """(G, P) alpha matrix of footprint rows `rows` at flat pixels (us, vs)."""
-    mu = proj.mean2d[rows]
+    """(G, P) alpha matrix of footprint rows `rows` at flat pixels (us, vs).
+
+    q = (c du du - 2 b du dv + a dv dv) / det is evaluated left to right in
+    two (G, P) buffers, then alpha takes one exp in place.
+    """
     a = proj.cov[rows, 0][:, None]
     b = proj.cov[rows, 1][:, None]
     c = proj.cov[rows, 2][:, None]
     det = a * c - b * b
     if np.any(det <= 1e-12):
         raise NumericalDegeneracyError("singular 2-D footprint covariance")
-    du = us[None, :] - mu[:, 0][:, None]
-    dv = vs[None, :] - mu[:, 1][:, None]
-    q = (c * du * du - 2.0 * b * du * dv + a * dv * dv) / det
-    inside = q <= SUPPORT_RADIUS * SUPPORT_RADIUS
+    du = us[None, :] - proj.mean2d[rows, 0][:, None]
+    dv = vs[None, :] - proj.mean2d[rows, 1][:, None]
+    q = c * du
+    q *= du
+    np.multiply(2.0 * b, du, out=du)
+    du *= dv
+    q -= du
+    np.multiply(a, dv, out=du)
+    du *= dv
+    q += du
+    q /= det
+    outside = ~(q <= SUPPORT_RADIUS * SUPPORT_RADIUS)   # NaN falls outside
+    q *= -0.5
+    q[outside] = -np.inf
     with np.errstate(under="ignore"):
-        alpha = proj.opacity[rows][:, None] * np.exp(np.where(inside, -0.5 * q, -np.inf))
-    np.minimum(alpha, ALPHA_MAX, out=alpha)
-    alpha[alpha < ALPHA_FLOOR] = 0.0
-    return alpha
+        np.exp(q, out=q)
+    q *= proj.opacity[rows][:, None]
+    np.minimum(q, ALPHA_MAX, out=q)
+    q[q < ALPHA_FLOOR] = 0.0
+    return q
+
+
+def _live_columns(t_run):
+    """Tile pixels still to blend, or an empty array once all are saturated.
+
+    The depth GEMV and the feature GEMM must give each pixel the bits it
+    gets in an uncompacted block.  OpenBLAS's gemv sums a block's pixels in
+    groups of four and its last `P mod 4` pixels in another order, so each
+    pixel keeps its place in one or the other: the tile's last `P mod 4`
+    pixels stay at the end until the tile ends, and the live pixels before
+    them are padded with saturated ones to a multiple of four, at least four
+    (a one-pixel block would also turn the feature GEMM into a GEMV).
+    Padding pixels get weight 0, as they would in the uncompacted block.
+    """
+    live = t_run >= T_STOP
+    if not live.any():
+        return np.empty(0, dtype=int)
+    p = t_run.size
+    m = p - p % 4
+    keep = live[:m]
+    count = np.count_nonzero(keep)
+    need = min(m, max(4, -(-count // 4) * 4))
+    keep[np.flatnonzero(~keep)[:need - count]] = True
+    return np.concatenate([np.flatnonzero(keep), np.arange(m, p)])
 
 
 def _blend_block(proj, rows, us, vs, feature, chunk=64):
@@ -167,8 +213,9 @@ def _blend_block(proj, rows, us, vs, feature, chunk=64):
 
     Returns (depth_num, weight_sum, feature_sum (F, P), zmin, zmax), the last
     two being the contributing depth range per pixel.  Processes the
-    depth-sorted rows in chunks, carrying transmittance, and stops once every
-    pixel is saturated.
+    depth-sorted rows in chunks, carrying transmittance; before each chunk it
+    drops the pixels that have saturated (`_live_columns`) and it stops once
+    none is left.
     """
     p = us.size
     num = np.zeros(p)
@@ -177,26 +224,33 @@ def _blend_block(proj, rows, us, vs, feature, chunk=64):
     zmin = np.full(p, np.inf)
     zmax = np.full(p, -np.inf)
     t_run = np.ones(p)
+    cols = np.arange(p)
     for lo in range(0, len(rows), chunk):
+        if lo:
+            cols = _live_columns(t_run)
+            if cols.size == 0:
+                break
         sub = rows[lo:lo + chunk]
-        alpha = _alpha_block(proj, sub, us, vs)
-        one_minus = 1.0 - alpha
-        cum = np.cumprod(one_minus, axis=0)
-        t_before = np.empty_like(cum)
-        t_before[0] = t_run
-        t_before[1:] = cum[:-1] * t_run
-        w = alpha * t_before
-        w[t_before < T_STOP] = 0.0
-        num += proj.z[sub] @ w
-        den += w.sum(axis=0)
-        feat += feature[proj.src[sub]].T @ w
-        zc = np.where(w > 0.0, proj.z[sub][:, None], np.inf)
-        np.minimum(zmin, zc.min(axis=0), out=zmin)
-        zc = np.where(w > 0.0, proj.z[sub][:, None], -np.inf)
-        np.maximum(zmax, zc.max(axis=0), out=zmax)
-        t_run = t_run * cum[-1]
-        if t_run.max() < T_STOP:
-            break
+        z = proj.z[sub]
+        t0 = t_run[cols]
+        alpha = _alpha_block(proj, sub, us[cols], vs[cols])
+        cum = np.cumprod(1.0 - alpha, axis=0)
+        w = np.empty_like(cum)
+        w[0] = t0
+        np.multiply(cum[:-1], t0, out=w[1:])
+        w[w < T_STOP] = 0.0                 # w holds T before each row here
+        w *= alpha
+        num[cols] += z @ w
+        den[cols] += w.sum(axis=0)
+        feat[:, cols] += feature[proj.src[sub]].T @ w
+        # rows are depth-sorted: the range is the first and last hit row
+        hit = w > 0.0
+        first = hit.argmax(axis=0)
+        some = hit[first, np.arange(cols.size)]
+        zmin[cols] = np.minimum(zmin[cols], np.where(some, z[first], np.inf))
+        last = sub.size - 1 - hit[::-1].argmax(axis=0)
+        zmax[cols] = np.where(some, z[last], zmax[cols])
+        t_run[cols] = t0 * cum[-1]
     return num, den, feat, zmin, zmax
 
 
@@ -214,13 +268,38 @@ def _finish(num, den, feat, zmin, zmax, h, w, fdim):
     )
 
 
+def _bin_rows(proj: _ProjectedArrays, tile: int, ntx: int, nty: int):
+    """Footprint rows per tile, in depth order: (tile ids, row bounds, rows).
+
+    Every footprint is expanded into one (tile, row) key per tile of its
+    3-sigma screen box, and one stable sort by tile groups the keys while
+    keeping each tile's rows in the global depth order.
+    """
+    rx = SUPPORT_RADIUS * np.sqrt(proj.cov[:, 0])
+    ry = SUPPORT_RADIUS * np.sqrt(proj.cov[:, 2])
+    tx0 = np.clip(((proj.mean2d[:, 0] - rx) // tile).astype(int), 0, ntx - 1)
+    tx1 = np.clip(((proj.mean2d[:, 0] + rx) // tile).astype(int), 0, ntx - 1)
+    ty0 = np.clip(((proj.mean2d[:, 1] - ry) // tile).astype(int), 0, nty - 1)
+    ty1 = np.clip(((proj.mean2d[:, 1] + ry) // tile).astype(int), 0, nty - 1)
+    nx = tx1 - tx0 + 1
+    count = nx * (ty1 - ty0 + 1)
+    row = np.repeat(np.arange(proj.z.size), count)
+    k = np.arange(row.size) - np.repeat(np.cumsum(count) - count, count)
+    key = (ty0[row] + k // nx[row]) * ntx + tx0[row] + k % nx[row]
+    order = np.argsort(key, kind="stable")
+    key, row = key[order], row[order]
+    tiles, start = np.unique(key, return_index=True)
+    return tiles, np.append(start, key.size), row
+
+
 def render(scene: GaussianScene, cam: CameraView, tile: int = TILE,
            threads: int = 1) -> RenderOutput:
     """Tile-binned front-to-back blend of the whole scene into one view.
 
     Gaussians are binned to the tiles their 3-sigma screen boxes touch, in
     one global depth order (ties by scene index), so results are independent
-    of `tile` and `threads`; the worker pool writes disjoint tiles.
+    of `tile`.  Tiles are blended one after another: `threads` is validated
+    (>= 1) but does not affect rendering.
     """
     if tile <= 0 or threads <= 0:
         raise InvalidInputError("tile size and thread count must be positive")
@@ -234,43 +313,21 @@ def render(scene: GaussianScene, cam: CameraView, tile: int = TILE,
 
     ntx = (w + tile - 1) // tile
     nty = (h + tile - 1) // tile
-    bins: list[list[int]] = [[] for _ in range(ntx * nty)]
-    rx = SUPPORT_RADIUS * np.sqrt(proj.cov[:, 0])
-    ry = SUPPORT_RADIUS * np.sqrt(proj.cov[:, 2])
-    tx0 = np.clip(((proj.mean2d[:, 0] - rx) // tile).astype(int), 0, ntx - 1)
-    tx1 = np.clip(((proj.mean2d[:, 0] + rx) // tile).astype(int), 0, ntx - 1)
-    ty0 = np.clip(((proj.mean2d[:, 1] - ry) // tile).astype(int), 0, nty - 1)
-    ty1 = np.clip(((proj.mean2d[:, 1] + ry) // tile).astype(int), 0, nty - 1)
-    for i in range(proj.z.size):
-        for ty in range(ty0[i], ty1[i] + 1):
-            base = ty * ntx
-            for tx in range(tx0[i], tx1[i] + 1):
-                bins[base + tx].append(i)
-
-    def do_tile(t):
-        rows = np.asarray(bins[t], dtype=int)
-        if rows.size == 0:
-            return
-        ty, tx = divmod(t, ntx)
+    tiles, bounds, binned = _bin_rows(proj, tile, ntx, nty)
+    for t, lo, hi in zip(tiles, bounds[:-1], bounds[1:]):
+        ty, tx = divmod(int(t), ntx)
         x0, x1 = tx * tile, min((tx + 1) * tile, w)
         y0, y1 = ty * tile, min((ty + 1) * tile, h)
         uu, vv = np.meshgrid(np.arange(x0, x1, dtype=np.float64),
                              np.arange(y0, y1, dtype=np.float64))
-        tn, td, tf, tlo, thi = _blend_block(proj, rows, uu.ravel(), vv.ravel(),
-                                            scene.feature)
+        tn, td, tf, tlo, thi = _blend_block(proj, binned[lo:hi], uu.ravel(),
+                                            vv.ravel(), scene.feature)
         flat = (vv.astype(int) * w + uu.astype(int)).ravel()
         num[flat] = tn
         den[flat] = td
         feat[:, flat] = tf
         zmin[flat] = tlo
         zmax[flat] = thi
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(do_tile, range(ntx * nty)))
-    else:
-        for t in range(ntx * nty):
-            do_tile(t)
     return _finish(num, den, feat, zmin, zmax, h, w, fdim)
 
 

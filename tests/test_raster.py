@@ -21,8 +21,10 @@ import pytest
 
 from fgs.core import CameraView, FeatureGaussian, GaussianScene
 from fgs.errors import InvalidInputError, NumericalDegeneracyError
-from fgs.raster import (ALPHA_FLOOR, ALPHA_MAX, EPS_ACC, Projected2D, T_STOP,
-                        alpha_at, project_gaussian, render, render_oracle)
+from fgs.raster import (ALPHA_FLOOR, ALPHA_MAX, EPS_ACC, SUPPORT_RADIUS,
+                        Projected2D, T_STOP, _finish, _live_columns, _project_scene,
+                        alpha_at,
+                        project_gaussian, render, render_oracle)
 
 
 def _camera(fx=500.0, fy=500.0, cx=32.0, cy=24.0, width=64, height=48):
@@ -238,3 +240,127 @@ def test_depth_is_convex_combination_of_contributors():
         assert min(zs) <= out.depth[v, u] <= max(zs)   # exact containment
         npt.assert_allclose(out.depth[v, u],
                             np.clip(num / den, min(zs), max(zs)), atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Live-pixel compaction against the uncompacted blend, bit for bit
+# ---------------------------------------------------------------------------
+
+def _reference_render(scene, cam, tile=16, chunk=64):
+    """The tiled renderer without live-pixel compaction, written out.
+
+    Footprints are binned by a Python loop, every chunk blends every pixel
+    of the tile until all of them are saturated, and the depth range comes
+    from np.where reductions.
+    """
+    proj = _project_scene(scene, cam)
+    h, w, fdim = cam.height, cam.width, scene.feature_dim
+    num, den = np.zeros(h * w), np.zeros(h * w)
+    feat = np.zeros((fdim, h * w))
+    zmin, zmax = np.full(h * w, np.inf), np.full(h * w, -np.inf)
+    ntx, nty = (w + tile - 1) // tile, (h + tile - 1) // tile
+    bins = [[] for _ in range(ntx * nty)]
+    rx = SUPPORT_RADIUS * np.sqrt(proj.cov[:, 0])
+    ry = SUPPORT_RADIUS * np.sqrt(proj.cov[:, 2])
+    tx0 = np.clip(((proj.mean2d[:, 0] - rx) // tile).astype(int), 0, ntx - 1)
+    tx1 = np.clip(((proj.mean2d[:, 0] + rx) // tile).astype(int), 0, ntx - 1)
+    ty0 = np.clip(((proj.mean2d[:, 1] - ry) // tile).astype(int), 0, nty - 1)
+    ty1 = np.clip(((proj.mean2d[:, 1] + ry) // tile).astype(int), 0, nty - 1)
+    for i in range(proj.z.size):
+        for ty in range(ty0[i], ty1[i] + 1):
+            for tx in range(tx0[i], tx1[i] + 1):
+                bins[ty * ntx + tx].append(i)
+    for t, rows in enumerate(bins):
+        if not rows:
+            continue
+        ty, tx = divmod(t, ntx)
+        uu, vv = np.meshgrid(np.arange(tx * tile, min((tx + 1) * tile, w), dtype=np.float64),
+                             np.arange(ty * tile, min((ty + 1) * tile, h), dtype=np.float64))
+        us, vs = uu.ravel(), vv.ravel()
+        flat = (vv.astype(int) * w + uu.astype(int)).ravel()
+        t_run = np.ones(us.size)
+        for lo in range(0, len(rows), chunk):
+            sub = np.asarray(rows[lo:lo + chunk])
+            a, b, c = (proj.cov[sub, k][:, None] for k in range(3))
+            du = us[None, :] - proj.mean2d[sub, 0][:, None]
+            dv = vs[None, :] - proj.mean2d[sub, 1][:, None]
+            q = (c * du * du - 2.0 * b * du * dv + a * dv * dv) / (a * c - b * b)
+            inside = q <= SUPPORT_RADIUS * SUPPORT_RADIUS
+            with np.errstate(under="ignore"):
+                alpha = proj.opacity[sub][:, None] * np.exp(np.where(inside, -0.5 * q, -np.inf))
+            np.minimum(alpha, ALPHA_MAX, out=alpha)
+            alpha[alpha < ALPHA_FLOOR] = 0.0
+            cum = np.cumprod(1.0 - alpha, axis=0)
+            t_before = np.empty_like(cum)
+            t_before[0] = t_run
+            t_before[1:] = cum[:-1] * t_run
+            wgt = alpha * t_before
+            wgt[t_before < T_STOP] = 0.0
+            num[flat] += proj.z[sub] @ wgt
+            den[flat] += wgt.sum(axis=0)
+            feat[:, flat] += scene.feature[proj.src[sub]].T @ wgt
+            zc = np.where(wgt > 0.0, proj.z[sub][:, None], np.inf)
+            zmin[flat] = np.minimum(zmin[flat], zc.min(axis=0))
+            zc = np.where(wgt > 0.0, proj.z[sub][:, None], -np.inf)
+            zmax[flat] = np.maximum(zmax[flat], zc.max(axis=0))
+            t_run = t_run * cum[-1]
+            if t_run.max() < T_STOP:
+                break
+    return _finish(num, den, feat, zmin, zmax, h, w, fdim)
+
+
+@pytest.mark.parametrize("p", [6, 15, 49, 50, 51, 65, 225, 256])
+def test_live_columns_keep_each_pixels_blas_bits(p):
+    """A compacted block must give every kept pixel the bits it gets in the
+    whole tile from the depth GEMV and the feature GEMM of the BLAS NumPy is
+    linked against, for any live set, including one where only the tile's
+    last pixels are live.  Dense random weights make a changed summation
+    order show; blended scenes rarely do, because late rows add little."""
+    rng = np.random.default_rng(p)
+    z = np.sort(rng.uniform(1.0, 10.0, 64))
+    f = rng.normal(size=(64, 7))
+    w = rng.random((64, p)) * (rng.random((64, p)) < 0.6)
+    full_z, full_f = z @ w, f.T @ w
+    lives = [rng.random(p) < frac for frac in (0.1, 0.3, 0.5, 0.9)]
+    lives.append(np.arange(p) >= p - max(1, p % 4))
+    for live in lives:
+        cols = _live_columns(np.where(live, 1.0, 0.0))
+        assert set(np.flatnonzero(live)) <= set(cols.tolist())
+        block = np.ascontiguousarray(w[:, cols])
+        assert np.array_equal(z @ block, full_z[cols])
+        assert np.array_equal(f.T @ block, full_f[:, cols])
+    assert _live_columns(np.zeros(p)).size == 0
+
+
+def _dense_scene(rng, n):
+    """Many overlapping footprints: tiles get hundreds of rows, and the
+    opaque ones saturate part of a tile while the rest stays live."""
+    quat = rng.normal(size=(n, 4))
+    return GaussianScene(
+        mu=rng.uniform([-2.5, -2.0, 1.0], [2.5, 2.0, 9.0], size=(n, 3)),
+        scale=rng.uniform(0.03, 0.5, size=(n, 3)),
+        quat=quat / np.linalg.norm(quat, axis=1, keepdims=True),
+        opacity=np.where(rng.random(n) < 0.5, 0.99, rng.uniform(0.05, 0.6, size=n)),
+        feature=rng.normal(size=(n, 7)),
+    )
+
+
+@pytest.mark.parametrize("h,w,tile", [(33, 47, 16), (37, 29, 16), (18, 35, 16),
+                                      (30, 26, 7)])
+def test_compaction_is_bit_identical_to_the_uncompacted_blend(h, w, tile):
+    # Corner tiles of 15x1, 13x5 and 3x2 pixels, and 7x7 tiles, hold pixel
+    # counts that are not multiples of 4 (1, 2 and 3 left over).
+    assert ((w % tile) * (h % tile)) % 4 or (tile * tile) % 4
+    rng = np.random.default_rng(h * 1000 + w)
+    cam = CameraView(fx=40.0, fy=40.0, cx=(w - 1) / 2, cy=(h - 1) / 2,
+                     width=w, height=h, rotation=np.eye(3), translation=np.zeros(3))
+    scene = _dense_scene(rng, 600)
+    ref = _reference_render(scene, cam, tile=tile)
+    saturated = ref.acc_alpha >= 1.0 - T_STOP
+    tiles = [saturated[y:y + tile, x:x + tile]
+             for y in range(0, h, tile) for x in range(0, w, tile)]
+    assert any(0 < t.sum() < t.size for t in tiles)   # saturated and live pixels
+    for threads in (1, 3):
+        out = render(scene, cam, tile=tile, threads=threads)
+        for name in ("depth", "feature", "acc_alpha", "valid"):
+            assert np.array_equal(getattr(out, name), getattr(ref, name)), name
