@@ -14,7 +14,8 @@ import sys
 
 import numpy as np
 
-from .densify import DensifyConfig, base_init, densify_layer, selection_residual
+from .densify import (DensifyConfig, base_init, densify_layer, feature_dim_of,
+                      selection_residual)
 from .errors import (FormatError, InvalidInputError, NumericalDegeneracyError)
 from .io import (depth_preview, dump_json, load_bank, load_json_object,
                  load_points, load_rig, load_scene, load_tensors,
@@ -40,15 +41,16 @@ def _outdir(path) -> None:
 
 
 def _threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("FGS_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as e:
-            raise InvalidInputError(f"bad FGS_THREADS value {env!r}") from e
-    return 1
+    source, value = "--threads", args.threads
+    if value is None:
+        source, value = "FGS_THREADS", os.environ.get("FGS_THREADS") or 1
+    try:
+        threads = int(value)
+    except ValueError as e:
+        raise InvalidInputError(f"bad {source} value {value!r}") from e
+    if threads < 1:
+        raise InvalidInputError(f"{source} must be >= 1, got {threads}")
+    return threads
 
 
 def _load_spec(args) -> SynthSpec:
@@ -83,14 +85,8 @@ def cmd_synth(args) -> int:
 
 
 def _densify_config(args, views, **over) -> DensifyConfig:
-    fdim = 16
-    for v in views:
-        if v.ref_feature is not None:
-            fdim = v.ref_feature.shape[2]
-            break
-    kw = dict(gamma=args.gamma, select_mode=args.select_mode, feature_dim=fdim)
-    kw.update(over)
-    return DensifyConfig(**kw)
+    return DensifyConfig(gamma=args.gamma, select_mode=args.select_mode,
+                         feature_dim=feature_dim_of(views), **over)
 
 
 def cmd_init(args) -> int:
@@ -163,18 +159,24 @@ def cmd_render(args) -> int:
     return 0
 
 
-def _parse_triple(text, name, cast=float):
-    parts = [p for p in text.replace(",", " ").split() if p]
-    if len(parts) != 3:
-        raise InvalidInputError(f"{name} wants three comma-separated values")
-    return tuple(cast(p) for p in parts)
+def _parse_values(text, count, cast, usage, sep=","):
+    """`count` values of type `cast` separated by `sep`, else invalid input."""
+    try:
+        values = tuple(cast(p) for p in text.lower().replace(sep, " ").split())
+    except ValueError:
+        values = ()
+    if len(values) != count:
+        raise InvalidInputError(f"{usage}, got {text!r}")
+    return values
 
 
 def cmd_voxelize(args) -> int:
     scene = load_scene(args.scene)
     bank = load_bank(args.bank)
-    grid = GridSpec(np.array(_parse_triple(args.origin, "--origin")),
-                    _parse_triple(args.dims, "--dims", int), args.voxel_size)
+    grid = GridSpec(np.array(_parse_values(args.origin, 3, float,
+                                           "--origin wants x,y,z")),
+                    _parse_values(args.dims, 3, int, "--dims wants nx,ny,nz"),
+                    args.voxel_size)
     cutoff = None if args.no_cutoff else args.cutoff
     pred = voxelize(scene, bank, grid, tau_occ=args.tau, cutoff=cutoff,
                     reduce=args.reduce)
@@ -263,18 +265,12 @@ def cmd_eval_map(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    h, w = _parse_pair(args.image)
+    h, w = _parse_values(args.image, 2, int, "--image wants HxW, e.g. 180x320",
+                         sep="x")
     report = bench(n_gaussians=args.n, image=(h, w), k=args.k,
                    threads=_threads(args), seed=args.seed or 0)
     _emit(args, report)
     return 0
-
-
-def _parse_pair(text):
-    parts = [p for p in text.lower().replace("x", " ").split() if p]
-    if len(parts) != 2:
-        raise InvalidInputError("--image wants HxW, e.g. 180x320")
-    return int(parts[0]), int(parts[1])
 
 
 def cmd_pipeline(args) -> int:

@@ -97,6 +97,12 @@ def fps_oracle(points: np.ndarray, k: int) -> np.ndarray:
     return np.asarray(chosen, dtype=int)
 
 
+def feature_dim_of(views: list[CameraView]) -> int:
+    """Feature width of the first view with a feature plane, else the default."""
+    return next((v.ref_feature.shape[2] for v in views if v.ref_feature is not None),
+                DensifyConfig.feature_dim)
+
+
 def pooled_backprojection(views: list[CameraView]) -> np.ndarray:
     """Ego-frame union of every view's valid reference-depth backprojection."""
     clouds = [backproject(v, v.ref_depth, v.ref_valid)

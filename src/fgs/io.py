@@ -278,8 +278,8 @@ def save_rig(path, views: list[CameraView], write_planes: bool = True) -> None:
 
 
 # JSON field readers for the loaders below and the spec/config parsers: a
-# value of the wrong JSON type raises TypeError, which they report as a
-# FormatError.  Nothing is coerced: "7" is not a number and 1.9 not an int.
+# value of the wrong JSON type raises TypeError, which `read_object` reports
+# as a FormatError.  Nothing is coerced: "7" is not a number and 1.9 not an int.
 
 def json_float(v) -> float:
     if isinstance(v, bool) or not isinstance(v, numbers.Real):
@@ -315,60 +315,79 @@ def json_list(v, item=None) -> list:
     return list(v) if item is None else [item(x) for x in v]
 
 
+def json_optional(read):
+    """`read`, except that null reads as None."""
+    return lambda v: None if v is None else read(v)
+
+
+def read_object(doc, readers: dict, what: str, required=()) -> dict:
+    """{key: readers[key](doc[key])} for each key of `readers` in `doc`.
+
+    `doc` not being an object, a `required` key missing, or a reader's
+    TypeError, ValueError or OverflowError is a FormatError naming `what`
+    and the field.  A reader's InvalidInputError (a range check) and nested
+    FormatErrors pass through.  Keys `readers` lacks are the caller's.
+    """
+    if not isinstance(doc, dict):
+        raise FormatError(f"{what} must be a JSON object, got {type(doc).__name__}")
+    for key in required:
+        if key not in doc:
+            raise FormatError(f"{what}: missing field {key!r}")
+    out = {}
+    for key in (k for k in readers if k in doc):
+        try:
+            out[key] = readers[key](doc[key])
+        except InvalidInputError:
+            raise
+        except (TypeError, ValueError, OverflowError) as e:
+            raise FormatError(f"{what}: malformed field {key!r} ({e})") from e
+    return out
+
+
 def load_json_object(path) -> dict:
     """The JSON object stored at `path`; anything else is a FormatError."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as e:  # JSONDecodeError or UnicodeDecodeError
         raise FormatError(f"{path}: invalid JSON ({e})") from e
-    if not isinstance(doc, dict):
-        raise FormatError(f"{path}: JSON must be an object")
+    read_object(doc, {}, str(path))  # an object, or a FormatError
     return doc
 
 
-def _json_object(path: Path, key: str) -> dict:
-    """The JSON object at `path`; its `key` must be a list of objects."""
-    doc = load_json_object(path)
-    if not isinstance(doc.get(key), list):
-        raise FormatError(f"{path}: JSON must be an object with a {key!r} list")
-    if not all(isinstance(e, dict) for e in doc[key]):
-        raise FormatError(f"{path}: every {key!r} entry must be an object")
-    return doc
+def _pose(v) -> np.ndarray:
+    pose = np.asarray(json_list(v, lambda row: json_list(row, json_float)))
+    if pose.shape != (3, 4):
+        raise ValueError("pose must be 3x4 row-major")
+    return pose
 
 
 def load_rig(path) -> list[CameraView]:
     path = Path(path)
-    views = []
-    for entry in _json_object(path, "views")["views"]:
-        try:
-            pose = np.asarray(json_list(entry["pose"],
-                                        lambda row: json_list(row, json_float)))
-            if pose.shape != (3, 4):
-                raise FormatError(f"{path}: pose must be 3x4 row-major")
-            depth = valid = feature = photo = None
-            if entry.get("depth"):
-                depth, valid = load_depth_plane(path.parent / entry["depth"])
-            if entry.get("feature"):
-                feature = load_plane(path.parent / entry["feature"])
-                if feature.ndim == 2:
-                    feature = feature[:, :, None]
-            if entry.get("photo"):
-                photo = load_plane(path.parent / entry["photo"])
-            fields = dict(fx=json_float(entry["fx"]), fy=json_float(entry["fy"]),
-                          cx=json_float(entry["cx"]), cy=json_float(entry["cy"]),
-                          width=json_int(entry["width"]),
-                          height=json_int(entry["height"]),
-                          timestamp=json_int(entry.get("timestamp", 0)))
-        except KeyError as e:
-            raise FormatError(f"{path}: rig view missing field {e}") from e
-        except (TypeError, ValueError, OverflowError) as e:
-            raise FormatError(f"{path}: rig view has a malformed field ({e})") from e
-        # outside the try: CameraView's own range checks are invalid input
-        views.append(CameraView(
-            **fields, rotation=pose[:, :3], translation=pose[:, 3],
-            ref_depth=depth, ref_valid=valid, ref_feature=feature, photo=photo,
-        ))
-    return views
+
+    def plane(read):
+        # an absent, null or empty plane path means no plane
+        return lambda v: read(path.parent / json_str(v)) if v else None
+
+    fields = {"fx": json_float, "fy": json_float, "cx": json_float,
+              "cy": json_float, "width": json_int, "height": json_int,
+              "timestamp": json_int, "pose": _pose,
+              "depth": plane(load_depth_plane),
+              "feature": plane(lambda p: np.atleast_3d(load_plane(p))),
+              "photo": plane(load_plane)}
+    required = ("fx", "fy", "cx", "cy", "width", "height", "pose")
+
+    def view(entry):
+        kw = read_object(entry, fields, f"{path}: rig view", required)
+        pose = kw.pop("pose")
+        kw["rotation"], kw["translation"] = pose[:, :3], pose[:, 3]
+        kw["ref_depth"], kw["ref_valid"] = kw.pop("depth", None) or (None, None)
+        kw["ref_feature"] = kw.pop("feature", None)
+        # CameraView's own range checks (e.g. fx <= 0) are invalid input
+        return CameraView(**kw)
+
+    return read_object(load_json_object(path),
+                       {"views": lambda v: json_list(v, view)},
+                       str(path), required=("views",))["views"]
 
 
 # ---------------------------------------------------------------------------
@@ -395,19 +414,18 @@ def _safe_name(name: str) -> str:
 
 def load_bank(path) -> TextBank:
     path = Path(path)
-    doc = _json_object(path, "classes")
-    entries = []
-    for c in doc["classes"]:
-        try:
-            emb = np.atleast_2d(load_plane(path.parent / c["embedding_path"]))
-            name = json_str(c["class"])
-            prompts = json_list(c["prompts"], json_str)
-        except KeyError as e:
-            raise FormatError(f"{path}: bank entry missing field {e}") from e
-        except (TypeError, ValueError, OverflowError) as e:
-            raise FormatError(f"{path}: bank entry has a malformed field ({e})") from e
-        entries.append(TextBankEntry(name, prompts, emb))
-    return TextBank(entries, empty_class=doc.get("empty_class", "empty"))
+    fields = {"class": json_str, "prompts": lambda v: json_list(v, json_str),
+              "embedding_path": lambda v: load_plane(path.parent / json_str(v))}
+
+    def entry(c):
+        kw = read_object(c, fields, f"{path}: bank entry", required=tuple(fields))
+        return TextBankEntry(kw["class"], kw["prompts"], kw["embedding_path"])
+
+    kw = read_object(load_json_object(path),
+                     {"classes": lambda v: json_list(v, entry),
+                      "empty_class": json_optional(json_str)},
+                     str(path), required=("classes",))
+    return TextBank(kw.pop("classes"), **kw)
 
 
 # ---------------------------------------------------------------------------

@@ -18,13 +18,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import CameraView, GaussianScene, project_points
-from .densify import (DensifyConfig, GAMMA, base_init, densify_layer, fps,
-                      selection_residual)
+from .densify import (DensifyConfig, GAMMA, base_init, densify_layer,
+                      feature_dim_of, fps, selection_residual)
 # perfbench's tracer wraps select_under_represented on this module too.
 from .densify import select_under_represented  # noqa: F401
-from .errors import FgsError, FormatError, InvalidInputError
-from .io import (dump_json, json_float, json_int, json_list, json_str,
-                 jsonable, save_scene, save_voxel_grid)
+from .errors import FgsError, InvalidInputError
+from .io import (dump_json, json_float, json_int, json_list, json_optional,
+                 json_str, jsonable, read_object, save_scene, save_voxel_grid)
 from .raster import RenderOutput, render, render_oracle
 from .sampling import DecodeHeads, refine_scene
 from .synth import SynthSpec, gen_scene, room_spec
@@ -116,22 +116,11 @@ class PipelineConfig:
         checks; a document that is not an object or a field of the wrong
         JSON type is a FormatError.
         """
-        if not isinstance(d, dict):
-            raise FormatError("pipeline config must be a JSON object")
+        kw = read_object(d, _CONFIG_FIELDS, "pipeline config")
         bad = set(d) - set(_CONFIG_FIELDS)
         if bad:
             raise InvalidInputError(f"unknown pipeline config keys: {sorted(bad)}")
-        try:
-            kw = {k: _CONFIG_FIELDS[k](v) for k, v in d.items()}
-        except InvalidInputError:
-            raise
-        except (TypeError, ValueError, OverflowError) as e:
-            raise FormatError(f"pipeline config: malformed field ({e})") from e
         return cls(**kw)
-
-
-def _optional(read):
-    return lambda v: None if v is None else read(v)
 
 
 def _ints(v) -> tuple[int, ...]:
@@ -157,12 +146,12 @@ def _heads(v) -> DecodeHeads:
 # How PipelineConfig.from_dict reads each field; a key missing here is unknown.
 _CONFIG_FIELDS = {
     "stages": lambda v: tuple(json_list(v, json_str)),
-    "seed": json_int, "threads": json_int, "out_dir": _optional(_path),
-    "spec": _optional(_spec), "base_count": json_int,
+    "seed": json_int, "threads": json_int, "out_dir": json_optional(_path),
+    "spec": json_optional(_spec), "base_count": json_int,
     "layer_budgets": _ints, "gamma": json_float, "select_mode": json_str,
-    "occlusion_margin": _optional(json_float), "tau_occ": json_float,
-    "cutoff": _optional(json_float), "heads": _optional(_heads),
-    "refine_which": json_str, "view_waves": _optional(_ints),
+    "occlusion_margin": json_optional(json_float), "tau_occ": json_float,
+    "cutoff": json_optional(json_float), "heads": json_optional(_heads),
+    "refine_which": json_str, "view_waves": json_optional(_ints),
 }
 
 
@@ -223,13 +212,11 @@ def run_pipeline(config: PipelineConfig) -> dict:
                 if config.view_waves is not None:
                     st.wave_ends = list(np.cumsum(config.view_waves))
                 active = st.active
-                fdim = (active[0].ref_feature.shape[2]
-                        if active[0].ref_feature is not None else 16)
                 dconf = DensifyConfig(gamma=config.gamma,
                                       base_count=config.base_count,
                                       layer_budgets=config.layer_budgets,
                                       select_mode=config.select_mode,
-                                      feature_dim=fdim)
+                                      feature_dim=feature_dim_of(active))
                 t_grow = time.perf_counter()
                 st.scene = base_init(active, dconf)
                 # backproject emits one pseudo-cloud point per valid pixel

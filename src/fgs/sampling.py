@@ -135,10 +135,12 @@ class DecodeHeads:
     @classmethod
     def from_tensors(cls, tensors: dict[str, np.ndarray]) -> "DecodeHeads":
         def build(name):
-            layers = []
-            for i in range(len([k for k in tensors if k.startswith(f"{name}.") and k.endswith(".weight")])):
-                layers.append((tensors[f"{name}.{i}.weight"], tensors[f"{name}.{i}.bias"]))
-            return Mlp(layers) if layers else None
+            n = len([k for k in tensors if k.startswith(f"{name}.") and k.endswith(".weight")])
+            keys = [(f"{name}.{i}.weight", f"{name}.{i}.bias") for i in range(n)]
+            missing = [k for pair in keys for k in pair if k not in tensors]
+            if missing:
+                raise InvalidInputError(f"sidecar is missing head tensors {missing}")
+            return Mlp([(tensors[w], tensors[b]) for w, b in keys]) if keys else None
         offset, feat, geo = build("offset"), build("feat"), build("geo")
         if offset is None or feat is None or geo is None:
             raise InvalidInputError("sidecar is missing offset/feat/geo head tensors")

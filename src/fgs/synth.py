@@ -15,9 +15,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import CameraView, GaussianScene, Z_NEAR
-from .errors import FormatError, InvalidInputError
+from .errors import InvalidInputError
 from .io import (dump_json, json_bool, json_float, json_int, json_list,
-                 json_str, load_json_object)
+                 json_optional, json_str, load_json_object, read_object)
 from .voxel import EMPTY_LABEL, GridSpec, TextBank, VoxelGrid, orthonormal_bank
 
 DEFAULT_IMAGE = (120, 160)     # (height, width)
@@ -177,12 +177,6 @@ class RigSpec:
         return (self.width / 2.0) / math.tan(math.radians(self.hfov_deg) / 2.0)
 
 
-def _object(x, what: str) -> dict:
-    if not isinstance(x, dict):
-        raise FormatError(f"{what} must be a JSON object, got {type(x).__name__}")
-    return x
-
-
 @dataclass
 class SynthSpec:
     """Full description of a synthetic fixture; seed determines everything."""
@@ -238,55 +232,13 @@ class SynthSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SynthSpec":
-        """Spec from its `to_dict` form.
+        """Spec from its `to_dict` form; an omitted key takes its default.
 
         A document that is not an object, a missing required field or a
         field of the wrong type is a FormatError; the primitives' and the
         grid's own range checks stay invalid input.
         """
-        d = _object(d, "synth spec")
-        rig_d = _object(d.get("rig", {}), "synth spec rig")
-        try:
-            rig = RigSpec(
-                rings=[RingSpec(json_int(r["count"]), json_float(r["radius"]),
-                                json_float(r["height"]),
-                                json_float(r["pitch_deg"]),
-                                json_float(r.get("offset_deg", 0.0)),
-                                json_bool(r.get("inward", True)))
-                       for r in json_list(rig_d.get("rings", []),
-                                          lambda r: _object(r, "rig ring"))]
-                or RigSpec().rings,
-                height=json_int(rig_d.get("height", DEFAULT_IMAGE[0])),
-                width=json_int(rig_d.get("width", DEFAULT_IMAGE[1])),
-                hfov_deg=json_float(rig_d.get("hfov_deg", DEFAULT_HFOV_DEG)),
-            )
-            grid = None
-            if d.get("grid") is not None:
-                g = _object(d["grid"], "synth spec grid")
-                grid = GridSpec(np.asarray(json_list(g["origin"], json_float)),
-                                tuple(json_list(g["dims"], json_int)),
-                                json_float(g["voxel_size"]))
-            prims = [Primitive(json_str(p["shape"]), json_str(p["class"]),
-                               json_list(p["center"], json_float),
-                               json_list(p["size"], json_float),
-                               json_float(p.get("yaw", 0.0)),
-                               json_str(p.get("name", "")))
-                     for p in json_list(d.get("primitives", []),
-                                        lambda p: _object(p, "primitive"))]
-            return cls(seed=json_int(d.get("seed", 0)),
-                       feature_dim=json_int(d.get("feature_dim", 16)),
-                       primitives=prims, rig=rig, grid=grid,
-                       n_gaussians=json_int(d.get("n_gaussians", 6000)),
-                       gaussian_scale=json_float(d.get("gaussian_scale", 0.1)),
-                       gaussian_opacity=json_float(d.get("gaussian_opacity", 0.9)),
-                       depth_noise=json_float(d.get("depth_noise", 0.0)),
-                       pose_noise=json_float(d.get("pose_noise", 0.0)))
-        except InvalidInputError:
-            raise
-        except KeyError as e:
-            raise FormatError(f"synth spec: missing field {e}") from e
-        except (TypeError, ValueError, OverflowError) as e:
-            raise FormatError(f"synth spec: malformed field ({e})") from e
+        return cls(**read_object(d, _SPEC_FIELDS, "synth spec"))
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -295,6 +247,46 @@ class SynthSpec:
     @classmethod
     def load(cls, path) -> "SynthSpec":
         return cls.from_dict(load_json_object(path))
+
+
+# Field tables of SynthSpec.from_dict, one per JSON object of the spec.
+
+def _floats(v) -> list[float]:
+    return json_list(v, json_float)
+
+
+def _ring(d) -> RingSpec:
+    return RingSpec(**read_object(d, _RING_FIELDS, "synth spec ring",
+                                  ("count", "radius", "height", "pitch_deg")))
+
+
+def _primitive(d) -> Primitive:
+    kw = read_object(d, _PRIMITIVE_FIELDS, "synth spec primitive",
+                     ("shape", "class", "center", "size"))
+    kw["class_name"] = kw.pop("class")
+    return Primitive(**kw)
+
+
+_RING_FIELDS = {"count": json_int, "radius": json_float, "height": json_float,
+                "pitch_deg": json_float, "offset_deg": json_float,
+                "inward": json_bool}
+# An empty ring list keeps the default rings.
+_RIG_FIELDS = {"rings": lambda v: json_list(v, _ring) or RigSpec().rings,
+               "height": json_int, "width": json_int, "hfov_deg": json_float}
+_GRID_FIELDS = {"origin": _floats, "dims": lambda v: json_list(v, json_int),
+                "voxel_size": json_float}
+_PRIMITIVE_FIELDS = {"shape": json_str, "class": json_str, "center": _floats,
+                     "size": _floats, "yaw": json_float, "name": json_str}
+_SPEC_FIELDS = {
+    "seed": json_int, "feature_dim": json_int,
+    "primitives": lambda v: json_list(v, _primitive),
+    "rig": lambda v: RigSpec(**read_object(v, _RIG_FIELDS, "synth spec rig")),
+    "grid": json_optional(lambda v: GridSpec(**read_object(
+        v, _GRID_FIELDS, "synth spec grid", tuple(_GRID_FIELDS)))),
+    "n_gaussians": json_int, "gaussian_scale": json_float,
+    "gaussian_opacity": json_float, "depth_noise": json_float,
+    "pose_noise": json_float,
+}
 
 
 @dataclass

@@ -342,10 +342,7 @@ def retrieval_scores(scene: GaussianScene, bank: TextBank, points: np.ndarray,
     empty space scores near 0 for every class.
     """
     p_occ, p_feat = query_points(scene, points, cutoff=cutoff)
-    scores = np.empty((bank.num_classes, p_feat.shape[0]))
-    for c, entry in enumerate(bank.entries):
-        scores[c] = (p_feat @ entry.embeddings.T).max(axis=1)
-    return scores, p_occ
+    return bank.similarity(p_feat).T, p_occ
 
 
 # ---------------------------------------------------------------------------

@@ -137,6 +137,20 @@ def test_refine_with_heads_file(fixture_dir, tmp_path, capsys):
     assert payload["heads"] is True and payload["which"] == "newest"
 
 
+def test_refine_heads_missing_tensor_exit_2(fixture_dir, tmp_path, capsys):
+    tensors = DecodeHeads.seeded(8, 8, n_offsets=4, hidden=(8,), seed=0).to_tensors()
+    del tensors["geo.0.bias"]
+    path = tmp_path / "partial.head"
+    save_tensors(str(path), tensors)
+    code, _, err = _run(capsys, ["refine",
+                                 "--rig", str(fixture_dir / "rig.json"),
+                                 "--scene", str(fixture_dir / "scene.fgs"),
+                                 "--out", str(tmp_path / "r.fgs"),
+                                 "--heads", str(path)])
+    assert code == 2
+    assert "invalid input" in err and "geo.0.bias" in err
+
+
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_refine_degenerate_heads_exit_3(fixture_dir, tmp_path, capsys):
     heads = DecodeHeads.seeded(8, 8, n_offsets=4, hidden=(8,), seed=0)
@@ -213,13 +227,15 @@ def test_voxelize_then_eval_miou(fixture_dir, tmp_path, capsys):
 
 
 def test_voxelize_bad_dims_exit_2(fixture_dir, tmp_path, capsys):
-    code, _, err = _run(capsys, ["voxelize",
-                                 "--scene", str(fixture_dir / "scene.fgs"),
-                                 "--bank", str(fixture_dir / "bank.json"),
-                                 "--out", str(tmp_path / "p.voxg"),
-                                 "--origin", "0,0,0", "--dims", "6,6"])
-    assert code == 2
-    assert "invalid input" in err
+    for origin, dims in (("0,0,0", "6,6"), ("a,b,c", "6,6,3"),
+                         ("0,0,0", "4,4,x")):
+        code, _, err = _run(capsys, ["voxelize",
+                                     "--scene", str(fixture_dir / "scene.fgs"),
+                                     "--bank", str(fixture_dir / "bank.json"),
+                                     "--out", str(tmp_path / "p.voxg"),
+                                     "--origin", origin, "--dims", dims])
+        assert code == 2, (origin, dims)
+        assert "invalid input" in err
 
 
 def test_retrieve_scores_points(fixture_dir, tmp_path, capsys):
@@ -289,8 +305,9 @@ def test_bench_summary(capsys):
 
 
 def test_bench_bad_image_exit_2(capsys):
-    code, _, err = _run(capsys, ["bench", "--image", "180"])
-    assert code == 2 and "HxW" in err
+    for image in ("180", "180xabc"):
+        code, _, err = _run(capsys, ["bench", "--image", image])
+        assert code == 2 and "HxW" in err
 
 
 def test_pipeline_from_config_with_stage_override(tmp_path, capsys):
@@ -441,6 +458,23 @@ def test_non_object_bank_exit_4(fixture_dir, tmp_path, capsys):
     assert "format error" in err
 
 
+@pytest.mark.parametrize("empty_class", [5, [5]], ids=["number", "list"])
+def test_bank_empty_class_not_a_string_exit_4(fixture_dir, tmp_path, capsys,
+                                              empty_class):
+    doc = json.loads((fixture_dir / "bank.json").read_text())
+    doc["empty_class"] = empty_class
+    for entry in doc["classes"]:
+        entry["embedding_path"] = str(fixture_dir / entry["embedding_path"])
+    bank = tmp_path / "bank.json"
+    bank.write_text(json.dumps(doc))
+    code, payload, err = _run(capsys, ["eval-map",
+                                       "--scene", str(fixture_dir / "scene.fgs"),
+                                       "--bank", str(bank),
+                                       "--gt", str(fixture_dir / "gt.voxg")])
+    assert code == 4 and payload is None
+    assert "format error" in err and "empty_class" in err
+
+
 def test_stdout_is_strict_json(fixture_dir, tmp_path, capsys):
     rig = str(fixture_dir / "rig.json")
     base = str(tmp_path / "base.fgs")
@@ -465,9 +499,10 @@ def test_threads_env_fallback(fixture_dir, tmp_path, capsys, monkeypatch):
     code, payload, _ = _run(capsys, argv)
     assert code == 0 and payload["valid_pixels"] > 0
 
-    monkeypatch.setenv("FGS_THREADS", "abc")
-    code, _, err = _run(capsys, argv)
-    assert code == 2 and "FGS_THREADS" in err
+    for bad in ("abc", "0", "-3"):
+        monkeypatch.setenv("FGS_THREADS", bad)
+        code, _, err = _run(capsys, argv)
+        assert code == 2 and "FGS_THREADS" in err, bad
 
     # An explicit flag wins over the (broken) environment value.
     code, _, _ = _run(capsys, argv + ["--threads", "1"])

@@ -18,9 +18,9 @@ import pytest
 
 from fgs.core import CameraView, GaussianScene
 from fgs.errors import FormatError, InvalidInputError
-from fgs.io import (load_bank, load_depth_plane, load_plane, load_points,
-                    load_rig, load_scene, load_tensors, load_voxel_grid,
-                    save_bank, save_depth_plane, save_plane, save_points,
+from fgs.io import (json_float, json_int, load_bank, load_depth_plane,
+                    load_plane, load_points, load_rig, load_scene, load_tensors,
+                    load_voxel_grid, read_object, save_bank, save_depth_plane, save_plane, save_points,
                     save_rig, save_scene, save_tensors, save_voxel_grid,
                     depth_preview, write_pgm, write_ppm)
 from fgs.voxel import EMPTY_LABEL, VoxelGrid, orthonormal_bank
@@ -390,6 +390,40 @@ def test_bank_none_empty_class_and_errors(tmp_path):
     bad.write_text(json.dumps({"classes": [{"class": "wall"}]}))
     with pytest.raises(FormatError):
         load_bank(bad)
+
+
+@pytest.mark.parametrize("empty_class", [5, [5], True, {"name": "wall"}])
+def test_bank_empty_class_must_be_a_string_or_null(tmp_path, empty_class):
+    path = tmp_path / "bank.json"
+    save_bank(path, orthonormal_bank(["wall", "empty"], dim=4))
+    doc = json.loads(path.read_text())
+    doc["empty_class"] = "wall"
+    path.write_text(json.dumps(doc))
+    assert load_bank(path).empty_index == 0
+    doc["empty_class"] = empty_class
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match="empty_class"):
+        load_bank(path)
+
+
+def test_read_object_reports_the_field_and_passes_range_errors_through():
+    def positive(v):
+        if json_float(v) <= 0:
+            raise InvalidInputError("must be positive")
+        return v
+
+    readers = {"n": json_int, "x": positive,
+               "sub": lambda v: read_object(v, {"n": json_int}, "sub", ("n",))}
+    assert read_object({"n": 2.0, "other": "kept out"}, readers, "doc") == {"n": 2}
+    for doc, match in (([1], "doc must be a JSON object"),
+                       ({}, "doc: missing field 'n'"),
+                       ({"n": "2"}, "doc: malformed field 'n'"),
+                       ({"n": 1, "sub": {}}, "sub: missing field 'n'"),
+                       ({"n": 1, "sub": {"n": 1.5}}, "sub: malformed field 'n'")):
+        with pytest.raises(FormatError, match=match):
+            read_object(doc, readers, "doc", required=("n",))
+    with pytest.raises(InvalidInputError, match="must be positive"):
+        read_object({"x": -1}, readers, "doc")
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,10 @@ def test_decode_heads_validation_and_roundtrip():
     with pytest.raises(InvalidInputError):
         DecodeHeads.from_tensors({"offset.0.weight": np.zeros((12, 4)),
                                   "offset.0.bias": np.zeros(12)})
+    partial = heads.to_tensors()
+    del partial["geo.0.bias"]
+    with pytest.raises(InvalidInputError, match="geo.0.bias"):
+        DecodeHeads.from_tensors(partial)
 
 
 # ---------------------------------------------------------------------------
