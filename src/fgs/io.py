@@ -237,7 +237,10 @@ def load_tensors(path) -> dict[str, np.ndarray]:
             raise FormatError(f"{path}: unsupported sidecar version {version}")
         for _ in range(count):
             (nlen,) = struct.unpack("<H", _read_exact(f, 2, "name length"))
-            name = _read_exact(f, nlen, "name").decode("utf-8")
+            try:
+                name = _read_exact(f, nlen, "name").decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise FormatError(f"{path}: tensor name is not UTF-8 ({e})") from e
             (ndim,) = struct.unpack("<I", _read_exact(f, 4, "ndim"))
             shape = struct.unpack(f"<{ndim}I", _read_exact(f, 4 * ndim, "shape"))
             n = math.prod(shape)

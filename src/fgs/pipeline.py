@@ -12,6 +12,7 @@ write byte-identical scene and grid files regardless of thread count.
 from __future__ import annotations
 
 import os
+import re
 import time
 from dataclasses import dataclass, field
 
@@ -35,44 +36,28 @@ from .voxel import (DEFAULT_CUTOFF, GridSpec, TAU_OCC, TextBank, VoxelGrid,
 STAGES = ("synth", "init", "densify", "refine", "voxelize", "eval")
 DEFAULT_STAGES = ("synth", "init", "densify", "refine", "densify", "refine",
                   "voxelize", "eval")
+_GRAMMAR = "synth (init (refine | (densify refine)* densify?) (voxelize eval?)?)?"
+# The same grammar over one letter per stage.
+_LETTERS = dict(zip(STAGES, "sidrve"))
+_GRAMMAR_RE = re.compile(r"(s(i(r|(dr)*d?)(ve?)?)?)?")
 
 
 def validate_stages(stages) -> tuple[str, ...]:
-    """Enforce the stage grammar: synth? init (densify refine)* voxelize? eval?
+    """Enforce the stage grammar:
+    synth (init (refine | (densify refine)* densify?) (voxelize eval?)?)?
 
-    An empty list is a no-op pipeline.  eval needs voxelize, everything past
-    init needs init, and every densify is immediately followed by a refine.
+    Each stage needs every stage before it: views, the bank and the GT grid
+    come only from synth.  An empty list is a no-op pipeline.  After init, a
+    lone refine fills in features without growth; a growth loop alternates
+    densify and refine, and may end on a densify.
     """
     stages = tuple(stages)
     for s in stages:
         if s not in STAGES:
             raise InvalidInputError(f"unknown stage {s!r}")
-    if not stages:
-        return stages
-    rank = {"synth": 0, "init": 1, "densify": 2, "refine": 2,
-            "voxelize": 3, "eval": 4}
-    ranks = [rank[s] for s in stages]
-    if ranks != sorted(ranks):
-        raise InvalidInputError("stages out of order; expected "
-                                "synth? init (densify refine)* voxelize? eval?")
-    for name, limit in (("synth", 1), ("init", 1), ("voxelize", 1), ("eval", 1)):
-        if stages.count(name) > limit:
-            raise InvalidInputError(f"stage {name!r} may appear at most once")
-    pairs = [s for s in stages if rank[s] == 2]
-    if pairs and "init" not in stages:
-        raise InvalidInputError("densify/refine require an init stage")
-    if pairs:
-        if pairs[0] == "refine" and len(pairs) > 1:
-            # A lone refine directly after init is allowed (feature fill-in);
-            # any growth loop must alternate densify -> refine.
-            raise InvalidInputError("refine before the first densify")
-        tail = pairs[1:] if pairs[0] == "refine" else pairs
-        if any(tail[i] != ("densify", "refine")[i % 2] for i in range(len(tail))):
-            raise InvalidInputError("densify must be followed by refine")
-    if "eval" in stages and "voxelize" not in stages:
-        raise InvalidInputError("eval requires a voxelize stage")
-    if "voxelize" in stages and "init" not in stages:
-        raise InvalidInputError("voxelize requires an init stage")
+    if not _GRAMMAR_RE.fullmatch("".join(_LETTERS[s] for s in stages)):
+        raise InvalidInputError(f"stage list {list(stages)} does not follow "
+                                f"the grammar {_GRAMMAR}")
     return stages
 
 
@@ -157,27 +142,124 @@ _CONFIG_FIELDS = {
 
 @dataclass
 class _State:
-    scene: GaussianScene | None = None
-    views: list[CameraView] | None = None
+    """The config, the report the stages build, and the run they share."""
+
+    config: PipelineConfig
+    report: dict
+    views: list[CameraView] = field(default_factory=list)
+    waves: tuple[int, ...] = ()
+    active: list[CameraView] = field(default_factory=list)
+    renders: list[RenderOutput] = field(default_factory=list)
     bank: TextBank | None = None
     gt: VoxelGrid | None = None
+    dconf: DensifyConfig | None = None
+    scene: GaussianScene | None = None
     pred: VoxelGrid | None = None
-    renders: list[RenderOutput] | None = None
-    wave_ends: list[int] = field(default_factory=list)
-    wave_idx: int = 0
 
-    @property
-    def active(self) -> list[CameraView]:
-        if not self.wave_ends:
-            return self.views
-        return self.views[:self.wave_ends[min(self.wave_idx,
-                                              len(self.wave_ends) - 1)]]
+    def arrive(self, layer: int) -> list[CameraView]:
+        """Activate the views of waves 0..`layer` (all views without waves;
+        once the waves run out, the last one stays)."""
+        self.active = (self.views[:sum(self.waves[:layer + 1])] if self.waves
+                       else self.views)
+        return self.active
+
+    def render_active(self, growth: dict | None = None) -> None:
+        """Render the scene into every active view.  With `growth`, the row
+        of the step that built the newest layer, append that layer's row,
+        timed by this render."""
+        t0 = time.perf_counter()
+        self.renders = [render(self.scene, v, threads=self.config.threads)
+                        for v in self.active]
+        if growth is not None:
+            self.report["layers"].append({
+                "index": self.scene.layer_count - 1, "count": len(self.scene),
+                "views": len(self.active), "time_s": time.perf_counter() - t0,
+                "growth": growth})
 
 
-def _render_all(scene, views, threads):
+def _synth(st: _State) -> dict:
+    spec = st.config.spec or room_spec(st.config.seed)
+    result = gen_scene(spec)
+    st.views, st.bank, st.gt = result.views, result.bank, result.gt_grid
+    st.waves = tuple(result.view_waves if st.config.view_waves is None
+                     else st.config.view_waves)
+    return {"views": len(st.views), "view_waves": list(st.waves),
+            "classes": spec.class_names}
+
+
+def _init(st: _State) -> dict:
+    c, active = st.config, st.arrive(0)
+    st.dconf = DensifyConfig(gamma=c.gamma, base_count=c.base_count,
+                             layer_budgets=c.layer_budgets,
+                             select_mode=c.select_mode,
+                             feature_dim=feature_dim_of(active))
     t0 = time.perf_counter()
-    outs = [render(scene, v, threads=threads) for v in views]
-    return outs, time.perf_counter() - t0
+    st.scene = base_init(active, st.dconf)
+    grow_s = time.perf_counter() - t0
+    # backproject emits one pseudo-cloud point per valid pixel
+    st.render_active({"cloud_points": sum(int(np.count_nonzero(v.ref_valid))
+                                          for v in active
+                                          if v.ref_depth is not None),
+                      "picks": len(st.scene), "time_s": grow_s})
+    return {"count": len(st.scene), "views_active": len(active)}
+
+
+def _densify(st: _State) -> dict:
+    layer = st.scene.layer_count
+    active = st.arrive(layer)
+    # Render the scene into the views that just arrived, so that their
+    # unexplained pixels can be selected.
+    st.renders += [render(st.scene, v, threads=st.config.threads)
+                   for v in active[len(st.renders):]]
+    t0 = time.perf_counter()
+    st.scene, growth = densify_layer(st.scene, active, st.dconf, layer,
+                                     renders=st.renders)
+    st.render_active({"cloud_points": growth.candidate_points,
+                      "picks": growth.added,
+                      "time_s": time.perf_counter() - t0})
+    return {"layer": layer, "added": growth.added,
+            "views_active": len(active),
+            "selected_pixels_per_view": growth.selected_per_view,
+            "residual_before": growth.residual_before,
+            "residual_after": selection_residual(st.renders, active,
+                                                 growth.selected)}
+
+
+def _refine(st: _State) -> dict:
+    c, t0 = st.config, time.perf_counter()
+    st.scene = refine_scene(st.scene, st.active, heads=c.heads,
+                            which=c.refine_which,
+                            occlusion_margin=c.occlusion_margin)
+    if c.heads is not None:
+        st.render_active()
+    st.report["layers"][-1]["time_s"] += time.perf_counter() - t0
+    return {"which": c.refine_which, "count": len(st.scene)}
+
+
+def _voxelize(st: _State) -> dict:
+    gspec = GridSpec(st.gt.origin, st.gt.dims, st.gt.voxel_size)
+    st.pred = voxelize(st.scene, st.bank, gspec, tau_occ=st.config.tau_occ,
+                       cutoff=st.config.cutoff)
+    return {"occupied": int(st.pred.occupied.sum()),
+            "dims": list(st.pred.dims)}
+
+
+def _eval(st: _State) -> dict:
+    iou = eval_miou(st.pred, st.gt)
+    names = [e.class_name for e in st.bank.entries]
+    metrics = {
+        "miou": iou.miou,
+        "iou_per_class": {names[c]: v for c, v in iou.per_class.items()},
+    }
+    if np.any(st.gt.occupied):
+        mp = retrieval_map(st.scene, st.bank, st.gt, cutoff=st.config.cutoff)
+        metrics["map"] = mp["map"]
+        metrics["ap_per_class"] = mp["per_class"]
+    return {"metrics": metrics}
+
+
+_RUN = {"synth": _synth, "init": _init, "densify": _densify,
+        "refine": _refine, "voxelize": _voxelize, "eval": _eval}
 
 
 def run_pipeline(config: PipelineConfig) -> dict:
@@ -186,142 +268,19 @@ def run_pipeline(config: PipelineConfig) -> dict:
     A stage failure is re-raised with the stage name prepended, leaving the
     error type (and hence the CLI exit code) intact.
     """
-    report: dict = {"seed": config.seed, "threads": config.threads,
-                    "stages": [], "layers": []}
-    st = _State()
-    dconf = None
-
-    for stage in config.stages:
+    st = _State(config, {"seed": config.seed, "threads": config.threads,
+                         "stages": [], "layers": []})
+    for name in config.stages:
         t0 = time.perf_counter()
         try:
-            if stage == "synth":
-                spec = config.spec or room_spec(config.seed)
-                result = gen_scene(spec)
-                st.views, st.bank, st.gt = result.views, result.bank, result.gt_grid
-                waves = (result.view_waves if config.view_waves is None
-                         else config.view_waves)
-                st.wave_ends = list(np.cumsum(waves)) if waves else []
-                entry = {"name": stage, "views": len(st.views),
-                         "view_waves": list(waves),
-                         "classes": spec.class_names}
-
-            elif stage == "init":
-                if st.views is None:
-                    raise InvalidInputError("init needs views (run synth first "
-                                            "or provide a rig)")
-                if config.view_waves is not None:
-                    st.wave_ends = list(np.cumsum(config.view_waves))
-                active = st.active
-                dconf = DensifyConfig(gamma=config.gamma,
-                                      base_count=config.base_count,
-                                      layer_budgets=config.layer_budgets,
-                                      select_mode=config.select_mode,
-                                      feature_dim=feature_dim_of(active))
-                t_grow = time.perf_counter()
-                st.scene = base_init(active, dconf)
-                # backproject emits one pseudo-cloud point per valid pixel
-                growth = {"cloud_points": sum(int(np.count_nonzero(v.ref_valid))
-                                              for v in active
-                                              if v.ref_depth is not None),
-                          "picks": len(st.scene),
-                          "time_s": time.perf_counter() - t_grow}
-                entry = {"name": stage, "count": len(st.scene),
-                         "views_active": len(active)}
-                st.renders, render_s = _render_all(st.scene, active,
-                                                   config.threads)
-                report["layers"].append({"index": 0, "count": len(st.scene),
-                                         "views": len(active),
-                                         "time_s": render_s,
-                                         "growth": growth})
-
-            elif stage == "densify":
-                layer = st.scene.layer_count
-                # Next wave of views arrives; render the scene into them so
-                # their unexplained pixels can be selected.
-                st.wave_idx += 1
-                active = st.active
-                if len(active) > len(st.renders):
-                    fresh, _ = _render_all(st.scene, active[len(st.renders):],
-                                           config.threads)
-                    st.renders = st.renders + fresh
-                t_grow = time.perf_counter()
-                st.scene, growth = densify_layer(st.scene, active, dconf, layer,
-                                                 renders=st.renders)
-                grow_s = time.perf_counter() - t_grow
-                stage_s = time.perf_counter() - t0
-                st.renders, render_s = _render_all(st.scene, active,
-                                                   config.threads)
-                after = selection_residual(st.renders, active, growth.selected)
-                entry = {"name": stage, "layer": layer,
-                         "added": growth.added,
-                         "views_active": len(active),
-                         "selected_pixels_per_view": growth.selected_per_view,
-                         "residual_before": growth.residual_before,
-                         "residual_after": after,
-                         "time_s": stage_s}
-                report["layers"].append({
-                    "index": layer, "count": len(st.scene),
-                    "views": len(active), "time_s": render_s,
-                    "growth": {"cloud_points": growth.candidate_points,
-                               "picks": growth.added,
-                               "time_s": grow_s}})
-                report["stages"].append(jsonable(entry))
-                continue
-
-            elif stage == "refine":
-                active = st.active
-                st.scene = refine_scene(st.scene, active, heads=config.heads,
-                                        which=config.refine_which,
-                                        occlusion_margin=config.occlusion_margin)
-                refine_s = time.perf_counter() - t0
-                if config.heads is not None:
-                    st.renders, render_s = _render_all(st.scene, active,
-                                                       config.threads)
-                    refine_s += render_s
-                report["layers"][-1]["time_s"] += refine_s
-                entry = {"name": stage, "which": config.refine_which,
-                         "count": len(st.scene), "time_s": refine_s}
-                report["stages"].append(jsonable(entry))
-                continue
-
-            elif stage == "voxelize":
-                if st.bank is None or st.gt is None:
-                    raise InvalidInputError("voxelize needs a bank and grid "
-                                            "geometry from the synth stage")
-                gspec = GridSpec(st.gt.origin, st.gt.dims, st.gt.voxel_size)
-                st.pred = voxelize(st.scene, st.bank, gspec,
-                                   tau_occ=config.tau_occ, cutoff=config.cutoff)
-                entry = {"name": stage, "occupied": int(st.pred.occupied.sum()),
-                         "dims": list(st.pred.dims)}
-
-            elif stage == "eval":
-                entry = {"name": stage}
-                entry.update(_evaluate(st, config))
-
+            fields = _RUN[name](st)
         except FgsError as e:
-            raise type(e)(f"stage '{stage}' failed: {e}") from e
-        entry.setdefault("time_s", time.perf_counter() - t0)
-        report["stages"].append(jsonable(entry))
-
+            raise type(e)(f"stage '{name}' failed: {e}") from e
+        st.report["stages"].append(jsonable(
+            {"name": name, **fields, "time_s": time.perf_counter() - t0}))
     if config.out_dir is not None:
-        _write_artifacts(config.out_dir, st, report)
-    return report
-
-
-def _evaluate(st: _State, config: PipelineConfig) -> dict:
-    if st.pred is None or st.gt is None:
-        raise InvalidInputError("eval needs a voxelized prediction and GT")
-    iou = eval_miou(st.pred, st.gt)
-    names = [e.class_name for e in st.bank.entries]
-    metrics = {
-        "miou": iou.miou,
-        "iou_per_class": {names[c]: v for c, v in iou.per_class.items()},
-    }
-    if np.any(st.gt.occupied):
-        mp = retrieval_map(st.scene, st.bank, st.gt, cutoff=config.cutoff)
-        metrics["map"] = mp["map"]
-        metrics["ap_per_class"] = mp["per_class"]
-    return {"metrics": jsonable(metrics)}
+        _write_artifacts(st)
+    return st.report
 
 
 def retrieval_map(scene: GaussianScene, bank: TextBank, gt: VoxelGrid,
@@ -362,7 +321,8 @@ def _visible_mask(points: np.ndarray, views: list[CameraView]) -> np.ndarray:
     return vis
 
 
-def _write_artifacts(out_dir: str, st: _State, report: dict) -> None:
+def _write_artifacts(st: _State) -> None:
+    out_dir = st.config.out_dir
     os.makedirs(out_dir, exist_ok=True)
     arts = {}
     if st.scene is not None:
@@ -373,9 +333,9 @@ def _write_artifacts(out_dir: str, st: _State, report: dict) -> None:
         path = os.path.join(out_dir, "grid.voxg")
         save_voxel_grid(path, st.pred)
         arts["grid"] = path
-    report["artifacts"] = arts
+    st.report["artifacts"] = arts
     with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
-        dump_json(report, fh)
+        dump_json(st.report, fh)
 
 
 # ---------------------------------------------------------------------------

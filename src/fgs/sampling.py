@@ -141,12 +141,19 @@ class DecodeHeads:
             if missing:
                 raise InvalidInputError(f"sidecar is missing head tensors {missing}")
             return Mlp([(tensors[w], tensors[b]) for w, b in keys]) if keys else None
+
+        def scalar(name, default):
+            v = np.asarray(tensors.get(name, default))
+            if v.size != 1:
+                raise InvalidInputError(f"sidecar tensor {name} must hold one "
+                                        f"value, got shape {v.shape}")
+            return float(v.item())
         offset, feat, geo = build("offset"), build("feat"), build("geo")
         if offset is None or feat is None or geo is None:
             raise InvalidInputError("sidecar is missing offset/feat/geo head tensors")
         return cls(offset=offset, feat=feat, geo=geo, weights=build("agg"),
-                   delta_max=float(tensors.get("meta.delta_max", DELTA_MAX)),
-                   s_min=float(tensors.get("meta.s_min", S_MIN)))
+                   delta_max=scalar("meta.delta_max", DELTA_MAX),
+                   s_min=scalar("meta.s_min", S_MIN))
 
 
 # ---------------------------------------------------------------------------

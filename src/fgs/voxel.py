@@ -183,6 +183,9 @@ class GridSpec:
     def __post_init__(self):
         self.origin = np.asarray(self.origin, dtype=np.float64).reshape(3)
         self.dims = tuple(int(d) for d in self.dims)
+        if len(self.dims) != 3:
+            # a ValueError like a short origin's, so a spec field is malformed
+            raise ValueError(f"grid dims must be three counts, got {self.dims}")
         if any(d <= 0 for d in self.dims) or self.voxel_size <= 0:
             raise InvalidInputError("grid dims and voxel size must be positive")
 

@@ -46,8 +46,10 @@ The criteria and their tolerances:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+import pathlib
 import time
 
 import numpy as np
@@ -567,6 +569,17 @@ def test_growth_rows_count_the_pseudo_clouds(room_runs):
 # 12. Bytewise determinism
 # ---------------------------------------------------------------------------
 
+def test_seed0_artifact_digests(room_runs):
+    """Seed 0's default-pipeline artifacts are pinned by sha256 prefix.  A
+    change that moves their bits updates these and says why."""
+    _, dirs = room_runs
+    out = pathlib.Path(dirs["t1_a"])
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()[:16]
+               for name in ("scene.fgs", "grid.voxg")}
+    assert digests == {"scene.fgs": "3a1972856d4bedaa",
+                       "grid.voxg": "dc4a8059bb1814c6"}
+
+
 def _strip_volatile(obj):
     """Drop timings, artifact paths, and the recorded thread count: the
     criterion is about results, not about how long they took or how many
@@ -580,7 +593,6 @@ def _strip_volatile(obj):
 
 
 def test_criterion_12_bytewise_determinism(room_runs):
-    import pathlib
     _, dirs = room_runs
     paths = [pathlib.Path(dirs[k]) for k in ("t1_a", "t1_b", "t8")]
     same_bytes = all(

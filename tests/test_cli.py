@@ -151,6 +151,36 @@ def test_refine_heads_missing_tensor_exit_2(fixture_dir, tmp_path, capsys):
     assert "invalid input" in err and "geo.0.bias" in err
 
 
+def _two_value_delta_max(path):
+    tensors = DecodeHeads.seeded(8, 8, n_offsets=4, hidden=(8,), seed=0).to_tensors()
+    tensors["meta.delta_max"] = np.array([0.5, 0.5])
+    save_tensors(str(path), tensors)
+
+
+def _name_not_utf8(path):
+    save_tensors(str(path), DecodeHeads.seeded(8, 8, n_offsets=4, hidden=(8,),
+                                                seed=0).to_tensors())
+    path.write_bytes(path.read_bytes().replace(b"meta.s_min", b"meta.s_mi\xff"))
+
+
+@pytest.mark.parametrize("write, code, message", [
+    (_two_value_delta_max, 2, "meta.delta_max"),
+    (_name_not_utf8, 4, "UTF-8"),
+], ids=["two_value_delta_max", "name_not_utf8"])
+def test_refine_malformed_heads_exit_code(fixture_dir, tmp_path, capsys,
+                                          write, code, message):
+    path = tmp_path / "bad.head"
+    write(path)
+    got, payload, err = _run(capsys, ["refine",
+                                      "--rig", str(fixture_dir / "rig.json"),
+                                      "--scene", str(fixture_dir / "scene.fgs"),
+                                      "--out", str(tmp_path / "r.fgs"),
+                                      "--heads", str(path)])
+    assert got == code and payload is None
+    assert ("format error" if code == 4 else "invalid input") in err
+    assert message in err
+
+
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_refine_degenerate_heads_exit_3(fixture_dir, tmp_path, capsys):
     heads = DecodeHeads.seeded(8, 8, n_offsets=4, hidden=(8,), seed=0)
@@ -375,9 +405,10 @@ def test_malformed_pipeline_config_exit_code(tmp_path, capsys, text, code):
      '"center": ["0", "0", "0"], "size": [1, 1, 1]}]}', 4),
     ('{"primitives": [{"shape": "cone", "class": "a", "center": [0, 0, 0], '
      '"size": [1, 1, 1]}]}', 2),
+    ('{"grid": {"origin": [0, 0, 0], "dims": [6, 6], "voxel_size": 0.5}}', 4),
 ], ids=["invalid_json", "not_an_object", "primitive_without_class",
         "string_seed", "ring_without_radius", "fractional_ring_count",
-        "string_center", "unknown_shape"])
+        "string_center", "unknown_shape", "two_grid_dims"])
 def test_malformed_synth_spec_exit_code(tmp_path, capsys, text, code):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(text)

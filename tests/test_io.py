@@ -257,6 +257,10 @@ def test_tensor_sidecar_errors(tmp_path):
     junk.write_bytes(b"NOPE")
     with pytest.raises(FormatError):
         load_tensors(junk)
+    latin = tmp_path / "latin.head"
+    latin.write_bytes(path.read_bytes().replace(b"\x01\x00w", b"\x01\x00\xe9"))
+    with pytest.raises(FormatError, match="UTF-8"):
+        load_tensors(latin)
 
 
 # ---------------------------------------------------------------------------

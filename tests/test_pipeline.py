@@ -1,10 +1,11 @@
 """End-to-end pipeline tests: stage grammar, config, report, artifacts.
 
-The stage grammar is `synth? init (densify refine)* voxelize? eval?` with
-one extra allowance: a single refine directly after init (feature fill-in
-without growth).  Views arrive in waves: init consumes the first wave and
-every densify round activates the next, so the report's `views_active`
-column must grow across rounds.
+The stage grammar is
+`synth (init (refine | (densify refine)* densify?) (voxelize eval?)?)?`:
+every stage needs synth's fixture, and a single refine directly after
+init fills in features without growth.  Views arrive in waves: init
+consumes the first wave and every densify round activates the next, so
+the report's `views_active` column must grow across rounds.
 
 These tests run the pipeline on a deliberately small fixture (5 views of
 36 x 48, 250 sampled Gaussians, a 6 x 6 x 3 grid) so the whole module
@@ -14,13 +15,14 @@ fixture live in the acceptance suite instead.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 
 import numpy as np
 import pytest
 
-from fgs.errors import InvalidInputError
+from fgs.errors import InsufficientPointsError, InvalidInputError
 from fgs.io import load_scene, load_voxel_grid
 from fgs.pipeline import (DEFAULT_STAGES, STAGES, PipelineConfig, bench,
                           run_pipeline, validate_stages)
@@ -69,11 +71,11 @@ def test_stage_vocabulary_and_defaults():
 
 
 @pytest.mark.parametrize("stages", [
-    ("init",),
+    ("synth",),
     ("synth", "init", "refine"),                        # lone feature fill-in
     ("synth", "init", "densify", "refine"),
-    ("init", "densify", "refine", "densify", "refine"),
-    ("init", "voxelize"),
+    ("synth", "init", "densify", "refine", "densify"),   # ends on a densify
+    ("synth", "init", "voxelize"),
     ("synth", "init", "densify", "refine", "voxelize", "eval"),
 ])
 def test_valid_stage_lists(stages):
@@ -85,18 +87,55 @@ def test_valid_stage_lists(stages):
     ("init", "synth"),                                  # out of order
     ("synth", "synth", "init"),                         # duplicate synth
     ("synth", "init", "init"),                          # duplicate init
-    ("init", "voxelize", "voxelize"),                   # duplicate voxelize
-    ("init", "voxelize", "eval", "eval"),               # duplicate eval
-    ("densify", "refine"),                              # growth without init
-    ("refine",),                                        # refine without init
-    ("init", "refine", "densify", "refine"),            # refine before densify
-    ("init", "densify", "densify", "refine"),           # densify not followed
-    ("init", "eval"),                                   # eval without voxelize
-    ("voxelize",),                                      # voxelize without init
+    ("synth", "init", "voxelize", "voxelize"),          # duplicate voxelize
+    ("synth", "init", "voxelize", "eval", "eval"),      # duplicate eval
+    ("synth", "densify", "refine"),                     # growth without init
+    ("synth", "refine"),                                # refine without init
+    ("synth", "init", "refine", "densify", "refine"),   # refine before densify
+    ("synth", "init", "densify", "densify", "refine"),  # densify not followed
+    ("synth", "init", "eval"),                          # eval without voxelize
+    ("synth", "voxelize"),                              # voxelize without init
+    ("init",),                                          # no synth fixture
+    ("init", "densify", "refine", "densify", "refine"),  # no synth fixture
+    ("init", "voxelize"),                               # no synth fixture
 ])
 def test_invalid_stage_lists(stages):
     with pytest.raises(InvalidInputError):
         validate_stages(stages)
+
+
+def _runnable(stages) -> bool:
+    """The stage grammar, stated without a regular expression."""
+    rest = list(stages)
+    if not rest:
+        return True
+    if rest.pop(0) != "synth":
+        return False
+    if not rest:
+        return True
+    if rest.pop(0) != "init":
+        return False
+    for tail in (["voxelize", "eval"], ["voxelize"]):
+        if rest[-len(tail):] == tail:
+            del rest[-len(tail):]
+            break
+    return rest == ["refine"] or all(
+        s == ("densify", "refine")[i % 2] for i, s in enumerate(rest))
+
+
+def test_stage_grammar_on_every_short_list():
+    accepted = 0
+    for n in range(7):
+        for stages in itertools.product(STAGES, repeat=n):
+            try:
+                ok = validate_stages(stages) == stages
+            except InvalidInputError:
+                ok = False
+            assert ok == _runnable(stages), stages
+            accepted += ok
+    # (), (synth,) and 15 lists with init: each growth part of r, d, dr,
+    # drd, drdr or none, times the tails none, v and ve that fit in six
+    assert accepted == 17
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +351,9 @@ def test_empty_stage_list_is_a_noop(tmp_path):
 
 
 def test_stage_failure_keeps_error_type_and_names_stage():
-    with pytest.raises(InvalidInputError, match="stage 'init' failed"):
-        run_pipeline(PipelineConfig(stages=("init",)))
+    # 3 views of 36 x 48 pixels hold fewer than 10,000 pseudo-cloud points
+    with pytest.raises(InsufficientPointsError, match="stage 'init' failed"):
+        run_pipeline(_tiny_config(stages=("synth", "init"), base_count=10000))
 
 
 # ---------------------------------------------------------------------------
