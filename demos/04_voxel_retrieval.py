@@ -5,8 +5,9 @@ Voxelizing a scene into an open-vocabulary occupancy grid
 Every Gaussian deposits unnormalized kernel mass times opacity into the
 voxel centers it covers; the same mass weights its per-class text
 probabilities.  Voxels above the occupancy threshold take the argmax
-class.  The production accumulator truncates each Gaussian to a cutoff
-box for speed -- here we check it against the dense all-pairs reference,
+class.  The production accumulator truncates each Gaussian at a
+Mahalanobis cutoff and evaluates only the voxel centers in a ball around
+it -- here we check it against the dense all-pairs reference,
 score the grid against ground truth, and run a few free-space /
 on-surface retrieval queries.
 """
@@ -23,7 +24,7 @@ names = [e.class_name for e in bank.entries]
 print(f"grid {gt.dims} @ {gt.voxel_size} m, classes {names}")
 
 # With the cutoff disabled the fast accumulator must reproduce the dense
-# all-pairs reference exactly; with the default 3-sigma box it drops far
+# all-pairs reference exactly; with the default 3-sigma cutoff it drops far
 # tails, so masses dip slightly but every occupancy/label decision holds.
 ref = voxelize_oracle(scene, bank, gspec)
 exact = voxelize(scene, bank, gspec, cutoff=None)

@@ -175,9 +175,12 @@ def load_voxel_grid(path) -> VoxelGrid:
         lab = np.frombuffer(_read_exact(f, 2 * count, "labels"), dtype="<u2")
     labels = lab.astype(np.int32).copy()
     labels[labels == 0xFFFF] = EMPTY_LABEL
-    return VoxelGrid(np.array(origin, dtype=np.float64), float(vs),
-                     occ.astype(np.float64).reshape(nx, ny, nz),
-                     labels.reshape(nx, ny, nz))
+    try:
+        return VoxelGrid(np.array(origin, dtype=np.float64), float(vs),
+                         occ.astype(np.float64).reshape(nx, ny, nz),
+                         labels.reshape(nx, ny, nz))
+    except InvalidInputError as e:
+        raise FormatError(f"{path}: {e}") from e
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,8 @@ from .raster import RenderOutput, render, render_oracle
 from .sampling import DecodeHeads, refine_scene
 from .synth import SynthSpec, gen_scene, room_spec
 from .voxel import (DEFAULT_CUTOFF, GridSpec, TAU_OCC, TextBank, VoxelGrid,
-                    eval_map, eval_miou, retrieval_scores, voxelize,
-                    voxelize_oracle)
+                    check_cutoff, eval_map, eval_miou, retrieval_scores,
+                    voxelize, voxelize_oracle)
 
 STAGES = ("synth", "init", "densify", "refine", "voxelize", "eval")
 DEFAULT_STAGES = ("synth", "init", "densify", "refine", "densify", "refine",
@@ -92,6 +92,7 @@ class PipelineConfig:
         self.stages = validate_stages(self.stages)
         if self.threads < 1:
             raise InvalidInputError("threads must be >= 1")
+        check_cutoff(self.cutoff)
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":

@@ -10,6 +10,7 @@ resulting grids and score tables.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass, field
 
@@ -24,6 +25,8 @@ TAU_OCC = 0.1
 DEFAULT_CUTOFF = 3.0
 # In-memory label for unoccupied voxels (0xFFFF on disk).
 EMPTY_LABEL = -1
+# Most (Gaussian, point) pairs the accumulation kernel evaluates at once.
+PAIR_BLOCK = 8192
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +134,12 @@ def text_probs(features: np.ndarray, bank: TextBank, reduce: str = "max") -> np.
 # Voxel grid
 # ---------------------------------------------------------------------------
 
+def _check_geometry(origin, voxel_size) -> None:
+    if not (np.all(np.isfinite(origin)) and 0 < voxel_size < np.inf):
+        raise InvalidInputError(f"grid origin must be finite and voxel size positive "
+                                f"and finite, got {origin} and {voxel_size}")
+
+
 @dataclass
 class VoxelGrid:
     """Dense grid of occupancy mass and class labels.
@@ -150,8 +159,7 @@ class VoxelGrid:
     def __post_init__(self):
         self.origin = np.asarray(self.origin, dtype=np.float64).reshape(3)
         self.voxel_size = float(self.voxel_size)
-        if self.voxel_size <= 0:
-            raise InvalidInputError("voxel size must be positive")
+        _check_geometry(self.origin, self.voxel_size)
         self.occ_mass = np.asarray(self.occ_mass, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int32)
         if self.occ_mass.ndim != 3 or self.labels.shape != self.occ_mass.shape:
@@ -167,11 +175,8 @@ class VoxelGrid:
 
     def centers(self) -> np.ndarray:
         """(nx, ny, nz, 3) voxel center coordinates."""
-        nx, ny, nz = self.dims
-        ax = [self.origin[d] + (np.arange(n) + 0.5) * self.voxel_size
-              for d, n in zip(range(3), (nx, ny, nz))]
-        gx, gy, gz = np.meshgrid(*ax, indexing="ij")
-        return np.stack([gx, gy, gz], axis=-1)
+        spec = GridSpec(self.origin, self.dims, self.voxel_size)
+        return spec.centers_flat().reshape(*self.dims, 3)
 
 
 @dataclass
@@ -186,8 +191,9 @@ class GridSpec:
         if len(self.dims) != 3:
             # a ValueError like a short origin's, so a spec field is malformed
             raise ValueError(f"grid dims must be three counts, got {self.dims}")
-        if any(d <= 0 for d in self.dims) or self.voxel_size <= 0:
-            raise InvalidInputError("grid dims and voxel size must be positive")
+        if any(d <= 0 for d in self.dims):
+            raise InvalidInputError("grid dims must be positive")
+        _check_geometry(self.origin, self.voxel_size)
 
     def centers_flat(self) -> np.ndarray:
         nx, ny, nz = self.dims
@@ -197,34 +203,67 @@ class GridSpec:
         return np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
 
 
-def _gaussian_precisions(scene: GaussianScene):
-    """Per-Gaussian (rot, inv_var) so that Sigma^-1 = rot diag(inv_var) rot^T."""
-    rot = quats_to_rotmats(scene.quat)
-    inv_var = 1.0 / scene.scale**2
-    return rot, inv_var
+def check_cutoff(cutoff) -> None:
+    """A Mahalanobis cutoff is None or a positive, finite radius."""
+    if cutoff is not None and not (0 < cutoff < np.inf):
+        raise InvalidInputError(
+            f"cutoff must be None or positive and finite, got {cutoff}")
 
 
 def _accumulate_kernel(points, scene, weights, cutoff):
-    """Sum_i exp(-0.5 * mahalanobis^2(points, gaussian_i)) * weights_i.
+    """Sum_i exp(-q_i(x) / 2) * weights_i at each point x, q_i(x) being the
+    squared Mahalanobis distance from Gaussian i.
 
     `weights` is (N, C); the result is (M, C).  `cutoff` (if not None)
-    zeroes contributions beyond that Mahalanobis radius.
+    zeroes the pairs with q > cutoff**2; only points in a ball of radius
+    cutoff * max(scale) around a Gaussian, which holds all of them, are
+    evaluated.  Pairs go in blocks of whole Gaussians, and each point adds
+    its Gaussians in scene order, as a per-Gaussian loop would.
     """
+    check_cutoff(cutoff)
     points = np.asarray(points, dtype=np.float64)
-    rot, inv_var = _gaussian_precisions(scene)
+    if not np.all(np.isfinite(points)):
+        raise InvalidInputError("points must be finite")
     weights = np.asarray(weights, dtype=np.float64)
-    out = np.zeros((points.shape[0], weights.shape[1]))
-    for i in range(len(scene)):
-        local = (points - scene.mu[i]) @ rot[i]        # into the Gaussian's frame
-        q = np.einsum("md,d,md->m", local, inv_var[i], local)
+    m = points.shape[0]
+    if cutoff is None:
+        counts = np.full(len(scene), m)
+    else:
+        # Imported here: at module level scipy.spatial slows `import fgs` by ~0.1 s.
+        from scipy.spatial import cKDTree
+        tree = cKDTree(points)
+        # widened so that rounding cannot drop a point at q = cutoff**2
+        radius = cutoff * scene.scale.max(axis=1) * (1 + 1e-9)
+        counts = tree.query_ball_point(scene.mu, radius, return_length=True)
+    ends = np.cumsum(counts)
+    # Per-pair values run along the last axis, so that each elementwise pass
+    # over a block is one long loop over its pairs: rot[3k + j] is every R[k, j].
+    rot = quats_to_rotmats(scene.quat).reshape(-1, 9).T.copy()
+    inv_var = 1.0 / scene.scale**2
+    acc = np.zeros((weights.shape[1], m))
+    lo = 0
+    while lo < len(scene):
+        first = ends[lo] - counts[lo]  # pair index where Gaussian lo starts
+        hi = max(lo + 1, int(np.searchsorted(ends, first + PAIR_BLOCK, side="right")))
+        g = np.repeat(np.arange(lo, hi), counts[lo:hi])
+        if cutoff is None:
+            p = np.tile(np.arange(m), hi - lo)
+        else:  # fetched per block: the lists hold a Python int per pair
+            p = np.fromiter(itertools.chain.from_iterable(
+                tree.query_ball_point(scene.mu[lo:hi], radius[lo:hi])), np.intp, g.size)
+        d = (points.take(p, axis=0) - scene.mu.take(g, axis=0)).T
+        r = rot.take(g, axis=1)
+        local = d[0] * r[0:3] + d[1] * r[3:6] + d[2] * r[6:9]
+        # einsum over C-ordered rows of three adds in the order the per-Gaussian
+        # loop did; a written-out sum can differ in the last bit
+        q = np.einsum("pd,pd->p", (local * local).T.copy(), inv_var.take(g, axis=0))
+        k = np.exp(-0.5 * q)
         if cutoff is not None:
-            sel = q <= cutoff * cutoff
-            if not np.any(sel):
-                continue
-            out[sel] += np.exp(-0.5 * q[sel])[:, None] * weights[i]
-        else:
-            out += np.exp(-0.5 * q)[:, None] * weights[i]
-    return out
+            k[q > cutoff * cutoff] = 0.0
+        for row, w in zip(acc, weights.T):
+            np.add.at(row, p, k * w[g])  # in pair order, so in scene order per point
+        lo = hi
+    return acc.T
 
 
 def voxelize(scene: GaussianScene, bank: TextBank, grid: GridSpec,
@@ -238,47 +277,16 @@ def voxelize(scene: GaussianScene, bank: TextBank, grid: GridSpec,
     occupied iff V_o >= tau_occ and the argmax class (ties -> lowest index)
     is not the bank's empty class; its label is that argmax.
 
-    For speed each Gaussian only touches voxels inside its axis-aligned
-    cutoff-radius box; `cutoff=None` disables truncation entirely.
+    Each Gaussian contributes only to voxel centers within Mahalanobis
+    radius `cutoff`; `cutoff=None` disables truncation entirely.
     """
     if bank.feature_dim != scene.feature_dim:
         raise InvalidInputError("bank/scene feature dimensions differ")
-    nx, ny, nz = grid.dims
-    occ = np.zeros((nx, ny, nz))
-    cls = np.zeros((nx, ny, nz, bank.num_classes))
-    if len(scene):
-        probs = text_probs(scene.feature, bank, reduce=reduce)  # (N, C)
-        rot, inv_var = _gaussian_precisions(scene)
-        axes = [grid.origin[d] + (np.arange(n) + 0.5) * grid.voxel_size
-                for d, n in zip(range(3), (nx, ny, nz))]
-        cov_diag = np.einsum("nij,nj,nij->ni", rot, scene.scale**2, rot)  # marginal variances
-        for i in range(len(scene)):
-            if cutoff is None:
-                sl = (slice(0, nx), slice(0, ny), slice(0, nz))
-            else:
-                # conservative box: |x_d - mu_d| <= cutoff * sqrt(Sigma_dd)
-                radius = cutoff * np.sqrt(cov_diag[i])
-                lo = np.floor((scene.mu[i] - radius - grid.origin) / grid.voxel_size - 0.5)
-                hi = np.ceil((scene.mu[i] + radius - grid.origin) / grid.voxel_size - 0.5)
-                lo = np.clip(lo.astype(int), 0, grid.dims)
-                hi = np.clip(hi.astype(int) + 1, 0, grid.dims)
-                if np.any(lo >= hi):
-                    continue
-                sl = tuple(slice(a, b) for a, b in zip(lo, hi))
-            dx = axes[0][sl[0]] - scene.mu[i][0]
-            dy = axes[1][sl[1]] - scene.mu[i][1]
-            dz = axes[2][sl[2]] - scene.mu[i][2]
-            # local coordinates in the Gaussian frame, built separably
-            lx = (dx[:, None, None, None] * rot[i][0][None, None, None, :]
-                  + dy[None, :, None, None] * rot[i][1][None, None, None, :]
-                  + dz[None, None, :, None] * rot[i][2][None, None, None, :])
-            q = np.einsum("xyzd,d->xyz", lx * lx, inv_var[i])
-            k = np.exp(-0.5 * q)
-            if cutoff is not None:
-                k[q > cutoff * cutoff] = 0.0
-            occ[sl] += k * scene.opacity[i]
-            cls[sl] += k[..., None] * probs[i]
-
+    weights = np.column_stack([scene.opacity,
+                               text_probs(scene.feature, bank, reduce=reduce)])
+    acc = _accumulate_kernel(grid.centers_flat(), scene, weights, cutoff)
+    occ = acc[:, 0].reshape(grid.dims)
+    cls = acc[:, 1:].reshape(*grid.dims, bank.num_classes)
     labels = np.argmax(cls, axis=-1).astype(np.int32)  # ties -> lowest index
     occupied = occ >= tau_occ
     if bank.empty_index is not None:
@@ -329,8 +337,6 @@ def query_points(scene: GaussianScene, points: np.ndarray,
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if points.ndim != 2 or points.shape[1] != 3:
         raise InvalidInputError("points must be (M, 3)")
-    if len(scene) == 0:
-        return np.zeros(points.shape[0]), np.zeros((points.shape[0], scene.feature_dim))
     acc = _accumulate_kernel(points, scene,
                              np.column_stack([scene.opacity, scene.feature]), cutoff)
     return acc[:, 0], acc[:, 1:]

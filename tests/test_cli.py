@@ -268,6 +268,24 @@ def test_voxelize_bad_dims_exit_2(fixture_dir, tmp_path, capsys):
         assert "invalid input" in err
 
 
+@pytest.mark.parametrize("extra", [
+    ["--origin=nan,-4,0"], ["--origin=0,inf,0"], ["--voxel-size", "nan"],
+    ["--voxel-size", "inf"], ["--cutoff=-1"], ["--cutoff", "0"],
+    ["--cutoff", "nan"], ["--cutoff", "inf"],
+], ids=["nan_origin", "inf_origin", "nan_voxel_size", "inf_voxel_size",
+        "negative_cutoff", "zero_cutoff", "nan_cutoff", "inf_cutoff"])
+def test_voxelize_non_finite_grid_or_bad_cutoff_exit_2(fixture_dir, tmp_path,
+                                                       capsys, extra):
+    out = tmp_path / "p.voxg"
+    code, _, err = _run(capsys, ["voxelize",
+                                 "--scene", str(fixture_dir / "scene.fgs"),
+                                 "--bank", str(fixture_dir / "bank.json"),
+                                 "--out", str(out), "--origin=-2.4,-2.4,0",
+                                 "--dims", "6,6,3", *extra])
+    assert code == 2 and "invalid input" in err
+    assert not out.exists()
+
+
 def test_retrieve_scores_points(fixture_dir, tmp_path, capsys):
     pts = tmp_path / "pts.txt"
     pts.write_text("0 0 0.4\n0.8 0.6 0.8\n")
@@ -288,6 +306,17 @@ def test_retrieve_scores_points(fixture_dir, tmp_path, capsys):
                                      "--points", str(pts), "--out", str(out)])
     assert code == 0 and payload == {"out": str(out), "points": 2}
     assert json.loads(out.read_text())["points"] == 2
+
+
+def test_retrieve_non_finite_point_exit_2(fixture_dir, tmp_path, capsys):
+    pts = tmp_path / "pts.txt"
+    pts.write_text("0 0 0.4\nnan 0 1\n")
+    code, payload, err = _run(capsys, ["retrieve",
+                                       "--scene", str(fixture_dir / "scene.fgs"),
+                                       "--bank", str(fixture_dir / "bank.json"),
+                                       "--points", str(pts)])
+    assert code == 2 and payload is None
+    assert "invalid input" in err
 
 
 def test_loss_breakdown(fixture_dir, capsys):
@@ -318,6 +347,24 @@ def test_eval_map(fixture_dir, capsys):
                                             str(fixture_dir / "rig.json")])
     assert code == 0
     assert 0 <= payload["visible_points"] <= payload["points"]
+
+
+@pytest.mark.parametrize("offset, value", [(28, np.nan), (28, np.inf), (28, -0.8),
+                                           (16, np.nan), (24, np.inf)],
+                         ids=["nan_voxel_size", "inf_voxel_size",
+                              "negative_voxel_size", "nan_origin", "inf_origin"])
+def test_grid_with_bad_geometry_exit_4(fixture_dir, tmp_path, capsys, offset, value):
+    data = bytearray((fixture_dir / "gt.voxg").read_bytes())
+    data[offset:offset + 4] = struct.pack("<f", value)
+    bad = tmp_path / "bad.voxg"
+    bad.write_bytes(bytes(data))
+    for argv in (["eval-map", "--scene", str(fixture_dir / "scene.fgs"),
+                  "--bank", str(fixture_dir / "bank.json"), "--gt", str(bad)],
+                 ["eval-miou", "--pred", str(bad),
+                  "--gt", str(fixture_dir / "gt.voxg")]):
+        code, payload, err = _run(capsys, argv)
+        assert code == 4 and payload is None, argv[0]
+        assert "format error" in err
 
 
 # ---------------------------------------------------------------------------
@@ -379,10 +426,14 @@ def test_pipeline_bad_config_key_exit_2(tmp_path, capsys):
      '"center": [0, 0, 0], "size": [1, 1, 1]}]}}', 2),
     ('{"spec": {"primitives": [{"shape": "box", "class": "a", '
      '"center": [0, 0, 0], "size": [1, 0, 1]}]}}', 2),
+    ('{"cutoff": -1}', 2),
+    ('{"cutoff": NaN}', 2),
+    ('{"cutoff": Infinity}', 2),
 ], ids=["invalid_json", "not_an_object", "string_seed", "spec_not_an_object",
         "primitive_without_class", "scalar_budgets", "string_budgets",
         "fractional_seed", "string_gamma", "eval_without_voxelize",
-        "spec_unknown_shape", "spec_flat_box"])
+        "spec_unknown_shape", "spec_flat_box", "negative_cutoff", "nan_cutoff",
+        "inf_cutoff"])
 def test_malformed_pipeline_config_exit_code(tmp_path, capsys, text, code):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(text)

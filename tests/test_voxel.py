@@ -18,9 +18,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from fgs.core import GaussianScene, covariance3d
+from fgs.core import GaussianScene, covariance3d, quats_to_rotmats
 from fgs.errors import EmptyInputError, InvalidInputError
-from fgs.voxel import (DEFAULT_CUTOFF, EMPTY_LABEL, GridSpec, TAU_OCC,
+from fgs.voxel import (DEFAULT_CUTOFF, EMPTY_LABEL, GridSpec, PAIR_BLOCK, TAU_OCC,
                        TextBank, TextBankEntry, VoxelGrid, average_precision,
                        eval_map, eval_miou, orthonormal_bank, query_points,
                        retrieval_scores, text_probs, voxelize,
@@ -120,6 +120,12 @@ def test_gridspec_centers_and_validation():
         GridSpec(origin=np.zeros(3), dims=(0, 2, 2))
     with pytest.raises(InvalidInputError):
         GridSpec(origin=np.zeros(3), dims=(2, 2, 2), voxel_size=0.0)
+    for origin, size in [((np.nan, 0, 0), 0.4), ((0, np.inf, 0), 0.4),
+                         (np.zeros(3), np.nan), (np.zeros(3), np.inf)]:
+        with pytest.raises(InvalidInputError):
+            GridSpec(origin=origin, dims=(2, 2, 2), voxel_size=size)
+        with pytest.raises(InvalidInputError):
+            VoxelGrid(origin, size, np.zeros((2, 2, 2)), np.zeros((2, 2, 2)))
 
 
 def test_voxelgrid_centers_match_spec_and_validation():
@@ -220,6 +226,100 @@ def test_voxelize_cutoff_only_removes_far_mass():
     assert cut.occ_mass[6, 3, 3] == 0.0 and full.occ_mass[6, 3, 3] > 0.0
 
 
+def _reference_voxelize(scene, bank, grid, tau_occ=TAU_OCC, cutoff=DEFAULT_CUTOFF):
+    """The per-Gaussian box loop `voxelize` replaced, written out.
+
+    Each Gaussian touches the voxels of its axis-aligned box
+    |x_d - mu_d| <= cutoff * sqrt(Sigma_dd), widened by floor/ceil, and
+    builds its local coordinates separably over the box's three axes.
+    """
+    nx, ny, nz = grid.dims
+    occ = np.zeros((nx, ny, nz))
+    cls = np.zeros((nx, ny, nz, bank.num_classes))
+    if len(scene):
+        probs = text_probs(scene.feature, bank)
+        rot = quats_to_rotmats(scene.quat)
+        inv_var = 1.0 / scene.scale**2
+        axes = [grid.origin[d] + (np.arange(n) + 0.5) * grid.voxel_size
+                for d, n in zip(range(3), (nx, ny, nz))]
+        cov_diag = np.einsum("nij,nj,nij->ni", rot, scene.scale**2, rot)
+        for i in range(len(scene)):
+            if cutoff is None:
+                sl = (slice(0, nx), slice(0, ny), slice(0, nz))
+            else:
+                radius = cutoff * np.sqrt(cov_diag[i])
+                lo = np.floor((scene.mu[i] - radius - grid.origin) / grid.voxel_size - 0.5)
+                hi = np.ceil((scene.mu[i] + radius - grid.origin) / grid.voxel_size - 0.5)
+                lo = np.clip(lo.astype(int), 0, grid.dims)
+                hi = np.clip(hi.astype(int) + 1, 0, grid.dims)
+                if np.any(lo >= hi):
+                    continue
+                sl = tuple(slice(a, b) for a, b in zip(lo, hi))
+            dx = axes[0][sl[0]] - scene.mu[i][0]
+            dy = axes[1][sl[1]] - scene.mu[i][1]
+            dz = axes[2][sl[2]] - scene.mu[i][2]
+            lx = (dx[:, None, None, None] * rot[i][0][None, None, None, :]
+                  + dy[None, :, None, None] * rot[i][1][None, None, None, :]
+                  + dz[None, None, :, None] * rot[i][2][None, None, None, :])
+            q = np.einsum("xyzd,d->xyz", lx * lx, inv_var[i])
+            k = np.exp(-0.5 * q)
+            if cutoff is not None:
+                k[q > cutoff * cutoff] = 0.0
+            occ[sl] += k * scene.opacity[i]
+            cls[sl] += k[..., None] * probs[i]
+    labels = np.argmax(cls, axis=-1).astype(np.int32)
+    occupied = occ >= tau_occ
+    if bank.empty_index is not None:
+        occupied &= labels != bank.empty_index
+    labels[~occupied] = EMPTY_LABEL
+    return VoxelGrid(grid.origin, grid.voxel_size, occ, labels, cls)
+
+
+def _lattice_scene(grid, fdim=4):
+    """Isotropic Gaussians on voxel centers with scales k * voxel / 3 for
+    k = 1..6, so q = 3**2 falls exactly on the centers k voxels out, and
+    q = 1**2 on those k / 3 voxels out when k is 3 or 6."""
+    centers = grid.centers_flat()
+    pick = np.arange(0, centers.shape[0], 37)
+    k = 1 + np.arange(pick.size) % 6
+    s = (k * grid.voxel_size / 3)[:, None].repeat(3, axis=1)
+    rng = np.random.default_rng(5)
+    return GaussianScene(centers[pick], s, np.tile([1.0, 0, 0, 0], (pick.size, 1)),
+                         rng.uniform(0.1, 1.0, pick.size),
+                         rng.normal(size=(pick.size, fdim)))
+
+
+def test_voxelize_is_bit_identical_to_the_box_loop():
+    bank = orthonormal_bank(["empty", "wall", "ground"], dim=4, seed=1)
+    rng = np.random.default_rng(11)
+    lattice = _grid(9)
+    many = GridSpec(origin=[-2.2, -2.2, -2.0], dims=(22, 22, 20), voxel_size=0.2)
+    near = _random_scene(rng, 5)
+    far = GaussianScene(near.mu + 50.0, near.scale, near.quat, near.opacity,
+                        near.feature)                # no voxel within any cutoff
+    cases = [(_lattice_scene(lattice), lattice),
+             (_lattice_scene(GridSpec([0.1, -0.3, 0.7], (9, 8, 7), 0.25)),
+              GridSpec([0.1, -0.3, 0.7], (9, 8, 7), 0.25)),
+             (_random_scene(rng, 25), _grid(7, voxel=0.3)),  # rotated, anisotropic
+             (_random_scene(rng, 200, span=2.0), many),
+             (GaussianScene.empty(4), _grid(3)),
+             (far, _grid(3))]
+    # the large case spans many blocks, and without a cutoff one Gaussian's
+    # pairs fill more than a block
+    assert many.centers_flat().shape[0] > PAIR_BLOCK
+    for scene, grid in cases:
+        for cutoff in (3.0, 1.0, None):
+            fast = voxelize(scene, bank, grid, cutoff=cutoff)
+            ref = _reference_voxelize(scene, bank, grid, cutoff=cutoff)
+            assert np.array_equal(fast.occ_mass, ref.occ_mass), (len(scene), cutoff)
+            assert np.array_equal(fast.class_probs, ref.class_probs), (len(scene), cutoff)
+            npt.assert_array_equal(fast.labels, ref.labels)
+    big, _ = cases[3]
+    d = many.centers_flat()[:, None, :] - big.mu[None, :, :]
+    pairs = np.count_nonzero(np.linalg.norm(d, axis=2) <= 3.0 * big.scale.max(axis=1))
+    assert pairs > 4 * PAIR_BLOCK
+
+
 def test_voxelize_rejects_feature_dim_mismatch():
     bank = orthonormal_bank(["empty", "wall"], dim=8)
     with pytest.raises(InvalidInputError):
@@ -270,6 +370,35 @@ def test_query_points_cutoff_and_edges():
     assert empty_feat.shape == (2, 4)
     with pytest.raises(InvalidInputError):
         query_points(scene, np.zeros((2, 2)))
+    for pts in (np.zeros((0, 3)), np.zeros((2, 3))):
+        for cutoff in (3.0, None):
+            for sc in (scene, GaussianScene.empty(4)):
+                p_occ, p_feat = query_points(sc, pts, cutoff=cutoff)
+                assert p_occ.shape == (len(pts),) and p_feat.shape == (len(pts), 4)
+    with pytest.raises(InvalidInputError):
+        query_points(scene, np.array([[0.0, 0.0, 0.0], [np.nan, 0.0, 1.0]]))
+    with pytest.raises(InvalidInputError):
+        query_points(scene, np.array([[np.inf, 0.0, 0.0]]), cutoff=None)
+
+
+@pytest.mark.parametrize("cutoff", [0.0, -1.0, np.nan, np.inf])
+def test_cutoff_must_be_none_or_positive_and_finite(cutoff):
+    bank = orthonormal_bank(["empty", "wall"], dim=4)
+    with pytest.raises(InvalidInputError):
+        query_points(_single(), np.zeros((1, 3)), cutoff=cutoff)
+    with pytest.raises(InvalidInputError):
+        voxelize(_single(), bank, _grid(3), cutoff=cutoff)
+
+
+def test_query_points_at_voxel_centers_is_voxelize_occupancy():
+    rng = np.random.default_rng(3)
+    bank = orthonormal_bank(["empty", "wall"], dim=4)
+    scene = _random_scene(rng, 30)
+    grid = _grid(6)
+    for cutoff in (3.0, None):
+        p_occ, _ = query_points(scene, grid.centers_flat(), cutoff=cutoff)
+        occ = voxelize(scene, bank, grid, cutoff=cutoff).occ_mass
+        assert np.array_equal(p_occ.reshape(grid.dims), occ)
 
 
 def test_retrieval_scores_pick_the_right_class():
