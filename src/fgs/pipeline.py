@@ -30,8 +30,8 @@ from .raster import RenderOutput, render, render_oracle
 from .sampling import DecodeHeads, refine_scene
 from .synth import SynthSpec, gen_scene, room_spec
 from .voxel import (DEFAULT_CUTOFF, GridSpec, TAU_OCC, TextBank, VoxelGrid,
-                    check_cutoff, eval_map, eval_miou, retrieval_scores,
-                    voxelize, voxelize_oracle)
+                    check_cutoff, check_tau, eval_map, eval_miou,
+                    retrieval_scores, voxelize, voxelize_oracle)
 
 STAGES = ("synth", "init", "densify", "refine", "voxelize", "eval")
 DEFAULT_STAGES = ("synth", "init", "densify", "refine", "densify", "refine",
@@ -93,6 +93,7 @@ class PipelineConfig:
         if self.threads < 1:
             raise InvalidInputError("threads must be >= 1")
         check_cutoff(self.cutoff)
+        check_tau(self.tau_occ)
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":

@@ -210,6 +210,12 @@ def check_cutoff(cutoff) -> None:
             f"cutoff must be None or positive and finite, got {cutoff}")
 
 
+def check_tau(tau_occ) -> None:
+    """An occupancy threshold is a finite number."""
+    if not np.isfinite(tau_occ):
+        raise InvalidInputError(f"tau_occ must be finite, got {tau_occ}")
+
+
 def _accumulate_kernel(points, scene, weights, cutoff):
     """Sum_i exp(-q_i(x) / 2) * weights_i at each point x, q_i(x) being the
     squared Mahalanobis distance from Gaussian i.
@@ -282,6 +288,7 @@ def voxelize(scene: GaussianScene, bank: TextBank, grid: GridSpec,
     """
     if bank.feature_dim != scene.feature_dim:
         raise InvalidInputError("bank/scene feature dimensions differ")
+    check_tau(tau_occ)
     weights = np.column_stack([scene.opacity,
                                text_probs(scene.feature, bank, reduce=reduce)])
     acc = _accumulate_kernel(grid.centers_flat(), scene, weights, cutoff)
@@ -304,6 +311,7 @@ def voxelize_oracle(scene: GaussianScene, bank: TextBank, grid: GridSpec,
     """
     if bank.feature_dim != scene.feature_dim:
         raise InvalidInputError("bank/scene feature dimensions differ")
+    check_tau(tau_occ)
     centers = grid.centers_flat()
     occ = np.zeros(centers.shape[0])
     cls = np.zeros((centers.shape[0], bank.num_classes))

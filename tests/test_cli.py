@@ -271,9 +271,11 @@ def test_voxelize_bad_dims_exit_2(fixture_dir, tmp_path, capsys):
 @pytest.mark.parametrize("extra", [
     ["--origin=nan,-4,0"], ["--origin=0,inf,0"], ["--voxel-size", "nan"],
     ["--voxel-size", "inf"], ["--cutoff=-1"], ["--cutoff", "0"],
-    ["--cutoff", "nan"], ["--cutoff", "inf"],
+    ["--cutoff", "nan"], ["--cutoff", "inf"], ["--tau", "nan"],
+    ["--tau", "inf"], ["--tau=-inf"],
 ], ids=["nan_origin", "inf_origin", "nan_voxel_size", "inf_voxel_size",
-        "negative_cutoff", "zero_cutoff", "nan_cutoff", "inf_cutoff"])
+        "negative_cutoff", "zero_cutoff", "nan_cutoff", "inf_cutoff", "nan_tau",
+        "inf_tau", "negative_inf_tau"])
 def test_voxelize_non_finite_grid_or_bad_cutoff_exit_2(fixture_dir, tmp_path,
                                                        capsys, extra):
     out = tmp_path / "p.voxg"
@@ -429,11 +431,13 @@ def test_pipeline_bad_config_key_exit_2(tmp_path, capsys):
     ('{"cutoff": -1}', 2),
     ('{"cutoff": NaN}', 2),
     ('{"cutoff": Infinity}', 2),
+    ('{"tau_occ": NaN}', 2),
+    ('{"tau_occ": -Infinity}', 2),
 ], ids=["invalid_json", "not_an_object", "string_seed", "spec_not_an_object",
         "primitive_without_class", "scalar_budgets", "string_budgets",
         "fractional_seed", "string_gamma", "eval_without_voxelize",
         "spec_unknown_shape", "spec_flat_box", "negative_cutoff", "nan_cutoff",
-        "inf_cutoff"])
+        "inf_cutoff", "nan_tau", "negative_inf_tau"])
 def test_malformed_pipeline_config_exit_code(tmp_path, capsys, text, code):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(text)

@@ -154,6 +154,68 @@ def test_fps_accepts_strided_and_float32_input_without_modifying_it():
     npt.assert_array_equal(contiguous, before)
 
 
+def test_fps_rejects_non_finite_points():
+    for bad in (np.nan, np.inf, -np.inf):
+        pts = np.array([[0.0, 0.0], [bad, 0.0], [1.0, 1.0], [3.0, 3.0]])
+        with pytest.raises(InvalidInputError):
+            fps(pts, 3)
+    with pytest.raises(InvalidInputError):
+        fps(np.zeros((4, 0)), 2)  # points without coordinates
+
+
+# Cell pruning.  `fps` recomputes only the grid cells whose box a pick can
+# reach; these clouds put hundreds of points in some cells and one in
+# others, tie every distance, or push the squares into underflow or
+# overflow.  Each must give exactly the picks of both references.
+
+def _assert_same_picks(pts, k):
+    got = fps(pts, k)
+    npt.assert_array_equal(got, _fps_rowwise(pts, k))
+    npt.assert_array_equal(got, fps_oracle(pts, k))
+
+
+def _clustered(d, seed, blob=400, lone=12):
+    """Three tight blobs and a few lone points spread over a 10-wide box."""
+    rng = np.random.default_rng(seed)
+    centres = rng.uniform(0.0, 10.0, size=(3, d))
+    blobs = [c + 0.3 * rng.normal(size=(blob, d)) for c in centres]
+    pts = np.concatenate(blobs + [rng.uniform(0.0, 10.0, size=(lone, d))])
+    return pts[rng.permutation(len(pts))]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_fps_pruning_on_clustered_clouds(d):
+    pts = _clustered(d, seed=d)
+    _assert_same_picks(pts, 120)
+    # rounded to a 0.1 grid, many distances tie or differ by a few roundings
+    _assert_same_picks(np.round(pts, 1), 120)
+    _assert_same_picks(_clustered(d, seed=10 + d, blob=60, lone=20), 200)  # k = n
+
+
+def test_fps_pruning_when_every_cell_maximum_is_zero():
+    _assert_same_picks(np.full((300, 3), 2.5), 300)
+    rng = np.random.default_rng(5)
+    corners = _lattice(2, 3) * 4.0
+    copies = np.repeat(corners, 40, axis=0)[rng.permutation(8 * 40)]
+    _assert_same_picks(copies, 30)  # 8 distinct picks, then index 0 on ties
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("scale", [1e-160, 1e153, 1e155])
+def test_fps_pruning_where_squares_underflow_or_overflow(scale):
+    # near 1e-160 the squares are subnormal, one rounding step apart; near
+    # 1e155 most of them are inf
+    for d in (1, 3):
+        _assert_same_picks(scale * _clustered(d, seed=d), 200)
+
+
+def test_fps_pruning_on_float32_and_strided_clouds():
+    pts = _clustered(3, seed=8)
+    _assert_same_picks(pts.astype(np.float32), 120)
+    wide = np.repeat(pts, 2, axis=1)
+    _assert_same_picks(wide[:, ::2], 120)  # columns 16 bytes apart
+
+
 # ---------------------------------------------------------------------------
 # Pseudo cloud and base layer
 # ---------------------------------------------------------------------------
@@ -193,6 +255,15 @@ def test_base_init_requires_enough_pixels():
     view = replace(cam, cx=3.5, cy=3.5, ref_depth=np.full((8, 8), 6.0))
     with pytest.raises(InsufficientPointsError):
         base_init([view], DensifyConfig(base_count=65, feature_dim=4))
+
+
+def test_base_init_rejects_a_non_finite_pixel_marked_valid():
+    depth = np.full((48, 64), 6.0)
+    depth[5, 7] = np.nan
+    view = replace(_camera(), ref_depth=depth,
+                   ref_valid=np.ones((48, 64), dtype=bool))
+    with pytest.raises(InvalidInputError):
+        base_init([view], DensifyConfig(base_count=50, feature_dim=5))
 
 
 # ---------------------------------------------------------------------------

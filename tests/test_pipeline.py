@@ -147,6 +147,9 @@ def test_config_validation():
         PipelineConfig(threads=0)
     with pytest.raises(InvalidInputError):
         PipelineConfig(stages=("eval",))
+    for tau in (float("nan"), float("inf")):
+        with pytest.raises(InvalidInputError):
+            PipelineConfig(tau_occ=tau)
     assert PipelineConfig().stages == DEFAULT_STAGES
 
 

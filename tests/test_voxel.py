@@ -390,6 +390,14 @@ def test_cutoff_must_be_none_or_positive_and_finite(cutoff):
         voxelize(_single(), bank, _grid(3), cutoff=cutoff)
 
 
+@pytest.mark.parametrize("tau_occ", [np.nan, np.inf, -np.inf])
+def test_tau_occ_must_be_finite(tau_occ):
+    bank = orthonormal_bank(["empty", "wall"], dim=4)
+    for vox in (voxelize, voxelize_oracle):
+        with pytest.raises(InvalidInputError):
+            vox(_single(), bank, _grid(3), tau_occ=tau_occ)
+
+
 def test_query_points_at_voxel_centers_is_voxelize_occupancy():
     rng = np.random.default_rng(3)
     bank = orthonormal_bank(["empty", "wall"], dim=4)
