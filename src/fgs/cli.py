@@ -108,7 +108,8 @@ def cmd_densify(args) -> int:
     grown, report = densify_layer(scene, views, cfg, layer)
     _outdir(args.out)
     save_scene(args.out, grown)
-    after = selection_residual([render(grown, v) for v in views], views,
+    geometry = grown.geometry()
+    after = selection_residual([render(geometry, v) for v in views], views,
                                report.selected)
     _emit(args, {
         "out": args.out, "layer": layer,

@@ -13,6 +13,7 @@ pixel with valid depth.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -242,6 +243,15 @@ class GaussianScene:
             self.layer_offsets + (len(self) + k,),
         )
 
+    def geometry(self) -> "GaussianScene":
+        """The same Gaussians with feature width 0, sharing this scene's
+        arrays (nothing is copied or validated again).  Rendering it gives
+        the full render's depth, `valid` and `acc_alpha` bit for bit, and
+        skips the feature sums."""
+        view = copy.copy(self)
+        view.feature = self.feature[:, :0]
+        return view
+
     def replace(self, **arrays) -> "GaussianScene":
         """Copy with some of mu/scale/quat/opacity/feature swapped out."""
         kw = dict(mu=self.mu, scale=self.scale, quat=self.quat,
@@ -390,10 +400,16 @@ class RenderOutput:
 
     `depth` is NaN-free (invalid pixels hold 0 and are flagged False in
     `valid`); `feature` is the unnormalized alpha-weighted feature sum;
-    `acc_alpha` the accumulated blend weight in [0, 1].
+    `acc_alpha` the accumulated blend weight in [0, 1].  The counts are the
+    tiled renderer's work: (tile, row) keys its 3-sigma boxes bin, those
+    culled as out of reach, and (row, pixel) alphas evaluated (0 from the
+    oracle).
     """
 
     depth: np.ndarray      # (H, W)
     feature: np.ndarray    # (H, W, F)
     acc_alpha: np.ndarray  # (H, W)
     valid: np.ndarray      # (H, W) bool
+    binned_rows: int = 0
+    culled_rows: int = 0
+    pairs_evaluated: int = 0

@@ -277,7 +277,8 @@ def densify_layer(scene: GaussianScene, views: list[CameraView], cfg: DensifyCon
     most this layer's budget becomes fresh Gaussians appended after the
     existing ones (which stay byte-identical).  An empty candidate set yields
     a zero-growth layer, not an error.  Pre-computed `renders` (one per view,
-    same order) are used when given.
+    same order) are used when given; only their depth and validity are
+    read, so renders of `scene.geometry()` serve.
     """
     if layer < 1 or layer != scene.layer_count:
         raise InvalidInputError(
@@ -289,13 +290,14 @@ def densify_layer(scene: GaussianScene, views: list[CameraView], cfg: DensifyCon
     budget = cfg.layer_budgets[layer - 1]
 
     report = DensifyReport(layer=layer)
+    geometry = scene.geometry()
     clouds, used = [], []
     for vi, v in enumerate(views):
         if v.ref_depth is None:
             out = None
             sel = np.zeros((v.height, v.width), dtype=bool)
         else:
-            out = renders[vi] if renders is not None else render(scene, v)
+            out = renders[vi] if renders is not None else render(geometry, v)
             sel = select_under_represented(out, v.ref_depth, v.ref_valid,
                                            cfg.gamma, cfg.select_mode)
         used.append(out)

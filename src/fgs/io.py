@@ -97,8 +97,11 @@ def load_scene(path) -> GaussianScene:
         offsets = np.frombuffer(_read_exact(f, 4 * layers, "layer offsets"), dtype="<u4")
         rec = np.frombuffer(_read_exact(f, 4 * n * (11 + fdim), "scene records"),
                             dtype="<f4").reshape(n, 11 + fdim).astype(np.float64)
-    return GaussianScene(rec[:, 0:3], rec[:, 3:6], rec[:, 6:10], rec[:, 10],
-                         rec[:, 11:], tuple(int(o) for o in offsets))
+    try:
+        return GaussianScene(rec[:, 0:3], rec[:, 3:6], rec[:, 6:10], rec[:, 10],
+                             rec[:, 11:], tuple(int(o) for o in offsets))
+    except InvalidInputError as e:
+        raise FormatError(f"{path}: {e}") from e
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 The pipeline interprets an ordered stage list, carries the scene/views/grid
 state across stages, and produces a JSON-able report with one entry per
 executed stage plus a per-layer table: Gaussian count and wall time at each
-layer, and a `growth` row for the step that built the layer (pseudo-cloud
-points, FPS picks, and the time of base init or of the densify step).
+layer, the work counts of the layer's renders (`RENDER_COUNTS`), and a
+`growth` row for the step that built the layer (pseudo-cloud points, FPS
+picks, and the time of base init or of the densify step).
 Timings never influence artifacts, so runs with identical config and seed
 write byte-identical scene and grid files regardless of thread count.
 """
@@ -40,6 +41,8 @@ _GRAMMAR = "synth (init (refine | (densify refine)* densify?) (voxelize eval?)?)
 # The same grammar over one letter per stage.
 _LETTERS = dict(zip(STAGES, "sidrve"))
 _GRAMMAR_RE = re.compile(r"(s(i(r|(dr)*d?)(ve?)?)?)?")
+# RenderOutput's work counts, summed into each layer row.
+RENDER_COUNTS = ("binned_rows", "culled_rows", "pairs_evaluated")
 
 
 def validate_stages(stages) -> tuple[str, ...]:
@@ -166,17 +169,22 @@ class _State:
         return self.active
 
     def render_active(self, growth: dict | None = None) -> None:
-        """Render the scene into every active view.  With `growth`, the row
-        of the step that built the newest layer, append that layer's row,
-        timed by this render."""
+        """Render the scene's geometry into every active view: the stages
+        read only depth and validity.  With `growth`, the row of the step
+        that built the newest layer, append that layer's row, timed by this
+        render; either way the renders' work counts add to the newest row."""
         t0 = time.perf_counter()
-        self.renders = [render(self.scene, v, threads=self.config.threads)
+        geometry = self.scene.geometry()
+        self.renders = [render(geometry, v, threads=self.config.threads)
                         for v in self.active]
         if growth is not None:
             self.report["layers"].append({
                 "index": self.scene.layer_count - 1, "count": len(self.scene),
                 "views": len(self.active), "time_s": time.perf_counter() - t0,
-                "growth": growth})
+                "growth": growth, **dict.fromkeys(RENDER_COUNTS, 0)})
+        row = self.report["layers"][-1]
+        for name in RENDER_COUNTS:
+            row[name] += sum(getattr(out, name) for out in self.renders)
 
 
 def _synth(st: _State) -> dict:
@@ -211,7 +219,8 @@ def _densify(st: _State) -> dict:
     active = st.arrive(layer)
     # Render the scene into the views that just arrived, so that their
     # unexplained pixels can be selected.
-    st.renders += [render(st.scene, v, threads=st.config.threads)
+    geometry = st.scene.geometry()
+    st.renders += [render(geometry, v, threads=st.config.threads)
                    for v in active[len(st.renders):]]
     t0 = time.perf_counter()
     st.scene, growth = densify_layer(st.scene, active, st.dconf, layer,

@@ -18,12 +18,30 @@ verbatim by the two renderers:
 
 `render` is the production tiled path.  It bins footprints to tiles (16x16
 by default) with one stable sort of (tile, footprint) keys and blends each
-tile's rows in chunks of 64.  Before each chunk it drops the tile's saturated pixels
-(live-pixel compaction).  This is exact: T never increases along a pixel's
-rows, so a pixel whose T fell below the floor gets weight 0 from every later
-row and its sums are final.  The tile ends when no pixel is live.  The
-compacted block is laid out so that every pixel gets the same bits as in an
-uncompacted one (`_live_columns`).
+tile's rows in chunks of 64.  Three kinds of work that cannot reach an output
+are skipped, each exactly:
+
+* tile culling: a footprint's 3-sigma box can overlap a tile whose pixel
+  centres its ellipse never reaches.  Binning takes the minimum of q over
+  the tile's rectangle of pixel centres and drops the key when that minimum
+  lies beyond the row's support, min(9, 2 ln(opacity / floor)), plus a
+  rounding margin; the dropped row's alpha is exactly 0 at every pixel of
+  the tile, so T and every sum are unchanged (only chunk boundaries move,
+  which can move the last bits of a sum);
+* exp only inside the support: `_alpha_block` takes exp and the opacity
+  product only where q <= 9 and leaves the other pairs at 0;
+* live-pixel compaction: before each chunk the tile's saturated pixels are
+  dropped.  T never increases along a pixel's rows, so a pixel whose T fell
+  below the floor gets weight 0 from every later row and its sums are
+  final.  The tile ends when no pixel is live.  The compacted block is laid
+  out so that every pixel gets the same bits as in an uncompacted one
+  (`_live_columns`).
+
+A scene with feature width 0 (`GaussianScene.geometry()`) renders depth,
+`valid` and `acc_alpha` bit-identical to the full scene and skips the
+feature sums; callers that read only geometry render it.  `render` reports
+its work on the output: binned and culled (tile, row) keys and the
+(row, pixel) pairs it evaluated.
 
 `render_oracle` evaluates every surviving Gaussian at every pixel with its
 own covariance inversion and no tiling or early termination.  The two agree
@@ -154,7 +172,8 @@ def _alpha_block(proj: _ProjectedArrays, rows, us, vs):
     """(G, P) alpha matrix of footprint rows `rows` at flat pixels (us, vs).
 
     q = (c du du - 2 b du dv + a dv dv) / det is evaluated left to right in
-    two (G, P) buffers, then alpha takes one exp in place.
+    two (G, P) buffers; exp and the opacity product are taken only inside
+    the support, and every other pair stays 0.
     """
     a = proj.cov[rows, 0][:, None]
     b = proj.cov[rows, 1][:, None]
@@ -173,15 +192,15 @@ def _alpha_block(proj: _ProjectedArrays, rows, us, vs):
     du *= dv
     q += du
     q /= det
-    outside = ~(q <= SUPPORT_RADIUS * SUPPORT_RADIUS)   # NaN falls outside
+    inside = q <= SUPPORT_RADIUS * SUPPORT_RADIUS      # NaN falls outside
     q *= -0.5
-    q[outside] = -np.inf
+    alpha = np.zeros_like(q)
     with np.errstate(under="ignore"):
-        np.exp(q, out=q)
-    q *= proj.opacity[rows][:, None]
-    np.minimum(q, ALPHA_MAX, out=q)
-    q[q < ALPHA_FLOOR] = 0.0
-    return q
+        np.exp(q, out=alpha, where=inside)
+    np.multiply(alpha, proj.opacity[rows][:, None], out=alpha, where=inside)
+    np.minimum(alpha, ALPHA_MAX, out=alpha)
+    alpha[alpha < ALPHA_FLOOR] = 0.0
+    return alpha
 
 
 def _live_columns(t_run):
@@ -211,13 +230,15 @@ def _live_columns(t_run):
 def _blend_block(proj, rows, us, vs, feature, chunk=64):
     """Front-to-back blend of the given footprints over one flat pixel block.
 
-    Returns (depth_num, weight_sum, feature_sum (F, P), zmin, zmax), the last
-    two being the contributing depth range per pixel.  Processes the
-    depth-sorted rows in chunks, carrying transmittance; before each chunk it
-    drops the pixels that have saturated (`_live_columns`) and it stops once
-    none is left.
+    Returns (depth_num, weight_sum, feature_sum (F, P), zmin, zmax, pairs):
+    zmin and zmax are the contributing depth range per pixel and pairs the
+    number of (row, pixel) alphas evaluated.  Processes the depth-sorted rows
+    in chunks, carrying transmittance; before each chunk it drops the pixels
+    that have saturated (`_live_columns`) and it stops once none is left.
+    With F = 0 there is no feature sum to take.
     """
     p = us.size
+    pairs = 0
     num = np.zeros(p)
     den = np.zeros(p)
     feat = np.zeros((feature.shape[1], p))
@@ -234,6 +255,7 @@ def _blend_block(proj, rows, us, vs, feature, chunk=64):
         z = proj.z[sub]
         t0 = t_run[cols]
         alpha = _alpha_block(proj, sub, us[cols], vs[cols])
+        pairs += alpha.size
         cum = np.cumprod(1.0 - alpha, axis=0)
         w = np.empty_like(cum)
         w[0] = t0
@@ -242,7 +264,8 @@ def _blend_block(proj, rows, us, vs, feature, chunk=64):
         w *= alpha
         num[cols] += z @ w
         den[cols] += w.sum(axis=0)
-        feat[:, cols] += feature[proj.src[sub]].T @ w
+        if feat.shape[0]:
+            feat[:, cols] += feature[proj.src[sub]].T @ w
         # rows are depth-sorted: the range is the first and last hit row
         hit = w > 0.0
         first = hit.argmax(axis=0)
@@ -251,10 +274,10 @@ def _blend_block(proj, rows, us, vs, feature, chunk=64):
         last = sub.size - 1 - hit[::-1].argmax(axis=0)
         zmax[cols] = np.where(some, z[last], zmax[cols])
         t_run[cols] = t0 * cum[-1]
-    return num, den, feat, zmin, zmax
+    return num, den, feat, zmin, zmax, pairs
 
 
-def _finish(num, den, feat, zmin, zmax, h, w, fdim):
+def _finish(num, den, feat, zmin, zmax, h, w, fdim, **counts):
     valid = den >= EPS_ACC
     depth = np.zeros(h * w)
     # clamp to the contributing range: mathematically a no-op, but it keeps
@@ -265,16 +288,52 @@ def _finish(num, den, feat, zmin, zmax, h, w, fdim):
         feature=feat.T.reshape(h, w, fdim),
         acc_alpha=den.reshape(h, w),
         valid=valid.reshape(h, w),
+        **counts,
     )
 
 
-def _bin_rows(proj: _ProjectedArrays, tile: int, ntx: int, nty: int):
-    """Footprint rows per tile, in depth order: (tile ids, row bounds, rows).
+def _tile_min_q(proj: _ProjectedArrays, row, tx, ty, tile: int, w: int, h: int):
+    """Minimum of each row's q over its key's rectangle of pixel centres.
+
+    The rectangle is the tile's, clipped at the image edge.  q is convex,
+    so the minimum is 0 when the footprint centre lies inside the rectangle
+    and otherwise lies on an edge; on each edge the other coordinate's free
+    minimiser, clamped to the edge, gives that edge's minimum.
+    """
+    a, b, c = proj.cov[row].T
+    mx, my = proj.mean2d[row].T
+    x0 = tx * tile - mx
+    x1 = np.minimum(tx * tile + tile, w) - 1 - mx
+    y0 = ty * tile - my
+    y1 = np.minimum(ty * tile + tile, h) - 1 - my
+    det = a * c - b * b
+
+    def q(du, dv):
+        return (c * du * du - 2.0 * b * du * dv + a * dv * dv) / det
+
+    qmin = np.minimum.reduce([q(x0, np.clip(b * x0 / a, y0, y1)),
+                              q(x1, np.clip(b * x1 / a, y0, y1)),
+                              q(np.clip(b * y0 / c, x0, x1), y0),
+                              q(np.clip(b * y1 / c, x0, x1), y1)])
+    inside = (x0 <= 0.0) & (x1 >= 0.0) & (y0 <= 0.0) & (y1 >= 0.0)
+    return np.where(inside, 0.0, qmin)
+
+
+def _bin_rows(proj: _ProjectedArrays, tile: int, w: int, h: int):
+    """Footprint rows per tile, in depth order: (tile ids, row bounds, rows,
+    culled key count).
 
     Every footprint is expanded into one (tile, row) key per tile of its
-    3-sigma screen box, and one stable sort by tile groups the keys while
-    keeping each tile's rows in the global depth order.
+    3-sigma screen box.  A key is culled when q exceeds the row's reach over
+    the whole tile (`_tile_min_q`): beyond min(9, 2 ln(opacity / floor))
+    alpha is 0.  The reach is widened by a margin above q's rounding error,
+    a few ulps times the footprint's condition number (trace / LOW_PASS
+    bounds it), so a culled row has alpha exactly 0 at every pixel of its
+    tile.  One stable sort by tile then groups the kept keys while keeping
+    each tile's rows in the global depth order.
     """
+    ntx = (w + tile - 1) // tile
+    nty = (h + tile - 1) // tile
     rx = SUPPORT_RADIUS * np.sqrt(proj.cov[:, 0])
     ry = SUPPORT_RADIUS * np.sqrt(proj.cov[:, 2])
     tx0 = np.clip(((proj.mean2d[:, 0] - rx) // tile).astype(int), 0, ntx - 1)
@@ -285,21 +344,32 @@ def _bin_rows(proj: _ProjectedArrays, tile: int, ntx: int, nty: int):
     count = nx * (ty1 - ty0 + 1)
     row = np.repeat(np.arange(proj.z.size), count)
     k = np.arange(row.size) - np.repeat(np.cumsum(count) - count, count)
-    key = (ty0[row] + k // nx[row]) * ntx + tx0[row] + k % nx[row]
+    tx = tx0[row] + k % nx[row]
+    ty = ty0[row] + k // nx[row]
+
+    with np.errstate(divide="ignore"):
+        reach = np.minimum(SUPPORT_RADIUS * SUPPORT_RADIUS,
+                           2.0 * np.log(proj.opacity / ALPHA_FLOOR))
+    reach += 1e-12 * (1.0 + (proj.cov[:, 0] + proj.cov[:, 2]) / LOW_PASS)
+    keep = ~(_tile_min_q(proj, row, tx, ty, tile, w, h) > reach[row])  # NaN kept
+    key = (ty * ntx + tx)[keep]
+    row = row[keep]
     order = np.argsort(key, kind="stable")
     key, row = key[order], row[order]
     tiles, start = np.unique(key, return_index=True)
-    return tiles, np.append(start, key.size), row
+    return tiles, np.append(start, key.size), row, int(keep.size - row.size)
 
 
 def render(scene: GaussianScene, cam: CameraView, tile: int = TILE,
            threads: int = 1) -> RenderOutput:
     """Tile-binned front-to-back blend of the whole scene into one view.
 
-    Gaussians are binned to the tiles their 3-sigma screen boxes touch, in
-    one global depth order (ties by scene index), so results are independent
-    of `tile`.  Tiles are blended one after another: `threads` is validated
-    (>= 1) but does not affect rendering.
+    Gaussians are binned to the tiles their support can reach, in one
+    global depth order (ties by scene index), so results are independent of
+    `tile` up to float accumulation order.  Tiles are blended one after
+    another: `threads` is validated (>= 1) but does not affect rendering.
+    The output carries the work counts: (tile, row) keys binned and culled,
+    and (row, pixel) pairs evaluated.
     """
     if tile <= 0 or threads <= 0:
         raise InvalidInputError("tile size and thread count must be positive")
@@ -312,23 +382,26 @@ def render(scene: GaussianScene, cam: CameraView, tile: int = TILE,
     zmax = np.full(h * w, -np.inf)
 
     ntx = (w + tile - 1) // tile
-    nty = (h + tile - 1) // tile
-    tiles, bounds, binned = _bin_rows(proj, tile, ntx, nty)
+    tiles, bounds, binned, culled = _bin_rows(proj, tile, w, h)
+    pairs = 0
     for t, lo, hi in zip(tiles, bounds[:-1], bounds[1:]):
         ty, tx = divmod(int(t), ntx)
         x0, x1 = tx * tile, min((tx + 1) * tile, w)
         y0, y1 = ty * tile, min((ty + 1) * tile, h)
         uu, vv = np.meshgrid(np.arange(x0, x1, dtype=np.float64),
                              np.arange(y0, y1, dtype=np.float64))
-        tn, td, tf, tlo, thi = _blend_block(proj, binned[lo:hi], uu.ravel(),
-                                            vv.ravel(), scene.feature)
+        tn, td, tf, tlo, thi, tp = _blend_block(proj, binned[lo:hi], uu.ravel(),
+                                                vv.ravel(), scene.feature)
+        pairs += tp
         flat = (vv.astype(int) * w + uu.astype(int)).ravel()
         num[flat] = tn
         den[flat] = td
         feat[:, flat] = tf
         zmin[flat] = tlo
         zmax[flat] = thi
-    return _finish(num, den, feat, zmin, zmax, h, w, fdim)
+    return _finish(num, den, feat, zmin, zmax, h, w, fdim,
+                   binned_rows=binned.size + culled, culled_rows=culled,
+                   pairs_evaluated=pairs)
 
 
 def render_oracle(scene: GaussianScene, cam: CameraView) -> RenderOutput:

@@ -531,13 +531,18 @@ def test_criterion_10_pipeline_closes_the_loop(room_runs):
 # ---------------------------------------------------------------------------
 
 def test_criterion_11_performance_shape(room_runs):
+    # Each layer has more Gaussians and more views than the one before, so
+    # its renders evaluate at least as many (row, pixel) pairs: a count
+    # check next to the wall-clock one, which noise cannot flip.
     reports, _ = room_runs
-    monotone = True
+    monotone = pairs_monotone = True
     for seed in range(5):
         layers = reports[seed]["layers"]
         assert [row["count"] for row in layers] == [4000, 5000, 6000]
         times = [row["time_s"] for row in layers]
         monotone &= all(a <= b for a, b in zip(times, times[1:]))
+        pairs = [row["pairs_evaluated"] for row in layers]
+        pairs_monotone &= all(a <= b for a, b in zip(pairs, pairs[1:]))
     # the render half of `bench()`: 10k Gaussians into a 180x320 camera
     scene, cam = _bench_scene(10000, 16, 0), _bench_camera(320, 180)
     t0 = time.perf_counter()
@@ -545,11 +550,13 @@ def test_criterion_11_performance_shape(room_runs):
     t1 = time.perf_counter()
     render_oracle(scene, cam)
     speedup = (time.perf_counter() - t1) / (t1 - t0)
-    ok = monotone and speedup >= 10.0
+    ok = monotone and pairs_monotone and speedup >= 10.0
     times0 = [f"{row['time_s']:.2f}" for row in reports[0]["layers"]]
-    _verdict(11, "layer times monotone + tiled speedup", ok,
+    pairs0 = [row["pairs_evaluated"] for row in reports[0]["layers"]]
+    _verdict(11, "layer times and work monotone + tiled speedup", ok,
              f"seed-0 layer seconds {times0} (non-decreasing x5 seeds: "
-             f"{monotone}), tiled {speedup:.1f}x oracle (>= 10x)")
+             f"{monotone}), pairs evaluated {pairs0} (non-decreasing x5 "
+             f"seeds: {pairs_monotone}), tiled {speedup:.1f}x oracle (>= 10x)")
 
 
 def test_growth_rows_count_the_pseudo_clouds(room_runs):

@@ -104,6 +104,30 @@ def test_init_then_densify(fixture_dir, tmp_path, capsys):
     assert grown.layer_offsets == (80, 80 + payload["added_count"])
 
 
+def test_densify_renders_geometry_only(fixture_dir, tmp_path, monkeypatch):
+    """densify reads only depth and validity from its renders: both the
+    selection renders inside densify_layer and the residual renders of the
+    grown scene take the scene's feature-free geometry view."""
+    import fgs.cli
+    import fgs.densify
+    from fgs.raster import render
+    rig, base = str(fixture_dir / "rig.json"), str(tmp_path / "base.fgs")
+    assert main(["init", "--rig", rig, "--out", base, "--count", "80",
+                 "--quiet"]) == 0
+    widths = {}
+
+    def recording(name):
+        def wrapped(scene, cam, *args, **kwargs):
+            widths.setdefault(name, []).append(scene.feature_dim)
+            return render(scene, cam, *args, **kwargs)
+        return wrapped
+    for mod in (fgs.cli, fgs.densify):
+        monkeypatch.setattr(mod, "render", recording(mod.__name__))
+    assert main(["densify", "--rig", rig, "--scene", base, "--budget", "40",
+                 "--out", str(tmp_path / "grown.fgs"), "--quiet"]) == 0
+    assert widths == {"fgs.densify": [0] * 5, "fgs.cli": [0] * 5}
+
+
 # ---------------------------------------------------------------------------
 # Refinement
 # ---------------------------------------------------------------------------
@@ -505,6 +529,23 @@ def test_oversized_scene_header_exit_4(fixture_dir, tmp_path, capsys):
                                  "--gt", str(fixture_dir / "gt.voxg")])
     assert code == 4
     assert "format error" in err
+
+
+@pytest.mark.parametrize("value", [np.nan, 2.0], ids=["nan_opacity", "opacity_2"])
+def test_scene_failing_validation_exit_4(fixture_dir, tmp_path, capsys, value):
+    """A scene file whose header and size are right but whose content fails
+    the scene's own checks is a format error, as for a voxel grid."""
+    data = bytearray((fixture_dir / "scene.fgs").read_bytes())
+    _, n, fdim, layers = struct.unpack("<4I", data[4:20])
+    assert n > 3
+    at = 20 + 4 * layers + 4 * (3 * (11 + fdim) + 10)   # Gaussian 3's opacity
+    data[at:at + 4] = struct.pack("<f", value)
+    bad = tmp_path / "bad.fgs"
+    bad.write_bytes(bytes(data))
+    code, payload, err = _run(capsys, ["render", "--rig", str(fixture_dir / "rig.json"),
+                                       "--scene", str(bad), "--view", "0"])
+    assert code == 4 and payload is None
+    assert "format error" in err and "opacit" in err
 
 
 _POSE = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]

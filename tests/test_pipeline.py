@@ -284,6 +284,32 @@ def test_growth_rows_count_every_fps_call(monkeypatch):
     assert all(g["time_s"] > 0 for g in growth)
 
 
+def test_stages_render_geometry_only_and_count_the_work(monkeypatch):
+    """Every render the stages make reads only depth and validity, so each
+    takes the scene's feature-free geometry view; each layer row sums the
+    work counts of the renders that close the layer, and the renders of
+    newly arrived views before a densify count in no row."""
+    import fgs.densify
+    import fgs.pipeline
+    from fgs.raster import render
+    outs = []
+
+    def recording(scene, cam, *args, **kwargs):
+        assert scene.feature_dim == 0
+        outs.append(render(scene, cam, *args, **kwargs))
+        return outs[-1]
+    for mod in (fgs.pipeline, fgs.densify):
+        monkeypatch.setattr(mod, "render", recording)
+    report = run_pipeline(_tiny_config(stages=("synth", "init", "densify", "refine")))
+    # 3 init views, the 2 views of the second wave, then all 5 views
+    assert len(outs) == 3 + 2 + 5
+    for row, done in zip(report["layers"], (outs[:3], outs[5:])):
+        for name in ("binned_rows", "culled_rows", "pairs_evaluated"):
+            assert row[name] == sum(getattr(out, name) for out in done), name
+        assert row["binned_rows"] > row["culled_rows"] > 0
+        assert row["pairs_evaluated"] > 0
+
+
 def test_report_refine_and_voxelize(full_run):
     report, _ = full_run
     refine, voxelize = report["stages"][3], report["stages"][4]

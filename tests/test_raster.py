@@ -21,9 +21,10 @@ import pytest
 
 from fgs.core import CameraView, FeatureGaussian, GaussianScene
 from fgs.errors import InvalidInputError, NumericalDegeneracyError
-from fgs.raster import (ALPHA_FLOOR, ALPHA_MAX, EPS_ACC, SUPPORT_RADIUS,
-                        Projected2D, T_STOP, _finish, _live_columns, _project_scene,
-                        alpha_at,
+from fgs.raster import (ALPHA_FLOOR, ALPHA_MAX, EPS_ACC, LOW_PASS, SUPPORT_RADIUS,
+                        Projected2D, T_STOP, _ProjectedArrays, _alpha_block,
+                        _bin_rows, _finish, _live_columns, _project_scene,
+                        _tile_min_q, alpha_at,
                         project_gaussian, render, render_oracle)
 
 
@@ -246,12 +247,52 @@ def test_depth_is_convex_combination_of_contributors():
 # Live-pixel compaction against the uncompacted blend, bit for bit
 # ---------------------------------------------------------------------------
 
-def _reference_render(scene, cam, tile=16, chunk=64):
+def _box_keys(proj, tile, w, h):
+    """Every (tile id, row) of each footprint's 3-sigma box, written out."""
+    ntx, nty = (w + tile - 1) // tile, (h + tile - 1) // tile
+    rx = SUPPORT_RADIUS * np.sqrt(proj.cov[:, 0])
+    ry = SUPPORT_RADIUS * np.sqrt(proj.cov[:, 2])
+    tx0 = np.clip(((proj.mean2d[:, 0] - rx) // tile).astype(int), 0, ntx - 1)
+    tx1 = np.clip(((proj.mean2d[:, 0] + rx) // tile).astype(int), 0, ntx - 1)
+    ty0 = np.clip(((proj.mean2d[:, 1] - ry) // tile).astype(int), 0, nty - 1)
+    ty1 = np.clip(((proj.mean2d[:, 1] + ry) // tile).astype(int), 0, nty - 1)
+    return [(ty * ntx + tx, i) for i in range(proj.z.size)
+            for ty in range(ty0[i], ty1[i] + 1)
+            for tx in range(tx0[i], tx1[i] + 1)]
+
+
+def _tile_reached(proj, reach, i, tx, ty, tile, w, h):
+    """The culling rule on one (tile, row) key in scalar arithmetic: keep
+    the row unless q exceeds its reach over the whole rectangle of the
+    tile's pixel centres, whose minimum is 0 when the footprint centre lies
+    inside and otherwise the least of the four edge minima."""
+    a, b, c = (float(x) for x in proj.cov[i])
+    mx, my = (float(x) for x in proj.mean2d[i])
+    x0, x1 = tx * tile - mx, min(tx * tile + tile, w) - 1 - mx
+    y0, y1 = ty * tile - my, min(ty * tile + tile, h) - 1 - my
+    det = a * c - b * b
+
+    def q(du, dv):
+        return (c * du * du - 2.0 * b * du * dv + a * dv * dv) / det
+
+    def clamp(x, lo, hi):
+        return min(max(x, lo), hi)
+    if x0 <= 0.0 <= x1 and y0 <= 0.0 <= y1:
+        qmin = 0.0
+    else:
+        qmin = min(q(x0, clamp(b * x0 / a, y0, y1)), q(x1, clamp(b * x1 / a, y0, y1)),
+                   q(clamp(b * y0 / c, x0, x1), y0), q(clamp(b * y1 / c, x0, x1), y1))
+    return not qmin > reach[i]
+
+
+def _reference_render(scene, cam, tile=16, chunk=64, cull=True):
     """The tiled renderer without live-pixel compaction, written out.
 
-    Footprints are binned by a Python loop, every chunk blends every pixel
-    of the tile until all of them are saturated, and the depth range comes
-    from np.where reductions.
+    Footprints are binned by a Python loop over their 3-sigma boxes, which
+    keeps (with `cull`) only the tiles the row's support can reach
+    (`_tile_reached`), every chunk blends every pixel of the tile until all
+    of them are saturated, and the depth range comes from np.where
+    reductions.
     """
     proj = _project_scene(scene, cam)
     h, w, fdim = cam.height, cam.width, scene.feature_dim
@@ -259,17 +300,17 @@ def _reference_render(scene, cam, tile=16, chunk=64):
     feat = np.zeros((fdim, h * w))
     zmin, zmax = np.full(h * w, np.inf), np.full(h * w, -np.inf)
     ntx, nty = (w + tile - 1) // tile, (h + tile - 1) // tile
+    # a row's reach: alpha is 0 beyond q = 9 and below the 1/255 floor,
+    # widened by a margin above q's rounding error
+    with np.errstate(divide="ignore"):
+        reach = np.minimum(SUPPORT_RADIUS * SUPPORT_RADIUS,
+                           2.0 * np.log(proj.opacity / ALPHA_FLOOR))
+    reach += 1e-12 * (1.0 + (proj.cov[:, 0] + proj.cov[:, 2]) / LOW_PASS)
     bins = [[] for _ in range(ntx * nty)]
-    rx = SUPPORT_RADIUS * np.sqrt(proj.cov[:, 0])
-    ry = SUPPORT_RADIUS * np.sqrt(proj.cov[:, 2])
-    tx0 = np.clip(((proj.mean2d[:, 0] - rx) // tile).astype(int), 0, ntx - 1)
-    tx1 = np.clip(((proj.mean2d[:, 0] + rx) // tile).astype(int), 0, ntx - 1)
-    ty0 = np.clip(((proj.mean2d[:, 1] - ry) // tile).astype(int), 0, nty - 1)
-    ty1 = np.clip(((proj.mean2d[:, 1] + ry) // tile).astype(int), 0, nty - 1)
-    for i in range(proj.z.size):
-        for ty in range(ty0[i], ty1[i] + 1):
-            for tx in range(tx0[i], tx1[i] + 1):
-                bins[ty * ntx + tx].append(i)
+    for t, i in _box_keys(proj, tile, w, h):
+        ty, tx = divmod(t, ntx)
+        if not cull or _tile_reached(proj, reach, i, tx, ty, tile, w, h):
+            bins[t].append(i)
     for t, rows in enumerate(bins):
         if not rows:
             continue
@@ -364,3 +405,117 @@ def test_compaction_is_bit_identical_to_the_uncompacted_blend(h, w, tile):
         out = render(scene, cam, tile=tile, threads=threads)
         for name in ("depth", "feature", "acc_alpha", "valid"):
             assert np.array_equal(getattr(out, name), getattr(ref, name)), name
+
+
+# ---------------------------------------------------------------------------
+# Tile culling and the render's work counts
+# ---------------------------------------------------------------------------
+
+def _culling_scene(rng, kind, n=300):
+    """Random footprints, all rotated: mixed opacities, or faint ones around
+    the 1/255 floor, or thin needles whose boxes hold many missed tiles."""
+    quat = rng.normal(size=(n, 4))
+    scale = rng.uniform(0.03, 0.5, size=(n, 3))
+    opacity = rng.uniform(0.05, 0.99, size=n)
+    if kind == "faint":
+        opacity = rng.uniform(0.0, 0.03, size=n)
+    elif kind == "needles":
+        scale[:, 0] = rng.uniform(0.005, 0.02, size=n)
+        scale[:, 1] = rng.uniform(0.4, 1.2, size=n)
+    return GaussianScene(
+        mu=rng.uniform([-2.5, -2.0, 1.0], [2.5, 2.0, 9.0], size=(n, 3)),
+        scale=scale, quat=quat / np.linalg.norm(quat, axis=1, keepdims=True),
+        opacity=opacity, feature=rng.normal(size=(n, 3)))
+
+
+@pytest.mark.parametrize("kind", ["mixed", "faint", "needles"])
+@pytest.mark.parametrize("h,w,tile", [(37, 53, 16), (37, 53, 7), (20, 16, 16)])
+def test_culled_rows_have_zero_alpha_on_every_pixel_of_their_tile(kind, h, w, tile):
+    """Brute force: every (tile, row) key of a 3-sigma box that binning
+    drops has alpha exactly 0 at every pixel of the tile, partial edge
+    tiles included; the kept keys are the rest of the boxes' keys."""
+    rng = np.random.default_rng([h, w, tile, ord(kind[0])])
+    cam = CameraView(fx=40.0, fy=40.0, cx=(w - 1) / 2, cy=(h - 1) / 2,
+                     width=w, height=h, rotation=np.eye(3), translation=np.zeros(3))
+    proj = _project_scene(_culling_scene(rng, kind), cam)
+    tiles, bounds, rows, culled = _bin_rows(proj, tile, w, h)
+    kept = {(int(t), int(i)) for t, lo, hi in zip(tiles, bounds[:-1], bounds[1:])
+            for i in rows[lo:hi]}
+    boxes = set(_box_keys(proj, tile, w, h))
+    assert kept <= boxes and len(kept) == rows.size
+    dropped = sorted(boxes - kept)
+    assert len(dropped) == culled > 0
+    ntx = (w + tile - 1) // tile
+    for t in {t for t, _ in dropped}:
+        ty, tx = divmod(t, ntx)
+        uu, vv = np.meshgrid(np.arange(tx * tile, min(tx * tile + tile, w), dtype=np.float64),
+                             np.arange(ty * tile, min(ty * tile + tile, h), dtype=np.float64))
+        block = np.array([i for d, i in dropped if d == t])
+        assert not _alpha_block(proj, block, uu.ravel(), vv.ravel()).any(), t
+
+
+@pytest.mark.parametrize("h,w,tile", [(33, 47, 16), (30, 26, 7)])
+def test_culled_and_unculled_renders_agree(h, w, tile):
+    rng = np.random.default_rng(h + w)
+    cam = CameraView(fx=40.0, fy=40.0, cx=(w - 1) / 2, cy=(h - 1) / 2,
+                     width=w, height=h, rotation=np.eye(3), translation=np.zeros(3))
+    scene = _dense_scene(rng, 600)
+    out = render(scene, cam, tile=tile)
+    assert out.culled_rows > 0
+    ref = _reference_render(scene, cam, tile=tile, cull=False)
+    npt.assert_array_equal(out.valid, ref.valid)
+    for name in ("depth", "feature", "acc_alpha"):
+        npt.assert_allclose(getattr(out, name), getattr(ref, name), rtol=0, atol=1e-12)
+
+
+def test_render_counts_its_work():
+    """Faint footprints never saturate a pixel, so every kept row is
+    evaluated at every pixel of its tile."""
+    rng = np.random.default_rng(8)
+    scene = _culling_scene(rng, "mixed", n=30).replace(opacity=np.full(30, 0.2))
+    cam = _camera(fx=60.0, fy=60.0, cx=31.5, cy=23.5, width=61, height=45)
+    proj = _project_scene(scene, cam)
+    tiles, bounds, _, culled = _bin_rows(proj, 16, 61, 45)
+    kept = np.diff(bounds)
+    # 4 tiles across; the last column and row of tiles are partial
+    pixels = [(min(tx * 16 + 16, 61) - tx * 16) * (min(ty * 16 + 16, 45) - ty * 16)
+              for ty, tx in (divmod(int(t), 4) for t in tiles)]
+    out = render(scene, cam)
+    assert out.binned_rows == len(_box_keys(proj, 16, 61, 45)) == kept.sum() + culled
+    assert out.culled_rows == culled > 0
+    assert out.pairs_evaluated == int(np.dot(kept, pixels))
+    assert render_oracle(scene, cam).pairs_evaluated == 0
+
+
+def test_geometry_view_renders_the_same_geometry_without_features():
+    rng = np.random.default_rng(31)
+    scene = _dense_scene(rng, 300)
+    geometry = scene.geometry()
+    assert len(geometry) == len(scene) and geometry.feature_dim == 0
+    assert geometry.layer_offsets == scene.layer_offsets
+    for name in ("mu", "scale", "quat", "opacity"):
+        assert getattr(geometry, name) is getattr(scene, name)
+    assert geometry.feature.shape == (300, 0) and not geometry.feature.flags.writeable
+    assert scene.feature_dim == 7                 # the scene is untouched
+    cam = _camera(fx=40.0, fy=40.0, cx=23.0, cy=16.0, width=47, height=33)
+    full, geo = render(scene, cam), render(geometry, cam)
+    assert geo.feature.shape == (33, 47, 0)
+    for name in ("depth", "valid", "acc_alpha", "binned_rows", "culled_rows",
+                 "pairs_evaluated"):
+        assert np.array_equal(getattr(geo, name), getattr(full, name)), name
+
+
+def test_culling_margin_keeps_a_row_that_rounding_puts_just_outside():
+    """A tilted footprint whose q at pixel (16, 24) lies within an ulp of
+    the 3-sigma bound: the rectangle minimum of tile (1, 1) computes to just
+    above 9, yet the pixel's alpha is not 0.  Only the rounding margin keeps
+    the row in that tile."""
+    proj = _ProjectedArrays(np.array([[10.974560767979762, 20.424145849942192]]),
+                            np.array([[2.8061154971920184, 1.9966930915188625,
+                                       2.5711442027104985]]),
+                            np.array([5.0]), np.array([0.9]), np.array([0]))
+    one = np.array([0])
+    assert _tile_min_q(proj, one, np.array([1]), np.array([1]), 16, 64, 64)[0] > 9.0
+    assert _alpha_block(proj, one, np.array([16.0]), np.array([24.0]))[0, 0] > 0.0
+    tiles, _, _, _ = _bin_rows(proj, 16, 64, 64)
+    assert 1 * 4 + 1 in tiles.tolist()
