@@ -28,8 +28,7 @@ print(f"rig:   {len(views)} cameras, {views[0].width}x{views[0].height} px")
 cam = views[0]
 
 # Tile-binned path (the fast one; tiles are blended one after another,
-# dropping each tile's saturated pixels as it goes; the thread count does
-# not affect rendering).
+# dropping each tile's saturated pixels as it goes).
 t0 = time.perf_counter()
 fast = render(scene, cam)
 fast_s = time.perf_counter() - t0

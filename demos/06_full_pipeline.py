@@ -11,7 +11,7 @@ directory and reload bit-for-bit.  Takes ~15 s at the default sizes.
 
 Same thing from a shell:
 
-    fgs pipeline --out /tmp/run --seed 0 --threads 2
+    fgs pipeline --out /tmp/run --seed 0
 """
 
 import json
@@ -21,7 +21,7 @@ from fgs import PipelineConfig, run_pipeline
 from fgs.io import load_scene, load_voxel_grid
 
 out = tempfile.mkdtemp(prefix="fgs_pipeline_")
-report = run_pipeline(PipelineConfig(seed=0, threads=2, out_dir=out))
+report = run_pipeline(PipelineConfig(seed=0, out_dir=out))
 
 # One line per stage, with the numbers that stage is about.
 for entry in report["stages"]:

@@ -25,7 +25,7 @@ from .voxel import (GridSpec, IouResult, MapResult, TextBank, TextBankEntry,
                     text_probs, voxelize, voxelize_oracle)
 from .synth import (Primitive, RigSpec, SynthResult, SynthSpec, build_rig,
                     gen_scene, missing_wall_fixture, perturb_poses, room_spec)
-from .pipeline import PipelineConfig, bench, run_pipeline
+from .pipeline import PipelineConfig, run_pipeline
 from . import io
 
 __version__ = "0.1.0"
@@ -52,6 +52,6 @@ __all__ = [
     "voxelize", "voxelize_oracle",
     "Primitive", "RigSpec", "SynthResult", "SynthSpec", "build_rig",
     "gen_scene", "missing_wall_fixture", "perturb_poses", "room_spec",
-    "PipelineConfig", "bench", "run_pipeline",
+    "PipelineConfig", "run_pipeline",
     "io", "__version__",
 ]

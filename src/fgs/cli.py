@@ -1,9 +1,8 @@
 """Command-line entry point: every pipeline mechanism as a subcommand.
 
 Exit codes: 0 success, 2 invalid input, 3 numerical degeneracy, 4 I/O or
-file-format failure.  `--seed`, `--threads` and `--quiet` are accepted by
-every subcommand; FGS_THREADS is the thread-count fallback.  The thread
-count is validated but does not affect rendering or any output.
+file-format failure.  `--seed` and `--quiet` are accepted by every
+subcommand.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from .io import (depth_preview, dump_json, load_bank, load_json_object,
                  load_voxel_grid, save_bank, save_depth_plane, save_plane,
                  save_rig, save_scene, save_voxel_grid)
 from .losses import LossComponents, feat_loss, l1_depth, silog, total_loss
-from .pipeline import PipelineConfig, bench, retrieval_map, run_pipeline
+from .pipeline import PipelineConfig, retrieval_map, run_pipeline
 from .raster import render
 from .sampling import DecodeHeads, refine_scene
 from .synth import SynthSpec, gen_scene, room_spec
@@ -38,19 +37,6 @@ def _emit(args, payload: dict) -> None:
 def _outdir(path) -> None:
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
-
-
-def _threads(args) -> int:
-    source, value = "--threads", args.threads
-    if value is None:
-        source, value = "FGS_THREADS", os.environ.get("FGS_THREADS") or 1
-    try:
-        threads = int(value)
-    except ValueError as e:
-        raise InvalidInputError(f"bad {source} value {value!r}") from e
-    if threads < 1:
-        raise InvalidInputError(f"{source} must be >= 1, got {threads}")
-    return threads
 
 
 def _load_spec(args) -> SynthSpec:
@@ -142,7 +128,7 @@ def cmd_render(args) -> int:
         raise InvalidInputError(f"view index {args.view} out of range "
                                 f"(rig has {len(views)} views)")
     scene = load_scene(args.scene)
-    out = render(scene, views[args.view], threads=_threads(args))
+    out = render(scene, views[args.view])
     payload = {"view": args.view, "valid_pixels": int(out.valid.sum())}
     if args.out_depth:
         _outdir(args.out_depth)
@@ -160,10 +146,10 @@ def cmd_render(args) -> int:
     return 0
 
 
-def _parse_values(text, count, cast, usage, sep=","):
-    """`count` values of type `cast` separated by `sep`, else invalid input."""
+def _parse_values(text, count, cast, usage):
+    """`count` comma-separated values of type `cast`, else invalid input."""
     try:
-        values = tuple(cast(p) for p in text.lower().replace(sep, " ").split())
+        values = tuple(cast(p) for p in text.replace(",", " ").split())
     except ValueError:
         values = ()
     if len(values) != count:
@@ -216,12 +202,11 @@ def cmd_retrieve(args) -> int:
 def cmd_loss(args) -> int:
     views = load_rig(args.rig)
     scene = load_scene(args.scene)
-    threads = _threads(args)
     l1s, logs, coss, mses = [], [], [], []
     for v in views:
         if v.ref_depth is None:
             continue
-        out = render(scene, v, threads=threads)
+        out = render(scene, v)
         ok = out.valid & (np.asarray(v.ref_valid, dtype=bool)
                           if v.ref_valid is not None
                           else np.isfinite(v.ref_depth))
@@ -265,15 +250,6 @@ def cmd_eval_map(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    h, w = _parse_values(args.image, 2, int, "--image wants HxW, e.g. 180x320",
-                         sep="x")
-    report = bench(n_gaussians=args.n, image=(h, w), k=args.k,
-                   threads=_threads(args), seed=args.seed or 0)
-    _emit(args, report)
-    return 0
-
-
 def cmd_pipeline(args) -> int:
     cfg_dict = load_json_object(args.config) if args.config else {}
     if args.stages:
@@ -282,7 +258,6 @@ def cmd_pipeline(args) -> int:
         cfg_dict["seed"] = args.seed
     if args.out:
         cfg_dict["out_dir"] = args.out
-    cfg_dict["threads"] = _threads(args)
     config = PipelineConfig.from_dict(cfg_dict)
     report = run_pipeline(config)
     _emit(args, report)
@@ -297,9 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None,
                         help="random seed (fixture-determining)")
-    common.add_argument("--threads", type=int, default=None,
-                        help="thread count, >= 1; does not affect rendering "
-                             "(default: FGS_THREADS or 1)")
     common.add_argument("--quiet", action="store_true",
                         help="suppress the JSON summary on stdout")
 
@@ -400,13 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--rig", help="restrict to camera-visible points")
     s.add_argument("--cutoff", type=float, default=DEFAULT_CUTOFF)
     s.set_defaults(func=cmd_eval_map)
-
-    s = sub.add_parser("bench", parents=[common],
-                       help="median-of-k timings for the heavy kernels")
-    s.add_argument("--n", type=int, default=10000)
-    s.add_argument("--image", default="180x320")
-    s.add_argument("--k", type=int, default=1)
-    s.set_defaults(func=cmd_bench)
 
     s = sub.add_parser("pipeline", parents=[common],
                        help="run configured stages end to end")

@@ -36,8 +36,8 @@ class DensifyConfig:
     feature_dim: int = 16
 
     def __post_init__(self):
-        if self.gamma <= 0 or self.init_scale <= 0:
-            raise InvalidInputError("gamma and init_scale must be positive")
+        if not (0 < self.gamma < np.inf and 0 < self.init_scale < np.inf):
+            raise InvalidInputError("gamma and init_scale must be positive and finite")
         if self.base_count <= 0 or any(b <= 0 for b in self.layer_budgets):
             raise InvalidInputError("base count and layer budgets must be positive")
         if self.select_mode not in ("signed", "absolute"):

@@ -21,18 +21,18 @@ import numpy as np
 
 from .core import CameraView, GaussianScene, project_points
 from .densify import (DensifyConfig, GAMMA, base_init, densify_layer,
-                      feature_dim_of, fps, selection_residual)
+                      feature_dim_of, selection_residual)
 # perfbench's tracer wraps select_under_represented on this module too.
 from .densify import select_under_represented  # noqa: F401
 from .errors import FgsError, InvalidInputError
 from .io import (dump_json, json_float, json_int, json_list, json_optional,
                  json_str, jsonable, read_object, save_scene, save_voxel_grid)
-from .raster import RenderOutput, render, render_oracle
+from .raster import RenderOutput, render
 from .sampling import DecodeHeads, refine_scene
 from .synth import SynthSpec, gen_scene, room_spec
 from .voxel import (DEFAULT_CUTOFF, GridSpec, TAU_OCC, TextBank, VoxelGrid,
                     check_cutoff, check_tau, eval_map, eval_miou,
-                    retrieval_scores, voxelize, voxelize_oracle)
+                    retrieval_scores, voxelize)
 
 STAGES = ("synth", "init", "densify", "refine", "voxelize", "eval")
 DEFAULT_STAGES = ("synth", "init", "densify", "refine", "densify", "refine",
@@ -77,6 +77,7 @@ class PipelineConfig:
 
     stages: tuple[str, ...] = DEFAULT_STAGES
     seed: int = 0
+    # No effect; kept while perfbench/run.py, edited only on its own, passes it.
     threads: int = 1
     out_dir: str | None = None
     spec: SynthSpec | None = None
@@ -95,6 +96,9 @@ class PipelineConfig:
         self.stages = validate_stages(self.stages)
         if self.threads < 1:
             raise InvalidInputError("threads must be >= 1")
+        if self.view_waves is not None and any(w <= 0 for w in self.view_waves):
+            raise InvalidInputError(
+                f"view wave sizes must be positive, got {list(self.view_waves)}")
         check_cutoff(self.cutoff)
         check_tau(self.tau_occ)
 
@@ -136,7 +140,7 @@ def _heads(v) -> DecodeHeads:
 # How PipelineConfig.from_dict reads each field; a key missing here is unknown.
 _CONFIG_FIELDS = {
     "stages": lambda v: tuple(json_list(v, json_str)),
-    "seed": json_int, "threads": json_int, "out_dir": json_optional(_path),
+    "seed": json_int, "out_dir": json_optional(_path),
     "spec": json_optional(_spec), "base_count": json_int,
     "layer_budgets": _ints, "gamma": json_float, "select_mode": json_str,
     "occlusion_margin": json_optional(json_float), "tau_occ": json_float,
@@ -175,8 +179,7 @@ class _State:
         render; either way the renders' work counts add to the newest row."""
         t0 = time.perf_counter()
         geometry = self.scene.geometry()
-        self.renders = [render(geometry, v, threads=self.config.threads)
-                        for v in self.active]
+        self.renders = [render(geometry, v) for v in self.active]
         if growth is not None:
             self.report["layers"].append({
                 "index": self.scene.layer_count - 1, "count": len(self.scene),
@@ -220,8 +223,7 @@ def _densify(st: _State) -> dict:
     # Render the scene into the views that just arrived, so that their
     # unexplained pixels can be selected.
     geometry = st.scene.geometry()
-    st.renders += [render(geometry, v, threads=st.config.threads)
-                   for v in active[len(st.renders):]]
+    st.renders += [render(geometry, v) for v in active[len(st.renders):]]
     t0 = time.perf_counter()
     st.scene, growth = densify_layer(st.scene, active, st.dconf, layer,
                                      renders=st.renders)
@@ -347,67 +349,3 @@ def _write_artifacts(st: _State) -> None:
     st.report["artifacts"] = arts
     with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
         dump_json(st.report, fh)
-
-
-# ---------------------------------------------------------------------------
-# Benchmarks
-# ---------------------------------------------------------------------------
-
-def _bench_scene(n: int, fdim: int, seed: int) -> GaussianScene:
-    rng = np.random.default_rng(seed)
-    quat = rng.normal(size=(n, 4))
-    return GaussianScene(
-        mu=rng.uniform([-6.0, -4.0, 0.5], [6.0, 4.0, 14.0], size=(n, 3)),
-        scale=rng.uniform(0.05, 0.3, size=(n, 3)),
-        quat=quat / np.linalg.norm(quat, axis=1, keepdims=True),
-        opacity=rng.uniform(0.2, 0.95, size=n),
-        feature=rng.normal(size=(n, fdim)),
-    )
-
-
-def _bench_camera(width=320, height=180) -> CameraView:
-    return CameraView(fx=width / 2.0, fy=width / 2.0, cx=(width - 1) / 2.0,
-                      cy=(height - 1) / 2.0, width=width, height=height,
-                      rotation=np.eye(3), translation=np.zeros(3))
-
-
-def _median_time(fn, k: int) -> float:
-    times = []
-    for _ in range(max(1, k)):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return float(np.median(times))
-
-
-def bench(n_gaussians: int = 10000, image=(180, 320), k: int = 1,
-          threads: int = 1, seed: int = 0) -> dict:
-    """Median-of-k wall times for the rasterizer (tiled vs. per-pixel
-    oracle), the voxelizer (cutoff vs. dense oracle) and FPS."""
-    scene = _bench_scene(n_gaussians, 16, seed)
-    cam = _bench_camera(image[1], image[0])
-    tiled_s = _median_time(lambda: render(scene, cam, threads=threads), k)
-    oracle_s = _median_time(lambda: render_oracle(scene, cam), k)
-
-    from .voxel import orthonormal_bank
-    bank = orthonormal_bank(["a", "b", "c", "empty"], 16, seed=seed)
-    grid = GridSpec(np.array([-6.0, -3.0, 0.0]), (24, 24, 24), 0.5)
-    vox_s = _median_time(lambda: voxelize(scene, bank, grid, cutoff=3.0), k)
-    vox_oracle_s = _median_time(
-        lambda: voxelize_oracle(scene, bank, grid), k)
-
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(-10, 10, size=(20000, 3))
-    fps_s = _median_time(lambda: fps(pts, 2000), k)
-
-    return {
-        "k": int(max(1, k)),
-        "n_gaussians": int(n_gaussians),
-        "image": [int(image[0]), int(image[1])],
-        "threads": int(threads),
-        "render": {"tiled_s": tiled_s, "oracle_s": oracle_s,
-                   "speedup": oracle_s / tiled_s if tiled_s > 0 else None},
-        "voxelize": {"cutoff_s": vox_s, "oracle_s": vox_oracle_s,
-                     "speedup": (vox_oracle_s / vox_s) if vox_s > 0 else None},
-        "fps": {"n_points": 20000, "k_picks": 2000, "time_s": fps_s},
-    }

@@ -368,6 +368,7 @@ def render(scene: GaussianScene, cam: CameraView, tile: int = TILE,
     global depth order (ties by scene index), so results are independent of
     `tile` up to float accumulation order.  Tiles are blended one after
     another: `threads` is validated (>= 1) but does not affect rendering.
+    It stays only because perfbench/run.py and perfbench/selftest.py pass it.
     The output carries the work counts: (tile, row) keys binned and culled,
     and (row, pixel) pairs evaluated.
     """

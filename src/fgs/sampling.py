@@ -233,6 +233,9 @@ def sample_features(points: np.ndarray, views: list[CameraView],
     and the plane there describes the occluder, not it.  Pixels without a
     valid reference depth are left ungated.
     """
+    if occlusion_margin is not None and not np.isfinite(occlusion_margin):
+        raise InvalidInputError(
+            f"occlusion margin must be finite, got {occlusion_margin}")
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     feat_views = [v for v in views if v.ref_feature is not None]
     if not feat_views:
@@ -341,6 +344,12 @@ def refine_scene(scene: GaussianScene, views: list[CameraView],
     """
     if which not in ("all", "newest"):
         raise InvalidInputError("which must be 'all' or 'newest'")
+    width = heads.feat.out_dim if heads is not None else next(
+        (v.ref_feature.shape[2] for v in views if v.ref_feature is not None),
+        scene.feature_dim)
+    if width != scene.feature_dim:
+        raise InvalidInputError(f"refinement writes {width}-wide features into "
+                                f"a scene of width {scene.feature_dim}")
     rows = np.arange(len(scene)) if which == "all" else \
         np.arange(scene.layer_slice(scene.layer_count - 1).start, len(scene))
     if rows.size == 0:

@@ -433,6 +433,12 @@ def gen_scene(spec: SynthSpec, omit_from_scene=()) -> SynthResult:
     """
     if not spec.primitives:
         raise InvalidInputError("spec has no primitives")
+    if spec.seed < 0:
+        raise InvalidInputError(f"seed must be non-negative, got {spec.seed}")
+    if not (0 <= spec.depth_noise < np.inf and 0 <= spec.pose_noise < np.inf):
+        raise InvalidInputError("depth and pose noise must be finite and "
+                                f"non-negative, got {spec.depth_noise} and "
+                                f"{spec.pose_noise}")
     unknown = set(omit_from_scene) - {p.name for p in spec.primitives}
     if unknown:
         raise InvalidInputError(f"unknown primitive names: {sorted(unknown)}")

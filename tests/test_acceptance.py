@@ -61,8 +61,7 @@ from fgs.densify import (DensifyConfig, densify_layer, fps, fps_oracle,
                          select_under_represented)
 from fgs.losses import (LossComponents, LossWeights, feat_loss, l1_depth,
                         photometric_temporal, silog, total_loss)
-from fgs.pipeline import (PipelineConfig, _bench_camera, _bench_scene,
-                          run_pipeline)
+from fgs.pipeline import PipelineConfig, run_pipeline
 from fgs.raster import T_STOP, alpha_at, project_gaussian, render, render_oracle
 from fgs.sampling import bilinear_sample, place_samples
 from fgs.synth import missing_wall_fixture
@@ -93,6 +92,20 @@ def _random_scene(rng, n, fdim=16, z_low=0.05, z_high=12.0):
         scale=rng.uniform(0.02, 0.4, size=(n, 3)),
         quat=quat / np.linalg.norm(quat, axis=1, keepdims=True),
         opacity=rng.uniform(0.0, 1.0, size=n),
+        feature=rng.normal(size=(n, fdim)),
+    )
+
+
+def _speed_scene(n, fdim, seed):
+    """Criterion 11's scene: n Gaussians spread over a 12 x 8 x 13.5 m box
+    in front of the camera."""
+    rng = np.random.default_rng(seed)
+    quat = rng.normal(size=(n, 4))
+    return GaussianScene(
+        mu=rng.uniform([-6.0, -4.0, 0.5], [6.0, 4.0, 14.0], size=(n, 3)),
+        scale=rng.uniform(0.05, 0.3, size=(n, 3)),
+        quat=quat / np.linalg.norm(quat, axis=1, keepdims=True),
+        opacity=rng.uniform(0.2, 0.95, size=n),
         feature=rng.normal(size=(n, fdim)),
     )
 
@@ -543,8 +556,8 @@ def test_criterion_11_performance_shape(room_runs):
         monotone &= all(a <= b for a, b in zip(times, times[1:]))
         pairs = [row["pairs_evaluated"] for row in layers]
         pairs_monotone &= all(a <= b for a, b in zip(pairs, pairs[1:]))
-    # the render half of `bench()`: 10k Gaussians into a 180x320 camera
-    scene, cam = _bench_scene(10000, 16, 0), _bench_camera(320, 180)
+    # 10k Gaussians into a 180x320 camera
+    scene, cam = _speed_scene(10000, 16, 0), _camera(320, 180, 160.0)
     t0 = time.perf_counter()
     render(scene, cam, threads=1)
     t1 = time.perf_counter()

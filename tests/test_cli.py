@@ -20,9 +20,10 @@ import numpy as np
 import pytest
 
 from fgs.cli import main
+from fgs.core import GaussianScene
 from fgs.io import (load_depth_plane, load_plane, load_scene,
-                    load_voxel_grid, save_tensors)
-from fgs.sampling import DecodeHeads
+                    load_voxel_grid, save_points, save_scene, save_tensors)
+from fgs.sampling import DecodeHeads, Mlp
 from fgs.synth import Primitive, RigSpec, RingSpec, SynthSpec
 from fgs.voxel import GridSpec
 
@@ -77,6 +78,31 @@ def test_synth_writes_fixture_and_summary(tmp_path, capsys):
         assert (out / name).exists(), name
 
 
+@pytest.mark.parametrize("extra", [["--seed", "-5"],
+                                   ["--depth-noise=-1"], ["--depth-noise", "nan"],
+                                   ["--depth-noise", "inf"],
+                                   ["--pose-noise=-1"], ["--pose-noise", "nan"],
+                                   ["--pose-noise", "inf"]],
+                         ids=["negative_seed", "negative_depth_noise",
+                              "nan_depth_noise", "inf_depth_noise",
+                              "negative_pose_noise", "nan_pose_noise",
+                              "inf_pose_noise"])
+def test_synth_bad_seed_or_noise_exit_2(tmp_path, capsys, extra):
+    out = tmp_path / "fix"
+    code, payload, err = _run(capsys, ["synth", "--out", str(out), *extra])
+    assert code == 2 and payload is None
+    assert "invalid input" in err
+    assert not out.exists()
+
+
+def test_synth_spec_with_negative_seed_exit_2(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    _tiny_spec(seed=-1).save(str(spec_path))
+    code, _, err = _run(capsys, ["synth", "--spec", str(spec_path),
+                                 "--out", str(tmp_path / "fix")])
+    assert code == 2 and "seed" in err
+
+
 # ---------------------------------------------------------------------------
 # Layer growth: init -> densify
 # ---------------------------------------------------------------------------
@@ -102,6 +128,14 @@ def test_init_then_densify(fixture_dir, tmp_path, capsys):
     assert payload["residual_after"] < payload["residual_before"]
     grown = load_scene(str(grown_path))
     assert grown.layer_offsets == (80, 80 + payload["added_count"])
+
+
+@pytest.mark.parametrize("gamma", ["nan", "inf", "0"])
+def test_init_bad_gamma_exit_2(fixture_dir, tmp_path, capsys, gamma):
+    code, _, err = _run(capsys, ["init", "--rig", str(fixture_dir / "rig.json"),
+                                 "--out", str(tmp_path / "s.fgs"),
+                                 "--gamma", gamma])
+    assert code == 2 and "gamma" in err
 
 
 def test_densify_renders_geometry_only(fixture_dir, tmp_path, monkeypatch):
@@ -159,6 +193,45 @@ def test_refine_with_heads_file(fixture_dir, tmp_path, capsys):
                                      "--which", "newest"])
     assert code == 0
     assert payload["heads"] is True and payload["which"] == "newest"
+
+
+def test_refine_scene_of_other_feature_width_exit_2(fixture_dir, tmp_path,
+                                                    capsys):
+    """The rig's planes are 8 wide; a 3-wide scene cannot take them."""
+    rng = np.random.default_rng(0)
+    scene = tmp_path / "narrow.fgs"
+    save_scene(str(scene), GaussianScene(
+        rng.uniform(-1.0, 1.0, (20, 3)), np.full((20, 3), 0.1),
+        np.tile([1.0, 0.0, 0.0, 0.0], (20, 1)), np.full(20, 0.5),
+        np.zeros((20, 3))))
+    code, _, err = _run(capsys, ["refine", "--rig", str(fixture_dir / "rig.json"),
+                                 "--scene", str(scene),
+                                 "--out", str(tmp_path / "r.fgs")])
+    assert code == 2 and "3" in err and "8" in err
+
+
+def test_refine_heads_of_other_feature_width_exit_2(fixture_dir, tmp_path,
+                                                    capsys):
+    """A feat head that emits 4 values cannot update an 8-wide scene."""
+    heads = DecodeHeads.seeded(8, 8, n_offsets=4, hidden=(8,), seed=0)
+    heads.feat = Mlp.seeded([8, 4], np.random.default_rng(0))
+    path = tmp_path / "narrow.head"
+    save_tensors(str(path), heads.to_tensors())
+    code, _, err = _run(capsys, ["refine", "--rig", str(fixture_dir / "rig.json"),
+                                 "--scene", str(fixture_dir / "scene.fgs"),
+                                 "--out", str(tmp_path / "r.fgs"),
+                                 "--heads", str(path)])
+    assert code == 2 and "4-wide" in err
+
+
+@pytest.mark.parametrize("margin", ["nan", "inf", "-inf"])
+def test_refine_non_finite_occlusion_margin_exit_2(fixture_dir, tmp_path,
+                                                   capsys, margin):
+    code, _, err = _run(capsys, ["refine", "--rig", str(fixture_dir / "rig.json"),
+                                 "--scene", str(fixture_dir / "scene.fgs"),
+                                 "--out", str(tmp_path / "r.fgs"),
+                                 f"--occlusion-margin={margin}"])
+    assert code == 2 and "occlusion margin" in err
 
 
 def test_refine_heads_missing_tensor_exit_2(fixture_dir, tmp_path, capsys):
@@ -394,24 +467,8 @@ def test_grid_with_bad_geometry_exit_4(fixture_dir, tmp_path, capsys, offset, va
 
 
 # ---------------------------------------------------------------------------
-# Bench and pipeline
+# Pipeline
 # ---------------------------------------------------------------------------
-
-def test_bench_summary(capsys):
-    code, payload, _ = _run(capsys, ["bench", "--n", "100",
-                                     "--image", "16x24", "--k", "1"])
-    assert code == 0
-    assert payload["n_gaussians"] == 100 and payload["image"] == [16, 24]
-    assert payload["render"]["speedup"] > 0
-    assert payload["voxelize"]["speedup"] > 0
-    assert payload["fps"]["time_s"] > 0
-
-
-def test_bench_bad_image_exit_2(capsys):
-    for image in ("180", "180xabc"):
-        code, _, err = _run(capsys, ["bench", "--image", image])
-        assert code == 2 and "HxW" in err
-
 
 def test_pipeline_from_config_with_stage_override(tmp_path, capsys):
     cfg = {"spec": _tiny_spec().to_dict(), "base_count": 60,
@@ -457,11 +514,15 @@ def test_pipeline_bad_config_key_exit_2(tmp_path, capsys):
     ('{"cutoff": Infinity}', 2),
     ('{"tau_occ": NaN}', 2),
     ('{"tau_occ": -Infinity}', 2),
+    ('{"view_waves": [-3]}', 2),
+    ('{"view_waves": [0]}', 2),
+    ('{"threads": 2}', 2),
 ], ids=["invalid_json", "not_an_object", "string_seed", "spec_not_an_object",
         "primitive_without_class", "scalar_budgets", "string_budgets",
         "fractional_seed", "string_gamma", "eval_without_voxelize",
         "spec_unknown_shape", "spec_flat_box", "negative_cutoff", "nan_cutoff",
-        "inf_cutoff", "nan_tau", "negative_inf_tau"])
+        "inf_cutoff", "nan_tau", "negative_inf_tau", "negative_wave",
+        "zero_wave", "threads_key"])
 def test_malformed_pipeline_config_exit_code(tmp_path, capsys, text, code):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(text)
@@ -469,6 +530,21 @@ def test_malformed_pipeline_config_exit_code(tmp_path, capsys, text, code):
                                       "--stages", ""])
     assert got == code and payload is None
     assert ("format error" if code == 4 else "invalid input") in err
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["--seed", "-1"], {}),
+    ([], {"seed": -2}),
+    ([], {"gamma": float("nan")}),
+    ([], {"gamma": float("inf")}),
+], ids=["negative_seed_flag", "negative_seed_key", "nan_gamma", "inf_gamma"])
+def test_pipeline_bad_seed_or_gamma_exit_2(tmp_path, capsys, argv, config):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"stages": ["synth", "init"], **config}))
+    code, payload, err = _run(capsys, ["pipeline", "--config", str(cfg_path),
+                                       *argv])
+    assert code == 2 and payload is None
+    assert "invalid input" in err
 
 
 @pytest.mark.parametrize("text, code", [
@@ -548,6 +624,73 @@ def test_scene_failing_validation_exit_4(fixture_dir, tmp_path, capsys, value):
     assert "format error" in err and "opacit" in err
 
 
+def _rig_with_depth(fixture_dir, depth, out):
+    """The fixture rig, written to `out`, with view 0's depth plane at `depth`."""
+    doc = json.loads((fixture_dir / "rig.json").read_text())
+    for view in doc["views"]:
+        for key in ("depth", "feature"):
+            view[key] = str(fixture_dir / view[key])
+    doc["views"][0]["depth"] = str(depth)
+    out.write_text(json.dumps(doc))
+    return str(out)
+
+
+def _written(tmp_path, save, value) -> bytes:
+    path = tmp_path / "valid.bin"
+    save(str(path), value)
+    return path.read_bytes()
+
+
+# Per command: the valid file it reads, that file's header field offsets,
+# the offset of its u32 count, and the command line for a copy at `bad`.
+_BINARY_INPUTS = {
+    "render_scene": (
+        lambda fx, tmp: (fx / "scene.fgs").read_bytes(), (0, 4, 8, 12, 16, 20), 8,
+        lambda fx, bad, tmp: ["render", "--rig", str(fx / "rig.json"),
+                              "--scene", bad]),
+    "eval_miou_pred": (
+        lambda fx, tmp: (fx / "gt.voxg").read_bytes(), (0, 4, 16, 28, 32), 4,
+        lambda fx, bad, tmp: ["eval-miou", "--pred", bad,
+                              "--gt", str(fx / "gt.voxg")]),
+    "init_rig_depth": (
+        lambda fx, tmp: (fx / "view000_depth.plne").read_bytes(), (0, 4, 16), 4,
+        lambda fx, bad, tmp: ["init", "--out", str(tmp / "s.fgs"), "--rig",
+                              _rig_with_depth(fx, bad, tmp / "rig.json")]),
+    "retrieve_points": (
+        lambda fx, tmp: _written(tmp, save_points, np.ones((2, 3))), (0, 4, 8), 4,
+        lambda fx, bad, tmp: ["retrieve", "--scene", str(fx / "scene.fgs"),
+                              "--bank", str(fx / "bank.json"), "--points", bad]),
+    "refine_heads": (
+        lambda fx, tmp: _written(tmp, save_tensors, DecodeHeads.seeded(
+            8, 8, n_offsets=4, hidden=(8,), seed=0).to_tensors()),
+        (0, 4, 8, 12, 14), 8,
+        lambda fx, bad, tmp: ["refine", "--rig", str(fx / "rig.json"),
+                              "--scene", str(fx / "scene.fgs"),
+                              "--out", str(tmp / "r.fgs"), "--heads", bad]),
+}
+
+
+@pytest.mark.filterwarnings("ignore:loadtxt")
+@pytest.mark.parametrize("command", sorted(_BINARY_INPUTS))
+def test_damaged_binary_input_exit_code(fixture_dir, tmp_path, capsys, command):
+    """A fixed set of damaged copies of the file the command reads: cut at
+    each header field and two bytes into it, the first magic byte flipped,
+    the count set to 2**32 - 1.  Each ends in a documented exit code."""
+    valid, fields, count_at, argv = _BINARY_INPUTS[command]
+    raw = valid(fixture_dir, tmp_path)
+    damaged = {"flipped_magic": bytes([raw[0] ^ 0xFF]) + raw[1:],
+               "huge_count": (raw[:count_at] + struct.pack("<I", 2**32 - 1)
+                              + raw[count_at + 4:])}
+    for at in fields:
+        damaged[f"cut_at_{at}"] = raw[:at]
+        damaged[f"cut_at_{at + 2}"] = raw[:at + 2]
+    bad = tmp_path / "bad.bin"
+    for name, data in damaged.items():
+        bad.write_bytes(data)
+        code, payload, _ = _run(capsys, argv(fixture_dir, str(bad), tmp_path))
+        assert code in (2, 3, 4) and payload is None, name
+
+
 _POSE = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
 
 
@@ -617,23 +760,6 @@ def test_stdout_is_strict_json(fixture_dir, tmp_path, capsys):
     assert code == 0 and payload["added_count"] == 0
     assert payload["residual_before"] is None
     assert payload["residual_after"] is None
-
-
-def test_threads_env_fallback(fixture_dir, tmp_path, capsys, monkeypatch):
-    argv = ["render", "--rig", str(fixture_dir / "rig.json"),
-            "--scene", str(fixture_dir / "scene.fgs"), "--view", "1"]
-    monkeypatch.setenv("FGS_THREADS", "2")
-    code, payload, _ = _run(capsys, argv)
-    assert code == 0 and payload["valid_pixels"] > 0
-
-    for bad in ("abc", "0", "-3"):
-        monkeypatch.setenv("FGS_THREADS", bad)
-        code, _, err = _run(capsys, argv)
-        assert code == 2 and "FGS_THREADS" in err, bad
-
-    # An explicit flag wins over the (broken) environment value.
-    code, _, _ = _run(capsys, argv + ["--threads", "1"])
-    assert code == 0
 
 
 def test_quiet_suppresses_stdout(fixture_dir, capsys):

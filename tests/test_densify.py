@@ -437,3 +437,7 @@ def test_densify_config_validation():
         DensifyConfig(select_mode="both")
     with pytest.raises(InvalidInputError):
         DensifyConfig(init_opacity=1.5)
+    for value in (float("nan"), float("inf")):
+        for field in ("gamma", "init_scale"):
+            with pytest.raises(InvalidInputError, match="finite"):
+                DensifyConfig(**{field: value})

@@ -113,7 +113,6 @@ def _check(read, path, doc, argv):
 
 
 def _config_doc():
-    # "threads" is left out: the CLI always sets it from --threads.
     return {"stages": [], "seed": 0, "out_dir": None,
             "spec": _tiny_spec().to_dict(), "base_count": 60,
             "layer_budgets": [40, 20], "gamma": 0.2, "select_mode": "signed",

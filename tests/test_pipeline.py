@@ -24,7 +24,7 @@ import pytest
 
 from fgs.errors import InsufficientPointsError, InvalidInputError
 from fgs.io import load_scene, load_voxel_grid
-from fgs.pipeline import (DEFAULT_STAGES, STAGES, PipelineConfig, bench,
+from fgs.pipeline import (DEFAULT_STAGES, STAGES, PipelineConfig,
                           run_pipeline, validate_stages)
 from fgs.synth import Primitive, RigSpec, RingSpec, SynthSpec
 from fgs.voxel import GridSpec
@@ -150,6 +150,11 @@ def test_config_validation():
     for tau in (float("nan"), float("inf")):
         with pytest.raises(InvalidInputError):
             PipelineConfig(tau_occ=tau)
+    # views[:-3] would activate all but three views; an empty wave would
+    # fail later as an empty pseudo cloud
+    for waves in ((-3,), (0,), (2, 0)):
+        with pytest.raises(InvalidInputError, match="view wave sizes"):
+            PipelineConfig(view_waves=waves)
     assert PipelineConfig().stages == DEFAULT_STAGES
 
 
@@ -177,8 +182,9 @@ def test_config_from_dict_rejects_unknown_keys():
 
 
 def test_config_from_dict_reads_every_field():
+    # except the no-op thread count, which a config file cannot set
     from fgs.pipeline import _CONFIG_FIELDS
-    assert set(_CONFIG_FIELDS) == set(PipelineConfig.__dataclass_fields__)
+    assert set(_CONFIG_FIELDS) == set(PipelineConfig.__dataclass_fields__) - {"threads"}
 
 
 def test_config_from_dict_passes_objects_through(tmp_path):
@@ -384,23 +390,3 @@ def test_stage_failure_keeps_error_type_and_names_stage():
     with pytest.raises(InsufficientPointsError, match="stage 'init' failed"):
         run_pipeline(_tiny_config(stages=("synth", "init"), base_count=10000))
 
-
-# ---------------------------------------------------------------------------
-# Bench
-# ---------------------------------------------------------------------------
-
-def test_bench_report_shape():
-    report = bench(n_gaussians=150, image=(24, 32), k=1, threads=1, seed=0)
-    assert report["k"] == 1
-    assert report["n_gaussians"] == 150
-    assert report["image"] == [24, 32]
-    assert report["threads"] == 1
-    for group, fast, slow in (("render", "tiled_s", "oracle_s"),
-                              ("voxelize", "cutoff_s", "oracle_s")):
-        assert report[group][fast] > 0
-        assert report[group][slow] > 0
-        assert report[group]["speedup"] == pytest.approx(
-            report[group][slow] / report[group][fast])
-    assert report["fps"] == {"n_points": 20000, "k_picks": 2000,
-                             "time_s": report["fps"]["time_s"]}
-    assert report["fps"]["time_s"] > 0
