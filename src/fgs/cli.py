@@ -252,7 +252,7 @@ def cmd_eval_map(args) -> int:
 
 def cmd_pipeline(args) -> int:
     cfg_dict = load_json_object(args.config) if args.config else {}
-    if args.stages:
+    if args.stages is not None:         # "" is the empty stage list
         cfg_dict["stages"] = [s for s in args.stages.split(",") if s]
     if args.seed is not None:
         cfg_dict["seed"] = args.seed

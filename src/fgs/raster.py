@@ -16,10 +16,28 @@ verbatim by the two renderers:
   contributing Gaussians so convexity survives floating-point division; the
   feature image is the unnormalized weighted sum.
 
-`render` is the production tiled path.  It bins footprints to tiles (16x16
-by default) with one stable sort of (tile, footprint) keys and blends each
-tile's rows in chunks of 64.  Three kinds of work that cannot reach an output
-are skipped, each exactly:
+`render` is the production tiled path.  It bins footprints to 8x8 tiles with
+one stable sort of (tile, footprint) keys and blends the tiles as a
+wavefront (`_blend_group`): tiles go in groups of about 1024 pixels, and
+step k of a group blends chunk k, rows 64k..64k+63 of each tile's
+depth-ordered list, of every tile in the group still running, in one set of
+NumPy calls.  A tile shorter than the step is padded with a row of opacity
+0, whose alpha is exactly 0; a tile leaves the group when its rows run out
+or every one of its pixels has T below the floor.  Each pixel still gets the
+bits of a blend of its tile alone, chunk by chunk: the alpha and weight
+arithmetic is per pair, and the depth GEMV and the feature GEMM are called
+per tile on its own rows and its in-image pixels in row-major order.
+
+The tile is 8x8 because most pairs a kept row evaluates have alpha 0: its
+ellipse covers only part of the tile.  Over the 34 renders of the seed-0
+room pipeline, 8x8 tiles evaluate 92.9 M pairs and 16x16 tiles 155.4 M.
+Blended one tile at a time, every 64-row chunk paid the fixed cost of a few
+dozen NumPy calls, which made small tiles the slower ones; a group step pays
+it once for 16 tiles.  There is no per-pixel compaction: a saturated pixel
+of a running tile is evaluated and gets weight 0, where a compacted block
+would have to keep every pixel's BLAS summation order.
+
+Work that cannot reach an output is skipped exactly:
 
 * tile culling: a footprint's 3-sigma box can overlap a tile whose pixel
   centres its ellipse never reaches.  Binning takes the minimum of q over
@@ -28,14 +46,8 @@ are skipped, each exactly:
   rounding margin; the dropped row's alpha is exactly 0 at every pixel of
   the tile, so T and every sum are unchanged (only chunk boundaries move,
   which can move the last bits of a sum);
-* exp only inside the support: `_alpha_block` takes exp and the opacity
-  product only where q <= 9 and leaves the other pairs at 0;
-* live-pixel compaction: before each chunk the tile's saturated pixels are
-  dropped.  T never increases along a pixel's rows, so a pixel whose T fell
-  below the floor gets weight 0 from every later row and its sums are
-  final.  The tile ends when no pixel is live.  The compacted block is laid
-  out so that every pixel gets the same bits as in an uncompacted one
-  (`_live_columns`).
+* saturated tiles: a tile stops once T is below the floor at all of its
+  pixels, since T never increases along a pixel's rows.
 
 A scene with feature width 0 (`GaussianScene.geometry()`) renders depth,
 `valid` and `acc_alpha` bit-identical to the full scene and skips the
@@ -63,7 +75,11 @@ ALPHA_FLOOR = 1.0 / 255.0
 SUPPORT_RADIUS = 3.0    # Mahalanobis support of a footprint, in sigmas
 T_STOP = 1e-4           # saturation floor on transmittance
 EPS_ACC = 1e-6          # minimum blend mass for a valid depth
-TILE = 16
+TILE = 8
+CHUNK = 64              # rows per blend step
+_GROUP_PIXELS = 1024    # tile pixels per step's NumPy calls: 16 tiles of 8x8
+_BIN_KEYS = 16384       # (tile, row) keys culled per NumPy call
+_RANK = np.arange(1, CHUNK + 1, dtype=np.int8)[:, None, None]
 
 
 @dataclass
@@ -122,7 +138,9 @@ def _project_scene(scene: GaussianScene, cam: CameraView) -> _ProjectedArrays:
 
     rx = SUPPORT_RADIUS * np.sqrt(cov_a)
     ry = SUPPORT_RADIUS * np.sqrt(cov_c)
-    on_screen = ((u + rx >= 0.0) & (u - rx <= cam.width - 1.0)
+    # a covariance that overflowed has no footprint either renderer can draw
+    finite = np.isfinite(cov_a) & np.isfinite(cov_b) & np.isfinite(cov_c)
+    on_screen = (finite & (u + rx >= 0.0) & (u - rx <= cam.width - 1.0)
                  & (v + ry >= 0.0) & (v - ry <= cam.height - 1.0))
 
     order = np.lexsort((idx[on_screen], z[on_screen]))
@@ -169,112 +187,123 @@ def alpha_at(p2d: Projected2D, pixel) -> float:
 
 
 def _alpha_block(proj: _ProjectedArrays, rows, us, vs):
-    """(G, P) alpha matrix of footprint rows `rows` at flat pixels (us, vs).
+    """Alpha of footprint rows `rows` at pixels (us, vs), in their broadcast
+    shape: (G, 1) rows at (P,) pixels give (G, P).
 
-    q = (c du du - 2 b du dv + a dv dv) / det is evaluated left to right in
-    two (G, P) buffers; exp and the opacity product are taken only inside
-    the support, and every other pair stays 0.
+    q is one expression evaluated left to right, so each pair gets the same
+    bits whatever the layout of the broadcast.  exp runs over the whole
+    block with q capped at 1400: exp(-700) is still a normal number, and
+    exp is many times slower on the underflows, infinities and NaNs past
+    it.  Pairs outside the support (NaN q among them) and below the floor
+    are then zeroed by one multiply.
     """
-    a = proj.cov[rows, 0][:, None]
-    b = proj.cov[rows, 1][:, None]
-    c = proj.cov[rows, 2][:, None]
+    a, b, c = (proj.cov[rows, k] for k in range(3))
     det = a * c - b * b
     if np.any(det <= 1e-12):
         raise NumericalDegeneracyError("singular 2-D footprint covariance")
-    du = us[None, :] - proj.mean2d[rows, 0][:, None]
-    dv = vs[None, :] - proj.mean2d[rows, 1][:, None]
-    q = c * du
-    q *= du
-    np.multiply(2.0 * b, du, out=du)
-    du *= dv
-    q -= du
-    np.multiply(a, dv, out=du)
-    du *= dv
-    q += du
+    du = us - proj.mean2d[rows, 0]
+    dv = vs - proj.mean2d[rows, 1]
+    # q = (c du du - 2 b du dv + a dv dv) / det, left to right, in one buffer
+    q = 2.0 * b * du * dv
+    np.subtract(c * du * du, q, out=q)
+    q += a * dv * dv
     q /= det
-    inside = q <= SUPPORT_RADIUS * SUPPORT_RADIUS      # NaN falls outside
+    keep = q <= SUPPORT_RADIUS * SUPPORT_RADIUS      # NaN falls outside
+    np.fmin(q, 1400.0, out=q)
     q *= -0.5
-    alpha = np.zeros_like(q)
-    with np.errstate(under="ignore"):
-        np.exp(q, out=alpha, where=inside)
-    np.multiply(alpha, proj.opacity[rows][:, None], out=alpha, where=inside)
-    np.minimum(alpha, ALPHA_MAX, out=alpha)
-    alpha[alpha < ALPHA_FLOOR] = 0.0
-    return alpha
+    np.exp(q, out=q)
+    q *= proj.opacity[rows]
+    np.minimum(q, ALPHA_MAX, out=q)
+    keep &= q >= ALPHA_FLOOR
+    q *= keep
+    return q
 
 
-def _live_columns(t_run):
-    """Tile pixels still to blend, or an empty array once all are saturated.
+def _blend_group(proj, feature, rows, nrows, x0, y0, tile, w, h, out, work):
+    """Front-to-back blend of a group of tiles, one chunk step at a time.
 
-    The depth GEMV and the feature GEMM must give each pixel the bits it
-    gets in an uncompacted block.  OpenBLAS's gemv sums a block's pixels in
-    groups of four and its last `P mod 4` pixels in another order, so each
-    pixel keeps its place in one or the other: the tile's last `P mod 4`
-    pixels stay at the end until the tile ends, and the live pixels before
-    them are padded with saturated ones to a multiple of four, at least four
-    (a one-pixel block would also turn the feature GEMM into a GEMV).
-    Padding pixels get weight 0, as they would in the uncompacted block.
+    `rows` (K, B) holds the depth-ordered rows of the B tiles whose corners
+    are (x0, y0), `nrows` of them each, padded with the opacity-0 row.  Each
+    tile's block is its tile x tile lattice of pixels; the lattice pixels
+    outside the image start with T = 0 and are never written out.  Alpha is
+    taken on the (tile, tile, 64, B) lattice: q's terms in du alone and in
+    dv alone are then (1, tile, 64, B) and (tile, 1, 64, B), and every
+    broadcast runs along contiguous (64, B) rows.  The blend reads alpha as
+    (64, B, P), so that each row of a step is one contiguous array.  A tile
+    that stops writes its sums to `out` (num, den, feat, zmin, zmax) and
+    leaves the group.  `work` holds three buffers of at least 64 * B * P
+    floats.  Returns the (row, pixel) pairs evaluated, padding excluded.
     """
-    live = t_run >= T_STOP
-    if not live.any():
-        return np.empty(0, dtype=int)
-    p = t_run.size
-    m = p - p % 4
-    keep = live[:m]
-    count = np.count_nonzero(keep)
-    need = min(m, max(4, -(-count // 4) * 4))
-    keep[np.flatnonzero(~keep)[:need - count]] = True
-    return np.concatenate([np.flatnonzero(keep), np.arange(m, p)])
-
-
-def _blend_block(proj, rows, us, vs, feature, chunk=64):
-    """Front-to-back blend of the given footprints over one flat pixel block.
-
-    Returns (depth_num, weight_sum, feature_sum (F, P), zmin, zmax, pairs):
-    zmin and zmax are the contributing depth range per pixel and pairs the
-    number of (row, pixel) alphas evaluated.  Processes the depth-sorted rows
-    in chunks, carrying transmittance; before each chunk it drops the pixels
-    that have saturated (`_live_columns`) and it stops once none is left.
-    With F = 0 there is no feature sum to take.
-    """
-    p = us.size
+    b, p, fdim = x0.size, tile * tile, feature.shape[1]
+    lattice = np.arange(tile)
+    xs, ys = x0[:, None] + lattice, y0[:, None] + lattice       # (B, tile)
+    tw, th = np.minimum(tile, w - x0), np.minimum(tile, h - y0)
+    flat = (ys[:, :, None] * w + xs[:, None, :]).reshape(b, p)
+    in_image = ((ys < h)[:, :, None] & (xs < w)[:, None, :]).reshape(b, p)
+    us = np.ascontiguousarray(xs.T, dtype=np.float64)[None, :, None, :]
+    vs = np.ascontiguousarray(ys.T, dtype=np.float64)[:, None, None, :]
+    t_run = in_image.astype(np.float64)                # padding: T = 0
+    num = np.zeros((b, p))
+    den = np.zeros((b, p))
+    feat = np.zeros((fdim, b, p))
+    zmin = np.full((b, p), np.inf)
+    zmax = np.full((b, p), -np.inf)
     pairs = 0
-    num = np.zeros(p)
-    den = np.zeros(p)
-    feat = np.zeros((feature.shape[1], p))
-    zmin = np.full(p, np.inf)
-    zmax = np.full(p, -np.inf)
-    t_run = np.ones(p)
-    cols = np.arange(p)
-    for lo in range(0, len(rows), chunk):
-        if lo:
-            cols = _live_columns(t_run)
-            if cols.size == 0:
-                break
-        sub = rows[lo:lo + chunk]
+    for lo in range(0, rows.shape[0], CHUNK):
+        sub = rows[lo:lo + CHUNK]
         z = proj.z[sub]
-        t0 = t_run[cols]
-        alpha = _alpha_block(proj, sub, us[cols], vs[cols])
-        pairs += alpha.size
-        cum = np.cumprod(1.0 - alpha, axis=0)
-        w = np.empty_like(cum)
-        w[0] = t0
-        np.multiply(cum[:-1], t0, out=w[1:])
-        w[w < T_STOP] = 0.0                 # w holds T before each row here
-        w *= alpha
-        num[cols] += z @ w
-        den[cols] += w.sum(axis=0)
-        if feat.shape[0]:
-            feat[:, cols] += feature[proj.src[sub]].T @ w
+        alpha, cum, wgt = (x[:CHUNK * b * p].reshape(CHUNK, b, p) for x in work)
+        np.copyto(alpha, _alpha_block(proj, sub, us, vs).reshape(p, CHUNK, b)
+                  .transpose(1, 2, 0))
+        # the running product row by row: np.cumprod's one strided loop
+        # per pixel takes twice as long for the same products
+        np.subtract(1.0, alpha, out=cum)
+        prev = cum[0]
+        for row in cum[1:]:
+            np.multiply(row, prev, out=row)
+            prev = row
+        wgt[0] = t_run
+        np.multiply(cum[:-1], t_run, out=wgt[1:])
+        np.copyto(wgt, 0.0, where=wgt < T_STOP)  # wgt holds T before each row here
+        wgt *= alpha
+        den += wgt.sum(axis=0)
+        count = np.minimum(nrows - lo, CHUNK)
+        for i, (g, ph, pw) in enumerate(zip(count.tolist(), th.tolist(), tw.tolist())):
+            # the tile's rows by its in-image pixels in row-major order: a
+            # view, copied only when the tile is clipped in width
+            wi = wgt[:g, i].reshape(g, tile, tile)[:, :ph, :pw].reshape(g, ph * pw)
+            num[i].reshape(tile, tile)[:ph, :pw] += (z[:g, i] @ wi).reshape(ph, pw)
+            if fdim:
+                f = feature[proj.src[sub[:g, i]]].T @ wi
+                feat[:, i].reshape(fdim, tile, tile)[:, :ph, :pw] += f.reshape(fdim, ph, pw)
+        pairs += int(count @ (th * tw))
         # rows are depth-sorted: the range is the first and last hit row
-        hit = w > 0.0
-        first = hit.argmax(axis=0)
-        some = hit[first, np.arange(cols.size)]
-        zmin[cols] = np.minimum(zmin[cols], np.where(some, z[first], np.inf))
-        last = sub.size - 1 - hit[::-1].argmax(axis=0)
-        zmax[cols] = np.where(some, z[last], zmax[cols])
-        t_run[cols] = t0 * cum[-1]
-    return num, den, feat, zmin, zmax, pairs
+        # and each pixel's hit rows' largest rank gives its last (first) one
+        hit = (wgt > 0.0).view(np.int8)
+        last = (hit * _RANK).max(axis=0) - 1              # -1: no hit
+        first = CHUNK - (hit * _RANK[::-1]).max(axis=0)   # CHUNK: no hit
+        some = last >= 0
+        tiles = np.arange(b)[:, None]
+        zmin = np.minimum(zmin, np.where(some, z[first % CHUNK, tiles], np.inf))
+        zmax = np.where(some, z[last, tiles], zmax)
+        t_run = t_run * cum[-1]
+        running = (t_run >= T_STOP).any(axis=1) & (nrows > lo + CHUNK)
+        if not running.all():
+            done = ~running
+            at = flat[done][in_image[done]]
+            for dst, src in zip(out, (num, den, feat, zmin, zmax)):
+                dst[..., at] = src[..., done, :][..., in_image[done]]
+            if not running.any():
+                break
+            rows = rows[:, running]
+            # kept C-ordered, so that alpha's temporaries are too
+            us, vs = (np.ascontiguousarray(x[..., running]) for x in (us, vs))
+            nrows, tw, th = nrows[running], tw[running], th[running]
+            flat, in_image, t_run, num, den, feat, zmin, zmax = (
+                x[..., running, :] for x in (flat, in_image, t_run, num, den, feat,
+                                             zmin, zmax))
+            b = nrows.size
+    return pairs
 
 
 def _finish(num, den, feat, zmin, zmax, h, w, fdim, **counts):
@@ -300,8 +329,8 @@ def _tile_min_q(proj: _ProjectedArrays, row, tx, ty, tile: int, w: int, h: int):
     and otherwise lies on an edge; on each edge the other coordinate's free
     minimiser, clamped to the edge, gives that edge's minimum.
     """
-    a, b, c = proj.cov[row].T
-    mx, my = proj.mean2d[row].T
+    a, b, c = (proj.cov[row, k] for k in range(3))
+    mx, my = proj.mean2d[row, 0], proj.mean2d[row, 1]
     x0 = tx * tile - mx
     x1 = np.minimum(tx * tile + tile, w) - 1 - mx
     y0 = ty * tile - my
@@ -336,10 +365,11 @@ def _bin_rows(proj: _ProjectedArrays, tile: int, w: int, h: int):
     nty = (h + tile - 1) // tile
     rx = SUPPORT_RADIUS * np.sqrt(proj.cov[:, 0])
     ry = SUPPORT_RADIUS * np.sqrt(proj.cov[:, 2])
-    tx0 = np.clip(((proj.mean2d[:, 0] - rx) // tile).astype(int), 0, ntx - 1)
-    tx1 = np.clip(((proj.mean2d[:, 0] + rx) // tile).astype(int), 0, ntx - 1)
-    ty0 = np.clip(((proj.mean2d[:, 1] - ry) // tile).astype(int), 0, nty - 1)
-    ty1 = np.clip(((proj.mean2d[:, 1] + ry) // tile).astype(int), 0, nty - 1)
+    # clipped before the cast: a box past the int range would wrap
+    tx0 = np.clip((proj.mean2d[:, 0] - rx) // tile, 0, ntx - 1).astype(int)
+    tx1 = np.clip((proj.mean2d[:, 0] + rx) // tile, 0, ntx - 1).astype(int)
+    ty0 = np.clip((proj.mean2d[:, 1] - ry) // tile, 0, nty - 1).astype(int)
+    ty1 = np.clip((proj.mean2d[:, 1] + ry) // tile, 0, nty - 1).astype(int)
     nx = tx1 - tx0 + 1
     count = nx * (ty1 - ty0 + 1)
     row = np.repeat(np.arange(proj.z.size), count)
@@ -351,10 +381,16 @@ def _bin_rows(proj: _ProjectedArrays, tile: int, w: int, h: int):
         reach = np.minimum(SUPPORT_RADIUS * SUPPORT_RADIUS,
                            2.0 * np.log(proj.opacity / ALPHA_FLOOR))
     reach += 1e-12 * (1.0 + (proj.cov[:, 0] + proj.cov[:, 2]) / LOW_PASS)
-    keep = ~(_tile_min_q(proj, row, tx, ty, tile, w, h) > reach[row])  # NaN kept
+    # q's minimum in blocks of keys whose temporaries stay in cache
+    qmin = np.empty(row.size)
+    for lo in range(0, row.size, _BIN_KEYS):
+        blk = slice(lo, lo + _BIN_KEYS)
+        qmin[blk] = _tile_min_q(proj, row[blk], tx[blk], ty[blk], tile, w, h)
+    keep = ~(qmin > reach[row])                                     # NaN kept
     key = (ty * ntx + tx)[keep]
     row = row[keep]
-    order = np.argsort(key, kind="stable")
+    # a stable sort of keys of 16 bits or fewer is a radix sort
+    order = np.argsort(key.astype(np.min_scalar_type(ntx * nty - 1)), kind="stable")
     key, row = key[order], row[order]
     tiles, start = np.unique(key, return_index=True)
     return tiles, np.append(start, key.size), row, int(keep.size - row.size)
@@ -366,43 +402,45 @@ def render(scene: GaussianScene, cam: CameraView, tile: int = TILE,
 
     Gaussians are binned to the tiles their support can reach, in one
     global depth order (ties by scene index), so results are independent of
-    `tile` up to float accumulation order.  Tiles are blended one after
-    another: `threads` is validated (>= 1) but does not affect rendering.
-    It stays only because perfbench/run.py and perfbench/selftest.py pass it.
-    The output carries the work counts: (tile, row) keys binned and culled,
-    and (row, pixel) pairs evaluated.
+    `tile` up to float accumulation order.  Tiles are blended in groups of
+    about `_GROUP_PIXELS` pixels (`_blend_group`) in the calling thread:
+    `threads` is validated (>= 1) but does not affect rendering.  It stays
+    only because perfbench/run.py and perfbench/selftest.py pass it.  The
+    output carries the work counts: (tile, row) keys binned and culled, and
+    (row, pixel) pairs evaluated.
     """
     if tile <= 0 or threads <= 0:
         raise InvalidInputError("tile size and thread count must be positive")
     proj = _project_scene(scene, cam)
     h, w, fdim = cam.height, cam.width, scene.feature_dim
-    num = np.zeros(h * w)
-    den = np.zeros(h * w)
-    feat = np.zeros((fdim, h * w))
-    zmin = np.full(h * w, np.inf)
-    zmax = np.full(h * w, -np.inf)
-
-    ntx = (w + tile - 1) // tile
-    tiles, bounds, binned, culled = _bin_rows(proj, tile, w, h)
-    pairs = 0
-    for t, lo, hi in zip(tiles, bounds[:-1], bounds[1:]):
-        ty, tx = divmod(int(t), ntx)
-        x0, x1 = tx * tile, min((tx + 1) * tile, w)
-        y0, y1 = ty * tile, min((ty + 1) * tile, h)
-        uu, vv = np.meshgrid(np.arange(x0, x1, dtype=np.float64),
-                             np.arange(y0, y1, dtype=np.float64))
-        tn, td, tf, tlo, thi, tp = _blend_block(proj, binned[lo:hi], uu.ravel(),
-                                                vv.ravel(), scene.feature)
-        pairs += tp
-        flat = (vv.astype(int) * w + uu.astype(int)).ravel()
-        num[flat] = tn
-        den[flat] = td
-        feat[:, flat] = tf
-        zmin[flat] = tlo
-        zmax[flat] = thi
-    return _finish(num, den, feat, zmin, zmax, h, w, fdim,
-                   binned_rows=binned.size + culled, culled_rows=culled,
-                   pairs_evaluated=pairs)
+    out = (np.zeros(h * w), np.zeros(h * w), np.zeros((fdim, h * w)),
+           np.full(h * w, np.inf), np.full(h * w, -np.inf))
+    # a footprint whose det overflows (entries past about 1e154 px^2) has
+    # q = 0 everywhere: it covers the view, as in render_oracle
+    with np.errstate(over="ignore"):
+        tiles, bounds, binned, culled = _bin_rows(proj, tile, w, h)
+        # row M pads short tiles: its opacity 0 gives alpha 0 at every pixel
+        m = proj.z.size
+        proj = _ProjectedArrays(np.vstack([proj.mean2d, [0.0, 0.0]]),
+                                np.vstack([proj.cov, [1.0, 0.0, 1.0]]),
+                                np.append(proj.z, 0.0), np.append(proj.opacity, 0.0),
+                                np.append(proj.src, 0))
+        binned = np.append(binned, m)               # position -1 reads row M
+        group = max(1, _GROUP_PIXELS // (tile * tile))
+        # three (64, B, P) buffers for every step: allocating blocks this
+        # large each time costs as many page faults
+        work = np.empty((3, CHUNK * group * tile * tile))
+        ntx = (w + tile - 1) // tile
+        pairs = 0
+        for g in range(0, tiles.size, group):
+            lo, hi = bounds[:-1][g:g + group], bounds[1:][g:g + group]
+            idx = lo[:, None] + np.arange(-(-(hi - lo).max() // CHUNK) * CHUNK)
+            rows = binned[np.where(idx < hi[:, None], idx, -1)].T
+            ty, tx = np.divmod(tiles[g:g + group], ntx)
+            pairs += _blend_group(proj, scene.feature, rows, hi - lo, tx * tile,
+                                  ty * tile, tile, w, h, out, work)
+    return _finish(*out, h, w, fdim, binned_rows=binned.size - 1 + culled,
+                   culled_rows=culled, pairs_evaluated=pairs)
 
 
 def render_oracle(scene: GaussianScene, cam: CameraView) -> RenderOutput:

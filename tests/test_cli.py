@@ -526,10 +526,22 @@ def test_pipeline_bad_config_key_exit_2(tmp_path, capsys):
 def test_malformed_pipeline_config_exit_code(tmp_path, capsys, text, code):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(text)
+    # no stage runs: `--stages ""` empties the list, except where the
+    # config's own stage list is what is malformed
+    no_stages = [] if '"stages"' in text else ["--stages", ""]
     got, payload, err = _run(capsys, ["pipeline", "--config", str(cfg_path),
-                                      "--stages", ""])
+                                      *no_stages])
     assert got == code and payload is None
     assert ("format error" if code == 4 else "invalid input") in err
+
+
+def test_pipeline_empty_stages_flag_runs_nothing(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"stages": ["synth"], "seed": 3}))
+    code, payload, _ = _run(capsys, ["pipeline", "--config", str(cfg_path),
+                                     "--stages", ""])
+    assert code == 0
+    assert payload["stages"] == [] and payload["seed"] == 3
 
 
 @pytest.mark.parametrize("argv, config", [

@@ -15,6 +15,8 @@ Hand-computed anchors used below:
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -23,8 +25,7 @@ from fgs.core import CameraView, FeatureGaussian, GaussianScene
 from fgs.errors import InvalidInputError, NumericalDegeneracyError
 from fgs.raster import (ALPHA_FLOOR, ALPHA_MAX, EPS_ACC, LOW_PASS, SUPPORT_RADIUS,
                         Projected2D, T_STOP, _ProjectedArrays, _alpha_block,
-                        _bin_rows, _finish, _live_columns, _project_scene,
-                        _tile_min_q, alpha_at,
+                        _bin_rows, _finish, _project_scene, _tile_min_q, alpha_at,
                         project_gaussian, render, render_oracle)
 
 
@@ -91,6 +92,25 @@ def test_alpha_at_fixtures():
     assert alpha_at(saturating, (0.0, 0.0)) == ALPHA_MAX        # capped at 0.99
     faint = Projected2D(np.array([0.0, 0.0]), np.eye(2), 5.0, ALPHA_FLOOR / 2, 0)
     assert alpha_at(faint, (0.0, 0.0)) == 0.0
+
+
+def test_alpha_block_is_the_opacity_multiply_inside_the_support():
+    """Pinned bit for bit against min(0.99, opacity * exp(-q/2)): pairs past
+    the 3-sigma support (q = 9.0601 would still clear the floor at opacity
+    1) or beyond exp's normal range, pairs below the 1/255 floor, and a NaN
+    q all give alpha exactly 0."""
+    proj = _ProjectedArrays(np.array([[0.0, 0.0], [0.0, 0.0], [np.nan, 0.0]]),
+                            np.array([[1.0, 0.0, 1.0]] * 3),
+                            np.array([5.0, 6.0, 7.0]), np.array([1.0, 0.028, 0.9]),
+                            np.arange(3))
+    us = np.array([0.0, 1.0, 2.0, 3.0, 3.01, 60.0])
+    alpha = _alpha_block(proj, np.arange(3)[:, None], us, np.zeros(6))
+    q = us * us
+    assert np.array_equal(alpha[0, :4], np.minimum(1.0 * np.exp(-0.5 * q[:4]), ALPHA_MAX))
+    assert np.array_equal(alpha[0, 4:], [0.0, 0.0])
+    assert np.array_equal(alpha[1, :2], 0.028 * np.exp(-0.5 * q[:2]))
+    assert 0.028 * np.exp(-2.0) < ALPHA_FLOOR and np.array_equal(alpha[1, 2:], np.zeros(4))
+    assert np.array_equal(alpha[2], np.zeros(6))       # NaN q
 
 
 def test_alpha_at_rejects_singular_footprint():
@@ -192,6 +212,29 @@ def test_tiled_matches_oracle_on_random_scenes():
         assert np.all(np.isfinite(a.depth))  # invalid pixels hold 0, never NaN
 
 
+@pytest.mark.parametrize("scale", [1e150, 1e200])
+def test_huge_footprints_render_as_the_oracle_does(scale):
+    """At 1e150 the footprint's box is far past the int range and its det
+    overflows: it covers the view.  At 1e200 its covariance overflows too,
+    and both renderers drop it.  Either way no warning escapes."""
+    w, h = 47, 33
+    cam = CameraView(fx=40.0, fy=40.0, cx=(w - 1) / 2, cy=(h - 1) / 2, width=w, height=h,
+                     rotation=np.eye(3), translation=np.zeros(3))
+    scene = GaussianScene(mu=np.array([[0.3, -0.2, 4.0], [0.0, 0.0, 5.0]]),
+                          scale=np.array([[0.2, 0.3, 0.2], [scale] * 3]),
+                          quat=np.tile([1.0, 0.0, 0.0, 0.0], (2, 1)),
+                          opacity=np.array([0.7, 0.5]),
+                          feature=np.array([[1.0, 0.0], [0.0, 1.0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = render(scene, cam)
+    ref = render_oracle(scene, cam)
+    npt.assert_array_equal(out.valid, ref.valid)
+    assert out.valid.all() == (scale == 1e150) and out.valid.any()
+    for name in ("depth", "feature", "acc_alpha"):
+        npt.assert_allclose(getattr(out, name), getattr(ref, name), rtol=0, atol=1e-9)
+
+
 def test_render_invariant_to_tile_size_and_threads():
     rng = np.random.default_rng(77)
     scene = _random_scene(rng, 120)
@@ -244,7 +287,7 @@ def test_depth_is_convex_combination_of_contributors():
 
 
 # ---------------------------------------------------------------------------
-# Live-pixel compaction against the uncompacted blend, bit for bit
+# The grouped blend against a blend of one tile at a time, bit for bit
 # ---------------------------------------------------------------------------
 
 def _box_keys(proj, tile, w, h):
@@ -286,7 +329,7 @@ def _tile_reached(proj, reach, i, tx, ty, tile, w, h):
 
 
 def _reference_render(scene, cam, tile=16, chunk=64, cull=True):
-    """The tiled renderer without live-pixel compaction, written out.
+    """The tiled renderer, one tile at a time and written out.
 
     Footprints are binned by a Python loop over their 3-sigma boxes, which
     keeps (with `cull`) only the tiles the row's support can reach
@@ -350,29 +393,6 @@ def _reference_render(scene, cam, tile=16, chunk=64, cull=True):
     return _finish(num, den, feat, zmin, zmax, h, w, fdim)
 
 
-@pytest.mark.parametrize("p", [6, 15, 49, 50, 51, 65, 225, 256])
-def test_live_columns_keep_each_pixels_blas_bits(p):
-    """A compacted block must give every kept pixel the bits it gets in the
-    whole tile from the depth GEMV and the feature GEMM of the BLAS NumPy is
-    linked against, for any live set, including one where only the tile's
-    last pixels are live.  Dense random weights make a changed summation
-    order show; blended scenes rarely do, because late rows add little."""
-    rng = np.random.default_rng(p)
-    z = np.sort(rng.uniform(1.0, 10.0, 64))
-    f = rng.normal(size=(64, 7))
-    w = rng.random((64, p)) * (rng.random((64, p)) < 0.6)
-    full_z, full_f = z @ w, f.T @ w
-    lives = [rng.random(p) < frac for frac in (0.1, 0.3, 0.5, 0.9)]
-    lives.append(np.arange(p) >= p - max(1, p % 4))
-    for live in lives:
-        cols = _live_columns(np.where(live, 1.0, 0.0))
-        assert set(np.flatnonzero(live)) <= set(cols.tolist())
-        block = np.ascontiguousarray(w[:, cols])
-        assert np.array_equal(z @ block, full_z[cols])
-        assert np.array_equal(f.T @ block, full_f[:, cols])
-    assert _live_columns(np.zeros(p)).size == 0
-
-
 def _dense_scene(rng, n):
     """Many overlapping footprints: tiles get hundreds of rows, and the
     opaque ones saturate part of a tile while the rest stays live."""
@@ -405,6 +425,20 @@ def test_compaction_is_bit_identical_to_the_uncompacted_blend(h, w, tile):
         out = render(scene, cam, tile=tile, threads=threads)
         for name in ("depth", "feature", "acc_alpha", "valid"):
             assert np.array_equal(getattr(out, name), getattr(ref, name)), name
+
+
+@pytest.mark.parametrize("h,w", [(33, 47), (45, 61)])
+def test_default_tile_is_bit_identical_to_one_tile_at_a_time(h, w):
+    # 8x8 tiles clipped in width, in height and in both (corners of 7x1 and
+    # 5x5 pixels); a tile clipped in width is not a prefix of its lattice
+    rng = np.random.default_rng(h * 1000 + w)
+    cam = CameraView(fx=40.0, fy=40.0, cx=(w - 1) / 2, cy=(h - 1) / 2,
+                     width=w, height=h, rotation=np.eye(3), translation=np.zeros(3))
+    scene = _dense_scene(rng, 600)
+    ref = _reference_render(scene, cam, tile=8)
+    out = render(scene, cam)
+    for name in ("depth", "feature", "acc_alpha", "valid"):
+        assert np.array_equal(getattr(out, name), getattr(ref, name)), name
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +484,7 @@ def test_culled_rows_have_zero_alpha_on_every_pixel_of_their_tile(kind, h, w, ti
         ty, tx = divmod(t, ntx)
         uu, vv = np.meshgrid(np.arange(tx * tile, min(tx * tile + tile, w), dtype=np.float64),
                              np.arange(ty * tile, min(ty * tile + tile, h), dtype=np.float64))
-        block = np.array([i for d, i in dropped if d == t])
+        block = np.array([i for d, i in dropped if d == t])[:, None]
         assert not _alpha_block(proj, block, uu.ravel(), vv.ravel()).any(), t
 
 
@@ -468,20 +502,22 @@ def test_culled_and_unculled_renders_agree(h, w, tile):
         npt.assert_allclose(getattr(out, name), getattr(ref, name), rtol=0, atol=1e-12)
 
 
-def test_render_counts_its_work():
+@pytest.mark.parametrize("tile", [16, 8])
+def test_render_counts_its_work(tile):
     """Faint footprints never saturate a pixel, so every kept row is
     evaluated at every pixel of its tile."""
     rng = np.random.default_rng(8)
     scene = _culling_scene(rng, "mixed", n=30).replace(opacity=np.full(30, 0.2))
     cam = _camera(fx=60.0, fy=60.0, cx=31.5, cy=23.5, width=61, height=45)
     proj = _project_scene(scene, cam)
-    tiles, bounds, _, culled = _bin_rows(proj, 16, 61, 45)
+    tiles, bounds, _, culled = _bin_rows(proj, tile, 61, 45)
     kept = np.diff(bounds)
-    # 4 tiles across; the last column and row of tiles are partial
-    pixels = [(min(tx * 16 + 16, 61) - tx * 16) * (min(ty * 16 + 16, 45) - ty * 16)
-              for ty, tx in (divmod(int(t), 4) for t in tiles)]
-    out = render(scene, cam)
-    assert out.binned_rows == len(_box_keys(proj, 16, 61, 45)) == kept.sum() + culled
+    # 4 (8) tiles across; the last column and row of tiles are partial
+    ntx = -(-61 // tile)
+    pixels = [(min(tx * tile + tile, 61) - tx * tile) * (min(ty * tile + tile, 45) - ty * tile)
+              for ty, tx in (divmod(int(t), ntx) for t in tiles)]
+    out = render(scene, cam, tile=tile)
+    assert out.binned_rows == len(_box_keys(proj, tile, 61, 45)) == kept.sum() + culled
     assert out.culled_rows == culled > 0
     assert out.pairs_evaluated == int(np.dot(kept, pixels))
     assert render_oracle(scene, cam).pairs_evaluated == 0
@@ -516,6 +552,6 @@ def test_culling_margin_keeps_a_row_that_rounding_puts_just_outside():
                             np.array([5.0]), np.array([0.9]), np.array([0]))
     one = np.array([0])
     assert _tile_min_q(proj, one, np.array([1]), np.array([1]), 16, 64, 64)[0] > 9.0
-    assert _alpha_block(proj, one, np.array([16.0]), np.array([24.0]))[0, 0] > 0.0
+    assert _alpha_block(proj, one[:, None], np.array([16.0]), np.array([24.0]))[0, 0] > 0.0
     tiles, _, _, _ = _bin_rows(proj, 16, 64, 64)
     assert 1 * 4 + 1 in tiles.tolist()
