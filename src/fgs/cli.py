@@ -13,8 +13,8 @@ import sys
 
 import numpy as np
 
-from .densify import (DensifyConfig, base_init, densify_layer, feature_dim_of,
-                      selection_residual)
+from .densify import (GAMMA, DensifyConfig, base_init, densify_layer,
+                      feature_dim_of, selection_residual)
 from .errors import (FormatError, InvalidInputError, NumericalDegeneracyError)
 from .io import (depth_preview, dump_json, load_bank, load_json_object,
                  load_points, load_rig, load_scene, load_tensors,
@@ -70,14 +70,9 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _densify_config(args, views, **over) -> DensifyConfig:
-    return DensifyConfig(gamma=args.gamma, select_mode=args.select_mode,
-                         feature_dim=feature_dim_of(views), **over)
-
-
 def cmd_init(args) -> int:
     views = load_rig(args.rig)
-    cfg = _densify_config(args, views, base_count=args.count)
+    cfg = DensifyConfig(base_count=args.count, feature_dim=feature_dim_of(views))
     scene = base_init(views, cfg)
     _outdir(args.out)
     save_scene(args.out, scene)
@@ -89,8 +84,9 @@ def cmd_densify(args) -> int:
     views = load_rig(args.rig)
     scene = load_scene(args.scene)
     layer = scene.layer_count
-    cfg = _densify_config(args, views,
-                          layer_budgets=tuple([args.budget] * layer))
+    cfg = DensifyConfig(gamma=args.gamma, select_mode=args.select_mode,
+                        layer_budgets=tuple([args.budget] * layer),
+                        feature_dim=feature_dim_of(views))
     grown, report = densify_layer(scene, views, cfg, layer)
     _outdir(args.out)
     save_scene(args.out, grown)
@@ -291,10 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="build the base Gaussian layer from a rig")
     s.add_argument("--rig", required=True)
     s.add_argument("--out", required=True)
-    s.add_argument("--count", type=int, default=4000)
-    s.add_argument("--gamma", type=float, default=0.2)
-    s.add_argument("--select-mode", choices=("signed", "absolute"),
-                   default="signed")
+    s.add_argument("--count", type=int, default=DensifyConfig.base_count)
     s.set_defaults(func=cmd_init)
 
     s = sub.add_parser("densify", parents=[common],
@@ -302,10 +295,10 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--rig", required=True)
     s.add_argument("--scene", required=True)
     s.add_argument("--out", required=True)
-    s.add_argument("--budget", type=int, default=1000)
-    s.add_argument("--gamma", type=float, default=0.2)
+    s.add_argument("--budget", type=int, default=DensifyConfig.layer_budgets[0])
+    s.add_argument("--gamma", type=float, default=GAMMA)
     s.add_argument("--select-mode", choices=("signed", "absolute"),
-                   default="signed")
+                   default=DensifyConfig.select_mode)
     s.set_defaults(func=cmd_densify)
 
     s = sub.add_parser("refine", parents=[common],
@@ -335,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out", required=True)
     s.add_argument("--origin", required=True, help="x,y,z of the low corner")
     s.add_argument("--dims", required=True, help="nx,ny,nz voxel counts")
-    s.add_argument("--voxel-size", type=float, default=0.4)
+    s.add_argument("--voxel-size", type=float, default=GridSpec.voxel_size)
     s.add_argument("--tau", type=float, default=TAU_OCC)
     s.add_argument("--cutoff", type=float, default=DEFAULT_CUTOFF)
     s.add_argument("--no-cutoff", action="store_true")

@@ -28,22 +28,20 @@ bits of a blend of its tile alone, chunk by chunk: the alpha and weight
 arithmetic is per pair, and the depth GEMV and the feature GEMM are called
 per tile on its own rows and its in-image pixels in row-major order.
 
-The tile is 8x8 because most pairs a kept row evaluates have alpha 0: its
-ellipse covers only part of the tile.  Over the 34 renders of the seed-0
-room pipeline, 8x8 tiles evaluate 92.9 M pairs and 16x16 tiles 155.4 M.
-Blended one tile at a time, every 64-row chunk paid the fixed cost of a few
-dozen NumPy calls, which made small tiles the slower ones; a group step pays
-it once for 16 tiles.  There is no per-pixel compaction: a saturated pixel
-of a running tile is evaluated and gets weight 0, where a compacted block
-would have to keep every pixel's BLAS summation order.
+The tile is 8x8 because most evaluated pairs have alpha 0: the 34 seed-0
+pipeline renders evaluate 92.9 M pairs on 8x8 tiles and 155.4 M on 16x16.
+A saturated pixel of a running tile is evaluated and gets weight 0: a
+compacted block would have to keep every pixel's BLAS order.
+
+What binning and blending read about a footprint is one record,
+`_ProjectedArrays`, which derives det and the 3-sigma half-extents once
+when it is built; q has one formula (`_quad_form`), and `render` rejects a
+singular footprint (det <= 1e-12) once, before binning.
 
 Work that cannot reach an output is skipped exactly:
 
-* tile culling: a footprint's 3-sigma box can overlap a tile whose pixel
-  centres its ellipse never reaches.  Binning takes the minimum of q over
-  the tile's rectangle of pixel centres and drops the key when that minimum
-  lies beyond the row's support, min(9, 2 ln(opacity / floor)), plus a
-  rounding margin; the dropped row's alpha is exactly 0 at every pixel of
+* tile culling (`_bin_rows`): a (tile, row) key of the footprint's 3-sigma
+  box is dropped when the row's alpha is exactly 0 at every pixel centre of
   the tile, so T and every sum are unchanged (only chunk boundaries move,
   which can move the last bits of a sum);
 * saturated tiles: a tile stops once T is below the floor at all of its
@@ -94,9 +92,15 @@ class Projected2D:
 
 
 class _ProjectedArrays:
-    """Struct-of-arrays form of the surviving footprints, depth-sorted."""
+    """Struct-of-arrays record of the surviving footprints, depth-sorted.
 
-    __slots__ = ("mean2d", "cov", "z", "opacity", "src")
+    det and the 3-sigma half-extents rx, ry are derived here and nowhere
+    else.  Where a * c and b * b both overflow (entries past about 1e154
+    px^2), det is a * (c - b * (b / a)) instead of inf - inf: +inf, so q = 0
+    and the footprint covers the view, as in `render_oracle`.
+    """
+
+    __slots__ = ("mean2d", "cov", "z", "opacity", "src", "det", "rx", "ry")
 
     def __init__(self, mean2d, cov, z, opacity, src):
         self.mean2d = mean2d  # (M, 2)
@@ -104,14 +108,23 @@ class _ProjectedArrays:
         self.z = z            # (M,)
         self.opacity = opacity
         self.src = src        # (M,) indices into the scene
+        a, b, c = cov.T
+        with np.errstate(all="ignore"):
+            det = a * c - b * b
+            self.det = np.where(np.isnan(det), a * (c - b * (b / a)), det)
+        self.rx = SUPPORT_RADIUS * np.sqrt(a)
+        self.ry = SUPPORT_RADIUS * np.sqrt(c)
+
+    def take(self, sel):
+        """The record of rows `sel`, its derived fields gathered, not re-formed."""
+        out = object.__new__(_ProjectedArrays)
+        for name in self.__slots__:
+            setattr(out, name, getattr(self, name)[sel])
+        return out
 
 
 def _project_scene(scene: GaussianScene, cam: CameraView) -> _ProjectedArrays:
     """Project all Gaussians, cull, and sort by (z_cam, scene index)."""
-    n = len(scene)
-    if n == 0:
-        e = np.empty
-        return _ProjectedArrays(e((0, 2)), e((0, 3)), e(0), e(0), np.empty(0, dtype=int))
     pc = cam.ego_to_cam(scene.mu)
     z = pc[:, 2]
     front = z > Z_NEAR
@@ -136,20 +149,15 @@ def _project_scene(scene: GaussianScene, cam: CameraView) -> _ProjectedArrays:
     cov_b = np.einsum("nk,nk->n", b[:, 0], b[:, 1])
     cov_c = np.einsum("nk,nk->n", b[:, 1], b[:, 1]) + LOW_PASS
 
-    rx = SUPPORT_RADIUS * np.sqrt(cov_a)
-    ry = SUPPORT_RADIUS * np.sqrt(cov_c)
+    every = _ProjectedArrays(np.stack([u, v], axis=1), np.stack([cov_a, cov_b, cov_c], axis=1),
+                             z, scene.opacity[front], idx)
+    rx, ry = every.rx, every.ry
     # a covariance that overflowed has no footprint either renderer can draw
-    finite = np.isfinite(cov_a) & np.isfinite(cov_b) & np.isfinite(cov_c)
-    on_screen = (finite & (u + rx >= 0.0) & (u - rx <= cam.width - 1.0)
+    on_screen = (np.isfinite(every.cov).all(axis=1)
+                 & (u + rx >= 0.0) & (u - rx <= cam.width - 1.0)
                  & (v + ry >= 0.0) & (v - ry <= cam.height - 1.0))
-
     order = np.lexsort((idx[on_screen], z[on_screen]))
-    sel = np.nonzero(on_screen)[0][order]
-    return _ProjectedArrays(
-        np.stack([u, v], axis=1)[sel],
-        np.stack([cov_a, cov_b, cov_c], axis=1)[sel],
-        z[sel], scene.opacity[front][sel], idx[sel],
-    )
+    return every.take(np.nonzero(on_screen)[0][order])
 
 
 def project_gaussian(g: FeatureGaussian, cam: CameraView, source_index: int = 0):
@@ -186,28 +194,28 @@ def alpha_at(p2d: Projected2D, pixel) -> float:
     return alpha if alpha >= ALPHA_FLOOR else 0.0
 
 
-def _alpha_block(proj: _ProjectedArrays, rows, us, vs):
-    """Alpha of footprint rows `rows` at pixels (us, vs), in their broadcast
-    shape: (G, 1) rows at (P,) pixels give (G, P).
-
-    q is one expression evaluated left to right, so each pair gets the same
-    bits whatever the layout of the broadcast.  exp runs over the whole
-    block with q capped at 1400: exp(-700) is still a normal number, and
-    exp is many times slower on the underflows, infinities and NaNs past
-    it.  Pairs outside the support (NaN q among them) and below the floor
-    are then zeroed by one multiply.
-    """
-    a, b, c = (proj.cov[rows, k] for k in range(3))
-    det = a * c - b * b
-    if np.any(det <= 1e-12):
-        raise NumericalDegeneracyError("singular 2-D footprint covariance")
-    du = us - proj.mean2d[rows, 0]
-    dv = vs - proj.mean2d[rows, 1]
-    # q = (c du du - 2 b du dv + a dv dv) / det, left to right, in one buffer
+def _quad_form(a, b, c, det, du, dv):
+    """q = (c du du - 2 b du dv + a dv dv) / det, the squared Mahalanobis
+    distance, evaluated left to right in one buffer: each pair gets the same
+    bits whatever the layout of the broadcast."""
     q = 2.0 * b * du * dv
     np.subtract(c * du * du, q, out=q)
     q += a * dv * dv
     q /= det
+    return q
+
+
+def _alpha_block(proj: _ProjectedArrays, rows, us, vs):
+    """Alpha of footprint rows `rows` at pixels (us, vs), in their broadcast
+    shape: (G, 1) rows at (P,) pixels give (G, P).
+
+    exp runs over the whole block with q capped at 1400: exp(-700) is still
+    a normal number, and exp is many times slower on the underflows,
+    infinities and NaNs past it.  Pairs outside the support (NaN q among
+    them) and below the floor are then zeroed by one multiply.
+    """
+    q = _quad_form(*(proj.cov[rows, k] for k in range(3)), proj.det[rows],
+                   us - proj.mean2d[rows, 0], vs - proj.mean2d[rows, 1])
     keep = q <= SUPPORT_RADIUS * SUPPORT_RADIUS      # NaN falls outside
     np.fmin(q, 1400.0, out=q)
     q *= -0.5
@@ -335,15 +343,9 @@ def _tile_min_q(proj: _ProjectedArrays, row, tx, ty, tile: int, w: int, h: int):
     x1 = np.minimum(tx * tile + tile, w) - 1 - mx
     y0 = ty * tile - my
     y1 = np.minimum(ty * tile + tile, h) - 1 - my
-    det = a * c - b * b
-
-    def q(du, dv):
-        return (c * du * du - 2.0 * b * du * dv + a * dv * dv) / det
-
-    qmin = np.minimum.reduce([q(x0, np.clip(b * x0 / a, y0, y1)),
-                              q(x1, np.clip(b * x1 / a, y0, y1)),
-                              q(np.clip(b * y0 / c, x0, x1), y0),
-                              q(np.clip(b * y1 / c, x0, x1), y1)])
+    du = np.stack([x0, x1, np.clip(b * y0 / c, x0, x1), np.clip(b * y1 / c, x0, x1)])
+    dv = np.stack([np.clip(b * x0 / a, y0, y1), np.clip(b * x1 / a, y0, y1), y0, y1])
+    qmin = _quad_form(a, b, c, proj.det[row], du, dv).min(axis=0)
     inside = (x0 <= 0.0) & (x1 >= 0.0) & (y0 <= 0.0) & (y1 >= 0.0)
     return np.where(inside, 0.0, qmin)
 
@@ -363,13 +365,11 @@ def _bin_rows(proj: _ProjectedArrays, tile: int, w: int, h: int):
     """
     ntx = (w + tile - 1) // tile
     nty = (h + tile - 1) // tile
-    rx = SUPPORT_RADIUS * np.sqrt(proj.cov[:, 0])
-    ry = SUPPORT_RADIUS * np.sqrt(proj.cov[:, 2])
     # clipped before the cast: a box past the int range would wrap
-    tx0 = np.clip((proj.mean2d[:, 0] - rx) // tile, 0, ntx - 1).astype(int)
-    tx1 = np.clip((proj.mean2d[:, 0] + rx) // tile, 0, ntx - 1).astype(int)
-    ty0 = np.clip((proj.mean2d[:, 1] - ry) // tile, 0, nty - 1).astype(int)
-    ty1 = np.clip((proj.mean2d[:, 1] + ry) // tile, 0, nty - 1).astype(int)
+    tx0 = np.clip((proj.mean2d[:, 0] - proj.rx) // tile, 0, ntx - 1).astype(int)
+    tx1 = np.clip((proj.mean2d[:, 0] + proj.rx) // tile, 0, ntx - 1).astype(int)
+    ty0 = np.clip((proj.mean2d[:, 1] - proj.ry) // tile, 0, nty - 1).astype(int)
+    ty1 = np.clip((proj.mean2d[:, 1] + proj.ry) // tile, 0, nty - 1).astype(int)
     nx = tx1 - tx0 + 1
     count = nx * (ty1 - ty0 + 1)
     row = np.repeat(np.arange(proj.z.size), count)
@@ -412,33 +412,32 @@ def render(scene: GaussianScene, cam: CameraView, tile: int = TILE,
     if tile <= 0 or threads <= 0:
         raise InvalidInputError("tile size and thread count must be positive")
     proj = _project_scene(scene, cam)
+    if np.any(proj.det <= 1e-12):
+        raise NumericalDegeneracyError("singular 2-D footprint covariance")
     h, w, fdim = cam.height, cam.width, scene.feature_dim
     out = (np.zeros(h * w), np.zeros(h * w), np.zeros((fdim, h * w)),
            np.full(h * w, np.inf), np.full(h * w, -np.inf))
-    # a footprint whose det overflows (entries past about 1e154 px^2) has
-    # q = 0 everywhere: it covers the view, as in render_oracle
-    with np.errstate(over="ignore"):
-        tiles, bounds, binned, culled = _bin_rows(proj, tile, w, h)
-        # row M pads short tiles: its opacity 0 gives alpha 0 at every pixel
-        m = proj.z.size
-        proj = _ProjectedArrays(np.vstack([proj.mean2d, [0.0, 0.0]]),
-                                np.vstack([proj.cov, [1.0, 0.0, 1.0]]),
-                                np.append(proj.z, 0.0), np.append(proj.opacity, 0.0),
-                                np.append(proj.src, 0))
-        binned = np.append(binned, m)               # position -1 reads row M
-        group = max(1, _GROUP_PIXELS // (tile * tile))
-        # three (64, B, P) buffers for every step: allocating blocks this
-        # large each time costs as many page faults
-        work = np.empty((3, CHUNK * group * tile * tile))
-        ntx = (w + tile - 1) // tile
-        pairs = 0
-        for g in range(0, tiles.size, group):
-            lo, hi = bounds[:-1][g:g + group], bounds[1:][g:g + group]
-            idx = lo[:, None] + np.arange(-(-(hi - lo).max() // CHUNK) * CHUNK)
-            rows = binned[np.where(idx < hi[:, None], idx, -1)].T
-            ty, tx = np.divmod(tiles[g:g + group], ntx)
-            pairs += _blend_group(proj, scene.feature, rows, hi - lo, tx * tile,
-                                  ty * tile, tile, w, h, out, work)
+    tiles, bounds, binned, culled = _bin_rows(proj, tile, w, h)
+    # row M pads short tiles: its opacity 0 gives alpha 0 at every pixel
+    m = proj.z.size
+    proj = _ProjectedArrays(np.vstack([proj.mean2d, [0.0, 0.0]]),
+                            np.vstack([proj.cov, [1.0, 0.0, 1.0]]),
+                            np.append(proj.z, 0.0), np.append(proj.opacity, 0.0),
+                            np.append(proj.src, 0))
+    binned = np.append(binned, m)               # position -1 reads row M
+    group = max(1, _GROUP_PIXELS // (tile * tile))
+    # three (64, B, P) buffers for every step: allocating blocks this
+    # large each time costs as many page faults
+    work = np.empty((3, CHUNK * group * tile * tile))
+    ntx = (w + tile - 1) // tile
+    pairs = 0
+    for g in range(0, tiles.size, group):
+        lo, hi = bounds[:-1][g:g + group], bounds[1:][g:g + group]
+        idx = lo[:, None] + np.arange(-(-(hi - lo).max() // CHUNK) * CHUNK)
+        rows = binned[np.where(idx < hi[:, None], idx, -1)].T
+        ty, tx = np.divmod(tiles[g:g + group], ntx)
+        pairs += _blend_group(proj, scene.feature, rows, hi - lo, tx * tile,
+                              ty * tile, tile, w, h, out, work)
     return _finish(*out, h, w, fdim, binned_rows=binned.size - 1 + culled,
                    culled_rows=culled, pairs_evaluated=pairs)
 

@@ -20,9 +20,10 @@ import numpy as np
 import pytest
 
 from fgs.cli import main
-from fgs.core import GaussianScene
+from fgs.core import CameraView, GaussianScene
 from fgs.io import (load_depth_plane, load_plane, load_scene,
-                    load_voxel_grid, save_points, save_scene, save_tensors)
+                    load_voxel_grid, save_points, save_rig, save_scene,
+                    save_tensors)
 from fgs.sampling import DecodeHeads, Mlp
 from fgs.synth import Primitive, RigSpec, RingSpec, SynthSpec
 from fgs.voxel import GridSpec
@@ -128,14 +129,6 @@ def test_init_then_densify(fixture_dir, tmp_path, capsys):
     assert payload["residual_after"] < payload["residual_before"]
     grown = load_scene(str(grown_path))
     assert grown.layer_offsets == (80, 80 + payload["added_count"])
-
-
-@pytest.mark.parametrize("gamma", ["nan", "inf", "0"])
-def test_init_bad_gamma_exit_2(fixture_dir, tmp_path, capsys, gamma):
-    code, _, err = _run(capsys, ["init", "--rig", str(fixture_dir / "rig.json"),
-                                 "--out", str(tmp_path / "s.fgs"),
-                                 "--gamma", gamma])
-    assert code == 2 and "gamma" in err
 
 
 def test_densify_renders_geometry_only(fixture_dir, tmp_path, monkeypatch):
@@ -316,6 +309,22 @@ def test_render_writes_planes_and_preview(fixture_dir, tmp_path, capsys):
     assert int(valid.sum()) == payload["valid_pixels"]
     assert load_plane(str(feat_path)).shape == (36, 48, 8)
     assert pgm_path.read_bytes().startswith(b"P5\n48 36\n255\n")
+
+
+def test_render_singular_footprint_exit_3(tmp_path, capsys):
+    """A needle 1e8 m long and 1e-3 m thin, turned 45 degrees about the
+    optical axis at z = 5: its footprint's det rounds to 0."""
+    turn = np.pi / 8
+    scene, rig = tmp_path / "needle.fgs", tmp_path / "rig.json"
+    save_scene(str(scene), GaussianScene(
+        np.array([[0.0, 0.0, 5.0]]), np.array([[1e8, 1e-3, 1e-3]]),
+        np.array([[np.cos(turn), 0.0, 0.0, np.sin(turn)]]), np.array([0.5]),
+        np.zeros((1, 2))))
+    save_rig(str(rig), [CameraView(fx=40.0, fy=40.0, cx=23.0, cy=16.0, width=47, height=33)],
+             write_planes=False)
+    code, payload, err = _run(capsys, ["render", "--rig", str(rig), "--scene", str(scene)])
+    assert code == 3 and payload is None
+    assert "numerical degeneracy" in err
 
 
 def test_render_view_out_of_range_exit_2(fixture_dir, tmp_path, capsys):

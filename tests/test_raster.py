@@ -212,17 +212,24 @@ def test_tiled_matches_oracle_on_random_scenes():
         assert np.all(np.isfinite(a.depth))  # invalid pixels hold 0, never NaN
 
 
-@pytest.mark.parametrize("scale", [1e150, 1e200])
-def test_huge_footprints_render_as_the_oracle_does(scale):
+@pytest.mark.parametrize("scale, quat", [
+    pytest.param([1e150] * 3, [1.0, 0.0, 0.0, 0.0], id="1e+150"),
+    pytest.param([1e200] * 3, [1.0, 0.0, 0.0, 0.0], id="1e+200"),
+    pytest.param([1e100, 1e98, 5e99], [0.9, 0.2, 0.3, 0.25], id="rotated-1e+100"),
+])
+def test_huge_footprints_render_as_the_oracle_does(scale, quat):
     """At 1e150 the footprint's box is far past the int range and its det
     overflows: it covers the view.  At 1e200 its covariance overflows too,
-    and both renderers drop it.  Either way no warning escapes."""
+    and both renderers drop it.  Rotated at 1e100, a * c and b * b both
+    overflow, so a * c - b * b is inf - inf; the det is still +inf and the
+    footprint covers the view.  Either way no warning escapes."""
     w, h = 47, 33
     cam = CameraView(fx=40.0, fy=40.0, cx=(w - 1) / 2, cy=(h - 1) / 2, width=w, height=h,
                      rotation=np.eye(3), translation=np.zeros(3))
+    quat = np.array(quat) / np.linalg.norm(quat)
     scene = GaussianScene(mu=np.array([[0.3, -0.2, 4.0], [0.0, 0.0, 5.0]]),
-                          scale=np.array([[0.2, 0.3, 0.2], [scale] * 3]),
-                          quat=np.tile([1.0, 0.0, 0.0, 0.0], (2, 1)),
+                          scale=np.array([[0.2, 0.3, 0.2], scale]),
+                          quat=np.array([[1.0, 0.0, 0.0, 0.0], quat]),
                           opacity=np.array([0.7, 0.5]),
                           feature=np.array([[1.0, 0.0], [0.0, 1.0]]))
     with warnings.catch_warnings():
@@ -230,9 +237,23 @@ def test_huge_footprints_render_as_the_oracle_does(scale):
         out = render(scene, cam)
     ref = render_oracle(scene, cam)
     npt.assert_array_equal(out.valid, ref.valid)
-    assert out.valid.all() == (scale == 1e150) and out.valid.any()
+    assert out.valid.all() == (scale[0] != 1e200) and out.valid.any()
     for name in ("depth", "feature", "acc_alpha"):
         npt.assert_allclose(getattr(out, name), getattr(ref, name), rtol=0, atol=1e-9)
+
+
+def test_render_rejects_a_singular_footprint():
+    """A needle 1e8 m long and 1e-3 m thin, turned 45 degrees about the
+    optical axis at z = 5: its footprint's a * c and b * b round to the
+    same value, so its det is exactly 0."""
+    cam = _camera(fx=40.0, fy=40.0, cx=23.0, cy=16.0, width=47, height=33)
+    turn = np.pi / 8
+    scene = GaussianScene(mu=np.array([[0.0, 0.0, 5.0]]), scale=np.array([[1e8, 1e-3, 1e-3]]),
+                          quat=np.array([[np.cos(turn), 0.0, 0.0, np.sin(turn)]]),
+                          opacity=np.array([0.5]), feature=np.array([[1.0, 0.0]]))
+    assert _project_scene(scene, cam).det.tolist() == [0.0]
+    with pytest.raises(NumericalDegeneracyError):
+        render(scene, cam)
 
 
 def test_render_invariant_to_tile_size_and_threads():
@@ -295,10 +316,11 @@ def _box_keys(proj, tile, w, h):
     ntx, nty = (w + tile - 1) // tile, (h + tile - 1) // tile
     rx = SUPPORT_RADIUS * np.sqrt(proj.cov[:, 0])
     ry = SUPPORT_RADIUS * np.sqrt(proj.cov[:, 2])
-    tx0 = np.clip(((proj.mean2d[:, 0] - rx) // tile).astype(int), 0, ntx - 1)
-    tx1 = np.clip(((proj.mean2d[:, 0] + rx) // tile).astype(int), 0, ntx - 1)
-    ty0 = np.clip(((proj.mean2d[:, 1] - ry) // tile).astype(int), 0, nty - 1)
-    ty1 = np.clip(((proj.mean2d[:, 1] + ry) // tile).astype(int), 0, nty - 1)
+    # clipped before the cast: a box past the int range would wrap
+    tx0 = np.clip((proj.mean2d[:, 0] - rx) // tile, 0, ntx - 1).astype(int)
+    tx1 = np.clip((proj.mean2d[:, 0] + rx) // tile, 0, ntx - 1).astype(int)
+    ty0 = np.clip((proj.mean2d[:, 1] - ry) // tile, 0, nty - 1).astype(int)
+    ty1 = np.clip((proj.mean2d[:, 1] + ry) // tile, 0, nty - 1).astype(int)
     return [(ty * ntx + tx, i) for i in range(proj.z.size)
             for ty in range(ty0[i], ty1[i] + 1)
             for tx in range(tx0[i], tx1[i] + 1)]
