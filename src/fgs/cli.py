@@ -1,8 +1,8 @@
 """Command-line entry point: every pipeline mechanism as a subcommand.
 
 Exit codes: 0 success, 2 invalid input, 3 numerical degeneracy, 4 I/O or
-file-format failure.  `--seed` and `--quiet` are accepted by every
-subcommand.
+file-format failure.  `--quiet` is accepted by every subcommand; `--seed`
+only by `synth` and `pipeline`, the two that read it.
 """
 
 from __future__ import annotations
@@ -266,16 +266,17 @@ def cmd_pipeline(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
-                        help="random seed (fixture-determining)")
     common.add_argument("--quiet", action="store_true",
                         help="suppress the JSON summary on stdout")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[common])
+    seeded.add_argument("--seed", type=int, default=None,
+                        help="random seed (fixture-determining)")
 
     p = argparse.ArgumentParser(prog="fgs",
                                 description="Feature-Gaussian scene toolkit")
     sub = p.add_subparsers(dest="command", required=True)
 
-    s = sub.add_parser("synth", parents=[common],
+    s = sub.add_parser("synth", parents=[seeded],
                        help="generate a synthetic fixture directory")
     s.add_argument("--spec", help="fixture spec JSON (default: built-in room)")
     s.add_argument("--out", required=True, help="output directory")
@@ -366,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--cutoff", type=float, default=DEFAULT_CUTOFF)
     s.set_defaults(func=cmd_eval_map)
 
-    s = sub.add_parser("pipeline", parents=[common],
+    s = sub.add_parser("pipeline", parents=[seeded],
                        help="run configured stages end to end")
     s.add_argument("--config", help="PipelineConfig JSON file")
     s.add_argument("--stages", help="comma-separated stage list override")

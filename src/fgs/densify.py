@@ -30,20 +30,16 @@ class DensifyConfig:
     gamma: float = GAMMA
     base_count: int = 4000
     layer_budgets: tuple[int, ...] = (1000, 1000)
-    init_scale: float = INIT_SCALE
-    init_opacity: float = INIT_OPACITY
     select_mode: str = "signed"
     feature_dim: int = 16
 
     def __post_init__(self):
-        if not (0 < self.gamma < np.inf and 0 < self.init_scale < np.inf):
-            raise InvalidInputError("gamma and init_scale must be positive and finite")
+        if not 0 < self.gamma < np.inf:
+            raise InvalidInputError("gamma must be positive and finite")
         if self.base_count <= 0 or any(b <= 0 for b in self.layer_budgets):
             raise InvalidInputError("base count and layer budgets must be positive")
         if self.select_mode not in ("signed", "absolute"):
             raise InvalidInputError("select_mode must be 'signed' or 'absolute'")
-        if not 0.0 <= self.init_opacity <= 1.0:
-            raise InvalidInputError("init_opacity must lie in [0, 1]")
 
 
 # Mean points per grid cell in `fps`.  It sets the speed, never the picks:
@@ -189,17 +185,17 @@ def pooled_backprojection(views: list[CameraView]) -> np.ndarray:
 def _spawn(points: np.ndarray, cfg: DensifyConfig):
     k = points.shape[0]
     return (points,
-            np.full((k, 3), cfg.init_scale),
+            np.full((k, 3), INIT_SCALE),
             np.tile(IDENTITY_QUAT, (k, 1)),
-            np.full(k, cfg.init_opacity),
+            np.full(k, INIT_OPACITY),
             np.zeros((k, cfg.feature_dim)))
 
 
 def base_init(views: list[CameraView], cfg: DensifyConfig) -> GaussianScene:
     """Layer-0 scene: FPS of the pooled pseudo cloud, isotropic fresh Gaussians.
 
-    Fresh Gaussians share the configured scale/opacity, identity orientation,
-    and an all-zero feature vector.
+    Fresh Gaussians share scale INIT_SCALE, opacity INIT_OPACITY, identity
+    orientation and an all-zero feature vector.
     """
     cloud = pooled_backprojection(views)
     if cloud.shape[0] < cfg.base_count:

@@ -260,7 +260,7 @@ def load_tensors(path) -> dict[str, np.ndarray]:
 # (camera -> ego) and optional plane paths relative to the JSON file.
 # ---------------------------------------------------------------------------
 
-def save_rig(path, views: list[CameraView], write_planes: bool = True) -> None:
+def save_rig(path, views: list[CameraView]) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     entries = []
@@ -272,16 +272,15 @@ def save_rig(path, views: list[CameraView], write_planes: bool = True) -> None:
             "pose": [[float(x) for x in row] for row in pose],
             "timestamp": v.timestamp,
         }
-        if write_planes:
-            if v.ref_depth is not None:
-                entry["depth"] = f"view{i:03d}_depth.plne"
-                save_depth_plane(path.parent / entry["depth"], v.ref_depth, v.ref_valid)
-            if v.ref_feature is not None:
-                entry["feature"] = f"view{i:03d}_feature.plne"
-                save_plane(path.parent / entry["feature"], v.ref_feature)
-            if v.photo is not None:
-                entry["photo"] = f"view{i:03d}_photo.plne"
-                save_plane(path.parent / entry["photo"], v.photo)
+        if v.ref_depth is not None:
+            entry["depth"] = f"view{i:03d}_depth.plne"
+            save_depth_plane(path.parent / entry["depth"], v.ref_depth, v.ref_valid)
+        if v.ref_feature is not None:
+            entry["feature"] = f"view{i:03d}_feature.plne"
+            save_plane(path.parent / entry["feature"], v.ref_feature)
+        if v.photo is not None:
+            entry["photo"] = f"view{i:03d}_photo.plne"
+            save_plane(path.parent / entry["photo"], v.photo)
         entries.append(entry)
     path.write_text(json.dumps({"views": entries}, indent=2))
 
@@ -335,7 +334,9 @@ def read_object(doc, readers: dict, what: str, required=()) -> dict:
     `doc` not being an object, a `required` key missing, or a reader's
     TypeError, ValueError or OverflowError is a FormatError naming `what`
     and the field.  A reader's InvalidInputError (a range check) and nested
-    FormatErrors pass through.  Keys `readers` lacks are the caller's.
+    FormatErrors pass through.  Once every field is read, a key that
+    `readers` lacks is an InvalidInputError: a misspelt key never falls
+    back silently to the default.
     """
     if not isinstance(doc, dict):
         raise FormatError(f"{what} must be a JSON object, got {type(doc).__name__}")
@@ -350,6 +351,9 @@ def read_object(doc, readers: dict, what: str, required=()) -> dict:
             raise
         except (TypeError, ValueError, OverflowError) as e:
             raise FormatError(f"{what}: malformed field {key!r} ({e})") from e
+    unknown = set(doc) - set(readers)
+    if unknown:
+        raise InvalidInputError(f"unknown {what} keys: {sorted(unknown)}")
     return out
 
 
@@ -359,7 +363,8 @@ def load_json_object(path) -> dict:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as e:  # JSONDecodeError or UnicodeDecodeError
         raise FormatError(f"{path}: invalid JSON ({e})") from e
-    read_object(doc, {}, str(path))  # an object, or a FormatError
+    if not isinstance(doc, dict):
+        raise FormatError(f"{path} must be a JSON object, got {type(doc).__name__}")
     return doc
 
 

@@ -81,10 +81,10 @@ class PipelineConfig:
     threads: int = 1
     out_dir: str | None = None
     spec: SynthSpec | None = None
-    base_count: int = 4000
-    layer_budgets: tuple[int, ...] = (1000, 1000)
+    base_count: int = DensifyConfig.base_count
+    layer_budgets: tuple[int, ...] = DensifyConfig.layer_budgets
     gamma: float = GAMMA
-    select_mode: str = "signed"
+    select_mode: str = DensifyConfig.select_mode
     occlusion_margin: float | None = 0.3
     tau_occ: float = TAU_OCC
     cutoff: float | None = DEFAULT_CUTOFF
@@ -110,11 +110,7 @@ class PipelineConfig:
         checks; a document that is not an object or a field of the wrong
         JSON type is a FormatError.
         """
-        kw = read_object(d, _CONFIG_FIELDS, "pipeline config")
-        bad = set(d) - set(_CONFIG_FIELDS)
-        if bad:
-            raise InvalidInputError(f"unknown pipeline config keys: {sorted(bad)}")
-        return cls(**kw)
+        return cls(**read_object(d, _CONFIG_FIELDS, "pipeline config"))
 
 
 def _ints(v) -> tuple[int, ...]:

@@ -35,8 +35,9 @@ compacted block would have to keep every pixel's BLAS order.
 
 What binning and blending read about a footprint is one record,
 `_ProjectedArrays`, which derives det and the 3-sigma half-extents once
-when it is built; q has one formula (`_quad_form`), and `render` rejects a
-singular footprint (det <= 1e-12) once, before binning.
+when it is built; q has one formula (`_quad_form`), and both renderers
+reject a singular footprint (det <= 1e-12) once, on projection
+(`_project_drawable`).
 
 Work that cannot reach an output is skipped exactly:
 
@@ -158,6 +159,15 @@ def _project_scene(scene: GaussianScene, cam: CameraView) -> _ProjectedArrays:
                  & (v + ry >= 0.0) & (v - ry <= cam.height - 1.0))
     order = np.lexsort((idx[on_screen], z[on_screen]))
     return every.take(np.nonzero(on_screen)[0][order])
+
+
+def _project_drawable(scene: GaussianScene, cam: CameraView) -> _ProjectedArrays:
+    """`_project_scene`, refusing a singular footprint (det <= 1e-12): the
+    one rule by which both renderers reject what neither can draw."""
+    proj = _project_scene(scene, cam)
+    if np.any(proj.det <= 1e-12):
+        raise NumericalDegeneracyError("singular 2-D footprint covariance")
+    return proj
 
 
 def project_gaussian(g: FeatureGaussian, cam: CameraView, source_index: int = 0):
@@ -411,9 +421,7 @@ def render(scene: GaussianScene, cam: CameraView, tile: int = TILE,
     """
     if tile <= 0 or threads <= 0:
         raise InvalidInputError("tile size and thread count must be positive")
-    proj = _project_scene(scene, cam)
-    if np.any(proj.det <= 1e-12):
-        raise NumericalDegeneracyError("singular 2-D footprint covariance")
+    proj = _project_drawable(scene, cam)
     h, w, fdim = cam.height, cam.width, scene.feature_dim
     out = (np.zeros(h * w), np.zeros(h * w), np.zeros((fdim, h * w)),
            np.full(h * w, np.inf), np.full(h * w, -np.inf))
@@ -449,7 +457,7 @@ def render_oracle(scene: GaussianScene, cam: CameraView) -> RenderOutput:
     termination; footprint inverses go through np.linalg.inv.  Quadratic in
     scene size times pixels - for verification, not production.
     """
-    proj = _project_scene(scene, cam)
+    proj = _project_drawable(scene, cam)
     h, w, fdim = cam.height, cam.width, scene.feature_dim
     m = proj.z.size
     num = np.zeros(h * w)

@@ -108,15 +108,14 @@ class DecodeHeads:
 
     @classmethod
     def seeded(cls, query_dim: int, feature_dim: int, n_offsets: int = N_OFFSETS,
-               hidden: tuple[int, ...] = (64,), seed: int = 0,
-               with_weights: bool = True) -> "DecodeHeads":
+               hidden: tuple[int, ...] = (64,), seed: int = 0) -> "DecodeHeads":
         rng = np.random.default_rng(seed)
         h = list(hidden)
         return cls(
             offset=Mlp.seeded([query_dim, *h, 3 * n_offsets], rng),
             feat=Mlp.seeded([feature_dim, *h, feature_dim], rng),
             geo=Mlp.seeded([feature_dim, *h, 11], rng),
-            weights=Mlp.seeded([query_dim, *h, n_offsets], rng) if with_weights else None,
+            weights=Mlp.seeded([query_dim, *h, n_offsets], rng),
         )
 
     # -- sidecar (de)serialization -------------------------------------------

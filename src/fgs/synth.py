@@ -10,14 +10,15 @@ a pure function of the spec and its seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .core import CameraView, GaussianScene, Z_NEAR
 from .errors import InvalidInputError
 from .io import (dump_json, json_bool, json_float, json_int, json_list,
-                 json_optional, json_str, load_json_object, read_object)
+                 json_optional, json_str, jsonable, load_json_object,
+                 read_object)
 from .voxel import EMPTY_LABEL, GridSpec, TextBank, VoxelGrid, orthonormal_bank
 
 DEFAULT_IMAGE = (120, 160)     # (height, width)
@@ -201,34 +202,12 @@ class SynthSpec:
         return seen
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "feature_dim": self.feature_dim,
-            "n_gaussians": self.n_gaussians,
-            "gaussian_scale": self.gaussian_scale,
-            "gaussian_opacity": self.gaussian_opacity,
-            "depth_noise": self.depth_noise,
-            "pose_noise": self.pose_noise,
-            "primitives": [
-                {"shape": p.shape, "class": p.class_name, "name": p.name,
-                 "center": p.center.tolist(), "size": p.size.tolist(),
-                 "yaw": p.yaw}
-                for p in self.primitives],
-            "rig": {
-                "rings": [{"count": r.count, "radius": r.radius,
-                           "height": r.height, "pitch_deg": r.pitch_deg,
-                           "offset_deg": r.offset_deg, "inward": r.inward}
-                          for r in self.rig.rings],
-                "height": self.rig.height,
-                "width": self.rig.width,
-                "hfov_deg": self.rig.hfov_deg,
-            },
-            "grid": None if self.grid is None else {
-                "origin": self.grid.origin.tolist(),
-                "dims": list(self.grid.dims),
-                "voxel_size": self.grid.voxel_size,
-            },
-        }
+        """The JSON form `from_dict` reads: every dataclass field, with each
+        primitive's `class_name` written as "class"."""
+        d = jsonable(asdict(self))
+        for p in d["primitives"]:
+            p["class"] = p.pop("class_name")
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "SynthSpec":

@@ -1,4 +1,4 @@
-"""Command-line interface tests: every subcommand, exit codes, env knobs.
+"""Command-line interface tests: every subcommand, exit codes, global flags.
 
 The parser is driven in-process through `main(argv)`, which returns the
 exit code instead of calling sys.exit, so each test asserts the code
@@ -13,13 +13,14 @@ test writes its own outputs into its function-scoped tmp_path.
 
 from __future__ import annotations
 
+import argparse
 import json
 import struct
 
 import numpy as np
 import pytest
 
-from fgs.cli import main
+from fgs.cli import build_parser, main
 from fgs.core import CameraView, GaussianScene
 from fgs.io import (load_depth_plane, load_plane, load_scene,
                     load_voxel_grid, save_points, save_rig, save_scene,
@@ -320,8 +321,7 @@ def test_render_singular_footprint_exit_3(tmp_path, capsys):
         np.array([[0.0, 0.0, 5.0]]), np.array([[1e8, 1e-3, 1e-3]]),
         np.array([[np.cos(turn), 0.0, 0.0, np.sin(turn)]]), np.array([0.5]),
         np.zeros((1, 2))))
-    save_rig(str(rig), [CameraView(fx=40.0, fy=40.0, cx=23.0, cy=16.0, width=47, height=33)],
-             write_planes=False)
+    save_rig(str(rig), [CameraView(fx=40.0, fy=40.0, cx=23.0, cy=16.0, width=47, height=33)])
     code, payload, err = _run(capsys, ["render", "--rig", str(rig), "--scene", str(scene)])
     assert code == 3 and payload is None
     assert "numerical degeneracy" in err
@@ -790,3 +790,54 @@ def test_quiet_suppresses_stdout(fixture_dir, capsys):
                                        str(fixture_dir / "scene.fgs"),
                                        "--quiet"])
     assert code == 0 and payload is None and err == ""
+
+
+def _flag_runs(fx, tmp):
+    """One command line per subcommand on the fixture, each naming only the
+    options it needs: a handler reads every other option at its default."""
+    scene, rig, bank = str(fx / "scene.fgs"), str(fx / "rig.json"), str(fx / "bank.json")
+    gt, out = str(fx / "gt.voxg"), str(tmp / "out.bin")
+    save_points(str(tmp / "pts.bin"), np.zeros((2, 3)))
+    return {
+        "synth": ["--spec", str(fx / "spec.json"), "--out", str(tmp / "fix")],
+        "init": ["--rig", rig, "--out", out, "--count", "80"],
+        "densify": ["--rig", rig, "--scene", scene, "--out", out],
+        "refine": ["--rig", rig, "--scene", scene, "--out", out],
+        "render": ["--rig", rig, "--scene", scene],
+        "voxelize": ["--scene", scene, "--bank", bank, "--out", out,
+                     "--origin=-2.4,-2.4,0", "--dims", "6,6,3"],
+        "retrieve": ["--scene", scene, "--bank", bank, "--points", str(tmp / "pts.bin")],
+        "loss": ["--rig", rig, "--scene", scene],
+        "eval-miou": ["--pred", gt, "--gt", gt],
+        "eval-map": ["--scene", scene, "--bank", bank, "--gt", gt],
+        "pipeline": ["--stages", "", "--out", str(tmp / "run")],
+    }
+
+
+def test_every_parsed_option_is_read(fixture_dir, tmp_path):
+    """Each handler reads every option its subcommand parses: a flag that
+    nothing reads is a setting that silently does nothing."""
+    parser = build_parser()
+    runs = _flag_runs(fixture_dir, tmp_path)
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(runs) == set(sub.choices)
+    reads = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    for command, argv in runs.items():
+        args = parser.parse_args([command, *argv], namespace=Recording())
+        reads.clear()       # argparse itself reads the namespace it fills
+        assert args.func(args) == 0, command
+        unread = set(vars(args)) - reads - {"func", "command"}
+        assert not unread, f"{command} parses {sorted(unread)} and never reads them"
+
+
+def test_seed_only_where_it_is_read(fixture_dir):
+    with pytest.raises(SystemExit) as exc:
+        main(["render", "--rig", str(fixture_dir / "rig.json"),
+              "--scene", str(fixture_dir / "scene.fgs"), "--seed", "1"])
+    assert exc.value.code == 2

@@ -367,8 +367,8 @@ def test_densify_layer_budget_membership_and_prefix():
     pool = backproject(view, view.ref_depth, hole)
     new = grown.mu[len(scene):]
     assert all(np.any(np.all(pool == p, axis=1)) for p in new)
-    npt.assert_array_equal(grown.scale[len(scene):], cfg.init_scale)
-    npt.assert_array_equal(grown.opacity[len(scene):], cfg.init_opacity)
+    npt.assert_array_equal(grown.scale[len(scene):], INIT_SCALE)
+    npt.assert_array_equal(grown.opacity[len(scene):], INIT_OPACITY)
     # one grown layer strictly reduces the selected-set residual
     after = selection_residual([render(grown, view)], [view], report.selected)
     assert after < report.residual_before
@@ -435,9 +435,6 @@ def test_densify_config_validation():
         DensifyConfig(layer_budgets=(100, 0))
     with pytest.raises(InvalidInputError):
         DensifyConfig(select_mode="both")
-    with pytest.raises(InvalidInputError):
-        DensifyConfig(init_opacity=1.5)
     for value in (float("nan"), float("inf")):
-        for field in ("gamma", "init_scale"):
-            with pytest.raises(InvalidInputError, match="finite"):
-                DensifyConfig(**{field: value})
+        with pytest.raises(InvalidInputError, match="finite"):
+            DensifyConfig(gamma=value)

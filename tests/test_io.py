@@ -336,7 +336,7 @@ def test_rig_roundtrip_with_planes(tmp_path):
 
 def test_rig_without_planes(tmp_path):
     path = tmp_path / "rig.json"
-    save_rig(path, [_view(3)], write_planes=False)
+    save_rig(path, [_view(3, with_planes=False)])
     doc = json.loads(path.read_text())
     assert "depth" not in doc["views"][0]
     back = load_rig(path)
@@ -418,8 +418,12 @@ def test_read_object_reports_the_field_and_passes_range_errors_through():
 
     readers = {"n": json_int, "x": positive,
                "sub": lambda v: read_object(v, {"n": json_int}, "sub", ("n",))}
-    assert read_object({"n": 2.0, "other": "kept out"}, readers, "doc") == {"n": 2}
+    assert read_object({"n": 2.0}, readers, "doc") == {"n": 2}
+    with pytest.raises(InvalidInputError, match=r"unknown doc keys: \['other'\]"):
+        read_object({"n": 2.0, "other": "kept out"}, readers, "doc")
+    # the fields are read first: a malformed one outranks an unknown key
     for doc, match in (([1], "doc must be a JSON object"),
+                       ({"n": "2", "other": 1}, "doc: malformed field 'n'"),
                        ({}, "doc: missing field 'n'"),
                        ({"n": "2"}, "doc: malformed field 'n'"),
                        ({"n": 1, "sub": {}}, "sub: missing field 'n'"),

@@ -5,7 +5,9 @@ object, replaces some value (the whole document included) with an
 arbitrary JSON value, or wraps the document in a list.  The reader must
 either accept the result or raise FormatError, InvalidInputError or
 OSError; when it rejects it, the CLI command that reads the same file must
-exit with that error's code (4, 2 or 4) and print no traceback.
+exit with that error's code (4, 2 or 4) and print no traceback.  A key that
+no field table has, added to any object of a valid document, is always
+refused: InvalidInputError, and exit 2.
 
 Examples are derandomized and no example database is kept, so every run
 checks the same documents and leaves nothing behind.
@@ -120,6 +122,24 @@ def _config_doc():
             "refine_which": "all", "view_waves": [1, 1]}
 
 
+def _documents(root):
+    """Per kind: the valid document, its reader, and the CLI command that
+    reads it from a given path."""
+    return {
+        "rig": (json.loads((root / "rig.json").read_text()), load_rig,
+                lambda p: ["init", "--rig", str(p), "--out", str(root / "out.fgs")]),
+        "bank": (json.loads((root / "bank.json").read_text()), load_bank,
+                 lambda p: ["eval-map", "--scene", str(root / "scene.fgs"),
+                            "--bank", str(p), "--gt", str(root / "gt.voxg")]),
+        "pipeline_config": (_config_doc(),
+                            lambda p: PipelineConfig.from_dict(load_json_object(p)),
+                            lambda p: ["pipeline", "--config", str(p), "--stages", ""]),
+        "synth_spec": (_tiny_spec().to_dict(), SynthSpec.load,
+                       lambda p: ["synth", "--spec", str(p),
+                                  "--out", str(root / "synth_out")]),
+    }
+
+
 def test_valid_documents_are_read(fixture_dir):
     assert len(load_rig(fixture_dir / "rig.json")) == 2
     assert load_bank(fixture_dir / "bank.json").class_names == ["ground", "ball", "empty"]
@@ -130,34 +150,53 @@ def test_valid_documents_are_read(fixture_dir):
 @EXAMPLES
 @given(data=st.data())
 def test_mutated_rig(fixture_dir, data):
-    doc = data.draw(_mutants(json.loads((fixture_dir / "rig.json").read_text())))
+    doc, read, argv = _documents(fixture_dir)["rig"]
     path = fixture_dir / "mutant_rig.json"
-    _check(load_rig, path, doc,
-           ["init", "--rig", str(path), "--out", str(fixture_dir / "out.fgs")])
+    _check(read, path, data.draw(_mutants(doc)), argv(path))
 
 
 @EXAMPLES
 @given(data=st.data())
 def test_mutated_bank(fixture_dir, data):
-    doc = data.draw(_mutants(json.loads((fixture_dir / "bank.json").read_text())))
+    doc, read, argv = _documents(fixture_dir)["bank"]
     path = fixture_dir / "mutant_bank.json"
-    bank = _check(load_bank, path, doc,
-                  ["eval-map", "--scene", str(fixture_dir / "scene.fgs"),
-                   "--bank", str(path), "--gt", str(fixture_dir / "gt.voxg")])
+    bank = _check(read, path, data.draw(_mutants(doc)), argv(path))
     assert bank is None or bank.empty_class is None or isinstance(bank.empty_class, str)
 
 
 @EXAMPLES
 @given(doc=_mutants(_config_doc()))
 def test_mutated_pipeline_config(fixture_dir, doc):
+    _, read, argv = _documents(fixture_dir)["pipeline_config"]
     path = fixture_dir / "mutant_config.json"
-    _check(lambda p: PipelineConfig.from_dict(load_json_object(p)), path, doc,
-           ["pipeline", "--config", str(path), "--stages", ""])
+    _check(read, path, doc, argv(path))
 
 
 @EXAMPLES
 @given(doc=_mutants(_tiny_spec().to_dict()))
 def test_mutated_synth_spec(fixture_dir, doc):
+    _, read, argv = _documents(fixture_dir)["synth_spec"]
     path = fixture_dir / "mutant_spec.json"
-    _check(SynthSpec.load, path, doc,
-           ["synth", "--spec", str(path), "--out", str(fixture_dir / "synth_out")])
+    _check(read, path, doc, argv(path))
+
+
+@st.composite
+def _with_added_key(draw, doc):
+    """`doc` with a key that no field table has added to one of its objects."""
+    doc = copy.deepcopy(doc)
+    objects = [p for p in _paths(doc) if isinstance(_at(doc, p), dict)]
+    key = "x_" + draw(st.text(max_size=4))      # no field name starts with x_
+    _at(doc, draw(st.sampled_from(objects)))[key] = draw(JSON_VALUES)
+    return doc
+
+
+@pytest.mark.parametrize("kind", ["rig", "bank", "pipeline_config", "synth_spec"])
+@EXAMPLES
+@given(data=st.data())
+def test_added_key_is_refused(fixture_dir, kind, data):
+    doc, read, argv = _documents(fixture_dir)[kind]
+    path = fixture_dir / f"added_{kind}.json"
+    path.write_text(json.dumps(data.draw(_with_added_key(doc))))
+    with pytest.raises(InvalidInputError, match="unknown .*keys: .*x_"):
+        read(path)
+    assert main(argv(path) + ["--quiet"]) == 2

@@ -245,15 +245,17 @@ def test_huge_footprints_render_as_the_oracle_does(scale, quat):
 def test_render_rejects_a_singular_footprint():
     """A needle 1e8 m long and 1e-3 m thin, turned 45 degrees about the
     optical axis at z = 5: its footprint's a * c and b * b round to the
-    same value, so its det is exactly 0."""
+    same value, so its det is exactly 0.  Both renderers refuse it by the
+    same rule; the oracle does not reach its matrix inverse."""
     cam = _camera(fx=40.0, fy=40.0, cx=23.0, cy=16.0, width=47, height=33)
     turn = np.pi / 8
     scene = GaussianScene(mu=np.array([[0.0, 0.0, 5.0]]), scale=np.array([[1e8, 1e-3, 1e-3]]),
                           quat=np.array([[np.cos(turn), 0.0, 0.0, np.sin(turn)]]),
                           opacity=np.array([0.5]), feature=np.array([[1.0, 0.0]]))
     assert _project_scene(scene, cam).det.tolist() == [0.0]
-    with pytest.raises(NumericalDegeneracyError):
-        render(scene, cam)
+    for renderer in (render, render_oracle):
+        with pytest.raises(NumericalDegeneracyError):
+            renderer(scene, cam)
 
 
 def test_render_invariant_to_tile_size_and_threads():
