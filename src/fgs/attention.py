@@ -176,27 +176,31 @@ def asa_forward(queries: np.ndarray, positions: np.ndarray,
     if n == 0:
         return np.zeros((0, d))
 
+    h = weights.heads
+    dh = d // h
     pe = _padded_encoding(p, d)
     qk_in = q + pe
-    big_q = qk_in @ weights.wq.T + weights.bq
+    # 1/sqrt(dh) folded into Q scales n*d entries instead of every logit
+    big_q = (qk_in @ weights.wq.T + weights.bq) * (1.0 / np.sqrt(dh))
     big_k = qk_in @ weights.wk.T + weights.bk
     big_v = q @ weights.wv.T + weights.bv
 
-    h = weights.heads
-    dh = d // h
-    scale = 1.0 / np.sqrt(dh)
     x_prev = mask.x_prev
     out = np.empty((n, d))
     with np.errstate(under="ignore"):
         for i in range(h):
             sl = slice(i * dh, (i + 1) * dh)
+            # contiguous per head, so no block multiplies strided columns
+            k_t = big_k[:, sl].T.copy()
+            v = big_v[:, sl].copy()
             # settled rows see settled columns; new rows see every column
             for first, stop, cols in ((0, x_prev, x_prev), (x_prev, n, n)):
                 for lo in range(first, stop, ROW_BLOCK):
                     rows = slice(lo, min(lo + ROW_BLOCK, stop))
-                    logits = (big_q[rows, sl] @ big_k[:cols, sl].T) * scale
+                    logits = big_q[rows, sl] @ k_t[:, :cols]
                     logits -= logits.max(axis=1, keepdims=True)
                     np.exp(logits, out=logits)
-                    logits /= logits.sum(axis=1, keepdims=True)
-                    out[rows, sl] = logits @ big_v[:cols, sl]
+                    # normalized after @ V: a divide per output, not per logit
+                    out[rows, sl] = ((logits @ v[:cols])
+                                     / logits.sum(axis=1, keepdims=True))
     return out @ weights.wo.T + weights.bo

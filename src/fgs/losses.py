@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import uniform_filter
 
 from .core import Z_NEAR
 from .errors import EmptyInputError, InvalidInputError
@@ -75,6 +74,7 @@ def silog(ref: np.ndarray, pred: np.ndarray, valid=None,
 # ---------------------------------------------------------------------------
 
 def _avg3(img: np.ndarray) -> np.ndarray:
+    from scipy.ndimage import uniform_filter  # here, so that `import fgs` loads no SciPy
     return uniform_filter(img, size=(3, 3, 1), mode="mirror")
 
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .core import (CameraView, GaussianScene, IDENTITY_QUAT, project_points,
                    quats_to_rotmats)
@@ -311,6 +310,7 @@ def decode_update(f_a: np.ndarray, heads: DecodeHeads, mu_prev: np.ndarray):
     scene (identity when its norm vanishes).  The feature head output is
     taken raw.
     """
+    from scipy.special import expit  # here, so that `import fgs` loads no SciPy
     f_a = np.asarray(f_a, dtype=np.float64)
     new_f = heads.feat(f_a)
     geo = heads.geo(f_a)

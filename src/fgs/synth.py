@@ -414,6 +414,9 @@ def gen_scene(spec: SynthSpec, omit_from_scene=()) -> SynthResult:
         raise InvalidInputError("spec has no primitives")
     if spec.seed < 0:
         raise InvalidInputError(f"seed must be non-negative, got {spec.seed}")
+    if spec.n_gaussians < 0:
+        raise InvalidInputError(
+            f"n_gaussians must be non-negative, got {spec.n_gaussians}")
     if not (0 <= spec.depth_noise < np.inf and 0 <= spec.pose_noise < np.inf):
         raise InvalidInputError("depth and pose noise must be finite and "
                                 f"non-negative, got {spec.depth_noise} and "

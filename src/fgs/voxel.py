@@ -10,7 +10,6 @@ resulting grids and score tables.
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass, field
 
@@ -25,7 +24,7 @@ TAU_OCC = 0.1
 DEFAULT_CUTOFF = 3.0
 # In-memory label for unoccupied voxels (0xFFFF on disk).
 EMPTY_LABEL = -1
-# Most (Gaussian, point) pairs the accumulation kernel evaluates at once.
+# Most candidate (Gaussian, point) pairs the accumulation kernel takes at once.
 PAIR_BLOCK = 8192
 
 
@@ -216,6 +215,63 @@ def check_tau(tau_occ) -> None:
         raise InvalidInputError(f"tau_occ must be finite, got {tau_occ}")
 
 
+class _BallQuery:
+    """Candidate points near each centre: every point within `radius[i]` of
+    `centers[i]`, and a few more, found without a tree.
+
+    The points are sorted by the key of a uniform grid of cells, z fastest,
+    so the points of one (x, y) column of cells between two z cells are one
+    run of the sorted order.  A centre's ball box covers a rectangle of
+    columns, each one `searchsorted` range.  Cells are sized from the median
+    radius, so a wide Gaussian takes more columns rather than every centre
+    scanning every point; no axis has more than about sqrt(M) cells, so a
+    box never takes more than about M columns.
+    """
+
+    def __init__(self, points, centers, radius):
+        self.points, self.centers, self.r2 = points, centers, radius * radius
+        low = points.min(axis=0)
+        span = points.max(axis=0) - low
+        cell = np.maximum(np.median(radius), span / np.ceil(np.sqrt(len(points))))
+        dims = np.floor(span / cell) + 1
+        with np.errstate(over="ignore"):  # a centre far outside: clipped below
+            box_lo = np.floor((centers - radius[:, None] - low) / cell)
+            box_hi = np.floor((centers + radius[:, None] - low) / cell)
+        inside = np.all((box_hi >= 0) & (box_lo < dims), axis=1)
+        box_lo = np.clip(box_lo, 0, dims - 1).astype(np.intp)
+        box_hi = np.clip(box_hi, 0, dims - 1).astype(np.intp)
+        ny, nz = dims[1:].astype(np.intp)
+        cells = np.floor((points - low) / cell).astype(np.intp)
+        keys = (cells[:, 0] * ny + cells[:, 1]) * nz + cells[:, 2]
+        self.order = np.argsort(keys, kind="stable")
+        keys = keys[self.order]
+        # one (x, y) column per row, grouped by centre in scene order
+        side = box_hi[:, 1] - box_lo[:, 1] + 1
+        ncols = np.where(inside, (box_hi[:, 0] - box_lo[:, 0] + 1) * side, 0)
+        self.col_g = np.repeat(np.arange(len(centers)), ncols)
+        j = np.arange(self.col_g.size) - np.repeat(np.cumsum(ncols) - ncols, ncols)
+        lo, sd = box_lo[self.col_g], side[self.col_g]
+        base = ((lo[:, 0] + j // sd) * ny + lo[:, 1] + j % sd) * nz
+        self.start = np.searchsorted(keys, base + lo[:, 2], side="left")
+        self.stop = np.searchsorted(keys, base + box_hi[self.col_g, 2], side="right")
+        self.col_off = np.concatenate([[0], np.cumsum(ncols)])
+        run_ends = np.concatenate([[0], np.cumsum(self.stop - self.start)])
+        self.counts = np.diff(run_ends[self.col_off])
+
+    def pairs(self, lo, hi):
+        """(centre, point) index pairs of centres lo..hi-1 within their
+        radius, grouped by centre in order, each point once per centre."""
+        cols = slice(self.col_off[lo], self.col_off[hi])
+        start = self.start[cols]
+        length = self.stop[cols] - start
+        first = np.repeat(start - (np.cumsum(length) - length), length)
+        p = self.order[first + np.arange(first.size)]
+        g = np.repeat(self.col_g[cols], length)
+        d = self.points[p] - self.centers[g]
+        keep = np.einsum("pd,pd->p", d, d) <= self.r2[g]
+        return g[keep], p[keep]
+
+
 def _accumulate_kernel(points, scene, weights, cutoff):
     """Sum_i exp(-q_i(x) / 2) * weights_i at each point x, q_i(x) being the
     squared Mahalanobis distance from Gaussian i.
@@ -232,31 +288,30 @@ def _accumulate_kernel(points, scene, weights, cutoff):
         raise InvalidInputError("points must be finite")
     weights = np.asarray(weights, dtype=np.float64)
     m = points.shape[0]
+    acc = np.zeros((weights.shape[1], m))
+    if m == 0 or len(scene) == 0:
+        return acc.T
     if cutoff is None:
         counts = np.full(len(scene), m)
     else:
-        # Imported here: at module level scipy.spatial slows `import fgs` by ~0.1 s.
-        from scipy.spatial import cKDTree
-        tree = cKDTree(points)
         # widened so that rounding cannot drop a point at q = cutoff**2
         radius = cutoff * scene.scale.max(axis=1) * (1 + 1e-9)
-        counts = tree.query_ball_point(scene.mu, radius, return_length=True)
+        query = _BallQuery(points, scene.mu, radius)
+        counts = query.counts
     ends = np.cumsum(counts)
     # Per-pair values run along the last axis, so that each elementwise pass
     # over a block is one long loop over its pairs: rot[3k + j] is every R[k, j].
     rot = quats_to_rotmats(scene.quat).reshape(-1, 9).T.copy()
     inv_var = 1.0 / scene.scale**2
-    acc = np.zeros((weights.shape[1], m))
     lo = 0
     while lo < len(scene):
         first = ends[lo] - counts[lo]  # pair index where Gaussian lo starts
         hi = max(lo + 1, int(np.searchsorted(ends, first + PAIR_BLOCK, side="right")))
-        g = np.repeat(np.arange(lo, hi), counts[lo:hi])
         if cutoff is None:
+            g = np.repeat(np.arange(lo, hi), m)
             p = np.tile(np.arange(m), hi - lo)
-        else:  # fetched per block: the lists hold a Python int per pair
-            p = np.fromiter(itertools.chain.from_iterable(
-                tree.query_ball_point(scene.mu[lo:hi], radius[lo:hi])), np.intp, g.size)
+        else:
+            g, p = query.pairs(lo, hi)
         d = (points.take(p, axis=0) - scene.mu.take(g, axis=0)).T
         r = rot.take(g, axis=1)
         local = d[0] * r[0:3] + d[1] * r[3:6] + d[2] * r[6:9]

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -103,6 +104,21 @@ def test_synth_spec_with_negative_seed_exit_2(tmp_path, capsys):
     code, _, err = _run(capsys, ["synth", "--spec", str(spec_path),
                                  "--out", str(tmp_path / "fix")])
     assert code == 2 and "seed" in err
+
+
+@pytest.mark.parametrize("n, code", [(-5, 2), (0, 0)], ids=["negative", "zero"])
+def test_synth_spec_gaussian_count(tmp_path, capsys, n, code):
+    """A negative count is invalid input; zero gives an empty ground-truth scene."""
+    spec_path = tmp_path / "spec.json"
+    replace(_tiny_spec(), n_gaussians=n).save(str(spec_path))
+    out = tmp_path / "fix"
+    got, payload, err = _run(capsys, ["synth", "--spec", str(spec_path),
+                                      "--out", str(out)])
+    assert got == code
+    if code:
+        assert payload is None and "n_gaussians" in err and not out.exists()
+    else:
+        assert payload["gaussians"] == 0 and len(load_scene(str(out / "scene.fgs"))) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,12 @@ Hand anchors:
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -21,10 +27,12 @@ import pytest
 from fgs.core import GaussianScene, covariance3d, quats_to_rotmats
 from fgs.errors import EmptyInputError, InvalidInputError
 from fgs.voxel import (DEFAULT_CUTOFF, EMPTY_LABEL, GridSpec, PAIR_BLOCK, TAU_OCC,
-                       TextBank, TextBankEntry, VoxelGrid, average_precision,
-                       eval_map, eval_miou, orthonormal_bank, query_points,
-                       retrieval_scores, text_probs, voxelize,
-                       voxelize_oracle)
+                       TextBank, TextBankEntry, VoxelGrid, _accumulate_kernel,
+                       _BallQuery, average_precision, eval_map, eval_miou,
+                       orthonormal_bank, query_points, retrieval_scores,
+                       text_probs, voxelize, voxelize_oracle)
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _single(mu=(0.0, 0.0, 0.0), s=0.5, opacity=0.8, f=None, fdim=4):
@@ -425,6 +433,86 @@ def test_retrieval_scores_pick_the_right_class():
     assert np.argmax(scores[:, 0]) == 1 and np.argmax(scores[:, 1]) == 2
     npt.assert_allclose(scores[:, 2], 0.0, atol=1e-12)  # empty space scores nothing
     npt.assert_allclose(p_occ[2], 0.0, atol=1e-12)
+
+
+def _dense_accumulate(points, scene, weights, cutoff):
+    """Every Gaussian against every point, in scene order, with the pairs
+    at q > cutoff**2 masked to zero."""
+    rot = quats_to_rotmats(scene.quat)
+    inv_var = 1.0 / scene.scale**2
+    acc = np.zeros((points.shape[0], weights.shape[1]))
+    for i in range(len(scene)):
+        d = points - scene.mu[i]
+        local = d[:, 0:1] * rot[i][0] + d[:, 1:2] * rot[i][1] + d[:, 2:3] * rot[i][2]
+        q = np.einsum("md,d->m", local * local, inv_var[i])
+        k = np.exp(-0.5 * q)
+        k[q > cutoff * cutoff] = 0.0
+        acc += k[:, None] * weights[i]
+    return acc
+
+
+def test_ball_query_kernel_is_bit_identical_to_dense_masked_sums():
+    rng = np.random.default_rng(29)
+    pts = rng.uniform(-1.0, 1.0, (3000, 3))
+    wide = rng.random(60) < 0.25
+    scale = np.where(wide, 5.0, 0.05)[:, None] * rng.uniform(1.0, 1.5, (60, 3))
+    base = _random_scene(rng, 60, span=1.2)          # partly outside the points too
+    skewed = GaussianScene(base.mu, scale, base.quat, base.opacity, base.feature)
+    base = _random_scene(rng, 20)
+    outside = GaussianScene(base.mu + [6.0, 0.0, 0.0], base.scale, base.quat,
+                            base.opacity, base.feature)  # no point within any cutoff
+    # radii a billionth of the points' spread but one as wide as it: with a
+    # cell per median radius the keys would overflow and the wide Gaussian
+    # would span about 1e18 columns
+    base = _random_scene(rng, 40, span=900.0)
+    scale = base.scale * np.where(np.arange(40) < 39, 1e-6, 1e3)[:, None]
+    spread = GaussianScene(base.mu, scale, base.quat, base.opacity, base.feature)
+    layouts = [(skewed, pts), (outside, pts),
+               (_random_scene(rng, 30), pts[rng.integers(0, 40, 500)]),  # duplicates
+               (_random_scene(rng, 30), pts[:1]),
+               (_random_scene(rng, 30), np.zeros((0, 3))),
+               (GaussianScene.empty(4), pts),
+               (spread, np.concatenate([spread.mu[:20] + 2e-7, pts]))]
+    for scene, points in layouts:
+        weights = np.column_stack([scene.opacity, scene.feature])
+        for cutoff in (3.0, 1.0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = _accumulate_kernel(points, scene, weights, cutoff)
+                want = _dense_accumulate(points, scene, weights, cutoff)
+            assert np.array_equal(got, want), (len(scene), len(points), cutoff)
+    # a narrow Gaussian's candidates stay local though a quarter are 100x wider
+    query = _BallQuery(pts, skewed.mu, 3.0 * skewed.scale.max(axis=1))
+    assert query.counts[wide].min() == len(pts)
+    assert query.counts[~wide].max() < len(pts) // 10
+
+
+def test_default_loop_imports_no_scipy():
+    """`import fgs`, the CLI, voxelize and retrieval load no SciPy module.
+    Run in a fresh interpreter: other tests load SciPy into this one."""
+    script = "\n".join([
+        "import sys",
+        "import numpy as np",
+        "import fgs, fgs.cli",
+        "from fgs.core import GaussianScene",
+        "from fgs.voxel import GridSpec, orthonormal_bank, retrieval_scores, voxelize",
+        "rng = np.random.default_rng(0)",
+        "quat = rng.normal(size=(40, 4))",
+        "scene = GaussianScene(rng.uniform(-1, 1, (40, 3)), rng.uniform(0.1, 0.5, (40, 3)),",
+        "                      quat, rng.uniform(0, 1, 40), rng.normal(size=(40, 4)))",
+        "bank = orthonormal_bank(['empty', 'wall'], dim=4)",
+        "grid = voxelize(scene, bank, GridSpec(np.full(3, -1.0), (5, 5, 5), 0.4))",
+        "scores, _ = retrieval_scores(scene, bank, rng.uniform(-1, 1, (50, 3)))",
+        "assert grid.occupied.any() and np.all(np.isfinite(scores))",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+    ])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
