@@ -13,8 +13,9 @@ import sys
 
 import numpy as np
 
+from .core import rig_feature_dim
 from .densify import (GAMMA, DensifyConfig, base_init, densify_layer,
-                      feature_dim_of, selection_residual)
+                      selection_residual)
 from .errors import (FormatError, InvalidInputError, NumericalDegeneracyError)
 from .io import (depth_preview, dump_json, load_bank, load_json_object,
                  load_points, load_rig, load_scene, load_tensors,
@@ -72,7 +73,8 @@ def cmd_synth(args) -> int:
 
 def cmd_init(args) -> int:
     views = load_rig(args.rig)
-    cfg = DensifyConfig(base_count=args.count, feature_dim=feature_dim_of(views))
+    cfg = DensifyConfig(base_count=args.count,
+                        feature_dim=rig_feature_dim(views, DensifyConfig.feature_dim))
     scene = base_init(views, cfg)
     _outdir(args.out)
     save_scene(args.out, scene)
@@ -86,7 +88,7 @@ def cmd_densify(args) -> int:
     layer = scene.layer_count
     cfg = DensifyConfig(gamma=args.gamma, select_mode=args.select_mode,
                         layer_budgets=tuple([args.budget] * layer),
-                        feature_dim=feature_dim_of(views))
+                        feature_dim=rig_feature_dim(views, DensifyConfig.feature_dim))
     grown, report = densify_layer(scene, views, cfg, layer)
     _outdir(args.out)
     save_scene(args.out, grown)
@@ -203,9 +205,7 @@ def cmd_loss(args) -> int:
         if v.ref_depth is None:
             continue
         out = render(scene, v)
-        ok = out.valid & (np.asarray(v.ref_valid, dtype=bool)
-                          if v.ref_valid is not None
-                          else np.isfinite(v.ref_depth))
+        ok = out.valid & v.ref_valid
         if not np.any(ok):
             continue
         l1s.append(l1_depth(v.ref_depth, out.depth, ok))

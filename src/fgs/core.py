@@ -264,6 +264,26 @@ class GaussianScene:
 # Cameras
 # ---------------------------------------------------------------------------
 
+def depth_validity(depth: np.ndarray, valid: np.ndarray | None = None) -> np.ndarray:
+    """`valid` as a bool mask of depth's shape or, when None, the rule for a
+    reference depth plane: a pixel holds a depth when finite and > Z_NEAR."""
+    if valid is None:
+        return np.isfinite(depth) & (depth > Z_NEAR)
+    valid = np.asarray(valid, dtype=bool)
+    if valid.shape != np.shape(depth):
+        raise InvalidInputError("validity mask shape mismatch")
+    return valid
+
+
+def rig_feature_dim(views: Sequence[CameraView], default: int | None = None) -> int | None:
+    """Width of the views' feature planes (`default` if none has one); planes
+    of different widths are invalid input."""
+    widths = {v.ref_feature.shape[2] for v in views if v.ref_feature is not None}
+    if len(widths) > 1:
+        raise InvalidInputError(f"views disagree on feature dimension: {sorted(widths)}")
+    return widths.pop() if widths else default
+
+
 @dataclass
 class CameraView:
     """A pinhole camera with pose (camera -> ego) and optional reference planes.
@@ -300,12 +320,7 @@ class CameraView:
             self.ref_depth = np.asarray(self.ref_depth, dtype=np.float64)
             if self.ref_depth.shape != (self.height, self.width):
                 raise InvalidInputError("ref_depth shape mismatch")
-            if self.ref_valid is None:
-                self.ref_valid = np.isfinite(self.ref_depth) & (self.ref_depth > Z_NEAR)
-            else:
-                self.ref_valid = np.asarray(self.ref_valid, dtype=bool)
-                if self.ref_valid.shape != (self.height, self.width):
-                    raise InvalidInputError("ref_valid shape mismatch")
+            self.ref_valid = depth_validity(self.ref_depth, self.ref_valid)
 
     # -- frame transforms -----------------------------------------------------
     def ego_to_cam(self, points: np.ndarray) -> np.ndarray:
@@ -362,21 +377,14 @@ def project_points(points: np.ndarray, cam: CameraView):
 def backproject(cam: CameraView, depth: np.ndarray, valid: np.ndarray | None = None) -> np.ndarray:
     """Lift a depth map to ego-frame points, one per valid pixel.
 
-    Pixels are taken in row-major order over the validity mask (default: the
-    camera's ref_valid if depth is the camera's own plane, else finite and
-    beyond the near plane).  Round-trips with `project_point` to sub-1e-4
-    precision by construction.
+    Pixels are taken in row-major order over the validity mask (default:
+    `depth_validity`'s rule on `depth`, whatever plane it is).  Round-trips
+    with `project_point` to sub-1e-4 precision by construction.
     """
     depth = np.asarray(depth, dtype=np.float64)
     if depth.shape != (cam.height, cam.width):
         raise InvalidInputError("depth shape mismatch")
-    if valid is None:
-        valid = np.isfinite(depth) & (depth > Z_NEAR)
-    else:
-        valid = np.asarray(valid, dtype=bool)
-        if valid.shape != depth.shape:
-            raise InvalidInputError("validity mask shape mismatch")
-    vs, us = np.nonzero(valid)
+    vs, us = np.nonzero(depth_validity(depth, valid))
     z = depth[vs, us]
     x = (us - cam.cx) / cam.fx * z
     y = (vs - cam.cy) / cam.fy * z

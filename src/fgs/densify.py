@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CameraView, GaussianScene, IDENTITY_QUAT, RenderOutput, backproject
+from .core import (CameraView, GaussianScene, IDENTITY_QUAT, RenderOutput,
+                   backproject, depth_validity)
 from .errors import InsufficientPointsError, InvalidInputError
 from .raster import render
 
@@ -167,12 +168,6 @@ def fps_oracle(points: np.ndarray, k: int) -> np.ndarray:
     return np.asarray(chosen, dtype=int)
 
 
-def feature_dim_of(views: list[CameraView]) -> int:
-    """Feature width of the first view with a feature plane, else the default."""
-    return next((v.ref_feature.shape[2] for v in views if v.ref_feature is not None),
-                DensifyConfig.feature_dim)
-
-
 def pooled_backprojection(views: list[CameraView]) -> np.ndarray:
     """Ego-frame union of every view's valid reference-depth backprojection."""
     clouds = [backproject(v, v.ref_depth, v.ref_valid)
@@ -214,15 +209,15 @@ def select_under_represented(rendered: RenderOutput, ref_depth: np.ndarray,
     signed: rendered - reference > gamma (strictly); pixels the render leaves
     invalid count as +infinity residual.  absolute: |rendered - reference| >
     gamma with the same invalid-pixel rule.  Pixels without valid reference
-    depth are never selected.
+    depth (`ref_valid`, or `depth_validity`'s rule when it is None) are
+    never selected.
     """
     ref_depth = np.asarray(ref_depth, dtype=np.float64)
     if ref_depth.shape != rendered.depth.shape:
         raise InvalidInputError("reference/rendered shapes differ")
     if mode not in ("signed", "absolute"):
         raise InvalidInputError("mode must be 'signed' or 'absolute'")
-    ref_ok = (np.ones_like(ref_depth, dtype=bool) if ref_valid is None
-              else np.asarray(ref_valid, dtype=bool))
+    ref_ok = depth_validity(ref_depth, ref_valid)
     resid = np.where(rendered.valid, rendered.depth - ref_depth, np.inf)
     if mode == "absolute":
         resid = np.abs(resid)

@@ -5,6 +5,10 @@ banks (JSON), plus tiny PGM/PPM preview emitters.
 All binary payloads are little-endian; floats are stored as f32 regardless of
 the float64 math used in memory.  Magic-number or length mismatches raise
 FormatError.
+
+Depth planes use NaN to mark invalid pixels, and a loaded depth follows
+`core.depth_validity`'s rule too: a NaN, non-finite or <= Z_NEAR (0.1 m)
+pixel is "no depth".
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import CameraView, GaussianScene
+from .core import CameraView, GaussianScene, depth_validity
 from .errors import FormatError, InvalidInputError
 from .voxel import EMPTY_LABEL, TextBank, TextBankEntry, VoxelGrid
 
@@ -138,13 +142,13 @@ def save_depth_plane(path, depth: np.ndarray, valid: np.ndarray | None = None) -
 
 
 def load_depth_plane(path):
-    """Returns (depth, valid); NaN pixels come back as 0 with valid=False."""
+    """Returns (depth, valid), valid by `depth_validity`'s rule; invalid
+    pixels come back as 0."""
     d = load_plane(path)
     if d.ndim != 2:
         raise FormatError(f"{path}: depth plane must be single-channel")
-    valid = np.isfinite(d)
-    d = np.where(valid, d, 0.0)
-    return d, valid
+    valid = depth_validity(d)
+    return np.where(valid, d, 0.0), valid
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +389,7 @@ def load_rig(path) -> list[CameraView]:
     fields = {"fx": json_float, "fy": json_float, "cx": json_float,
               "cy": json_float, "width": json_int, "height": json_int,
               "timestamp": json_int, "pose": _pose,
-              "depth": plane(load_depth_plane),
+              "depth": plane(lambda p: load_depth_plane(p)[0]),
               "feature": plane(lambda p: np.atleast_3d(load_plane(p))),
               "photo": plane(load_plane)}
     required = ("fx", "fy", "cx", "cy", "width", "height", "pose")
@@ -394,7 +398,7 @@ def load_rig(path) -> list[CameraView]:
         kw = read_object(entry, fields, f"{path}: rig view", required)
         pose = kw.pop("pose")
         kw["rotation"], kw["translation"] = pose[:, :3], pose[:, 3]
-        kw["ref_depth"], kw["ref_valid"] = kw.pop("depth", None) or (None, None)
+        kw["ref_depth"] = kw.pop("depth", None)   # CameraView derives ref_valid
         kw["ref_feature"] = kw.pop("feature", None)
         # CameraView's own range checks (e.g. fx <= 0) are invalid input
         return CameraView(**kw)

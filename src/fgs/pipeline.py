@@ -15,20 +15,21 @@ from __future__ import annotations
 import os
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import CameraView, GaussianScene, project_points
+from .core import CameraView, GaussianScene, project_points, rig_feature_dim
 from .densify import (DensifyConfig, GAMMA, base_init, densify_layer,
-                      feature_dim_of, selection_residual)
+                      selection_residual)
 # perfbench's tracer wraps select_under_represented on this module too.
 from .densify import select_under_represented  # noqa: F401
 from .errors import FgsError, InvalidInputError
 from .io import (dump_json, json_float, json_int, json_list, json_optional,
                  json_str, jsonable, read_object, save_scene, save_voxel_grid)
 from .raster import RenderOutput, render
-from .sampling import DecodeHeads, refine_scene
+from .sampling import (DecodeHeads, check_occlusion_margin,
+                       check_refine_which, refine_scene)
 from .synth import SynthSpec, gen_scene, room_spec
 from .voxel import (DEFAULT_CUTOFF, GridSpec, TAU_OCC, TextBank, VoxelGrid,
                     check_cutoff, check_tau, eval_map, eval_miou,
@@ -73,10 +74,13 @@ class PipelineConfig:
     the next one, so later layers grow where newly arrived views expose
     unexplained pixels.  `view_waves = ()` disables this and activates all
     views at once.
+
+    `seed` names the fixture: the stock room of that seed, or `spec` with
+    its seed replaced.  Left at None, it is the spec's seed, else 0.
     """
 
     stages: tuple[str, ...] = DEFAULT_STAGES
-    seed: int = 0
+    seed: int | None = None
     # No effect; kept while perfbench/run.py, edited only on its own, passes it.
     threads: int = 1
     out_dir: str | None = None
@@ -93,14 +97,28 @@ class PipelineConfig:
     view_waves: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        if self.seed is None:
+            self.seed = 0 if self.spec is None else self.spec.seed
         self.stages = validate_stages(self.stages)
         if self.threads < 1:
             raise InvalidInputError("threads must be >= 1")
         if self.view_waves is not None and any(w <= 0 for w in self.view_waves):
             raise InvalidInputError(
                 f"view wave sizes must be positive, got {list(self.view_waves)}")
+        # Every stage's own checks, so that a bad setting fails here and not
+        # after the stages before it have run.
+        self.densify_config()
+        check_refine_which(self.refine_which)
+        check_occlusion_margin(self.occlusion_margin)
         check_cutoff(self.cutoff)
         check_tau(self.tau_occ)
+
+    def densify_config(self, feature_dim: int = DensifyConfig.feature_dim) -> DensifyConfig:
+        """The growth settings, checked by DensifyConfig itself."""
+        return DensifyConfig(gamma=self.gamma, base_count=self.base_count,
+                             layer_budgets=self.layer_budgets,
+                             select_mode=self.select_mode,
+                             feature_dim=feature_dim)
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
@@ -187,21 +205,19 @@ class _State:
 
 
 def _synth(st: _State) -> dict:
-    spec = st.config.spec or room_spec(st.config.seed)
+    c = st.config
+    spec = room_spec(c.seed) if c.spec is None else replace(c.spec, seed=c.seed)
     result = gen_scene(spec)
     st.views, st.bank, st.gt = result.views, result.bank, result.gt_grid
-    st.waves = tuple(result.view_waves if st.config.view_waves is None
-                     else st.config.view_waves)
+    st.waves = tuple(result.view_waves if c.view_waves is None
+                     else c.view_waves)
     return {"views": len(st.views), "view_waves": list(st.waves),
             "classes": spec.class_names}
 
 
 def _init(st: _State) -> dict:
     c, active = st.config, st.arrive(0)
-    st.dconf = DensifyConfig(gamma=c.gamma, base_count=c.base_count,
-                             layer_budgets=c.layer_budgets,
-                             select_mode=c.select_mode,
-                             feature_dim=feature_dim_of(active))
+    st.dconf = c.densify_config(rig_feature_dim(active, DensifyConfig.feature_dim))
     t0 = time.perf_counter()
     st.scene = base_init(active, st.dconf)
     grow_s = time.perf_counter() - t0

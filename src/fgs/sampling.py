@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (CameraView, GaussianScene, IDENTITY_QUAT, project_points,
-                   quats_to_rotmats)
+                   quats_to_rotmats, rig_feature_dim)
 from .errors import InvalidInputError, NumericalDegeneracyError
 
 N_OFFSETS = 16
@@ -216,6 +216,13 @@ def bilinear_sample(plane: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarr
     return out[:, 0] if squeeze else out
 
 
+def check_occlusion_margin(occlusion_margin) -> None:
+    """An occlusion margin is None or a finite distance."""
+    if occlusion_margin is not None and not np.isfinite(occlusion_margin):
+        raise InvalidInputError(
+            f"occlusion margin must be finite, got {occlusion_margin}")
+
+
 def sample_features(points: np.ndarray, views: list[CameraView],
                     occlusion_margin: float | None = None):
     """Project ego points into every feature-carrying view and interpolate.
@@ -231,20 +238,16 @@ def sample_features(points: np.ndarray, views: list[CameraView],
     and the plane there describes the occluder, not it.  Pixels without a
     valid reference depth are left ungated.
     """
-    if occlusion_margin is not None and not np.isfinite(occlusion_margin):
-        raise InvalidInputError(
-            f"occlusion margin must be finite, got {occlusion_margin}")
+    check_occlusion_margin(occlusion_margin)
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    feat_views = [v for v in views if v.ref_feature is not None]
-    if not feat_views:
+    fdim = rig_feature_dim(views)
+    if fdim is None:
         raise InvalidInputError("no view carries a feature plane")
-    fdim = feat_views[0].ref_feature.shape[2]
+    feat_views = [v for v in views if v.ref_feature is not None]
     m = points.shape[0]
     feats = np.zeros((m, len(feat_views), fdim))
     valid = np.zeros((m, len(feat_views)), dtype=bool)
     for l, v in enumerate(feat_views):
-        if v.ref_feature.shape[2] != fdim:
-            raise InvalidInputError("views disagree on feature dimension")
         uv, z, front = project_points(points, v)
         u, vv = uv[:, 0], uv[:, 1]
         ok = front & (u >= 0) & (u <= v.width - 1) & (vv >= 0) & (vv <= v.height - 1)
@@ -252,9 +255,7 @@ def sample_features(points: np.ndarray, views: list[CameraView],
             iu = np.clip(np.rint(u[ok]).astype(int), 0, v.width - 1)
             iv = np.clip(np.rint(vv[ok]).astype(int), 0, v.height - 1)
             ref_z = v.ref_depth[iv, iu]
-            known = np.ones(ref_z.shape, dtype=bool)
-            if v.ref_valid is not None:
-                known = v.ref_valid[iv, iu]
+            known = v.ref_valid[iv, iu]
             ok[np.flatnonzero(ok)[known & (z[ok] > ref_z + occlusion_margin)]] = False
         if np.any(ok):
             feats[ok, l] = bilinear_sample(v.ref_feature, u[ok], vv[ok])
@@ -328,6 +329,12 @@ def decode_update(f_a: np.ndarray, heads: DecodeHeads, mu_prev: np.ndarray):
 # Whole-scene refinement pass
 # ---------------------------------------------------------------------------
 
+def check_refine_which(which) -> None:
+    """Refinement updates "all" Gaussians or only the "newest" layer."""
+    if which not in ("all", "newest"):
+        raise InvalidInputError("which must be 'all' or 'newest'")
+
+
 def refine_scene(scene: GaussianScene, views: list[CameraView],
                  heads: DecodeHeads | None = None, which: str = "all",
                  chunk: int = 2048,
@@ -341,11 +348,9 @@ def refine_scene(scene: GaussianScene, views: list[CameraView],
     unchanged either way.  Layer structure is preserved.
     `occlusion_margin` is forwarded to the plane sampler.
     """
-    if which not in ("all", "newest"):
-        raise InvalidInputError("which must be 'all' or 'newest'")
-    width = heads.feat.out_dim if heads is not None else next(
-        (v.ref_feature.shape[2] for v in views if v.ref_feature is not None),
-        scene.feature_dim)
+    check_refine_which(which)
+    width = (heads.feat.out_dim if heads is not None
+             else rig_feature_dim(views, scene.feature_dim))
     if width != scene.feature_dim:
         raise InvalidInputError(f"refinement writes {width}-wide features into "
                                 f"a scene of width {scene.feature_dim}")

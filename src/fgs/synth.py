@@ -436,14 +436,13 @@ def gen_scene(spec: SynthSpec, omit_from_scene=()) -> SynthResult:
     views = []
     for view in build_rig(spec.rig):
         depth, prim_idx = trace_depth(view, spec.primitives)
-        valid = np.isfinite(depth)
+        hit = prim_idx >= 0     # ray hits lie beyond Z_NEAR: ref_valid == hit
         if spec.depth_noise > 0:
             noise = rng.normal(0.0, spec.depth_noise, depth.shape)
-            depth = np.where(valid, np.maximum(depth + noise, 2 * Z_NEAR), depth)
+            depth = np.where(hit, np.maximum(depth + noise, 2 * Z_NEAR), depth)
         feat = np.zeros(depth.shape + (spec.feature_dim,))
-        feat[valid] = emb[class_of_prim[prim_idx[valid]]]
-        views.append(replace(view, ref_depth=np.where(valid, depth, np.nan),
-                             ref_valid=valid, ref_feature=feat))
+        feat[hit] = emb[class_of_prim[prim_idx[hit]]]
+        views.append(replace(view, ref_depth=depth, ref_feature=feat))
     if spec.pose_noise > 0:
         views = perturb_poses(views, spec.pose_noise, seed=spec.seed)
 

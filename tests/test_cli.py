@@ -22,10 +22,10 @@ import numpy as np
 import pytest
 
 from fgs.cli import build_parser, main
-from fgs.core import CameraView, GaussianScene
-from fgs.io import (load_depth_plane, load_plane, load_scene,
-                    load_voxel_grid, save_points, save_rig, save_scene,
-                    save_tensors)
+from fgs.core import Z_NEAR, CameraView, GaussianScene
+from fgs.io import (load_depth_plane, load_plane, load_rig, load_scene,
+                    load_voxel_grid, save_plane, save_points, save_rig,
+                    save_scene, save_tensors)
 from fgs.sampling import DecodeHeads, Mlp
 from fgs.synth import Primitive, RigSpec, RingSpec, SynthSpec
 from fgs.voxel import GridSpec
@@ -170,6 +170,43 @@ def test_densify_renders_geometry_only(fixture_dir, tmp_path, monkeypatch):
     assert main(["densify", "--rig", rig, "--scene", base, "--budget", "40",
                  "--out", str(tmp_path / "grown.fgs"), "--quiet"]) == 0
     assert widths == {"fgs.densify": [0] * 5, "fgs.cli": [0] * 5}
+
+
+def test_init_seeds_no_gaussian_at_a_camera_from_zero_filled_depth(
+        fixture_dir, tmp_path, capsys):
+    """A depth plane written with `save_plane` whose writer filled missing
+    pixels with 0 (the loaded planes already hold 0 there) and put 0.0 and
+    0.05 at view 0's first two pixels.  Pixel (0, 0) would be the pseudo
+    cloud's point 0, the camera centre, and FPS always picks point 0."""
+    views = load_rig(fixture_dir / "rig.json")
+    rig = tmp_path / "rig.json"
+    save_rig(rig, views)
+    depth = views[0].ref_depth.copy()
+    depth[0, 0], depth[0, 1] = 0.0, 0.05
+    save_plane(tmp_path / "view000_depth.plne", depth)
+    out = tmp_path / "base.fgs"
+    code, _, _ = _run(capsys, ["init", "--rig", str(rig), "--out", str(out),
+                               "--count", "80"])
+    assert code == 0
+    mu = load_scene(str(out)).mu
+    for v in views:
+        assert np.linalg.norm(mu - v.center, axis=1).min() > Z_NEAR
+
+
+def test_mixed_feature_widths_refused_by_init_and_densify(fixture_dir, tmp_path,
+                                                           capsys):
+    views = load_rig(fixture_dir / "rig.json")
+    views[1] = replace(views[1], ref_feature=views[1].ref_feature[:, :, :4])
+    rig = str(tmp_path / "rig.json")
+    save_rig(rig, views)
+    for argv in (["init", "--rig", rig, "--count", "80"],
+                 ["densify", "--rig", rig,
+                  "--scene", str(fixture_dir / "scene.fgs")]):
+        out = tmp_path / f"{argv[0]}.fgs"
+        code, payload, err = _run(capsys, argv + ["--out", str(out)])
+        assert code == 2 and payload is None, argv[0]
+        assert "disagree on feature dimension: [4, 8]" in err
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -510,6 +547,28 @@ def test_pipeline_from_config_with_stage_override(tmp_path, capsys):
     assert payload["seed"] == 7
     assert (out / "report.json").exists() and (out / "scene.fgs").exists()
     assert len(load_scene(str(out / "scene.fgs"))) == 60
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("refine_which", "oldest", "which must be 'all' or 'newest'"),
+    ("occlusion_margin", float("nan"), "occlusion margin must be finite"),
+    ("gamma", 0.0, "gamma must be positive and finite"),
+    ("select_mode", "median", "select_mode must be 'signed' or 'absolute'"),
+    ("base_count", 0, "base count and layer budgets must be positive"),
+    ("layer_budgets", [100, 0], "base count and layer budgets must be positive"),
+])
+def test_pipeline_bad_setting_refused_before_any_stage(tmp_path, capsys, key,
+                                                       value, message):
+    """Each stage's setting is checked when the config is built, even by a
+    run that never reaches that stage."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"stages": ["synth"], key: value}))
+    out = tmp_path / "run"
+    code, payload, err = _run(capsys, ["pipeline", "--config", str(cfg_path),
+                                       "--out", str(out)])
+    assert code == 2 and payload is None
+    assert message in err
+    assert not out.exists()
 
 
 def test_pipeline_bad_config_key_exit_2(tmp_path, capsys):

@@ -17,9 +17,9 @@ import numpy.testing as npt
 import pytest
 
 from fgs.core import (CameraView, FeatureGaussian, GaussianScene, Z_NEAR,
-                      backproject, covariance3d, project_point,
+                      backproject, covariance3d, depth_validity, project_point,
                       project_points, quat_normalize, quat_to_rotmat,
-                      relative_transform)
+                      relative_transform, rig_feature_dim)
 from fgs.core import quats_to_rotmats
 from fgs.errors import InvalidInputError
 
@@ -233,6 +233,32 @@ def test_camera_ref_depth_default_validity():
     cam = _camera(ref_depth=depth)
     assert not cam.ref_valid[0, 0] and not cam.ref_valid[0, 1]
     assert cam.ref_valid[10, 10]
+
+
+def test_depth_validity_rule_and_explicit_masks():
+    depth = np.array([[np.nan, np.inf, -np.inf, 0.0],
+                      [0.05, Z_NEAR, np.nextafter(Z_NEAR, 1.0), 5.0]])
+    npt.assert_array_equal(depth_validity(depth),
+                           [[False, False, False, False],
+                            [False, False, True, True]])
+    # an explicit mask is taken as given, as bools
+    mask = np.eye(2, 4, dtype=int)
+    npt.assert_array_equal(depth_validity(depth, mask), mask.astype(bool))
+    with pytest.raises(InvalidInputError, match="shape mismatch"):
+        depth_validity(depth, np.ones((4, 2), dtype=bool))
+    with pytest.raises(InvalidInputError, match="shape mismatch"):
+        _camera(ref_depth=np.ones((48, 64)), ref_valid=np.ones((64, 48), dtype=bool))
+
+
+def test_rig_feature_dim_shared_width_default_and_disagreement():
+    plain = _camera()
+    eight = _camera(ref_feature=np.zeros((48, 64, 8)))
+    four = _camera(ref_feature=np.zeros((48, 64, 4)))
+    assert rig_feature_dim([plain, eight, eight]) == 8
+    assert rig_feature_dim([plain], 16) == 16
+    assert rig_feature_dim([]) is None
+    with pytest.raises(InvalidInputError, match=r"disagree on feature dimension: \[4, 8\]"):
+        rig_feature_dim([eight, plain, four], 16)
 
 
 def test_frame_transforms_round_trip():

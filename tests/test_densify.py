@@ -15,7 +15,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from fgs.core import CameraView, GaussianScene, RenderOutput, backproject
+from fgs.core import Z_NEAR, CameraView, GaussianScene, RenderOutput, backproject
 from fgs.densify import (DensifyConfig, GAMMA, INIT_OPACITY, INIT_SCALE,
                          base_init, densify_layer, fps, fps_oracle,
                          pooled_backprojection, select_under_represented,
@@ -294,6 +294,17 @@ def test_selection_treats_render_invalid_as_infinite():
     ref_ok = np.array([[True, True], [True, False]])
     sel2 = select_under_represented(out, ref, ref_ok, gamma=GAMMA)
     npt.assert_array_equal(sel2, [[False, True], [False, False]])
+
+
+def test_selection_without_a_mask_applies_the_reference_depth_rule():
+    # NaN, infinite and near-plane references hold no depth: neither a render
+    # that covers nothing (+inf residual) nor one far behind them selects them
+    ref = np.array([[np.nan, np.inf, 0.0, 0.05, Z_NEAR, 5.0]])
+    for covered in (False, True):
+        out = _made_output(np.full((1, 6), 1e3), np.full((1, 6), covered))
+        for mode in ("signed", "absolute"):
+            sel = select_under_represented(out, ref, None, mode=mode)
+            npt.assert_array_equal(sel, [[False] * 5 + [True]])
 
 
 def test_selection_shape_and_mode_errors():

@@ -129,6 +129,28 @@ def test_depth_plane_marks_invalid_as_nan(tmp_path):
         load_depth_plane(tmp_path / "multi.plne")
 
 
+def test_loaded_depth_follows_the_near_plane_rule(tmp_path):
+    """A depth plane written with `save_plane`, whose writer filled missing
+    pixels with 0 (or anything within the near plane) rather than NaN,
+    loads with those pixels invalid, on its own and in a rig."""
+    depth = np.array([[0.0, 0.05, np.nan, np.inf],
+                      [-1.0, 0.09, 0.11, 4.0]])
+    expected = np.array([[False, False, False, False],
+                         [False, False, True, True]])
+    save_plane(tmp_path / "d.plne", depth)
+    back, valid = load_depth_plane(tmp_path / "d.plne")
+    npt.assert_array_equal(valid, expected)
+    npt.assert_array_equal(back[~valid], 0.0)
+
+    rig = tmp_path / "rig.json"
+    save_rig(rig, [CameraView(fx=4.0, fy=4.0, cx=1.5, cy=0.5, width=4, height=2,
+                              ref_depth=np.full((2, 4), 4.0))])
+    save_plane(tmp_path / "view000_depth.plne", depth)
+    (view,) = load_rig(rig)
+    npt.assert_array_equal(view.ref_valid, expected)
+    npt.assert_array_equal(view.ref_depth[expected], back[expected])
+
+
 def test_plane_format_errors(tmp_path):
     path = tmp_path / "junk.plne"
     path.write_bytes(b"JUNKxxxx")

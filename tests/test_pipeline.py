@@ -26,7 +26,7 @@ from fgs.errors import InsufficientPointsError, InvalidInputError
 from fgs.io import load_scene, load_voxel_grid
 from fgs.pipeline import (DEFAULT_STAGES, STAGES, PipelineConfig,
                           run_pipeline, validate_stages)
-from fgs.synth import Primitive, RigSpec, RingSpec, SynthSpec
+from fgs.synth import Primitive, RigSpec, RingSpec, SynthSpec, room_spec
 from fgs.voxel import GridSpec
 
 
@@ -192,6 +192,28 @@ def test_config_from_dict_passes_objects_through(tmp_path):
     cfg = PipelineConfig.from_dict({"spec": spec, "out_dir": tmp_path,
                                     "seed": 3.0})
     assert cfg.spec is spec and cfg.out_dir == tmp_path and cfg.seed == 3
+
+
+@pytest.mark.parametrize("seed, spec_seed, expected",
+                         [(None, None, 0), (5, None, 5), (None, 7, 7), (5, 7, 5)])
+def test_report_names_the_seed_of_the_fixture_it_built(monkeypatch, seed,
+                                                       spec_seed, expected):
+    """A given seed overrides the spec's (as `fgs synth --seed` does); without
+    one the spec's seed holds, and without either the stock room's 0."""
+    import fgs.pipeline
+    built = []
+    real = fgs.pipeline.gen_scene
+    monkeypatch.setattr(fgs.pipeline, "gen_scene",
+                        lambda spec: built.append(spec) or real(spec))
+    spec = None if spec_seed is None else _tiny_spec(spec_seed)
+    report = run_pipeline(PipelineConfig(seed=seed, spec=spec,
+                                         stages=("synth",)))
+    assert report["seed"] == expected
+    (fixture,) = built
+    want = room_spec(expected) if spec is None else _tiny_spec(expected)
+    assert fixture.to_dict() == want.to_dict()
+    if spec is not None:
+        assert spec.seed == spec_seed       # the caller's spec is left alone
 
 
 # ---------------------------------------------------------------------------

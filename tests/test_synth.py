@@ -22,7 +22,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from fgs.core import CameraView
+from fgs.core import Z_NEAR, CameraView
 from fgs.errors import InvalidInputError
 from fgs.synth import (DEFAULT_IMAGE, Primitive, RigSpec, RingSpec,
                        SynthSpec, build_rig, gen_scene, missing_wall_fixture,
@@ -353,6 +353,23 @@ def test_gen_scene_noise_knobs():
     assert np.all(vn.ref_depth[vn.ref_valid] > 0.0)
     assert np.any(vn.translation != v0.translation)
     npt.assert_array_equal(vn.rotation, v0.rotation)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("noise", [{}, {"depth_noise": 0.15}, {"pose_noise": 0.05}],
+                         ids=["clean", "depth_noise", "pose_noise"])
+def test_reference_masks_follow_the_near_plane_rule(seed, noise):
+    """Every fixture mask is the reference-depth rule, finite and beyond
+    Z_NEAR, applied to its plane: ray hits lie beyond the near plane and
+    depth noise is clamped to 2 Z_NEAR, so no plane holds a depth the rule
+    drops."""
+    import dataclasses
+    result = gen_scene(dataclasses.replace(room_spec(seed), **noise))
+    for v in result.views:
+        assert v.ref_valid.dtype == bool
+        npt.assert_array_equal(v.ref_valid,
+                               np.isfinite(v.ref_depth) & (v.ref_depth > Z_NEAR))
+        assert v.ref_valid.any()
 
 
 def test_gen_scene_rejects_unknown_omissions():
