@@ -27,8 +27,9 @@ print(f"rig:   {len(views)} cameras, {views[0].width}x{views[0].height} px")
 
 cam = views[0]
 
-# Tile-binned path (the fast one; tiles are blended one after another,
-# dropping each tile's saturated pixels as it goes).
+# Tile-binned path (the fast one): 8x8 tiles are blended as a wavefront,
+# 16 tiles per 64-row step; a saturated pixel of a running tile gets weight
+# 0, and a tile stops once all its pixels are saturated.
 t0 = time.perf_counter()
 fast = render(scene, cam)
 fast_s = time.perf_counter() - t0

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -41,10 +42,12 @@ def _outdir(path) -> None:
 
 
 def _load_spec(args) -> SynthSpec:
-    spec = SynthSpec.load(args.spec) if args.spec else room_spec(args.seed or 0)
-    if args.seed is not None:
-        spec.seed = args.seed
-    return spec
+    """The spec file or the stock room, with the seed and noise flags that
+    are given put in by `replace`, so that the spec's own checks run."""
+    spec = SynthSpec.load(args.spec) if args.spec else room_spec()
+    flags = {"seed": args.seed, "depth_noise": args.depth_noise,
+             "pose_noise": args.pose_noise}
+    return replace(spec, **{k: v for k, v in flags.items() if v is not None})
 
 
 # ---------------------------------------------------------------------------
@@ -53,10 +56,6 @@ def _load_spec(args) -> SynthSpec:
 
 def cmd_synth(args) -> int:
     spec = _load_spec(args)
-    if args.depth_noise is not None:
-        spec.depth_noise = args.depth_noise
-    if args.pose_noise is not None:
-        spec.pose_noise = args.pose_noise
     result = gen_scene(spec)
     os.makedirs(args.out, exist_ok=True)
     save_scene(os.path.join(args.out, "scene.fgs"), result.scene)

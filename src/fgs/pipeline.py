@@ -6,6 +6,9 @@ executed stage plus a per-layer table: Gaussian count and wall time at each
 layer, the work counts of the layer's renders (`RENDER_COUNTS`), and a
 `growth` row for the step that built the layer (pseudo-cloud points, FPS
 picks, and the time of base init or of the densify step).
+Refinement runs without decode heads and keeps the geometry (`fgs refine
+--heads` decodes with them), so only init and densify change it, and the
+renders they leave behind always show the current scene.
 Timings never influence artifacts, so runs with identical config and seed
 write byte-identical scene and grid files regardless of thread count.
 """
@@ -28,8 +31,7 @@ from .errors import FgsError, InvalidInputError
 from .io import (dump_json, json_float, json_int, json_list, json_optional,
                  json_str, jsonable, read_object, save_scene, save_voxel_grid)
 from .raster import RenderOutput, render
-from .sampling import (DecodeHeads, check_occlusion_margin,
-                       check_refine_which, refine_scene)
+from .sampling import check_occlusion_margin, check_refine_which, refine_scene
 from .synth import SynthSpec, gen_scene, room_spec
 from .voxel import (DEFAULT_CUTOFF, GridSpec, TAU_OCC, TextBank, VoxelGrid,
                     check_cutoff, check_tau, eval_map, eval_miou,
@@ -92,7 +94,6 @@ class PipelineConfig:
     occlusion_margin: float | None = 0.3
     tau_occ: float = TAU_OCC
     cutoff: float | None = DEFAULT_CUTOFF
-    heads: DecodeHeads | None = None
     refine_which: str = "all"
     view_waves: tuple[int, ...] | None = None
 
@@ -107,11 +108,19 @@ class PipelineConfig:
                 f"view wave sizes must be positive, got {list(self.view_waves)}")
         # Every stage's own checks, so that a bad setting fails here and not
         # after the stages before it have run.
+        self.fixture_spec()
         self.densify_config()
         check_refine_which(self.refine_which)
         check_occlusion_margin(self.occlusion_margin)
         check_cutoff(self.cutoff)
         check_tau(self.tau_occ)
+
+    def fixture_spec(self) -> SynthSpec:
+        """The spec the synth stage builds, checked by SynthSpec itself: the
+        stock room of `seed`, or `spec` with its seed replaced."""
+        if self.spec is None:
+            return room_spec(self.seed)
+        return replace(self.spec, seed=self.seed)
 
     def densify_config(self, feature_dim: int = DensifyConfig.feature_dim) -> DensifyConfig:
         """The growth settings, checked by DensifyConfig itself."""
@@ -145,12 +154,6 @@ def _spec(v) -> SynthSpec:
     return v if isinstance(v, SynthSpec) else SynthSpec.from_dict(v)
 
 
-def _heads(v) -> DecodeHeads:
-    if not isinstance(v, DecodeHeads):
-        raise TypeError("heads must be a DecodeHeads; a config file cannot hold one")
-    return v
-
-
 # How PipelineConfig.from_dict reads each field; a key missing here is unknown.
 _CONFIG_FIELDS = {
     "stages": lambda v: tuple(json_list(v, json_str)),
@@ -158,8 +161,8 @@ _CONFIG_FIELDS = {
     "spec": json_optional(_spec), "base_count": json_int,
     "layer_budgets": _ints, "gamma": json_float, "select_mode": json_str,
     "occlusion_margin": json_optional(json_float), "tau_occ": json_float,
-    "cutoff": json_optional(json_float), "heads": json_optional(_heads),
-    "refine_which": json_str, "view_waves": json_optional(_ints),
+    "cutoff": json_optional(json_float), "refine_which": json_str,
+    "view_waves": json_optional(_ints),
 }
 
 
@@ -186,27 +189,24 @@ class _State:
                        else self.views)
         return self.active
 
-    def render_active(self, growth: dict | None = None) -> None:
-        """Render the scene's geometry into every active view: the stages
-        read only depth and validity.  With `growth`, the row of the step
-        that built the newest layer, append that layer's row, timed by this
-        render; either way the renders' work counts add to the newest row."""
+    def render_active(self, growth: dict) -> None:
+        """Render the scene's geometry into every active view (the stages
+        read only depth and validity) and append the newest layer's row:
+        `growth`, the row of the step that built the layer, the time of
+        this render and the renders' work counts."""
         t0 = time.perf_counter()
         geometry = self.scene.geometry()
         self.renders = [render(geometry, v) for v in self.active]
-        if growth is not None:
-            self.report["layers"].append({
-                "index": self.scene.layer_count - 1, "count": len(self.scene),
-                "views": len(self.active), "time_s": time.perf_counter() - t0,
-                "growth": growth, **dict.fromkeys(RENDER_COUNTS, 0)})
-        row = self.report["layers"][-1]
-        for name in RENDER_COUNTS:
-            row[name] += sum(getattr(out, name) for out in self.renders)
+        self.report["layers"].append({
+            "index": self.scene.layer_count - 1, "count": len(self.scene),
+            "views": len(self.active), "time_s": time.perf_counter() - t0,
+            "growth": growth, **{name: sum(getattr(out, name) for out in self.renders)
+                                 for name in RENDER_COUNTS}})
 
 
 def _synth(st: _State) -> dict:
     c = st.config
-    spec = room_spec(c.seed) if c.spec is None else replace(c.spec, seed=c.seed)
+    spec = c.fixture_spec()
     result = gen_scene(spec)
     st.views, st.bank, st.gt = result.views, result.bank, result.gt_grid
     st.waves = tuple(result.view_waves if c.view_waves is None
@@ -252,11 +252,8 @@ def _densify(st: _State) -> dict:
 
 def _refine(st: _State) -> dict:
     c, t0 = st.config, time.perf_counter()
-    st.scene = refine_scene(st.scene, st.active, heads=c.heads,
-                            which=c.refine_which,
+    st.scene = refine_scene(st.scene, st.active, which=c.refine_which,
                             occlusion_margin=c.occlusion_margin)
-    if c.heads is not None:
-        st.render_active()
     st.report["layers"][-1]["time_s"] += time.perf_counter() - t0
     return {"which": c.refine_which, "count": len(st.scene)}
 

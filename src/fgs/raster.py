@@ -18,7 +18,7 @@ verbatim by the two renderers:
 
 `render` is the production tiled path.  It bins footprints to 8x8 tiles with
 one stable sort of (tile, footprint) keys and blends the tiles as a
-wavefront (`_blend_group`): tiles go in groups of about 1024 pixels, and
+wavefront (`_blend_group`): tiles go in groups of 16 (1024 pixels), and
 step k of a group blends chunk k, rows 64k..64k+63 of each tile's
 depth-ordered list, of every tile in the group still running, in one set of
 NumPy calls.  A tile shorter than the step is padded with a row of opacity
@@ -28,7 +28,7 @@ bits of a blend of its tile alone, chunk by chunk: the alpha and weight
 arithmetic is per pair, and the depth GEMV and the feature GEMM are called
 per tile on its own rows and its in-image pixels in row-major order.
 
-The tile is 8x8 because most evaluated pairs have alpha 0: the 34 seed-0
+The tile (`TILE`) is 8x8 because most evaluated pairs have alpha 0: the 34 seed-0
 pipeline renders evaluate 92.9 M pairs on 8x8 tiles and 155.4 M on 16x16.
 A saturated pixel of a running tile is evaluated and gets weight 0: a
 compacted block would have to keep every pixel's BLAS order.
@@ -76,7 +76,7 @@ T_STOP = 1e-4           # saturation floor on transmittance
 EPS_ACC = 1e-6          # minimum blend mass for a valid depth
 TILE = 8
 CHUNK = 64              # rows per blend step
-_GROUP_PIXELS = 1024    # tile pixels per step's NumPy calls: 16 tiles of 8x8
+_GROUP_TILES = 16       # tiles per step's NumPy calls: 1024 pixels
 _BIN_KEYS = 16384       # (tile, row) keys culled per NumPy call
 _RANK = np.arange(1, CHUNK + 1, dtype=np.int8)[:, None, None]
 
@@ -118,10 +118,26 @@ class _ProjectedArrays:
 
     def take(self, sel):
         """The record of rows `sel`, its derived fields gathered, not re-formed."""
-        out = object.__new__(_ProjectedArrays)
-        for name in self.__slots__:
-            setattr(out, name, getattr(self, name)[sel])
+        return self._of(getattr(self, name)[sel] for name in self.__slots__)
+
+    def padded(self):
+        """The record with `_PAD` appended as row M, derived fields included."""
+        return self._of(np.concatenate([getattr(self, name), getattr(_PAD, name)])
+                        for name in self.__slots__)
+
+    @classmethod
+    def _of(cls, values):
+        """A record of the given values, in slot order, nothing derived."""
+        out = object.__new__(cls)
+        for name, value in zip(cls.__slots__, values):
+            setattr(out, name, value)
         return out
+
+
+# The row that pads a tile shorter than a blend step: its opacity 0 gives
+# alpha exactly 0 at every pixel.
+_PAD = _ProjectedArrays(np.zeros((1, 2)), np.array([[1.0, 0.0, 1.0]]), np.zeros(1),
+                        np.zeros(1), np.zeros(1, dtype=np.intp))
 
 
 def _project_scene(scene: GaussianScene, cam: CameraView) -> _ProjectedArrays:
@@ -237,25 +253,25 @@ def _alpha_block(proj: _ProjectedArrays, rows, us, vs):
     return q
 
 
-def _blend_group(proj, feature, rows, nrows, x0, y0, tile, w, h, out, work):
+def _blend_group(proj, feature, rows, nrows, x0, y0, w, h, out, work):
     """Front-to-back blend of a group of tiles, one chunk step at a time.
 
     `rows` (K, B) holds the depth-ordered rows of the B tiles whose corners
     are (x0, y0), `nrows` of them each, padded with the opacity-0 row.  Each
-    tile's block is its tile x tile lattice of pixels; the lattice pixels
-    outside the image start with T = 0 and are never written out.  Alpha is
-    taken on the (tile, tile, 64, B) lattice: q's terms in du alone and in
-    dv alone are then (1, tile, 64, B) and (tile, 1, 64, B), and every
+    tile's block is its 8x8 lattice of pixels; the lattice pixels outside
+    the image start with T = 0 and are never written out.  Alpha is taken
+    on the (8, 8, 64, B) lattice: q's terms in du alone and in dv alone are
+    then (1, 8, 64, B) and (8, 1, 64, B), and every
     broadcast runs along contiguous (64, B) rows.  The blend reads alpha as
     (64, B, P), so that each row of a step is one contiguous array.  A tile
     that stops writes its sums to `out` (num, den, feat, zmin, zmax) and
     leaves the group.  `work` holds three buffers of at least 64 * B * P
     floats.  Returns the (row, pixel) pairs evaluated, padding excluded.
     """
-    b, p, fdim = x0.size, tile * tile, feature.shape[1]
-    lattice = np.arange(tile)
-    xs, ys = x0[:, None] + lattice, y0[:, None] + lattice       # (B, tile)
-    tw, th = np.minimum(tile, w - x0), np.minimum(tile, h - y0)
+    b, p, fdim = x0.size, TILE * TILE, feature.shape[1]
+    lattice = np.arange(TILE)
+    xs, ys = x0[:, None] + lattice, y0[:, None] + lattice       # (B, TILE)
+    tw, th = np.minimum(TILE, w - x0), np.minimum(TILE, h - y0)
     flat = (ys[:, :, None] * w + xs[:, None, :]).reshape(b, p)
     in_image = ((ys < h)[:, :, None] & (xs < w)[:, None, :]).reshape(b, p)
     us = np.ascontiguousarray(xs.T, dtype=np.float64)[None, :, None, :]
@@ -289,11 +305,11 @@ def _blend_group(proj, feature, rows, nrows, x0, y0, tile, w, h, out, work):
         for i, (g, ph, pw) in enumerate(zip(count.tolist(), th.tolist(), tw.tolist())):
             # the tile's rows by its in-image pixels in row-major order: a
             # view, copied only when the tile is clipped in width
-            wi = wgt[:g, i].reshape(g, tile, tile)[:, :ph, :pw].reshape(g, ph * pw)
-            num[i].reshape(tile, tile)[:ph, :pw] += (z[:g, i] @ wi).reshape(ph, pw)
+            wi = wgt[:g, i].reshape(g, TILE, TILE)[:, :ph, :pw].reshape(g, ph * pw)
+            num[i].reshape(TILE, TILE)[:ph, :pw] += (z[:g, i] @ wi).reshape(ph, pw)
             if fdim:
                 f = feature[proj.src[sub[:g, i]]].T @ wi
-                feat[:, i].reshape(fdim, tile, tile)[:, :ph, :pw] += f.reshape(fdim, ph, pw)
+                feat[:, i].reshape(fdim, TILE, TILE)[:, :ph, :pw] += f.reshape(fdim, ph, pw)
         pairs += int(count @ (th * tw))
         # rows are depth-sorted: the range is the first and last hit row
         # and each pixel's hit rows' largest rank gives its last (first) one
@@ -406,46 +422,38 @@ def _bin_rows(proj: _ProjectedArrays, tile: int, w: int, h: int):
     return tiles, np.append(start, key.size), row, int(keep.size - row.size)
 
 
-def render(scene: GaussianScene, cam: CameraView, tile: int = TILE,
-           threads: int = 1) -> RenderOutput:
+def render(scene: GaussianScene, cam: CameraView, threads: int = 1) -> RenderOutput:
     """Tile-binned front-to-back blend of the whole scene into one view.
 
-    Gaussians are binned to the tiles their support can reach, in one
-    global depth order (ties by scene index), so results are independent of
-    `tile` up to float accumulation order.  Tiles are blended in groups of
-    about `_GROUP_PIXELS` pixels (`_blend_group`) in the calling thread:
-    `threads` is validated (>= 1) but does not affect rendering.  It stays
-    only because perfbench/run.py and perfbench/selftest.py pass it.  The
-    output carries the work counts: (tile, row) keys binned and culled, and
-    (row, pixel) pairs evaluated.
+    Gaussians are binned to the `TILE` x `TILE` tiles their support can
+    reach, in one global depth order (ties by scene index).  Tiles are
+    blended `_GROUP_TILES` at a time (`_blend_group`) in the calling
+    thread: `threads` is validated (>= 1) but does not affect rendering.
+    It stays only because perfbench/run.py and perfbench/selftest.py pass
+    it.  The output carries the work counts: (tile, row) keys binned and
+    culled, and (row, pixel) pairs evaluated.
     """
-    if tile <= 0 or threads <= 0:
-        raise InvalidInputError("tile size and thread count must be positive")
+    if threads <= 0:
+        raise InvalidInputError("thread count must be positive")
     proj = _project_drawable(scene, cam)
     h, w, fdim = cam.height, cam.width, scene.feature_dim
     out = (np.zeros(h * w), np.zeros(h * w), np.zeros((fdim, h * w)),
            np.full(h * w, np.inf), np.full(h * w, -np.inf))
-    tiles, bounds, binned, culled = _bin_rows(proj, tile, w, h)
-    # row M pads short tiles: its opacity 0 gives alpha 0 at every pixel
-    m = proj.z.size
-    proj = _ProjectedArrays(np.vstack([proj.mean2d, [0.0, 0.0]]),
-                            np.vstack([proj.cov, [1.0, 0.0, 1.0]]),
-                            np.append(proj.z, 0.0), np.append(proj.opacity, 0.0),
-                            np.append(proj.src, 0))
-    binned = np.append(binned, m)               # position -1 reads row M
-    group = max(1, _GROUP_PIXELS // (tile * tile))
+    tiles, bounds, binned, culled = _bin_rows(proj, TILE, w, h)
+    binned = np.append(binned, proj.z.size)     # position -1 reads the pad row
+    proj = proj.padded()
     # three (64, B, P) buffers for every step: allocating blocks this
     # large each time costs as many page faults
-    work = np.empty((3, CHUNK * group * tile * tile))
-    ntx = (w + tile - 1) // tile
+    work = np.empty((3, CHUNK * _GROUP_TILES * TILE * TILE))
+    ntx = (w + TILE - 1) // TILE
     pairs = 0
-    for g in range(0, tiles.size, group):
-        lo, hi = bounds[:-1][g:g + group], bounds[1:][g:g + group]
+    for g in range(0, tiles.size, _GROUP_TILES):
+        lo, hi = bounds[:-1][g:g + _GROUP_TILES], bounds[1:][g:g + _GROUP_TILES]
         idx = lo[:, None] + np.arange(-(-(hi - lo).max() // CHUNK) * CHUNK)
         rows = binned[np.where(idx < hi[:, None], idx, -1)].T
-        ty, tx = np.divmod(tiles[g:g + group], ntx)
-        pairs += _blend_group(proj, scene.feature, rows, hi - lo, tx * tile,
-                              ty * tile, tile, w, h, out, work)
+        ty, tx = np.divmod(tiles[g:g + _GROUP_TILES], ntx)
+        pairs += _blend_group(proj, scene.feature, rows, hi - lo, tx * TILE,
+                              ty * TILE, w, h, out, work)
     return _finish(*out, h, w, fdim, binned_rows=binned.size - 1 + culled,
                    culled_rows=culled, pairs_evaluated=pairs)
 

@@ -10,7 +10,7 @@ back into a Gaussian update with bounded position shift and floored scales.
 
 The four steps - `gen_offsets`, `place_samples`, `aggregate`,
 `decode_update` - work on row batches of m Gaussians at once, and
-`refine_scene` is a chunk loop that composes them.
+`refine_scene` composes them over chunks of `REFINE_CHUNK` rows.
 
 All heads are plain ReLU MLPs with loadable weights; `heads=None` selects the
 weight-free fallback: center sampling, uniform aggregation, geometry kept,
@@ -30,6 +30,7 @@ from .errors import InvalidInputError, NumericalDegeneracyError
 N_OFFSETS = 16
 DELTA_MAX = 2.0   # meters; bound on a decoded position update
 S_MIN = 0.01      # meters; floor on decoded scales
+REFINE_CHUNK = 2048   # Gaussians per `refine_scene` step
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +338,6 @@ def check_refine_which(which) -> None:
 
 def refine_scene(scene: GaussianScene, views: list[CameraView],
                  heads: DecodeHeads | None = None, which: str = "all",
-                 chunk: int = 2048,
                  occlusion_margin: float | None = None) -> GaussianScene:
     """One sampling + aggregation (+ decode) pass over the scene.
 
@@ -345,8 +345,9 @@ def refine_scene(scene: GaussianScene, views: list[CameraView],
     each selected Gaussian is replaced by its decoded update; without heads,
     geometry is kept and the feature becomes the uniform aggregate of the
     center sample across views.  Gaussians with zero valid pairs are kept
-    unchanged either way.  Layer structure is preserved.
-    `occlusion_margin` is forwarded to the plane sampler.
+    unchanged either way.  Layer structure is preserved, and rows go
+    `REFINE_CHUNK` at a time.  `occlusion_margin` is forwarded to the plane
+    sampler.
     """
     check_refine_which(which)
     width = (heads.feat.out_dim if heads is not None
@@ -361,8 +362,8 @@ def refine_scene(scene: GaussianScene, views: list[CameraView],
 
     out = [a.copy() for a in (scene.mu, scene.scale, scene.quat,
                               scene.opacity, scene.feature)]
-    for lo in range(0, rows.size, chunk):
-        sel = rows[lo:lo + chunk]
+    for lo in range(0, rows.size, REFINE_CHUNK):
+        sel = rows[lo:lo + REFINE_CHUNK]
         queries = scene.feature[sel]
         if heads is None:
             pts = scene.mu[sel][:, None, :]                      # center sample only

@@ -51,10 +51,12 @@ class Primitive:
             raise InvalidInputError(f"unknown primitive shape {self.shape!r}")
         self.center = np.asarray(self.center, dtype=np.float64).reshape(3)
         self.size = np.asarray(self.size, dtype=np.float64).reshape(3)
-        if self.shape == "box" and np.any(self.size <= 0):
-            raise InvalidInputError("box extents must be positive")
-        if self.shape == "sphere" and self.size[0] <= 0:
-            raise InvalidInputError("sphere radius must be positive")
+        if self.shape == "box" and not np.all((0 < self.size) & (self.size < np.inf)):
+            raise InvalidInputError("box extents must be positive and finite")
+        if self.shape == "sphere" and not 0 < self.size[0] < np.inf:
+            raise InvalidInputError("sphere radius must be positive and finite")
+        if not math.isfinite(self.yaw):
+            raise InvalidInputError(f"primitive yaw must be finite, got {self.yaw}")
         if not self.name:
             self.name = self.class_name
 
@@ -150,6 +152,14 @@ class RingSpec:
     offset_deg: float = 0.0
     inward: bool = True
 
+    def __post_init__(self):
+        if self.count < 0:
+            raise InvalidInputError(f"ring camera count must be non-negative, "
+                                    f"got {self.count}")
+        if not (math.isfinite(self.pitch_deg) and math.isfinite(self.offset_deg)):
+            raise InvalidInputError("ring pitch and offset must be finite, got "
+                                    f"{self.pitch_deg} and {self.offset_deg}")
+
 
 @dataclass
 class RigSpec:
@@ -173,6 +183,14 @@ class RigSpec:
     width: int = DEFAULT_IMAGE[1]
     hfov_deg: float = DEFAULT_HFOV_DEG
 
+    def __post_init__(self):
+        if self.height <= 0 or self.width <= 0:
+            raise InvalidInputError(f"rig image size must be positive, got "
+                                    f"{self.height}x{self.width}")
+        if not 0 < self.hfov_deg < 180:
+            raise InvalidInputError(f"rig hfov_deg must lie in (0, 180), got "
+                                    f"{self.hfov_deg}")
+
     @property
     def focal(self) -> float:
         return (self.width / 2.0) / math.tan(math.radians(self.hfov_deg) / 2.0)
@@ -192,6 +210,17 @@ class SynthSpec:
     gaussian_opacity: float = 0.9
     depth_noise: float = 0.0
     pose_noise: float = 0.0
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise InvalidInputError(f"seed must be non-negative, got {self.seed}")
+        if self.n_gaussians < 0:
+            raise InvalidInputError(
+                f"n_gaussians must be non-negative, got {self.n_gaussians}")
+        if not (0 <= self.depth_noise < np.inf and 0 <= self.pose_noise < np.inf):
+            raise InvalidInputError("depth and pose noise must be finite and "
+                                    f"non-negative, got {self.depth_noise} and "
+                                    f"{self.pose_noise}")
 
     @property
     def class_names(self) -> list[str]:
@@ -214,8 +243,8 @@ class SynthSpec:
         """Spec from its `to_dict` form; an omitted key takes its default.
 
         A document that is not an object, a missing required field or a
-        field of the wrong type is a FormatError; the primitives' and the
-        grid's own range checks stay invalid input.
+        field of the wrong type is a FormatError; the range checks of the
+        spec and of its rig, rings, primitives and grid stay invalid input.
         """
         return cls(**read_object(d, _SPEC_FIELDS, "synth spec"))
 
@@ -290,7 +319,7 @@ def _camera(rig: RigSpec, rotation: np.ndarray, position: np.ndarray,
     return CameraView(fx=f, fy=f, cx=(rig.width - 1) / 2.0,
                       cy=(rig.height - 1) / 2.0, width=rig.width,
                       height=rig.height, rotation=rotation,
-                      translation=position, timestamp=float(index))
+                      translation=position, timestamp=index)
 
 
 def build_rig(rig: RigSpec) -> list[CameraView]:
@@ -412,15 +441,6 @@ def gen_scene(spec: SynthSpec, omit_from_scene=()) -> SynthResult:
     """
     if not spec.primitives:
         raise InvalidInputError("spec has no primitives")
-    if spec.seed < 0:
-        raise InvalidInputError(f"seed must be non-negative, got {spec.seed}")
-    if spec.n_gaussians < 0:
-        raise InvalidInputError(
-            f"n_gaussians must be non-negative, got {spec.n_gaussians}")
-    if not (0 <= spec.depth_noise < np.inf and 0 <= spec.pose_noise < np.inf):
-        raise InvalidInputError("depth and pose noise must be finite and "
-                                f"non-negative, got {spec.depth_noise} and "
-                                f"{spec.pose_noise}")
     unknown = set(omit_from_scene) - {p.name for p in spec.primitives}
     if unknown:
         raise InvalidInputError(f"unknown primitive names: {sorted(unknown)}")

@@ -98,9 +98,15 @@ def test_synth_bad_seed_or_noise_exit_2(tmp_path, capsys, extra):
     assert not out.exists()
 
 
+def _spec_json(**changes) -> str:
+    """The tiny spec's JSON with some fields changed, which may be values
+    SynthSpec itself refuses."""
+    return json.dumps({**_tiny_spec().to_dict(), **changes})
+
+
 def test_synth_spec_with_negative_seed_exit_2(tmp_path, capsys):
     spec_path = tmp_path / "spec.json"
-    _tiny_spec(seed=-1).save(str(spec_path))
+    spec_path.write_text(_spec_json(seed=-1))
     code, _, err = _run(capsys, ["synth", "--spec", str(spec_path),
                                  "--out", str(tmp_path / "fix")])
     assert code == 2 and "seed" in err
@@ -110,7 +116,7 @@ def test_synth_spec_with_negative_seed_exit_2(tmp_path, capsys):
 def test_synth_spec_gaussian_count(tmp_path, capsys, n, code):
     """A negative count is invalid input; zero gives an empty ground-truth scene."""
     spec_path = tmp_path / "spec.json"
-    replace(_tiny_spec(), n_gaussians=n).save(str(spec_path))
+    spec_path.write_text(_spec_json(n_gaussians=n))
     out = tmp_path / "fix"
     got, payload, err = _run(capsys, ["synth", "--spec", str(spec_path),
                                       "--out", str(out)])
@@ -578,6 +584,24 @@ def test_pipeline_bad_config_key_exit_2(tmp_path, capsys):
     assert code == 2 and "unknown pipeline config" in err
 
 
+_BOX = {"shape": "box", "class": "a", "center": [0, 0, 1], "size": [1, 1, 1]}
+_RING = {"count": 2, "radius": 3, "height": 2, "pitch_deg": -30}
+# Spec values that the spec's own types refuse (exit 2).  Each spec holds a
+# primitive, so that a run without the checks reaches the rig and the box.
+_SPEC_RANGE_CASES = {
+    "infinite_yaw": {"primitives": [{**_BOX, "yaw": float("inf")}]},
+    "infinite_box_size": {"primitives": [{**_BOX, "size": [float("inf"), 1, 1]}]},
+    "infinite_pitch": {"primitives": [_BOX],
+                       "rig": {"rings": [{**_RING, "pitch_deg": float("inf")}]}},
+    "infinite_offset": {"primitives": [_BOX],
+                        "rig": {"rings": [{**_RING, "offset_deg": -float("inf")}]}},
+    "infinite_hfov": {"primitives": [_BOX], "rig": {"hfov_deg": float("inf")}},
+    "zero_hfov": {"primitives": [_BOX], "rig": {"hfov_deg": 0}},
+    "negative_ring_count": {"primitives": [_BOX], "rig": {"rings": [{**_RING, "count": -1}]}},
+    "zero_width": {"primitives": [_BOX], "rig": {"width": 0}},
+}
+
+
 @pytest.mark.parametrize("text, code", [
     ("{bad", 4),
     ("[1]", 4),
@@ -601,12 +625,18 @@ def test_pipeline_bad_config_key_exit_2(tmp_path, capsys):
     ('{"view_waves": [-3]}', 2),
     ('{"view_waves": [0]}', 2),
     ('{"threads": 2}', 2),
+    ('{"heads": null}', 2),
+    ('{"stages": [], "seed": -1}', 2),
+    ('{"stages": [], "spec": {"depth_noise": -1}}', 2),
+    *[(json.dumps({"stages": ["synth"], "spec": spec}), 2)
+      for spec in _SPEC_RANGE_CASES.values()],
 ], ids=["invalid_json", "not_an_object", "string_seed", "spec_not_an_object",
         "primitive_without_class", "scalar_budgets", "string_budgets",
         "fractional_seed", "string_gamma", "eval_without_voxelize",
         "spec_unknown_shape", "spec_flat_box", "negative_cutoff", "nan_cutoff",
         "inf_cutoff", "nan_tau", "negative_inf_tau", "negative_wave",
-        "zero_wave", "threads_key"])
+        "zero_wave", "threads_key", "heads_key", "negative_seed_no_stages",
+        "negative_depth_noise_no_stages", *_SPEC_RANGE_CASES])
 def test_malformed_pipeline_config_exit_code(tmp_path, capsys, text, code):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(text)
@@ -657,9 +687,10 @@ def test_pipeline_bad_seed_or_gamma_exit_2(tmp_path, capsys, argv, config):
     ('{"primitives": [{"shape": "cone", "class": "a", "center": [0, 0, 0], '
      '"size": [1, 1, 1]}]}', 2),
     ('{"grid": {"origin": [0, 0, 0], "dims": [6, 6], "voxel_size": 0.5}}', 4),
+    *[(json.dumps(spec), 2) for spec in _SPEC_RANGE_CASES.values()],
 ], ids=["invalid_json", "not_an_object", "primitive_without_class",
         "string_seed", "ring_without_radius", "fractional_ring_count",
-        "string_center", "unknown_shape", "two_grid_dims"])
+        "string_center", "unknown_shape", "two_grid_dims", *_SPEC_RANGE_CASES])
 def test_malformed_synth_spec_exit_code(tmp_path, capsys, text, code):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(text)

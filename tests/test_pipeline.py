@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -156,6 +157,22 @@ def test_config_validation():
         with pytest.raises(InvalidInputError, match="view wave sizes"):
             PipelineConfig(view_waves=waves)
     assert PipelineConfig().stages == DEFAULT_STAGES
+
+
+def test_config_checks_its_fixture_spec_when_built():
+    """A bad fixture fails when the config is built, not when synth runs,
+    and so also with no stage to run."""
+    for stages in (("synth",), ()):
+        with pytest.raises(InvalidInputError, match="seed must be non-negative"):
+            PipelineConfig(seed=-1, stages=stages)
+        with pytest.raises(InvalidInputError, match="seed must be non-negative"):
+            PipelineConfig(seed=-1, spec=_tiny_spec(), stages=stages)
+        with pytest.raises(InvalidInputError, match="noise"):
+            PipelineConfig(spec=replace(room_spec(0), depth_noise=-1.0), stages=stages)
+        spec = _tiny_spec()
+        spec.pose_noise = float("nan")       # set past the spec's own check
+        with pytest.raises(InvalidInputError, match="noise"):
+            PipelineConfig(spec=spec, stages=stages)
 
 
 def test_config_from_dict_conversions():

@@ -24,7 +24,7 @@ import pytest
 from fgs.core import CameraView, FeatureGaussian, GaussianScene
 from fgs.errors import InvalidInputError, NumericalDegeneracyError
 from fgs.raster import (ALPHA_FLOOR, ALPHA_MAX, EPS_ACC, LOW_PASS, SUPPORT_RADIUS,
-                        Projected2D, T_STOP, _ProjectedArrays, _alpha_block,
+                        Projected2D, T_STOP, TILE, _ProjectedArrays, _alpha_block,
                         _bin_rows, _finish, _project_scene, _tile_min_q, alpha_at,
                         project_gaussian, render, render_oracle)
 
@@ -185,9 +185,10 @@ def test_validity_threshold_on_tiny_mass():
 
 
 def test_render_rejects_bad_tile_and_threads():
+    # the tile is the constant TILE: no tile size can be passed
     scene = _axis_scene([5.0], 0.5, np.ones((1, 2)))
-    with pytest.raises(InvalidInputError):
-        render(scene, _camera(), tile=0)
+    with pytest.raises(TypeError):
+        render(scene, _camera(), tile=16)
     with pytest.raises(InvalidInputError):
         render(scene, _camera(), threads=0)
 
@@ -259,12 +260,13 @@ def test_render_rejects_a_singular_footprint():
 
 
 def test_render_invariant_to_tile_size_and_threads():
+    # render's 8x8 tiles against the one-tile-at-a-time blend on other tiles
     rng = np.random.default_rng(77)
     scene = _random_scene(rng, 120)
     cam = _camera(fx=60.0, fy=60.0, cx=31.5, cy=23.5)
     base = render(scene, cam)
     for tile in (5, 11, 64):
-        other = render(scene, cam, tile=tile)
+        other = _reference_render(scene, cam, tile=tile)
         npt.assert_allclose(other.depth, base.depth, atol=1e-12)
         npt.assert_allclose(other.feature, base.feature, atol=1e-12)
     threaded = render(scene, cam, threads=4)
@@ -352,7 +354,7 @@ def _tile_reached(proj, reach, i, tx, ty, tile, w, h):
     return not qmin > reach[i]
 
 
-def _reference_render(scene, cam, tile=16, chunk=64, cull=True):
+def _reference_render(scene, cam, tile=TILE, chunk=64, cull=True):
     """The tiled renderer, one tile at a time and written out.
 
     Footprints are binned by a Python loop over their 3-sigma boxes, which
@@ -430,39 +432,25 @@ def _dense_scene(rng, n):
     )
 
 
-@pytest.mark.parametrize("h,w,tile", [(33, 47, 16), (37, 29, 16), (18, 35, 16),
-                                      (30, 26, 7)])
-def test_compaction_is_bit_identical_to_the_uncompacted_blend(h, w, tile):
-    # Corner tiles of 15x1, 13x5 and 3x2 pixels, and 7x7 tiles, hold pixel
-    # counts that are not multiples of 4 (1, 2 and 3 left over).
-    assert ((w % tile) * (h % tile)) % 4 or (tile * tile) % 4
+@pytest.mark.parametrize("h,w", [(33, 47), (45, 61), (37, 29), (18, 35), (30, 27)])
+def test_default_tile_is_bit_identical_to_one_tile_at_a_time(h, w):
+    # 8x8 tiles clipped in width, in height and in both: corners of 7x1,
+    # 5x5, 3x2 and 3x6 pixels hold pixel counts that are not multiples of 4,
+    # and a tile clipped in width is not a prefix of its lattice
+    assert ((w % TILE) * (h % TILE)) % 4
     rng = np.random.default_rng(h * 1000 + w)
     cam = CameraView(fx=40.0, fy=40.0, cx=(w - 1) / 2, cy=(h - 1) / 2,
                      width=w, height=h, rotation=np.eye(3), translation=np.zeros(3))
     scene = _dense_scene(rng, 600)
-    ref = _reference_render(scene, cam, tile=tile)
+    ref = _reference_render(scene, cam)
     saturated = ref.acc_alpha >= 1.0 - T_STOP
-    tiles = [saturated[y:y + tile, x:x + tile]
-             for y in range(0, h, tile) for x in range(0, w, tile)]
+    tiles = [saturated[y:y + TILE, x:x + TILE]
+             for y in range(0, h, TILE) for x in range(0, w, TILE)]
     assert any(0 < t.sum() < t.size for t in tiles)   # saturated and live pixels
     for threads in (1, 3):
-        out = render(scene, cam, tile=tile, threads=threads)
+        out = render(scene, cam, threads=threads)
         for name in ("depth", "feature", "acc_alpha", "valid"):
             assert np.array_equal(getattr(out, name), getattr(ref, name)), name
-
-
-@pytest.mark.parametrize("h,w", [(33, 47), (45, 61)])
-def test_default_tile_is_bit_identical_to_one_tile_at_a_time(h, w):
-    # 8x8 tiles clipped in width, in height and in both (corners of 7x1 and
-    # 5x5 pixels); a tile clipped in width is not a prefix of its lattice
-    rng = np.random.default_rng(h * 1000 + w)
-    cam = CameraView(fx=40.0, fy=40.0, cx=(w - 1) / 2, cy=(h - 1) / 2,
-                     width=w, height=h, rotation=np.eye(3), translation=np.zeros(3))
-    scene = _dense_scene(rng, 600)
-    ref = _reference_render(scene, cam, tile=8)
-    out = render(scene, cam)
-    for name in ("depth", "feature", "acc_alpha", "valid"):
-        assert np.array_equal(getattr(out, name), getattr(ref, name)), name
 
 
 # ---------------------------------------------------------------------------
@@ -512,36 +500,35 @@ def test_culled_rows_have_zero_alpha_on_every_pixel_of_their_tile(kind, h, w, ti
         assert not _alpha_block(proj, block, uu.ravel(), vv.ravel()).any(), t
 
 
-@pytest.mark.parametrize("h,w,tile", [(33, 47, 16), (30, 26, 7)])
-def test_culled_and_unculled_renders_agree(h, w, tile):
+@pytest.mark.parametrize("h,w", [(33, 47), (30, 26)])
+def test_culled_and_unculled_renders_agree(h, w):
     rng = np.random.default_rng(h + w)
     cam = CameraView(fx=40.0, fy=40.0, cx=(w - 1) / 2, cy=(h - 1) / 2,
                      width=w, height=h, rotation=np.eye(3), translation=np.zeros(3))
     scene = _dense_scene(rng, 600)
-    out = render(scene, cam, tile=tile)
+    out = render(scene, cam)
     assert out.culled_rows > 0
-    ref = _reference_render(scene, cam, tile=tile, cull=False)
+    ref = _reference_render(scene, cam, cull=False)
     npt.assert_array_equal(out.valid, ref.valid)
     for name in ("depth", "feature", "acc_alpha"):
         npt.assert_allclose(getattr(out, name), getattr(ref, name), rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("tile", [16, 8])
-def test_render_counts_its_work(tile):
+def test_render_counts_its_work():
     """Faint footprints never saturate a pixel, so every kept row is
     evaluated at every pixel of its tile."""
     rng = np.random.default_rng(8)
     scene = _culling_scene(rng, "mixed", n=30).replace(opacity=np.full(30, 0.2))
     cam = _camera(fx=60.0, fy=60.0, cx=31.5, cy=23.5, width=61, height=45)
     proj = _project_scene(scene, cam)
-    tiles, bounds, _, culled = _bin_rows(proj, tile, 61, 45)
+    tiles, bounds, _, culled = _bin_rows(proj, TILE, 61, 45)
     kept = np.diff(bounds)
-    # 4 (8) tiles across; the last column and row of tiles are partial
-    ntx = -(-61 // tile)
-    pixels = [(min(tx * tile + tile, 61) - tx * tile) * (min(ty * tile + tile, 45) - ty * tile)
+    # 8 tiles across; the last column and row of tiles are partial
+    ntx = -(-61 // TILE)
+    pixels = [(min(tx * TILE + TILE, 61) - tx * TILE) * (min(ty * TILE + TILE, 45) - ty * TILE)
               for ty, tx in (divmod(int(t), ntx) for t in tiles)]
-    out = render(scene, cam, tile=tile)
-    assert out.binned_rows == len(_box_keys(proj, tile, 61, 45)) == kept.sum() + culled
+    out = render(scene, cam)
+    assert out.binned_rows == len(_box_keys(proj, TILE, 61, 45)) == kept.sum() + culled
     assert out.culled_rows == culled > 0
     assert out.pairs_evaluated == int(np.dot(kept, pixels))
     assert render_oracle(scene, cam).pairs_evaluated == 0
@@ -569,7 +556,8 @@ def test_culling_margin_keeps_a_row_that_rounding_puts_just_outside():
     """A tilted footprint whose q at pixel (16, 24) lies within an ulp of
     the 3-sigma bound: the rectangle minimum of tile (1, 1) computes to just
     above 9, yet the pixel's alpha is not 0.  Only the rounding margin keeps
-    the row in that tile."""
+    the row in that tile.  Binning runs on 16x16 tiles here: on render's 8x8
+    tiles this minimum computes to just below 9, and the margin never acts."""
     proj = _ProjectedArrays(np.array([[10.974560767979762, 20.424145849942192]]),
                             np.array([[2.8061154971920184, 1.9966930915188625,
                                        2.5711442027104985]]),

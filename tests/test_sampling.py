@@ -381,14 +381,16 @@ def _refine_one(g, views, heads):
                            1.0 / (1.0 + np.exp(-geo[10])), heads.feat(f_a))
 
 
-def test_refine_with_heads_matches_per_gaussian_composition():
+def test_refine_with_heads_matches_per_gaussian_composition(monkeypatch):
+    import fgs.sampling
+    monkeypatch.setattr(fgs.sampling, "REFINE_CHUNK", 2)   # crosses chunk boundaries
     rng = np.random.default_rng(6)
     fdim = 4
     views = [replace(v, ref_feature=rng.normal(size=(48, 64, fdim)))
              for v in _plane_views(0.0, 0.0, fdim)]
     scene = _grid_scene(5, fdim=fdim, seed=8)
     heads = DecodeHeads.seeded(fdim, fdim, n_offsets=6, seed=21)
-    out = refine_scene(scene, views, heads=heads, chunk=2)
+    out = refine_scene(scene, views, heads=heads)
 
     for i in range(len(scene)):
         g = scene.gaussian(i)

@@ -163,6 +163,7 @@ def test_build_rig_geometry_inward_ring():
         npt.assert_allclose(v.rotation.T @ v.rotation, np.eye(3), atol=1e-12)
         npt.assert_allclose(np.linalg.det(v.rotation), 1.0, atol=1e-12)
     assert [v.timestamp for v in views] == [0, 1, 2, 3]
+    assert all(type(v.timestamp) is int for v in views)   # written 0, 1, ... by save_rig
 
 
 def test_build_rig_outward_and_pitch():
