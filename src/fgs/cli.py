@@ -42,8 +42,9 @@ def _outdir(path) -> None:
 
 
 def _load_spec(args) -> SynthSpec:
-    """The spec file or the stock room, with the seed and noise flags that
-    are given put in by `replace`, so that the spec's own checks run."""
+    """The spec file or the stock room, with each given `--seed`,
+    `--depth-noise` and `--pose-noise` applied through `replace`, so that
+    the spec's own checks run."""
     spec = SynthSpec.load(args.spec) if args.spec else room_spec()
     flags = {"seed": args.seed, "depth_noise": args.depth_noise,
              "pose_noise": args.pose_noise}
