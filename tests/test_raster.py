@@ -21,6 +21,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from fgs import raster
 from fgs.core import CameraView, FeatureGaussian, GaussianScene
 from fgs.errors import InvalidInputError, NumericalDegeneracyError
 from fgs.raster import (ALPHA_FLOOR, ALPHA_MAX, EPS_ACC, LOW_PASS, SUPPORT_RADIUS,
@@ -447,6 +448,26 @@ def test_default_tile_is_bit_identical_to_one_tile_at_a_time(h, w):
     tiles = [saturated[y:y + TILE, x:x + TILE]
              for y in range(0, h, TILE) for x in range(0, w, TILE)]
     assert any(0 < t.sum() < t.size for t in tiles)   # saturated and live pixels
+    for threads in (1, 3):
+        out = render(scene, cam, threads=threads)
+        for name in ("depth", "feature", "acc_alpha", "valid"):
+            assert np.array_equal(getattr(out, name), getattr(ref, name)), name
+
+
+@pytest.mark.parametrize("h,w,group", [(33, 47, 16), (45, 61, 3)])
+def test_compaction_is_bit_identical_to_the_uncompacted_blend(h, w, group, monkeypatch):
+    # `group` tiles blend together; a tile that stops leaves its group while
+    # the others run on, whereas the reference blends every tile alone
+    monkeypatch.setattr(raster, "_GROUP_TILES", group)
+    rng = np.random.default_rng(h * 1000 + w)
+    cam = CameraView(fx=40.0, fy=40.0, cx=(w - 1) / 2, cy=(h - 1) / 2,
+                     width=w, height=h, rotation=np.eye(3), translation=np.zeros(3))
+    scene = _dense_scene(rng, 600)
+    _, bounds, _, _ = _bin_rows(_project_scene(scene, cam), TILE, w, h)
+    steps = -(-np.diff(bounds) // raster.CHUNK)
+    # some group's tiles run for different numbers of steps: one leaves early
+    assert any(np.ptp(steps[g:g + group]) > 0 for g in range(0, steps.size, group))
+    ref = _reference_render(scene, cam)
     for threads in (1, 3):
         out = render(scene, cam, threads=threads)
         for name in ("depth", "feature", "acc_alpha", "valid"):
