@@ -6,7 +6,10 @@ camera coordinates into ego coordinates.  Quaternions are (w, x, y, z) and are
 renormalized on ingest.  Pixel coordinates follow the usual convention
 u = column, v = row, with pixel centers at integer coordinates.
 
-Depth always means the camera-frame z coordinate (not ray length), so
+`CameraView` owns the pinhole model: the projection of camera-frame points
+to pixels, the pixel rays that lift pixels back, and the image-bounds test
+are each written once there, and every other module calls them.  Depth
+always means the camera-frame z coordinate (not ray length), so
 ``backproject`` and ``project_point`` are exact inverses of each other for any
 pixel with valid depth.
 """
@@ -308,8 +311,10 @@ class CameraView:
     photo: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.fx <= 0 or self.fy <= 0:
-            raise InvalidInputError("focal lengths must be positive")
+        if not (0 < self.fx < np.inf and 0 < self.fy < np.inf):
+            raise InvalidInputError("focal lengths must be positive and finite")
+        if not (np.isfinite(self.cx) and np.isfinite(self.cy)):
+            raise InvalidInputError("principal point must be finite")
         if self.width <= 0 or self.height <= 0:
             raise InvalidInputError("image dimensions must be positive")
         self.rotation = _as_float(self.rotation, (3, 3), "rotation")
@@ -333,6 +338,19 @@ class CameraView:
     def center(self) -> np.ndarray:
         """Camera center in the ego frame."""
         return self.translation
+
+    # -- the pinhole model -----------------------------------------------------
+    def cam_to_pixel(self, pc: np.ndarray):
+        """Pixel coordinates (u, v) of camera-frame points (M, 3); only points
+        in front of the camera give meaningful ones."""
+        z = pc[:, 2]
+        return self.fx * pc[:, 0] / z + self.cx, self.fy * pc[:, 1] / z + self.cy
+
+    def in_image(self, uv: np.ndarray) -> np.ndarray:
+        """Whether pixel coordinates (M, 2) lie in the rectangle of pixel
+        centres, 0 <= u <= W-1 and 0 <= v <= H-1; a NaN row does not."""
+        u, v = uv[:, 0], uv[:, 1]
+        return (u >= 0) & (u <= self.width - 1) & (v >= 0) & (v <= self.height - 1)
 
     def pixel_rays(self) -> np.ndarray:
         """(H, W, 3) camera-frame directions with unit z (depth-parametrized)."""
@@ -367,9 +385,7 @@ def project_points(points: np.ndarray, cam: CameraView):
     z = pc[:, 2]
     in_front = z > Z_NEAR
     with np.errstate(divide="ignore", invalid="ignore"):
-        u = cam.fx * pc[:, 0] / z + cam.cx
-        v = cam.fy * pc[:, 1] / z + cam.cy
-    uv = np.stack([u, v], axis=1)
+        uv = np.stack(cam.cam_to_pixel(pc), axis=1)
     uv[~in_front] = np.nan
     return uv, z, in_front
 
@@ -385,10 +401,7 @@ def backproject(cam: CameraView, depth: np.ndarray, valid: np.ndarray | None = N
     if depth.shape != (cam.height, cam.width):
         raise InvalidInputError("depth shape mismatch")
     vs, us = np.nonzero(depth_validity(depth, valid))
-    z = depth[vs, us]
-    x = (us - cam.cx) / cam.fx * z
-    y = (vs - cam.cy) / cam.fy * z
-    return cam.cam_to_ego(np.stack([x, y, z], axis=1))
+    return cam.cam_to_ego(cam.pixel_rays()[vs, us] * depth[vs, us, None])
 
 
 def relative_transform(src: CameraView, dst: CameraView):

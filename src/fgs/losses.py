@@ -3,8 +3,10 @@
 Depth is supervised directly (L1 + scale-aware log term) and indirectly
 through photometric consistency: the rendered depth warps each source photo
 onto the target and the per-pixel minimum of an SSIM/L1 mix over sources is
-averaged.  Features are supervised by cosine plus squared-error terms.  The
-weighted total groups terms exactly as they are consumed downstream, so the
+averaged.  The warp lifts and projects pixels with `core.CameraView`'s
+pinhole model and takes valid depth by `core.depth_validity`'s rule.
+Features are supervised by cosine plus squared-error terms.  The weighted
+total groups terms exactly as they are consumed downstream, so the
 breakdown doubles as a diagnostics report.
 """
 
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Z_NEAR
+from .core import CameraView, backproject, depth_validity, project_points
 from .errors import EmptyInputError, InvalidInputError
 from .sampling import bilinear_sample
 
@@ -99,35 +101,26 @@ def warp_photo(src_photo: np.ndarray, depth: np.ndarray, rel_pose,
     (R, t: target camera -> source camera) and sample the source photo.
 
     Returns (warped (H, W, C), ok (H, W)); pixels that fall outside the
-    source image, behind its near plane, or lack valid depth are flagged and
-    filled with the target-side fallback of zero.
+    source image, behind its near plane, or lack valid depth (outside
+    `valid` or failing `depth_validity`) are flagged and filled with the
+    target-side fallback of zero.
     """
     src_photo = np.asarray(src_photo, dtype=np.float64)
     depth = np.asarray(depth, dtype=np.float64)
     h, w = depth.shape
-    fx, fy, cx, cy = intrinsics
+    # target and source camera share intrinsics; rel_pose links their frames
+    cam = CameraView(*intrinsics, width=w, height=h)
     r, t = rel_pose
     r = np.asarray(r, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
-    v = _valid_mask(depth.shape, valid) & (depth > Z_NEAR)
+    ok = depth_validity(depth) & _valid_mask(depth.shape, valid)
 
-    uu, vv = np.meshgrid(np.arange(w, dtype=np.float64),
-                         np.arange(h, dtype=np.float64))
-    xn = (uu - cx) / fx
-    yn = (vv - cy) / fy
-    pts = np.stack([xn * depth, yn * depth, depth], axis=-1).reshape(-1, 3)
-    ps = pts @ r.T + t
-    zs = ps[:, 2]
-    ok = v.ravel() & (zs > Z_NEAR)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        us = fx * ps[:, 0] / zs + cx
-        vs = fy * ps[:, 1] / zs + cy
-    ok &= (us >= 0) & (us <= w - 1) & (vs >= 0) & (vs <= h - 1)
-
-    warped = np.zeros((h * w, src_photo.shape[2]))
-    if np.any(ok):
-        warped[ok] = bilinear_sample(src_photo, us[ok], vs[ok])
-    return warped.reshape(h, w, -1), ok.reshape(h, w)
+    uv, _, _ = project_points(backproject(cam, depth, ok) @ r.T + t, cam)
+    seen = cam.in_image(uv)
+    ok[ok] = seen
+    warped = np.zeros((h, w, src_photo.shape[2]))
+    warped[ok] = bilinear_sample(src_photo, *uv[seen].T)
+    return warped, ok
 
 
 def photometric_temporal(target: np.ndarray, sources: list[np.ndarray],

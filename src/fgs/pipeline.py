@@ -337,9 +337,7 @@ def retrieval_map(scene: GaussianScene, bank: TextBank, gt: VoxelGrid,
 def _visible_mask(points: np.ndarray, views: list[CameraView]) -> np.ndarray:
     vis = np.zeros(points.shape[0], dtype=bool)
     for v in views:
-        uv, _, front = project_points(points, v)
-        vis |= (front & (uv[:, 0] >= 0) & (uv[:, 0] <= v.width - 1)
-                & (uv[:, 1] >= 0) & (uv[:, 1] <= v.height - 1))
+        vis |= v.in_image(project_points(points, v)[0])
     return vis
 
 

@@ -147,9 +147,7 @@ def _project_scene(scene: GaussianScene, cam: CameraView) -> _ProjectedArrays:
     front = z > Z_NEAR
     idx = np.nonzero(front)[0]
     pc, z = pc[front], z[front]
-
-    u = cam.fx * pc[:, 0] / z + cam.cx
-    v = cam.fy * pc[:, 1] / z + cam.cy
+    u, v = cam.cam_to_pixel(pc)
 
     # footprint: J (W Sigma W^T) J^T + low-pass, with A = W R diag(s) so that
     # W Sigma W^T = A A^T and the 2x2 result is (J A)(J A)^T

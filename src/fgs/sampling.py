@@ -249,17 +249,15 @@ def sample_features(points: np.ndarray, views: list[CameraView],
     feats = np.zeros((m, len(feat_views), fdim))
     valid = np.zeros((m, len(feat_views)), dtype=bool)
     for l, v in enumerate(feat_views):
-        uv, z, front = project_points(points, v)
-        u, vv = uv[:, 0], uv[:, 1]
-        ok = front & (u >= 0) & (u <= v.width - 1) & (vv >= 0) & (vv <= v.height - 1)
+        uv, z, _ = project_points(points, v)
+        ok = v.in_image(uv)
         if occlusion_margin is not None and v.ref_depth is not None and np.any(ok):
-            iu = np.clip(np.rint(u[ok]).astype(int), 0, v.width - 1)
-            iv = np.clip(np.rint(vv[ok]).astype(int), 0, v.height - 1)
+            iu, iv = np.rint(uv[ok]).astype(int).T
             ref_z = v.ref_depth[iv, iu]
             known = v.ref_valid[iv, iu]
             ok[np.flatnonzero(ok)[known & (z[ok] > ref_z + occlusion_margin)]] = False
         if np.any(ok):
-            feats[ok, l] = bilinear_sample(v.ref_feature, u[ok], vv[ok])
+            feats[ok, l] = bilinear_sample(v.ref_feature, *uv[ok].T)
         valid[:, l] = ok
     return feats, valid
 

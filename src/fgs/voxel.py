@@ -44,6 +44,8 @@ class TextBankEntry:
             raise InvalidInputError(
                 f"class {self.class_name!r}: {len(self.prompts)} prompts but "
                 f"{self.embeddings.shape[0]} embeddings")
+        if not np.all(np.isfinite(self.embeddings)):
+            raise InvalidInputError(f"class {self.class_name!r}: non-finite embedding")
         norms = np.linalg.norm(self.embeddings, axis=1)
         if np.any(norms < 1e-8):
             raise InvalidInputError(f"class {self.class_name!r}: zero-norm embedding")

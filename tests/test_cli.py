@@ -23,9 +23,10 @@ import pytest
 
 from fgs.cli import build_parser, main
 from fgs.core import Z_NEAR, CameraView, GaussianScene
-from fgs.io import (load_depth_plane, load_plane, load_rig, load_scene,
-                    load_voxel_grid, save_plane, save_points, save_rig,
-                    save_scene, save_tensors)
+from fgs.errors import InvalidInputError
+from fgs.io import (load_bank, load_depth_plane, load_plane, load_rig,
+                    load_scene, load_voxel_grid, save_plane, save_points,
+                    save_rig, save_scene, save_tensors)
 from fgs.sampling import DecodeHeads, Mlp
 from fgs.synth import Primitive, RigSpec, RingSpec, SynthSpec
 from fgs.voxel import GridSpec
@@ -751,13 +752,13 @@ def test_scene_failing_validation_exit_4(fixture_dir, tmp_path, capsys, value):
     assert "format error" in err and "opacit" in err
 
 
-def _rig_with_depth(fixture_dir, depth, out):
-    """The fixture rig, written to `out`, with view 0's depth plane at `depth`."""
+def _fixture_rig(fixture_dir, out, **view0):
+    """The fixture rig, written to `out`, with view 0's fields `view0` replaced."""
     doc = json.loads((fixture_dir / "rig.json").read_text())
     for view in doc["views"]:
         for key in ("depth", "feature"):
             view[key] = str(fixture_dir / view[key])
-    doc["views"][0]["depth"] = str(depth)
+    doc["views"][0].update(view0)
     out.write_text(json.dumps(doc))
     return str(out)
 
@@ -782,7 +783,7 @@ _BINARY_INPUTS = {
     "init_rig_depth": (
         lambda fx, tmp: (fx / "view000_depth.plne").read_bytes(), (0, 4, 16), 4,
         lambda fx, bad, tmp: ["init", "--out", str(tmp / "s.fgs"), "--rig",
-                              _rig_with_depth(fx, bad, tmp / "rig.json")]),
+                              _fixture_rig(fx, tmp / "rig.json", depth=bad)]),
     "retrieve_points": (
         lambda fx, tmp: _written(tmp, save_points, np.ones((2, 3))), (0, 4, 8), 4,
         lambda fx, bad, tmp: ["retrieve", "--scene", str(fx / "scene.fgs"),
@@ -833,8 +834,13 @@ _POSE = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
       "pose": _POSE}, 4),
     ({"fx": 0, "fy": 1, "cx": 0, "cy": 0, "width": 2, "height": 2,
       "pose": _POSE}, 2),
+    ({"fx": 1, "fy": float("nan"), "cx": 0, "cy": 0, "width": 2, "height": 2,
+      "pose": _POSE}, 2),
+    ({"fx": 1, "fy": 1, "cx": 0, "cy": float("-inf"), "width": 2, "height": 2,
+      "pose": _POSE}, 2),
 ], ids=["non_numeric_fx", "view_not_an_object", "infinite_width",
-        "numeric_string_fx", "fractional_width", "zero_fx"])
+        "numeric_string_fx", "fractional_width", "zero_fx", "nan_fy",
+        "infinite_cy"])
 def test_malformed_rig_view_exit_code(tmp_path, capsys, view, code):
     rig = tmp_path / "rig.json"
     rig.write_text(json.dumps({"views": [view]}))
@@ -842,6 +848,48 @@ def test_malformed_rig_view_exit_code(tmp_path, capsys, view, code):
                                 "--out", str(tmp_path / "s.fgs")])
     assert got == code
     assert ("format error" if code == 4 else "invalid input") in err
+
+
+@pytest.mark.parametrize("command, field", [
+    ("init", {"cx": float("nan")}), ("render", {"cx": float("nan")}),
+    ("loss", {"cx": float("nan")}), ("refine", {"fx": float("inf")})],
+    ids=["init_nan_cx", "render_nan_cx", "loss_nan_cx", "refine_infinite_fx"])
+def test_non_finite_intrinsics_exit_2(fixture_dir, tmp_path, capsys, command, field):
+    """JSON's NaN and Infinity in one view's intrinsics are invalid input,
+    not a view that renders nothing or is silently dropped."""
+    scene = str(fixture_dir / "scene.fgs")
+    argv = {"init": ["--out", str(tmp_path / "s.fgs")],
+            "render": ["--scene", scene, "--view", "0"],
+            "loss": ["--scene", scene],
+            "refine": ["--scene", scene, "--out", str(tmp_path / "r.fgs")]}[command]
+    rig = _fixture_rig(fixture_dir, tmp_path / "rig.json", **field)
+    code, payload, err = _run(capsys, [command, "--rig", rig] + argv)
+    assert code == 2 and payload is None
+    assert "invalid input" in err and "must be" in err
+
+
+def test_bank_with_non_finite_embedding_refused(fixture_dir, tmp_path, capsys):
+    """One NaN in class 0's embeddings is invalid input, not a class that
+    scores lower."""
+    doc = json.loads((fixture_dir / "bank.json").read_text())
+    for entry in doc["classes"]:
+        entry["embedding_path"] = str(fixture_dir / entry["embedding_path"])
+    plane = np.atleast_2d(load_plane(doc["classes"][0]["embedding_path"])).copy()
+    plane[0, 0] = np.nan
+    doc["classes"][0]["embedding_path"] = str(tmp_path / "class0.plne")
+    save_plane(doc["classes"][0]["embedding_path"], plane)
+    bank = tmp_path / "bank.json"
+    bank.write_text(json.dumps(doc))
+    with pytest.raises(InvalidInputError, match="non-finite embedding"):
+        load_bank(bank)
+    scene, gt = str(fixture_dir / "scene.fgs"), str(fixture_dir / "gt.voxg")
+    for argv in (["voxelize", "--scene", scene, "--bank", str(bank),
+                  "--out", str(tmp_path / "pred.voxg"), "--origin=-2.4,-2.4,0",
+                  "--dims", "6,6,3"],
+                 ["eval-map", "--scene", scene, "--bank", str(bank), "--gt", gt]):
+        code, payload, err = _run(capsys, argv)
+        assert code == 2 and payload is None, argv[0]
+        assert "non-finite embedding" in err
 
 
 def test_non_object_bank_exit_4(fixture_dir, tmp_path, capsys):

@@ -22,6 +22,7 @@ from fgs.core import (CameraView, FeatureGaussian, GaussianScene, Z_NEAR,
                       relative_transform, rig_feature_dim)
 from fgs.core import quats_to_rotmats
 from fgs.errors import InvalidInputError
+from fgs.raster import _project_scene
 
 
 def _quat_mul(a, b):
@@ -224,6 +225,9 @@ def test_camera_rejects_bad_rotation_and_intrinsics():
         _camera(fx=-1.0)
     with pytest.raises(InvalidInputError):
         _camera(width=0)
+    for bad in ({"fx": np.nan}, {"fy": np.inf}, {"cx": np.nan}, {"cy": -np.inf}):
+        with pytest.raises(InvalidInputError, match="must be"):
+            _camera(**bad)
 
 
 def test_camera_ref_depth_default_validity():
@@ -309,6 +313,40 @@ def test_project_points_batch_matches_scalar():
             assert not front[i] and np.all(np.isnan(uv[i]))
         else:
             npt.assert_allclose([*uv[i], z[i]], single, atol=1e-12)
+
+
+def test_in_image_is_the_closed_rectangle_of_pixel_centres():
+    cam = _camera()
+    eps = 1e-9
+    inside = np.array([[0.0, 0.0], [63.0, 47.0], [0.0, 47.0], [63.0, 0.0]])
+    outside = np.array([[-eps, 10.0], [63.0 + eps, 10.0], [10.0, -eps],
+                        [10.0, 47.0 + eps], [np.nan, 10.0], [10.0, np.nan]])
+    npt.assert_array_equal(cam.in_image(inside), True)
+    npt.assert_array_equal(cam.in_image(outside), False)
+
+
+def test_backproject_lifts_pixel_rays_bit_for_bit():
+    cam = _camera(rotation=np.eye(3), translation=np.zeros(3))
+    depth = np.random.default_rng(3).uniform(0.5, 9.0, size=(48, 64))
+    depth[5, 7] = np.nan
+    vs, us = np.nonzero(np.isfinite(depth))
+    npt.assert_array_equal(backproject(cam, depth),
+                           cam.pixel_rays()[vs, us] * depth[vs, us, None])
+
+
+def test_raster_projection_is_project_points_bit_for_bit():
+    rng = np.random.default_rng(12)
+    cam = _camera(rotation=_yaw_pitch_rotation(0.3, -0.4),
+                  translation=np.array([0.5, -0.5, -6.0]))
+    n = 200
+    scene = GaussianScene(rng.uniform(-3, 3, size=(n, 3)),
+                          np.full((n, 3), 0.05), np.tile([1.0, 0, 0, 0], (n, 1)),
+                          np.full(n, 0.5), np.zeros((n, 1)))
+    proj = _project_scene(scene, cam)
+    assert 0 < proj.src.size < n
+    uv, _, front = project_points(scene.mu, cam)
+    assert np.all(front[proj.src])
+    npt.assert_array_equal(proj.mean2d, uv[proj.src])
 
 
 def test_backproject_single_center_pixel():

@@ -1,7 +1,9 @@
 """Smoke tests for the demos that exercise the library APIs.
 
 Each demo runs as its own process with `src` on the import path and must
-exit cleanly, so an API change that breaks a demo fails here.
+exit cleanly, so an API change that breaks a demo fails here.  The process
+runs with `-W error::RuntimeWarning`, the guard pytest's `filterwarnings`
+keeps in this process but cannot reach into a child.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                           str(ROOT / "demos" / demo)],
                           cwd=ROOT, env=env, capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr

@@ -148,6 +148,11 @@ def test_warp_flags_behind_camera_and_invalid_depth():
                             UNIT_INTRINSICS)
     assert not none_ok.any()                # z = 0 is behind the near plane
 
+    # depth_validity's rule: non-finite depth is no depth, and warns nowhere
+    depth[0, 0], depth[2, 3] = np.inf, np.nan
+    _, ok = warp_photo(src, depth, IDENTITY_POSE, UNIT_INTRINSICS)
+    assert not ok[0, 0] and not ok[2, 3] and ok.sum() == 14
+
 
 # ---------------------------------------------------------------------------
 # Photometric temporal loss

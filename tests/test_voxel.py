@@ -66,6 +66,9 @@ def test_bank_entry_normalizes_and_validates():
         TextBankEntry("wall", ["a", "b"], np.array([[1.0, 0.0]]))
     with pytest.raises(InvalidInputError):
         TextBankEntry("wall", ["a"], np.zeros((1, 2)))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InvalidInputError, match="non-finite embedding"):
+            TextBankEntry("wall", ["a"], np.array([[1.0, bad]]))
 
 
 def test_bank_properties_and_empty_index():
