@@ -326,6 +326,12 @@ class CameraView:
             if self.ref_depth.shape != (self.height, self.width):
                 raise InvalidInputError("ref_depth shape mismatch")
             self.ref_valid = depth_validity(self.ref_depth, self.ref_valid)
+        if self.ref_feature is not None:
+            self.ref_feature = np.asarray(self.ref_feature, dtype=np.float64)
+            if (self.ref_feature.ndim != 3
+                    or self.ref_feature.shape[:2] != (self.height, self.width)):
+                raise InvalidInputError("ref_feature shape mismatch")
+            _finite(self.ref_feature, "ref_feature")
 
     # -- frame transforms -----------------------------------------------------
     def ego_to_cam(self, points: np.ndarray) -> np.ndarray:
@@ -423,8 +429,9 @@ class RenderOutput:
     `valid`); `feature` is the unnormalized alpha-weighted feature sum;
     `acc_alpha` the accumulated blend weight in [0, 1].  The counts are the
     tiled renderer's work: (tile, row) keys its 3-sigma boxes bin, those
-    culled as out of reach, and (row, pixel) alphas evaluated (0 from the
-    oracle).
+    culled as out of reach, (row, pixel) alphas evaluated, and the (row,
+    pixel) entries of the opacity-0 row that pads a tile shorter than its
+    blend step (all 0 from the oracle).
     """
 
     depth: np.ndarray      # (H, W)
@@ -434,3 +441,4 @@ class RenderOutput:
     binned_rows: int = 0
     culled_rows: int = 0
     pairs_evaluated: int = 0
+    padded_pairs: int = 0

@@ -45,7 +45,7 @@ _GRAMMAR = "synth (init (refine | (densify refine)* densify?) (voxelize eval?)?)
 _LETTERS = dict(zip(STAGES, "sidrve"))
 _GRAMMAR_RE = re.compile(r"(s(i(r|(dr)*d?)(ve?)?)?)?")
 # RenderOutput's work counts, summed into each layer row.
-RENDER_COUNTS = ("binned_rows", "culled_rows", "pairs_evaluated")
+RENDER_COUNTS = ("binned_rows", "culled_rows", "pairs_evaluated", "padded_pairs")
 
 
 def validate_stages(stages) -> tuple[str, ...]:

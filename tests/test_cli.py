@@ -868,6 +868,21 @@ def test_non_finite_intrinsics_exit_2(fixture_dir, tmp_path, capsys, command, fi
     assert "invalid input" in err and "must be" in err
 
 
+def test_loss_non_finite_feature_plane_exit_2(fixture_dir, tmp_path, capsys):
+    """One NaN in view 0's reference feature plane is invalid input, not a
+    loss that prints null."""
+    doc = json.loads((fixture_dir / "rig.json").read_text())
+    plane = load_plane(fixture_dir / doc["views"][0]["feature"]).copy()
+    plane[10, 10, 0] = np.nan
+    save_plane(tmp_path / "feature0.plne", plane)
+    rig = _fixture_rig(fixture_dir, tmp_path / "rig.json",
+                       feature=str(tmp_path / "feature0.plne"))
+    code, payload, err = _run(capsys, ["loss", "--rig", rig,
+                                       "--scene", str(fixture_dir / "scene.fgs")])
+    assert code == 2 and payload is None
+    assert "invalid input" in err and "ref_feature" in err
+
+
 def test_bank_with_non_finite_embedding_refused(fixture_dir, tmp_path, capsys):
     """One NaN in class 0's embeddings is invalid input, not a class that
     scores lower."""

@@ -239,6 +239,18 @@ def test_camera_ref_depth_default_validity():
     assert cam.ref_valid[10, 10]
 
 
+def test_camera_refuses_a_feature_plane_of_wrong_shape_or_not_finite():
+    assert _camera(ref_feature=np.zeros((48, 64, 0))).ref_feature.shape == (48, 64, 0)
+    for bad in (np.zeros((48, 64)), np.zeros((64, 48, 3)), np.zeros((48, 64, 3, 1))):
+        with pytest.raises(InvalidInputError, match="ref_feature shape mismatch"):
+            _camera(ref_feature=bad)
+    for value in (np.nan, np.inf, -np.inf):
+        plane = np.zeros((48, 64, 3))
+        plane[10, 10, 0] = value
+        with pytest.raises(InvalidInputError, match="ref_feature contains non-finite"):
+            _camera(ref_feature=plane)
+
+
 def test_depth_validity_rule_and_explicit_masks():
     depth = np.array([[np.nan, np.inf, -np.inf, 0.0],
                       [0.05, Z_NEAR, np.nextafter(Z_NEAR, 1.0), 5.0]])

@@ -25,7 +25,7 @@ import pytest
 
 from fgs.errors import InsufficientPointsError, InvalidInputError
 from fgs.io import load_scene, load_voxel_grid
-from fgs.pipeline import (DEFAULT_STAGES, STAGES, PipelineConfig,
+from fgs.pipeline import (DEFAULT_STAGES, RENDER_COUNTS, STAGES, PipelineConfig,
                           run_pipeline, validate_stages)
 from fgs.synth import Primitive, RigSpec, RingSpec, SynthSpec, room_spec
 from fgs.voxel import GridSpec
@@ -349,7 +349,7 @@ def test_stages_render_geometry_only_and_count_the_work(monkeypatch):
     # 3 init views, the 2 views of the second wave, then all 5 views
     assert len(outs) == 3 + 2 + 5
     for row, done in zip(report["layers"], (outs[:3], outs[5:])):
-        for name in ("binned_rows", "culled_rows", "pairs_evaluated"):
+        for name in RENDER_COUNTS:
             assert row[name] == sum(getattr(out, name) for out in done), name
         assert row["binned_rows"] > row["culled_rows"] > 0
         assert row["pairs_evaluated"] > 0

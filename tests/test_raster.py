@@ -464,7 +464,8 @@ def test_compaction_is_bit_identical_to_the_uncompacted_blend(h, w, group, monke
                      width=w, height=h, rotation=np.eye(3), translation=np.zeros(3))
     scene = _dense_scene(rng, 600)
     _, bounds, _, _ = _bin_rows(_project_scene(scene, cam), TILE, w, h)
-    steps = -(-np.diff(bounds) // raster.CHUNK)
+    # render groups the tiles in order of row count
+    steps = -(-np.sort(np.diff(bounds)) // raster.CHUNK)
     # some group's tiles run for different numbers of steps: one leaves early
     assert any(np.ptp(steps[g:g + group]) > 0 for g in range(0, steps.size, group))
     ref = _reference_render(scene, cam)
@@ -472,6 +473,81 @@ def test_compaction_is_bit_identical_to_the_uncompacted_blend(h, w, group, monke
         out = render(scene, cam, threads=threads)
         for name in ("depth", "feature", "acc_alpha", "valid"):
             assert np.array_equal(getattr(out, name), getattr(ref, name)), name
+
+
+def _record_steps(monkeypatch):
+    """The blend steps of the renders to come, as they run: each step's
+    tile corners x0, y0 and its (n, B) block of footprint rows."""
+    steps = []
+    real = raster._alpha_block
+
+    def recording(proj, rows, us, vs):
+        steps.append((us[0, 0, 0].astype(int), vs[0, 0, 0].astype(int), rows.copy()))
+        return real(proj, rows, us, vs)
+    monkeypatch.setattr(raster, "_alpha_block", recording)
+    return steps
+
+
+def _centred_camera(h, w):
+    """fx = fy = 40 px, the principal point at the image centre."""
+    return CameraView(fx=40.0, fy=40.0, cx=(w - 1) / 2, cy=(h - 1) / 2,
+                      width=w, height=h, rotation=np.eye(3), translation=np.zeros(3))
+
+
+@pytest.mark.parametrize("h,w,size", [(45, 61, 600), (33, 47, 300)])
+def test_each_step_ends_at_the_last_row_of_its_longest_running_tile(h, w, size, monkeypatch):
+    """The blend schedule, without a clock.  Each step evaluates
+    min(CHUNK, rows left in its longest running tile) rows; a tile's real
+    rows are the next ones of its depth-ordered list and the rest of the
+    step is the pad row; the groups are the tiles in order of row count,
+    `_GROUP_TILES` at a time; and the output counts the steps' real pairs
+    and pad entries."""
+    rng = np.random.default_rng(h * 1000 + w)
+    cam = _centred_camera(h, w)
+    scene = _dense_scene(rng, size)
+    proj = _project_scene(scene, cam)
+    tiles, bounds, binned, _ = _bin_rows(proj, TILE, w, h)
+    of_tile = {int(t): binned[lo:hi] for t, lo, hi in zip(tiles, bounds[:-1], bounds[1:])}
+    ntx = -(-w // TILE)
+    steps = _record_steps(monkeypatch)
+    out = render(scene, cam)
+    groups, pairs, padded = [], 0, 0
+    for x0, y0, sub in steps:
+        ids = (y0 // TILE * ntx + x0 // TILE).tolist()
+        lo = of_tile[ids[0]].tolist().index(sub[0, 0])
+        left = [of_tile[t].size - lo for t in ids]
+        n = sub.shape[0]
+        assert n == min(raster.CHUNK, max(left))
+        for i, (t, g) in enumerate(zip(ids, left)):
+            g = min(g, n)
+            assert np.array_equal(sub[:g, i], of_tile[t][lo:lo + g])
+            assert (sub[g:, i] == proj.z.size).all()           # the pad row
+            pairs += g * (min(x0[i] + TILE, w) - x0[i]) * (min(y0[i] + TILE, h) - y0[i])
+            padded += (n - g) * TILE * TILE
+        if lo == 0:
+            groups.append(ids)
+    by_length = tiles[np.argsort(np.diff(bounds), kind="stable")].tolist()
+    assert groups == [by_length[g:g + raster._GROUP_TILES]
+                      for g in range(0, len(by_length), raster._GROUP_TILES)]
+    assert any(sub.shape[0] < raster.CHUNK for _, _, sub in steps)
+    assert (out.pairs_evaluated, out.padded_pairs) == (pairs, padded)
+    assert 0 < padded < pairs
+
+
+@pytest.mark.parametrize("h,w", [(37, 29), (18, 35)])
+def test_a_short_last_step_holding_a_clipped_tile_is_bit_identical(h, w, monkeypatch):
+    """A step shorter than CHUNK that blends a tile clipped by the image
+    edge gives every pixel the bits of the tile blended alone."""
+    rng = np.random.default_rng(h * 100 + w)
+    cam = _centred_camera(h, w)
+    scene = _random_scene(rng, 150, fdim=5)
+    steps = _record_steps(monkeypatch)
+    out = render(scene, cam)
+    assert any(sub.shape[0] < raster.CHUNK
+               and ((x0 + TILE > w) | (y0 + TILE > h)).any() for x0, y0, sub in steps)
+    ref = _reference_render(scene, cam)
+    for name in ("depth", "feature", "acc_alpha", "valid"):
+        assert np.array_equal(getattr(out, name), getattr(ref, name)), name
 
 
 # ---------------------------------------------------------------------------
