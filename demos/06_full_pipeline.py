@@ -37,7 +37,7 @@ for entry in report["stages"]:
                   f"{entry['residual_before']:.3f} -> "
                   f"{entry['residual_after']:.3f} m")
     elif name == "refine":
-        detail = f"which={entry['which']}, {entry['count']} Gaussians"
+        detail = f"{entry['count']} Gaussians"
     elif name == "voxelize":
         detail = f"{entry['occupied']} occupied voxels in {entry['dims']}"
     else:

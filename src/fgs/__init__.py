@@ -2,9 +2,8 @@
 plane-feature sampling, and open-vocabulary voxel grids."""
 
 from .core import (CameraView, FeatureGaussian, GaussianScene, RenderOutput,
-                   Z_NEAR, backproject, covariance3d, project_point,
-                   project_points, quat_normalize, quat_to_rotmat,
-                   relative_transform)
+                   Z_NEAR, backproject, covariance3d, project_points,
+                   quat_normalize, quat_to_rotmat)
 from .errors import (EmptyInputError, FgsError, FormatError,
                      InsufficientPointsError, InvalidInputError,
                      NumericalDegeneracyError)
@@ -32,8 +31,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CameraView", "FeatureGaussian", "GaussianScene", "RenderOutput", "Z_NEAR",
-    "backproject", "covariance3d", "project_point", "project_points",
-    "quat_normalize", "quat_to_rotmat", "relative_transform",
+    "backproject", "covariance3d", "project_points", "quat_normalize",
+    "quat_to_rotmat",
     "FgsError", "InvalidInputError", "EmptyInputError",
     "InsufficientPointsError", "NumericalDegeneracyError", "FormatError",
     "alpha_at", "project_gaussian", "render", "render_oracle",

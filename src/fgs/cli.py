@@ -86,7 +86,7 @@ def cmd_densify(args) -> int:
     views = load_rig(args.rig)
     scene = load_scene(args.scene)
     layer = scene.layer_count
-    cfg = DensifyConfig(gamma=args.gamma, select_mode=args.select_mode,
+    cfg = DensifyConfig(gamma=args.gamma,
                         layer_budgets=tuple([args.budget] * layer),
                         feature_dim=rig_feature_dim(views, DensifyConfig.feature_dim))
     grown, report = densify_layer(scene, views, cfg, layer)
@@ -111,12 +111,11 @@ def cmd_refine(args) -> int:
     heads = None
     if args.heads:
         heads = DecodeHeads.from_tensors(load_tensors(args.heads))
-    refined = refine_scene(scene, views, heads=heads, which=args.which,
+    refined = refine_scene(scene, views, heads=heads,
                            occlusion_margin=args.occlusion_margin)
     _outdir(args.out)
     save_scene(args.out, refined)
-    _emit(args, {"out": args.out, "count": len(refined), "which": args.which,
-                 "heads": bool(heads)})
+    _emit(args, {"out": args.out, "count": len(refined), "heads": bool(heads)})
     return 0
 
 
@@ -163,8 +162,7 @@ def cmd_voxelize(args) -> int:
                     _parse_values(args.dims, 3, int, "--dims wants nx,ny,nz"),
                     args.voxel_size)
     cutoff = None if args.no_cutoff else args.cutoff
-    pred = voxelize(scene, bank, grid, tau_occ=args.tau, cutoff=cutoff,
-                    reduce=args.reduce)
+    pred = voxelize(scene, bank, grid, tau_occ=args.tau, cutoff=cutoff)
     _outdir(args.out)
     save_voxel_grid(args.out, pred)
     _emit(args, {"out": args.out, "occupied": int(pred.occupied.sum()),
@@ -298,8 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out", required=True)
     s.add_argument("--budget", type=int, default=DensifyConfig.layer_budgets[0])
     s.add_argument("--gamma", type=float, default=GAMMA)
-    s.add_argument("--select-mode", choices=("signed", "absolute"),
-                   default=DensifyConfig.select_mode)
     s.set_defaults(func=cmd_densify)
 
     s = sub.add_parser("refine", parents=[common],
@@ -308,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--scene", required=True)
     s.add_argument("--out", required=True)
     s.add_argument("--heads", help="decode-head tensor file (.head)")
-    s.add_argument("--which", choices=("all", "newest"), default="all")
     s.add_argument("--occlusion-margin", type=float, default=None)
     s.set_defaults(func=cmd_refine)
 
@@ -333,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--tau", type=float, default=TAU_OCC)
     s.add_argument("--cutoff", type=float, default=DEFAULT_CUTOFF)
     s.add_argument("--no-cutoff", action="store_true")
-    s.add_argument("--reduce", choices=("max", "mean"), default="max")
     s.set_defaults(func=cmd_voxelize)
 
     s = sub.add_parser("retrieve", parents=[common],

@@ -10,8 +10,8 @@ u = column, v = row, with pixel centers at integer coordinates.
 to pixels, the pixel rays that lift pixels back, and the image-bounds test
 are each written once there, and every other module calls them.  Depth
 always means the camera-frame z coordinate (not ray length), so
-``backproject`` and ``project_point`` are exact inverses of each other for any
-pixel with valid depth.
+``backproject`` and ``project_points`` are exact inverses of each other for
+any pixel with valid depth.
 """
 
 from __future__ import annotations
@@ -216,19 +216,6 @@ class GaussianScene:
 
     # -- construction ----------------------------------------------------------
     @classmethod
-    def from_gaussians(cls, gaussians: Sequence[FeatureGaussian], layer_offsets=None):
-        if not gaussians:
-            raise InvalidInputError("cannot build a scene from zero Gaussians")
-        return cls(
-            np.stack([g.mu for g in gaussians]),
-            np.stack([g.s for g in gaussians]),
-            np.stack([g.r for g in gaussians]),
-            np.array([g.sigma for g in gaussians]),
-            np.stack([g.f for g in gaussians]),
-            layer_offsets,
-        )
-
-    @classmethod
     def empty(cls, feature_dim: int):
         return cls(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros((0, 4)),
                    np.zeros((0,)), np.zeros((0, feature_dim)), (0,))
@@ -371,17 +358,6 @@ class CameraView:
         return rays
 
 
-def project_point(p, cam: CameraView):
-    """Project one ego-frame point; returns (u, v, z_cam) or None if behind.
-
-    None is a behind-camera signal (z_cam <= Z_NEAR), not an error: callers
-    filter.
-    """
-    p = _as_float(p, (3,), "point")
-    uv, z, in_front = project_points(p[None, :], cam)
-    return (uv[0, 0], uv[0, 1], z[0]) if in_front[0] else None
-
-
 def project_points(points: np.ndarray, cam: CameraView):
     """Vectorized projection: (uv (M, 2), z (M,), in_front (M,) bool).
 
@@ -401,20 +377,13 @@ def backproject(cam: CameraView, depth: np.ndarray, valid: np.ndarray | None = N
 
     Pixels are taken in row-major order over the validity mask (default:
     `depth_validity`'s rule on `depth`, whatever plane it is).  Round-trips
-    with `project_point` to sub-1e-4 precision by construction.
+    with `project_points` to sub-1e-4 precision by construction.
     """
     depth = np.asarray(depth, dtype=np.float64)
     if depth.shape != (cam.height, cam.width):
         raise InvalidInputError("depth shape mismatch")
     vs, us = np.nonzero(depth_validity(depth, valid))
     return cam.cam_to_ego(cam.pixel_rays()[vs, us] * depth[vs, us, None])
-
-
-def relative_transform(src: CameraView, dst: CameraView):
-    """(R, t) mapping src-camera coordinates into dst-camera coordinates."""
-    r = dst.rotation.T @ src.rotation
-    t = dst.rotation.T @ (src.translation - dst.translation)
-    return r, t
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 A scene starts as a farthest-point-sampled subset of the pseudo point cloud
 (all reference depths backprojected into the ego frame).  Each growth layer
 renders the current scene, finds pixels whose rendered depth overshoots the
-reference by more than a threshold, backprojects those pixels, and adds a
+reference by more than a threshold (one signed rule: a render in front of
+the reference is never selected), backprojects those pixels, and adds a
 budgeted farthest-point subset as fresh Gaussians.  Existing Gaussians are
 never touched: every previous layer is a byte-identical prefix of the grown
 scene.
@@ -31,7 +32,6 @@ class DensifyConfig:
     gamma: float = GAMMA
     base_count: int = 4000
     layer_budgets: tuple[int, ...] = (1000, 1000)
-    select_mode: str = "signed"
     feature_dim: int = 16
 
     def __post_init__(self):
@@ -39,8 +39,6 @@ class DensifyConfig:
             raise InvalidInputError("gamma must be positive and finite")
         if self.base_count <= 0 or any(b <= 0 for b in self.layer_budgets):
             raise InvalidInputError("base count and layer budgets must be positive")
-        if self.select_mode not in ("signed", "absolute"):
-            raise InvalidInputError("select_mode must be 'signed' or 'absolute'")
 
 
 # Mean points per grid cell in `fps`.  It sets the speed, never the picks:
@@ -202,25 +200,22 @@ def base_init(views: list[CameraView], cfg: DensifyConfig) -> GaussianScene:
 
 
 def select_under_represented(rendered: RenderOutput, ref_depth: np.ndarray,
-                             ref_valid: np.ndarray | None, gamma: float = GAMMA,
-                             mode: str = "signed") -> np.ndarray:
+                             ref_valid: np.ndarray | None,
+                             gamma: float = GAMMA) -> np.ndarray:
     """Boolean mask of reference pixels the scene fails to explain.
 
-    signed: rendered - reference > gamma (strictly); pixels the render leaves
-    invalid count as +infinity residual.  absolute: |rendered - reference| >
-    gamma with the same invalid-pixel rule.  Pixels without valid reference
+    A pixel is selected where the rendered depth overshoots the reference
+    by more than gamma (rendered - reference > gamma, strictly): the scene
+    has nothing at the reference surface there.  Pixels the render leaves
+    invalid count as a +infinity residual.  Pixels without valid reference
     depth (`ref_valid`, or `depth_validity`'s rule when it is None) are
     never selected.
     """
     ref_depth = np.asarray(ref_depth, dtype=np.float64)
     if ref_depth.shape != rendered.depth.shape:
         raise InvalidInputError("reference/rendered shapes differ")
-    if mode not in ("signed", "absolute"):
-        raise InvalidInputError("mode must be 'signed' or 'absolute'")
     ref_ok = depth_validity(ref_depth, ref_valid)
     resid = np.where(rendered.valid, rendered.depth - ref_depth, np.inf)
-    if mode == "absolute":
-        resid = np.abs(resid)
     return ref_ok & (resid > gamma)
 
 
@@ -289,8 +284,7 @@ def densify_layer(scene: GaussianScene, views: list[CameraView], cfg: DensifyCon
             sel = np.zeros((v.height, v.width), dtype=bool)
         else:
             out = renders[vi] if renders is not None else render(geometry, v)
-            sel = select_under_represented(out, v.ref_depth, v.ref_valid,
-                                           cfg.gamma, cfg.select_mode)
+            sel = select_under_represented(out, v.ref_depth, v.ref_valid, cfg.gamma)
         used.append(out)
         report.selected.append(sel)
         report.selected_per_view.append(int(np.count_nonzero(sel)))

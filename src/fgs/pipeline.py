@@ -6,9 +6,11 @@ executed stage plus a per-layer table: Gaussian count and wall time at each
 layer, the work counts of the layer's renders (`RENDER_COUNTS`), and a
 `growth` row for the step that built the layer (pseudo-cloud points, FPS
 picks, and the time of base init or of the densify step).
-Refinement runs without decode heads and keeps the geometry (`fgs refine
---heads` decodes with them), so only init and densify change it, and the
-renders they leave behind always show the current scene.
+Refinement runs over every Gaussian without decode heads and keeps the
+geometry (`fgs refine --heads` decodes with them), so only init and densify
+change it, and the renders they leave behind always show the current scene.
+Densify selects pixels by one signed depth rule
+(`select_under_represented`), whose threshold is the config's `gamma`.
 Timings never influence artifacts, so runs with identical config and seed
 write byte-identical scene and grid files regardless of thread count.
 """
@@ -31,7 +33,7 @@ from .errors import FgsError, InvalidInputError
 from .io import (dump_json, json_float, json_int, json_list, json_optional,
                  json_str, jsonable, read_object, save_scene, save_voxel_grid)
 from .raster import RenderOutput, render
-from .sampling import check_occlusion_margin, check_refine_which, refine_scene
+from .sampling import check_occlusion_margin, refine_scene
 from .synth import SynthSpec, gen_scene, room_spec
 from .voxel import (DEFAULT_CUTOFF, GridSpec, TAU_OCC, TextBank, VoxelGrid,
                     check_cutoff, check_tau, eval_map, eval_miou,
@@ -90,11 +92,9 @@ class PipelineConfig:
     base_count: int = DensifyConfig.base_count
     layer_budgets: tuple[int, ...] = DensifyConfig.layer_budgets
     gamma: float = GAMMA
-    select_mode: str = DensifyConfig.select_mode
     occlusion_margin: float | None = 0.3
     tau_occ: float = TAU_OCC
     cutoff: float | None = DEFAULT_CUTOFF
-    refine_which: str = "all"
     view_waves: tuple[int, ...] | None = None
 
     def __post_init__(self):
@@ -110,7 +110,6 @@ class PipelineConfig:
         # after the stages before it have run.
         self.fixture_spec()
         self.densify_config()
-        check_refine_which(self.refine_which)
         check_occlusion_margin(self.occlusion_margin)
         check_cutoff(self.cutoff)
         check_tau(self.tau_occ)
@@ -126,7 +125,6 @@ class PipelineConfig:
         """The growth settings, checked by DensifyConfig itself."""
         return DensifyConfig(gamma=self.gamma, base_count=self.base_count,
                              layer_budgets=self.layer_budgets,
-                             select_mode=self.select_mode,
                              feature_dim=feature_dim)
 
     @classmethod
@@ -159,9 +157,9 @@ _CONFIG_FIELDS = {
     "stages": lambda v: tuple(json_list(v, json_str)),
     "seed": json_int, "out_dir": json_optional(_path),
     "spec": json_optional(_spec), "base_count": json_int,
-    "layer_budgets": _ints, "gamma": json_float, "select_mode": json_str,
+    "layer_budgets": _ints, "gamma": json_float,
     "occlusion_margin": json_optional(json_float), "tau_occ": json_float,
-    "cutoff": json_optional(json_float), "refine_which": json_str,
+    "cutoff": json_optional(json_float),
     "view_waves": json_optional(_ints),
 }
 
@@ -252,10 +250,9 @@ def _densify(st: _State) -> dict:
 
 def _refine(st: _State) -> dict:
     c, t0 = st.config, time.perf_counter()
-    st.scene = refine_scene(st.scene, st.active, which=c.refine_which,
-                            occlusion_margin=c.occlusion_margin)
+    st.scene = refine_scene(st.scene, st.active, occlusion_margin=c.occlusion_margin)
     st.report["layers"][-1]["time_s"] += time.perf_counter() - t0
-    return {"which": c.refine_which, "count": len(st.scene)}
+    return {"count": len(st.scene)}
 
 
 def _voxelize(st: _State) -> dict:

@@ -38,10 +38,11 @@ A saturated pixel of a running tile is evaluated and gets weight 0: a
 compacted block would have to keep every pixel's BLAS order.
 
 What binning and blending read about a footprint is one record,
-`_ProjectedArrays`, which derives det and the 3-sigma half-extents once
-when it is built; q has one formula (`_quad_form`), and both renderers
-reject a singular footprint (det <= 1e-12) once, on projection
-(`_project_drawable`).
+`_ProjectedArrays`, which derives q's coefficients and det and the 3-sigma
+half-extents once when it is built (scaling a row whose covariance is too
+large for q's arithmetic by a power of two); q has one formula
+(`_quad_form`), and both renderers reject a singular footprint (det <=
+1e-12) once, on projection (`_project_drawable`).
 
 Work that cannot reach an output is skipped exactly:
 
@@ -83,6 +84,7 @@ CHUNK = 64              # rows per blend step
 _GROUP_TILES = 32       # tiles per step's NumPy calls: 2048 pixels; 32 renders
                         # faster than 8, 16 or 64 with length-sorted groups
 _BIN_KEYS = 16384       # (tile, row) keys culled per NumPy call
+_Q_SCALE_FROM = 2.0 ** 500  # covariance entry past which a row is scaled for q
 _RANK = np.arange(1, CHUNK + 1, dtype=np.int8)[:, None, None]
 
 
@@ -100,13 +102,17 @@ class Projected2D:
 class _ProjectedArrays:
     """Struct-of-arrays record of the surviving footprints, depth-sorted.
 
-    det and the 3-sigma half-extents rx, ry are derived here and nowhere
-    else.  Where a * c and b * b both overflow (entries past about 1e154
-    px^2), det is a * (c - b * (b / a)) instead of inf - inf: +inf, so q = 0
-    and the footprint covers the view, as in `render_oracle`.
+    q's coefficients `qcov`, its denominator det and the 3-sigma
+    half-extents rx, ry are derived here and nowhere else.  q = (c du du -
+    2 b du dv + a dv dv) / det keeps its value when a, b, c and det share a
+    factor.  A row with max(a, c) past 2^500 px^2, where a * c or q's
+    numerator could overflow, takes 2^-e with max(a, c) < 2^e: `qcov` is
+    its (a, b, c) times 2^-e and det is (a c - b b) 2^-e, which stays
+    finite.  A power of two scales exactly, and every other row has qcov =
+    cov and det = a c - b b.
     """
 
-    __slots__ = ("mean2d", "cov", "z", "opacity", "src", "det", "rx", "ry")
+    __slots__ = ("mean2d", "cov", "z", "opacity", "src", "qcov", "det", "rx", "ry")
 
     def __init__(self, mean2d, cov, z, opacity, src):
         self.mean2d = mean2d  # (M, 2)
@@ -115,9 +121,12 @@ class _ProjectedArrays:
         self.opacity = opacity
         self.src = src        # (M,) indices into the scene
         a, b, c = cov.T
-        with np.errstate(all="ignore"):
-            det = a * c - b * b
-            self.det = np.where(np.isnan(det), a * (c - b * (b / a)), det)
+        big = np.fmax(a, c)
+        e = np.where(big > _Q_SCALE_FROM, np.frexp(big)[1], 0)
+        self.qcov = np.ldexp(cov, -e[:, None])
+        qa, qb, _ = self.qcov.T
+        with np.errstate(all="ignore"):      # a non-finite row: dropped on projection
+            self.det = qa * c - qb * b
         self.rx = SUPPORT_RADIUS * np.sqrt(a)
         self.ry = SUPPORT_RADIUS * np.sqrt(c)
 
@@ -181,8 +190,9 @@ def _project_scene(scene: GaussianScene, cam: CameraView) -> _ProjectedArrays:
 
 
 def _project_drawable(scene: GaussianScene, cam: CameraView) -> _ProjectedArrays:
-    """`_project_scene`, refusing a singular footprint (det <= 1e-12): the
-    one rule by which both renderers reject what neither can draw."""
+    """`_project_scene`, refusing a singular footprint (det <= 1e-12, the
+    record's det, so scaled where its row is): the one rule by which both
+    renderers reject what neither can draw."""
     proj = _project_scene(scene, cam)
     if np.any(proj.det <= 1e-12):
         raise NumericalDegeneracyError("singular 2-D footprint covariance")
@@ -243,7 +253,7 @@ def _alpha_block(proj: _ProjectedArrays, rows, us, vs):
     infinities and NaNs past it.  Pairs outside the support (NaN q among
     them) and below the floor are then zeroed by one multiply.
     """
-    q = _quad_form(*(proj.cov[rows, k] for k in range(3)), proj.det[rows],
+    q = _quad_form(*(proj.qcov[rows, k] for k in range(3)), proj.det[rows],
                    us - proj.mean2d[rows, 0], vs - proj.mean2d[rows, 1])
     keep = q <= SUPPORT_RADIUS * SUPPORT_RADIUS      # NaN falls outside
     np.fmin(q, 1400.0, out=q)
@@ -374,7 +384,7 @@ def _tile_min_q(proj: _ProjectedArrays, row, tx, ty, tile: int, w: int, h: int):
     and otherwise lies on an edge; on each edge the other coordinate's free
     minimiser, clamped to the edge, gives that edge's minimum.
     """
-    a, b, c = (proj.cov[row, k] for k in range(3))
+    a, b, c = (proj.qcov[row, k] for k in range(3))
     mx, my = proj.mean2d[row, 0], proj.mean2d[row, 1]
     x0 = tx * tile - mx
     x1 = np.minimum(tx * tile + tile, w) - 1 - mx
@@ -414,10 +424,11 @@ def _bin_rows(proj: _ProjectedArrays, tile: int, w: int, h: int):
     tx = tx0[row] + k % nx[row]
     ty = ty0[row] + k // nx[row]
 
-    with np.errstate(divide="ignore"):
+    # an overflowing margin is +inf: such a row is never culled
+    with np.errstate(divide="ignore", over="ignore"):
         reach = np.minimum(SUPPORT_RADIUS * SUPPORT_RADIUS,
                            2.0 * np.log(proj.opacity / ALPHA_FLOOR))
-    reach += 1e-12 * (1.0 + (proj.cov[:, 0] + proj.cov[:, 2]) / LOW_PASS)
+        reach += 1e-12 * (1.0 + (proj.cov[:, 0] + proj.cov[:, 2]) / LOW_PASS)
     # q's minimum in blocks of keys whose temporaries stay in cache
     qmin = np.empty(row.size)
     for lo in range(0, row.size, _BIN_KEYS):

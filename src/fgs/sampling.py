@@ -10,7 +10,8 @@ back into a Gaussian update with bounded position shift and floored scales.
 
 The four steps - `gen_offsets`, `place_samples`, `aggregate`,
 `decode_update` - work on row batches of m Gaussians at once, and
-`refine_scene` composes them over chunks of `REFINE_CHUNK` rows.
+`refine_scene` composes them over every Gaussian of the scene, in chunks of
+`REFINE_CHUNK` rows.
 
 All heads are plain ReLU MLPs with loadable weights; `heads=None` selects the
 weight-free fallback: center sampling, uniform aggregation, geometry kept,
@@ -328,40 +329,27 @@ def decode_update(f_a: np.ndarray, heads: DecodeHeads, mu_prev: np.ndarray):
 # Whole-scene refinement pass
 # ---------------------------------------------------------------------------
 
-def check_refine_which(which) -> None:
-    """Refinement updates "all" Gaussians or only the "newest" layer."""
-    if which not in ("all", "newest"):
-        raise InvalidInputError("which must be 'all' or 'newest'")
-
-
 def refine_scene(scene: GaussianScene, views: list[CameraView],
-                 heads: DecodeHeads | None = None, which: str = "all",
+                 heads: DecodeHeads | None = None,
                  occlusion_margin: float | None = None) -> GaussianScene:
-    """One sampling + aggregation (+ decode) pass over the scene.
+    """One sampling + aggregation (+ decode) pass over every Gaussian.
 
-    `which` selects "all" Gaussians or only the "newest" layer.  With heads,
-    each selected Gaussian is replaced by its decoded update; without heads,
+    With heads, each Gaussian is replaced by its decoded update; without heads,
     geometry is kept and the feature becomes the uniform aggregate of the
     center sample across views.  Gaussians with zero valid pairs are kept
     unchanged either way.  Layer structure is preserved, and rows go
     `REFINE_CHUNK` at a time.  `occlusion_margin` is forwarded to the plane
     sampler.
     """
-    check_refine_which(which)
     width = (heads.feat.out_dim if heads is not None
              else rig_feature_dim(views, scene.feature_dim))
     if width != scene.feature_dim:
         raise InvalidInputError(f"refinement writes {width}-wide features into "
                                 f"a scene of width {scene.feature_dim}")
-    rows = np.arange(len(scene)) if which == "all" else \
-        np.arange(scene.layer_slice(scene.layer_count - 1).start, len(scene))
-    if rows.size == 0:
-        return scene
-
     out = [a.copy() for a in (scene.mu, scene.scale, scene.quat,
                               scene.opacity, scene.feature)]
-    for lo in range(0, rows.size, REFINE_CHUNK):
-        sel = rows[lo:lo + REFINE_CHUNK]
+    for lo in range(0, len(scene), REFINE_CHUNK):
+        sel = np.arange(lo, min(lo + REFINE_CHUNK, len(scene)))
         queries = scene.feature[sel]
         if heads is None:
             pts = scene.mu[sel][:, None, :]                      # center sample only

@@ -4,8 +4,9 @@ A scene is converted to a dense grid by accumulating each Gaussian's
 unnormalized density at voxel centers, weighted by opacity (occupancy mass)
 or by its class-probability vector (semantics).  Point-wise accumulation of
 opacity and raw features supports open-vocabulary retrieval at arbitrary
-query points.  Evaluation helpers (IoU / average precision) operate on the
-resulting grids and score tables.
+query points.  Both score a multi-prompt class by one rule, the max over
+its prompts (`TextBank.similarity`).  Evaluation helpers (IoU / average
+precision) operate on the resulting grids and score tables.
 """
 
 from __future__ import annotations
@@ -89,21 +90,18 @@ class TextBank:
         names = self.class_names
         return names.index(self.empty_class) if self.empty_class in names else None
 
-    def similarity(self, features: np.ndarray, reduce: str = "max") -> np.ndarray:
+    def similarity(self, features: np.ndarray) -> np.ndarray:
         """(N, C) per-class similarity of (N, F) features.
 
-        Multi-prompt classes reduce over their prompts by max (default) or
-        mean.
+        A multi-prompt class scores the max over its prompts.
         """
         features = np.atleast_2d(np.asarray(features, dtype=np.float64))
         if features.shape[1] != self.feature_dim:
             raise InvalidInputError("feature dimension does not match bank")
-        if reduce not in ("max", "mean"):
-            raise InvalidInputError("reduce must be 'max' or 'mean'")
         out = np.empty((features.shape[0], self.num_classes))
         for c, entry in enumerate(self.entries):
             dots = features @ entry.embeddings.T  # (N, P)
-            out[:, c] = dots.max(axis=1) if reduce == "max" else dots.mean(axis=1)
+            out[:, c] = dots.max(axis=1)
         return out
 
 
@@ -118,13 +116,13 @@ def orthonormal_bank(class_names, dim, seed=0, empty_class="empty") -> TextBank:
     return TextBank(entries, empty_class=empty_class)
 
 
-def text_probs(features: np.ndarray, bank: TextBank, reduce: str = "max") -> np.ndarray:
+def text_probs(features: np.ndarray, bank: TextBank) -> np.ndarray:
     """Softmax over per-class text similarities; rows sum to 1.
 
     Accepts one (F,) vector or an (N, F) batch; returns (C,) or (N, C).
     """
     single = np.asarray(features).ndim == 1
-    sims = bank.similarity(features, reduce=reduce)
+    sims = bank.similarity(features)
     sims = sims - sims.max(axis=1, keepdims=True)
     e = np.exp(sims)
     probs = e / e.sum(axis=1, keepdims=True)
@@ -330,8 +328,8 @@ def _accumulate_kernel(points, scene, weights, cutoff):
 
 
 def voxelize(scene: GaussianScene, bank: TextBank, grid: GridSpec,
-             tau_occ: float = TAU_OCC, cutoff: float | None = DEFAULT_CUTOFF,
-             reduce: str = "max") -> VoxelGrid:
+             tau_occ: float = TAU_OCC,
+             cutoff: float | None = DEFAULT_CUTOFF) -> VoxelGrid:
     """Accumulate a scene into an occupancy + semantics grid.
 
     Per voxel center x: occupancy mass V_o(x) = sum_i k_i(x) * opacity_i and
@@ -346,8 +344,7 @@ def voxelize(scene: GaussianScene, bank: TextBank, grid: GridSpec,
     if bank.feature_dim != scene.feature_dim:
         raise InvalidInputError("bank/scene feature dimensions differ")
     check_tau(tau_occ)
-    weights = np.column_stack([scene.opacity,
-                               text_probs(scene.feature, bank, reduce=reduce)])
+    weights = np.column_stack([scene.opacity, text_probs(scene.feature, bank)])
     acc = _accumulate_kernel(grid.centers_flat(), scene, weights, cutoff)
     occ = acc[:, 0].reshape(grid.dims)
     cls = acc[:, 1:].reshape(*grid.dims, bank.num_classes)
@@ -360,7 +357,7 @@ def voxelize(scene: GaussianScene, bank: TextBank, grid: GridSpec,
 
 
 def voxelize_oracle(scene: GaussianScene, bank: TextBank, grid: GridSpec,
-                    tau_occ: float = TAU_OCC, reduce: str = "max") -> VoxelGrid:
+                    tau_occ: float = TAU_OCC) -> VoxelGrid:
     """Reference accumulation: every Gaussian against every voxel, no cutoff.
 
     Kept deliberately simple (explicit covariance inverses, dense evaluation)
@@ -378,7 +375,7 @@ def voxelize_oracle(scene: GaussianScene, bank: TextBank, grid: GridSpec,
         d = centers - g.mu
         k = np.exp(-0.5 * np.einsum("md,de,me->m", d, prec, d))
         occ += k * g.sigma
-        cls += k[:, None] * text_probs(g.f, bank, reduce=reduce)
+        cls += k[:, None] * text_probs(g.f, bank)
     nx, ny, nz = grid.dims
     occ = occ.reshape(nx, ny, nz)
     cls = cls.reshape(nx, ny, nz, bank.num_classes)

@@ -220,8 +220,7 @@ def test_criterion_03_selection_sound_and_densify_progresses():
     fixture = missing_wall_fixture(0)
     scene, views = fixture.scene, fixture.views
     renders = [render(scene, v) for v in views]
-    masks = [select_under_represented(out, v.ref_depth, v.ref_valid,
-                                      gamma=0.2, mode="signed")
+    masks = [select_under_represented(out, v.ref_depth, v.ref_valid, gamma=0.2)
              for out, v in zip(renders, views)]
     n_selected = int(sum(m.sum() for m in masks))
     unsound = sum(int(np.sum((out.depth - v.ref_depth)[m & out.valid] <= 0.2))

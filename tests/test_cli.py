@@ -227,8 +227,7 @@ def test_refine_without_heads(fixture_dir, tmp_path, capsys):
                                      "--scene", str(fixture_dir / "scene.fgs"),
                                      "--out", str(out)])
     assert code == 0
-    assert payload == {"out": str(out), "count": 250, "which": "all",
-                       "heads": False}
+    assert payload == {"out": str(out), "count": 250, "heads": False}
     before = load_scene(str(fixture_dir / "scene.fgs"))
     after = load_scene(str(out))
     np.testing.assert_array_equal(after.mu, before.mu)   # geometry untouched
@@ -243,10 +242,9 @@ def test_refine_with_heads_file(fixture_dir, tmp_path, capsys):
                                      "--rig", str(fixture_dir / "rig.json"),
                                      "--scene", str(fixture_dir / "scene.fgs"),
                                      "--out", str(tmp_path / "r.fgs"),
-                                     "--heads", str(path),
-                                     "--which", "newest"])
+                                     "--heads", str(path)])
     assert code == 0
-    assert payload["heads"] is True and payload["which"] == "newest"
+    assert payload["heads"] is True
 
 
 def test_refine_scene_of_other_feature_width_exit_2(fixture_dir, tmp_path,
@@ -557,10 +555,10 @@ def test_pipeline_from_config_with_stage_override(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key, value, message", [
-    ("refine_which", "oldest", "which must be 'all' or 'newest'"),
     ("occlusion_margin", float("nan"), "occlusion margin must be finite"),
     ("gamma", 0.0, "gamma must be positive and finite"),
-    ("select_mode", "median", "select_mode must be 'signed' or 'absolute'"),
+    ("cutoff", -1.0, "cutoff must be None or positive and finite"),
+    ("tau_occ", float("nan"), "tau_occ must be finite"),
     ("base_count", 0, "base count and layer budgets must be positive"),
     ("layer_budgets", [100, 0], "base count and layer budgets must be positive"),
 ])
@@ -627,6 +625,8 @@ _SPEC_RANGE_CASES = {
     ('{"view_waves": [0]}', 2),
     ('{"threads": 2}', 2),
     ('{"heads": null}', 2),
+    ('{"select_mode": "signed"}', 2),
+    ('{"refine_which": "all"}', 2),
     ('{"stages": [], "seed": -1}', 2),
     ('{"stages": [], "spec": {"depth_noise": -1}}', 2),
     *[(json.dumps({"stages": ["synth"], "spec": spec}), 2)
@@ -636,7 +636,8 @@ _SPEC_RANGE_CASES = {
         "fractional_seed", "string_gamma", "eval_without_voxelize",
         "spec_unknown_shape", "spec_flat_box", "negative_cutoff", "nan_cutoff",
         "inf_cutoff", "nan_tau", "negative_inf_tau", "negative_wave",
-        "zero_wave", "threads_key", "heads_key", "negative_seed_no_stages",
+        "zero_wave", "threads_key", "heads_key", "select_mode_key",
+        "refine_which_key", "negative_seed_no_stages",
         "negative_depth_noise_no_stages", *_SPEC_RANGE_CASES])
 def test_malformed_pipeline_config_exit_code(tmp_path, capsys, text, code):
     cfg_path = tmp_path / "cfg.json"
@@ -1009,4 +1010,20 @@ def test_seed_only_where_it_is_read(fixture_dir):
     with pytest.raises(SystemExit) as exc:
         main(["render", "--rig", str(fixture_dir / "rig.json"),
               "--scene", str(fixture_dir / "scene.fgs"), "--seed", "1"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("densify", "--select-mode", "absolute"),
+    ("refine", "--which", "newest"),
+    ("voxelize", "--reduce", "mean"),
+])
+def test_no_flag_picks_another_rule(fixture_dir, tmp_path, command, flag, value):
+    """Densify selects by one signed depth rule, refine updates every
+    Gaussian and a multi-prompt class scores its best prompt: a flag that
+    would choose otherwise is an argument error on a command line that runs
+    without it."""
+    argv = [command, *_flag_runs(fixture_dir, tmp_path)[command], flag, value]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
     assert exc.value.code == 2

@@ -278,10 +278,8 @@ def test_selection_strict_at_gamma():
     depth = np.array([[5.25, 5.25 + 1e-9],
                       [5.0, 5.25 - 1.5]])
     out = _made_output(depth, valid)
-    sel = select_under_represented(out, ref, valid, gamma=0.25, mode="signed")
+    sel = select_under_represented(out, ref, valid, gamma=0.25)
     npt.assert_array_equal(sel, [[False, True], [False, False]])
-    sel_abs = select_under_represented(out, ref, valid, gamma=0.25, mode="absolute")
-    npt.assert_array_equal(sel_abs, [[False, True], [False, True]])
 
 
 def test_selection_treats_render_invalid_as_infinite():
@@ -302,17 +300,14 @@ def test_selection_without_a_mask_applies_the_reference_depth_rule():
     ref = np.array([[np.nan, np.inf, 0.0, 0.05, Z_NEAR, 5.0]])
     for covered in (False, True):
         out = _made_output(np.full((1, 6), 1e3), np.full((1, 6), covered))
-        for mode in ("signed", "absolute"):
-            sel = select_under_represented(out, ref, None, mode=mode)
-            npt.assert_array_equal(sel, [[False] * 5 + [True]])
+        sel = select_under_represented(out, ref, None)
+        npt.assert_array_equal(sel, [[False] * 5 + [True]])
 
 
-def test_selection_shape_and_mode_errors():
+def test_selection_shape_errors():
     out = _made_output(np.zeros((2, 2)), np.ones((2, 2), dtype=bool))
     with pytest.raises(InvalidInputError):
         select_under_represented(out, np.zeros((3, 3)), None)
-    with pytest.raises(InvalidInputError):
-        select_under_represented(out, np.zeros((2, 2)), None, mode="l2")
 
 
 def test_selection_residual_excludes_unresolved_pixels():
@@ -444,8 +439,6 @@ def test_densify_config_validation():
         DensifyConfig(gamma=0.0)
     with pytest.raises(InvalidInputError):
         DensifyConfig(layer_budgets=(100, 0))
-    with pytest.raises(InvalidInputError):
-        DensifyConfig(select_mode="both")
     for value in (float("nan"), float("inf")):
         with pytest.raises(InvalidInputError, match="finite"):
             DensifyConfig(gamma=value)

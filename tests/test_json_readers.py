@@ -117,9 +117,9 @@ def _check(read, path, doc, argv):
 def _config_doc():
     return {"stages": [], "seed": 0, "out_dir": None,
             "spec": _tiny_spec().to_dict(), "base_count": 60,
-            "layer_budgets": [40, 20], "gamma": 0.2, "select_mode": "signed",
+            "layer_budgets": [40, 20], "gamma": 0.2,
             "occlusion_margin": 0.3, "tau_occ": 0.5, "cutoff": 3.0,
-            "refine_which": "all", "view_waves": [1, 1]}
+            "view_waves": [1, 1]}
 
 
 def _documents(root):

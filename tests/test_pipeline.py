@@ -358,7 +358,6 @@ def test_stages_render_geometry_only_and_count_the_work(monkeypatch):
 def test_report_refine_and_voxelize(full_run):
     report, _ = full_run
     refine, voxelize = report["stages"][3], report["stages"][4]
-    assert refine["which"] == "all"
     assert refine["count"] == report["layers"][-1]["count"]
     assert voxelize["dims"] == [6, 6, 3]
     assert 0 < voxelize["occupied"] <= 6 * 6 * 3

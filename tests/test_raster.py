@@ -220,11 +220,12 @@ def test_tiled_matches_oracle_on_random_scenes():
     pytest.param([1e100, 1e98, 5e99], [0.9, 0.2, 0.3, 0.25], id="rotated-1e+100"),
 ])
 def test_huge_footprints_render_as_the_oracle_does(scale, quat):
-    """At 1e150 the footprint's box is far past the int range and its det
-    overflows: it covers the view.  At 1e200 its covariance overflows too,
-    and both renderers drop it.  Rotated at 1e100, a * c and b * b both
-    overflow, so a * c - b * b is inf - inf; the det is still +inf and the
-    footprint covers the view.  Either way no warning escapes."""
+    """At 1e150 the footprint's box is far past the int range and a * c
+    would overflow: the row is scaled for q, and it covers the view.  At
+    1e200 its covariance overflows too, and both renderers drop it.  Rotated
+    at 1e100, a * c and b * b would both overflow (inf - inf); scaled, the
+    det is finite and the footprint covers the view.  Either way no warning
+    escapes."""
     w, h = 47, 33
     cam = CameraView(fx=40.0, fy=40.0, cx=(w - 1) / 2, cy=(h - 1) / 2, width=w, height=h,
                      rotation=np.eye(3), translation=np.zeros(3))
@@ -242,6 +243,36 @@ def test_huge_footprints_render_as_the_oracle_does(scale, quat):
     assert out.valid.all() == (scale[0] != 1e200) and out.valid.any()
     for name in ("depth", "feature", "acc_alpha"):
         npt.assert_allclose(getattr(out, name), getattr(ref, name), rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("quat", [[1.0, 0.0, 0.0, 0.0], [0.9, 0.2, 0.3, 0.25]],
+                         ids=["identity", "rotated"])
+def test_overflow_sweep_renders_as_the_oracle_does(quat):
+    """Scales (s, s/2, s/5) at z = 5, s from 1e140 to 1e160: q's numerator
+    c du du + a dv dv passes the float range near s = 1e152, where an
+    unscaled row drew fewer pixels than the oracle; from 1e154 the
+    covariance itself overflows and both renderers drop the footprint.
+    Every scale agrees with the oracle to criterion 01's 1e-5, and no
+    warning escapes."""
+    w, h = 47, 33
+    cam = CameraView(fx=40.0, fy=40.0, cx=(w - 1) / 2, cy=(h - 1) / 2, width=w, height=h,
+                     rotation=np.eye(3), translation=np.zeros(3))
+    quat = np.array([quat]) / np.linalg.norm(quat)
+    drawn = []
+    for s in 10.0 ** np.arange(140, 161):
+        scene = GaussianScene(mu=np.array([[0.0, 0.0, 5.0]]),
+                              scale=np.array([[s, s / 2, s / 5]]), quat=quat,
+                              opacity=np.array([0.5]), feature=np.array([[1.0, 0.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = render(scene, cam)
+        ref = render_oracle(scene, cam)
+        npt.assert_array_equal(out.valid, ref.valid, err_msg=f"s = {s:g}")
+        for name in ("depth", "feature", "acc_alpha"):
+            npt.assert_allclose(getattr(out, name), getattr(ref, name), rtol=0,
+                                atol=1e-5, err_msg=f"{name}, s = {s:g}")
+        drawn.append(int(out.valid.sum()))
+    assert drawn == [w * h] * 14 + [0] * 7     # 1e140..1e153 cover the view
 
 
 def test_render_rejects_a_singular_footprint():

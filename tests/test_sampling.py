@@ -345,19 +345,6 @@ def test_refine_without_heads_sets_center_sample_mean():
     assert out.layer_offsets == scene.layer_offsets
 
 
-def test_refine_newest_only_touches_last_layer():
-    views = _plane_views(1.0, 3.0)
-    base = _grid_scene(4)
-    grown = base.with_layer(np.array([[0.5, 0.5, 5.0]]), np.full((1, 3), 0.2),
-                            np.array([[1.0, 0, 0, 0]]), np.array([0.5]),
-                            np.zeros((1, 4)))
-    out = refine_scene(grown, views, heads=None, which="newest")
-    npt.assert_array_equal(out.feature[:4], grown.feature[:4])
-    npt.assert_allclose(out.feature[4], 2.0)
-    with pytest.raises(InvalidInputError):
-        refine_scene(grown, views, which="oldest")
-
-
 def _refine_one(g, views, heads):
     """Per-Gaussian reference for one decoded refinement step.
 

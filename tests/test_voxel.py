@@ -96,9 +96,6 @@ def test_similarity_multi_prompt_reduction():
                     empty_class=None)
     f = np.array([0.6, 0.8, 0.0])
     npt.assert_allclose(bank.similarity(f), [[0.8]])
-    npt.assert_allclose(bank.similarity(f, reduce="mean"), [[0.7]])
-    with pytest.raises(InvalidInputError):
-        bank.similarity(f, reduce="sum")
     with pytest.raises(InvalidInputError):
         bank.similarity(np.ones(2))
 
