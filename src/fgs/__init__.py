@@ -1,9 +1,8 @@
 """Feature-Gaussian scenes: splat rendering, progressive densification,
 plane-feature sampling, and open-vocabulary voxel grids."""
 
-from .core import (CameraView, FeatureGaussian, GaussianScene, RenderOutput,
-                   Z_NEAR, backproject, covariance3d, project_points,
-                   quat_normalize, quat_to_rotmat)
+from .core import (CameraView, GaussianScene, RenderOutput, Z_NEAR,
+                   backproject, covariance3d, project_points)
 from .errors import (EmptyInputError, FgsError, FormatError,
                      InsufficientPointsError, InvalidInputError,
                      NumericalDegeneracyError)
@@ -30,9 +29,8 @@ from . import io
 __version__ = "0.1.0"
 
 __all__ = [
-    "CameraView", "FeatureGaussian", "GaussianScene", "RenderOutput", "Z_NEAR",
-    "backproject", "covariance3d", "project_points", "quat_normalize",
-    "quat_to_rotmat",
+    "CameraView", "GaussianScene", "RenderOutput", "Z_NEAR",
+    "backproject", "covariance3d", "project_points",
     "FgsError", "InvalidInputError", "EmptyInputError",
     "InsufficientPointsError", "NumericalDegeneracyError", "FormatError",
     "alpha_at", "project_gaussian", "render", "render_oracle",

@@ -25,7 +25,7 @@ from .io import (depth_preview, dump_json, load_bank, load_json_object,
 from .losses import LossComponents, feat_loss, l1_depth, silog, total_loss
 from .pipeline import PipelineConfig, retrieval_map, run_pipeline
 from .raster import render
-from .sampling import DecodeHeads, refine_scene
+from .sampling import OCCLUSION_MARGIN, DecodeHeads, refine_scene
 from .synth import SynthSpec, gen_scene, room_spec
 from .voxel import (DEFAULT_CUTOFF, GridSpec, TAU_OCC, eval_miou,
                     retrieval_scores, voxelize)
@@ -304,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--scene", required=True)
     s.add_argument("--out", required=True)
     s.add_argument("--heads", help="decode-head tensor file (.head)")
-    s.add_argument("--occlusion-margin", type=float, default=None)
+    s.add_argument("--occlusion-margin", type=float, default=OCCLUSION_MARGIN)
     s.set_defaults(func=cmd_refine)
 
     s = sub.add_parser("render", parents=[common],

@@ -6,6 +6,10 @@ camera coordinates into ego coordinates.  Quaternions are (w, x, y, z) and are
 renormalized on ingest.  Pixel coordinates follow the usual convention
 u = column, v = row, with pixel centers at integer coordinates.
 
+`GaussianScene` is the one Gaussian record: every kernel, and every
+reference that takes Gaussians one at a time, reads Gaussian i as row i of
+its arrays.
+
 `CameraView` owns the pinhole model: the projection of camera-frame points
 to pixels, the pixel rays that lift pixels back, and the image-bounds test
 are each written once there, and every other module calls them.  Depth
@@ -46,25 +50,10 @@ def _as_float(x, shape: tuple, name: str) -> np.ndarray:
 # Quaternions and covariances
 # ---------------------------------------------------------------------------
 
-def quat_normalize(r) -> np.ndarray:
-    """Return r / |r| as float64, raising on (near-)zero norm."""
-    r = _as_float(r, (4,), "quaternion")
-    n = float(np.linalg.norm(r))
-    if n < 1e-8:
-        raise InvalidInputError("zero-norm quaternion")
-    return r / n
-
-def quat_to_rotmat(r) -> np.ndarray:
-    """Rotation matrix of a (w, x, y, z) quaternion.
-
-    The input is renormalized, so q and -q (and any positive scaling) give the
-    same matrix.
-    """
-    return quats_to_rotmats(quat_normalize(r)[None])[0]
-
-
 def quats_to_rotmats(r: np.ndarray) -> np.ndarray:
-    """Vectorized `quat_to_rotmat` for an (N, 4) array (renormalizes rows)."""
+    """Rotation matrices (N, 3, 3) of an (N, 4) array of (w, x, y, z)
+    quaternions.  Rows are renormalized, so q and -q (and any positive
+    scaling) give the same matrix; a (near-)zero-norm row is refused."""
     r = np.asarray(r, dtype=np.float64)
     n = np.linalg.norm(r, axis=1)
     if np.any(n < 1e-8):
@@ -93,49 +82,14 @@ def covariance3d(s, r) -> np.ndarray:
     s = _as_float(s, (3,), "scale")
     if np.any(s <= 0.0):
         raise InvalidInputError("scales must be strictly positive")
-    rot = quat_to_rotmat(r)
+    rot = quats_to_rotmats(_as_float(r, (4,), "quaternion")[None])[0]
     cov = (rot * s**2) @ rot.T
     return 0.5 * (cov + cov.T)  # exact symmetry despite rounding
 
 
 # ---------------------------------------------------------------------------
-# Scene types
+# The scene
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FeatureGaussian:
-    """One anisotropic Gaussian carrying an opacity and a feature vector."""
-
-    mu: np.ndarray       # (3,) center, ego frame, meters
-    s: np.ndarray        # (3,) per-axis stddev, meters, > 0
-    r: np.ndarray        # (4,) unit quaternion (w, x, y, z)
-    sigma: float         # opacity in [0, 1]
-    f: np.ndarray        # (F,) feature vector
-
-    def __post_init__(self):
-        object.__setattr__(self, "mu", _as_float(self.mu, (3,), "mu"))
-        s = _as_float(self.s, (3,), "s")
-        if np.any(s <= 0.0):
-            raise InvalidInputError("Gaussian scales must be strictly positive")
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "r", quat_normalize(self.r))
-        sigma = float(self.sigma)
-        if not (0.0 <= sigma <= 1.0) or not np.isfinite(sigma):
-            raise InvalidInputError(f"opacity must lie in [0, 1], got {sigma}")
-        object.__setattr__(self, "sigma", sigma)
-        f = np.asarray(self.f, dtype=np.float64)
-        if f.ndim != 1:
-            raise InvalidInputError("feature must be a 1-D vector")
-        object.__setattr__(self, "f", _finite(f, "feature"))
-
-    @property
-    def cov(self) -> np.ndarray:
-        return covariance3d(self.s, self.r)
-
-    @property
-    def rotation(self) -> np.ndarray:
-        return quat_to_rotmat(self.r)
-
 
 IDENTITY_QUAT = np.array([1.0, 0.0, 0.0, 0.0])
 
@@ -143,9 +97,12 @@ IDENTITY_QUAT = np.array([1.0, 0.0, 0.0, 0.0])
 class GaussianScene:
     """An ordered collection of feature Gaussians grown in layers.
 
-    Storage is struct-of-arrays for vectorized math; `gaussian(i)` gives a
-    per-element view.  `layer_offsets` holds cumulative counts, one entry per
-    growth layer (non-decreasing, last == len(scene)); earlier layers are
+    The package's one Gaussian record, stored struct-of-arrays: Gaussian i
+    is row i of `mu` (N, 3) center, `scale` (N, 3) per-axis stddev (> 0),
+    `quat` (N, 4) unit quaternion, `opacity` (N,) in [0, 1] and `feature`
+    (N, F), and the rules on those fields are checked here and nowhere
+    else.  `layer_offsets` holds cumulative counts, one entry per growth
+    layer (non-decreasing, last == len(scene)); earlier layers are
     immutable prefixes of later scenes.
     """
 
@@ -209,10 +166,6 @@ class GaussianScene:
             raise InvalidInputError(f"layer {b} out of range [0, {self.layer_count})")
         lo = 0 if b == 0 else self.layer_offsets[b - 1]
         return slice(lo, self.layer_offsets[b])
-
-    def gaussian(self, i: int) -> FeatureGaussian:
-        return FeatureGaussian(self.mu[i], self.scale[i], self.quat[i],
-                               float(self.opacity[i]), self.feature[i])
 
     # -- construction ----------------------------------------------------------
     @classmethod

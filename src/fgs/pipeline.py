@@ -33,7 +33,7 @@ from .errors import FgsError, InvalidInputError
 from .io import (dump_json, json_float, json_int, json_list, json_optional,
                  json_str, jsonable, read_object, save_scene, save_voxel_grid)
 from .raster import RenderOutput, render
-from .sampling import check_occlusion_margin, refine_scene
+from .sampling import OCCLUSION_MARGIN, check_occlusion_margin, refine_scene
 from .synth import SynthSpec, gen_scene, room_spec
 from .voxel import (DEFAULT_CUTOFF, GridSpec, TAU_OCC, TextBank, VoxelGrid,
                     check_cutoff, check_tau, eval_map, eval_miou,
@@ -92,7 +92,7 @@ class PipelineConfig:
     base_count: int = DensifyConfig.base_count
     layer_budgets: tuple[int, ...] = DensifyConfig.layer_budgets
     gamma: float = GAMMA
-    occlusion_margin: float | None = 0.3
+    occlusion_margin: float | None = OCCLUSION_MARGIN
     tau_occ: float = TAU_OCC
     cutoff: float | None = DEFAULT_CUTOFF
     view_waves: tuple[int, ...] | None = None

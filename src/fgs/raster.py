@@ -42,7 +42,7 @@ What binning and blending read about a footprint is one record,
 half-extents once when it is built (scaling a row whose covariance is too
 large for q's arithmetic by a power of two); q has one formula
 (`_quad_form`), and both renderers reject a singular footprint (det <=
-1e-12) once, on projection (`_project_drawable`).
+1e-10 a c, `_singular`) once, on projection (`_project_drawable`).
 
 Work that cannot reach an output is skipped exactly:
 
@@ -70,7 +70,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CameraView, FeatureGaussian, GaussianScene, RenderOutput, Z_NEAR, quats_to_rotmats
+from .core import CameraView, GaussianScene, RenderOutput, Z_NEAR, quats_to_rotmats
 from .errors import InvalidInputError, NumericalDegeneracyError
 
 LOW_PASS = 0.3          # px^2 added to both footprint eigenvalues
@@ -85,6 +85,11 @@ _GROUP_TILES = 32       # tiles per step's NumPy calls: 2048 pixels; 32 renders
                         # faster than 8, 16 or 64 with length-sorted groups
 _BIN_KEYS = 16384       # (tile, row) keys culled per NumPy call
 _Q_SCALE_FROM = 2.0 ** 500  # covariance entry past which a row is scaled for q
+# det and q's numerator are differences of terms of size a c, each rounded
+# to an ulp of it, so q's relative rounding error is a few ulps of a c over
+# det: at det = 1e-10 a c that is a few 1e-6 of q, inside the two renderers'
+# 1e-5 agreement.  A thinner footprint is singular.
+_SINGULAR = 1e-10
 _RANK = np.arange(1, CHUNK + 1, dtype=np.int8)[:, None, None]
 
 
@@ -189,40 +194,50 @@ def _project_scene(scene: GaussianScene, cam: CameraView) -> _ProjectedArrays:
     return every.take(np.nonzero(on_screen)[0][order])
 
 
+def _singular(det, ac):
+    """Whether a footprint whose a c is `ac` (times its row's scale, like
+    its det) is singular: det <= `_SINGULAR` a c, or not a number."""
+    return ~(det > _SINGULAR * ac)
+
+
 def _project_drawable(scene: GaussianScene, cam: CameraView) -> _ProjectedArrays:
-    """`_project_scene`, refusing a singular footprint (det <= 1e-12, the
-    record's det, so scaled where its row is): the one rule by which both
-    renderers reject what neither can draw."""
+    """`_project_scene`, refusing a singular footprint (`_singular` on the
+    record's det and qa c, so scaled where its row is): the one rule by
+    which both renderers reject what neither can draw."""
     proj = _project_scene(scene, cam)
-    if np.any(proj.det <= 1e-12):
+    if np.any(_singular(proj.det, proj.qcov[:, 0] * proj.cov[:, 2])):
         raise NumericalDegeneracyError("singular 2-D footprint covariance")
     return proj
 
 
-def project_gaussian(g: FeatureGaussian, cam: CameraView, source_index: int = 0):
-    """Project one Gaussian; returns Projected2D, or None when culled.
+def project_gaussian(scene: GaussianScene, i: int, cam: CameraView):
+    """Project row i of the scene; returns Projected2D (`source_index` i),
+    or None when culled.
 
     Culling (None) happens behind the near plane or when the 3-sigma screen
     bounding box misses the image; it is a signal, not an error.
     """
-    scene = GaussianScene(g.mu[None], g.s[None], g.r[None],
-                          np.array([g.sigma]), g.f[None])
-    p = _project_scene(scene, cam)
+    if not 0 <= i < len(scene):
+        raise InvalidInputError(f"Gaussian {i} out of range [0, {len(scene)})")
+    row = slice(i, i + 1)
+    p = _project_scene(GaussianScene(scene.mu[row], scene.scale[row], scene.quat[row],
+                                     scene.opacity[row], scene.feature[row]), cam)
     if p.z.size == 0:
         return None
     a, b, c = p.cov[0]
     return Projected2D(p.mean2d[0], np.array([[a, b], [b, c]]),
-                       float(p.z[0]), float(p.opacity[0]), source_index)
+                       float(p.z[0]), float(p.opacity[0]), i)
 
 
 def alpha_at(p2d: Projected2D, pixel) -> float:
     """Blend weight of one footprint at one (u, v) pixel position.
 
     Zero beyond the 3-sigma support or below the 1/255 floor; capped at 0.99.
+    A singular footprint (`_singular`, as the renderers refuse it) raises.
     """
     cov = np.asarray(p2d.cov2d, dtype=np.float64)
     det = cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[1, 0]
-    if not np.isfinite(det) or det <= 1e-12:
+    if _singular(det, cov[0, 0] * cov[1, 1]):
         raise NumericalDegeneracyError("singular 2-D footprint covariance")
     du = float(pixel[0]) - float(p2d.mean2d[0])
     dv = float(pixel[1]) - float(p2d.mean2d[1])

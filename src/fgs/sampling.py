@@ -32,6 +32,9 @@ N_OFFSETS = 16
 DELTA_MAX = 2.0   # meters; bound on a decoded position update
 S_MIN = 0.01      # meters; floor on decoded scales
 REFINE_CHUNK = 2048   # Gaussians per `refine_scene` step
+# meters; the occlusion gate's margin in the pipeline's refine stage and in
+# `fgs refine` (see `sample_features`)
+OCCLUSION_MARGIN = 0.3
 
 
 # ---------------------------------------------------------------------------

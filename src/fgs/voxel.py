@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import GaussianScene, quats_to_rotmats
+from .core import GaussianScene, covariance3d, quats_to_rotmats
 from .errors import EmptyInputError, InvalidInputError
 
 # Default decision threshold on accumulated opacity mass.
@@ -370,12 +370,11 @@ def voxelize_oracle(scene: GaussianScene, bank: TextBank, grid: GridSpec,
     occ = np.zeros(centers.shape[0])
     cls = np.zeros((centers.shape[0], bank.num_classes))
     for i in range(len(scene)):
-        g = scene.gaussian(i)
-        prec = np.linalg.inv(g.cov)
-        d = centers - g.mu
+        prec = np.linalg.inv(covariance3d(scene.scale[i], scene.quat[i]))
+        d = centers - scene.mu[i]
         k = np.exp(-0.5 * np.einsum("md,de,me->m", d, prec, d))
-        occ += k * g.sigma
-        cls += k[:, None] * text_probs(g.f, bank)
+        occ += k * scene.opacity[i]
+        cls += k[:, None] * text_probs(scene.feature[i], bank)
     nx, ny, nz = grid.dims
     occ = occ.reshape(nx, ny, nz)
     cls = cls.reshape(nx, ny, nz, bank.num_classes)

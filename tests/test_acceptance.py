@@ -186,7 +186,7 @@ def test_criterion_02_depth_inside_contributing_range():
         cam = _camera(64, 64, fx=40.0)
         out = render(scene, cam, threads=1)
         proj = [p for i in range(len(scene))
-                for p in [project_gaussian(scene.gaussian(i), cam, i)]
+                for p in [project_gaussian(scene, i, cam)]
                 if p is not None]
         proj.sort(key=lambda p: (p.z_cam, p.source_index))
         vv, uu = np.nonzero(out.valid)
@@ -290,11 +290,10 @@ def test_criterion_06_sample_containment_and_bilinear():
     violations = 0
     for _ in range(100):                      # 100 Gaussians x 100 offsets
         scene = _random_scene(rng, 1)
-        g = scene.gaussian(0)
         offsets = rng.uniform(-1.0, 1.0, size=(100, 3))
         pts = place_samples(scene.mu, scene.scale, scene.quat, offsets[None])[0]
-        d = pts - g.mu
-        cov = covariance3d(g.s, g.r)
+        d = pts - scene.mu[0]
+        cov = covariance3d(scene.scale[0], scene.quat[0])
         q = np.einsum("nj,nj->n", d, np.linalg.solve(cov, d.T).T)
         violations += int(np.sum(q > 3.0))
 

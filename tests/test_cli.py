@@ -27,7 +27,7 @@ from fgs.errors import InvalidInputError
 from fgs.io import (load_bank, load_depth_plane, load_plane, load_rig,
                     load_scene, load_voxel_grid, save_plane, save_points,
                     save_rig, save_scene, save_tensors)
-from fgs.sampling import DecodeHeads, Mlp
+from fgs.sampling import OCCLUSION_MARGIN, DecodeHeads, Mlp, refine_scene
 from fgs.synth import Primitive, RigSpec, RingSpec, SynthSpec
 from fgs.voxel import GridSpec
 
@@ -232,6 +232,25 @@ def test_refine_without_heads(fixture_dir, tmp_path, capsys):
     after = load_scene(str(out))
     np.testing.assert_array_equal(after.mu, before.mu)   # geometry untouched
     assert np.any(after.feature != before.feature)       # features resampled
+
+
+def test_refine_gates_occlusion_as_the_pipeline_does(fixture_dir, tmp_path, capsys):
+    """Without `--occlusion-margin`, `fgs refine` gates occluded samples by
+    the pipeline's margin: its scene file holds the bytes that
+    `refine_scene(..., occlusion_margin=OCCLUSION_MARGIN)` saves, and on this
+    fixture the gate changes features."""
+    out = tmp_path / "cli.fgs"
+    code, _, _ = _run(capsys, ["refine", "--rig", str(fixture_dir / "rig.json"),
+                               "--scene", str(fixture_dir / "scene.fgs"),
+                               "--out", str(out)])
+    assert code == 0
+    views = load_rig(str(fixture_dir / "rig.json"))
+    scene = load_scene(str(fixture_dir / "scene.fgs"))
+    gated = refine_scene(scene, views, occlusion_margin=OCCLUSION_MARGIN)
+    save_scene(str(tmp_path / "api.fgs"), gated)
+    assert out.read_bytes() == (tmp_path / "api.fgs").read_bytes()
+    ungated = refine_scene(scene, views, occlusion_margin=None)
+    assert np.any(ungated.feature != gated.feature)
 
 
 def test_refine_with_heads_file(fixture_dir, tmp_path, capsys):

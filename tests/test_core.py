@@ -16,10 +16,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from fgs.core import (CameraView, FeatureGaussian, GaussianScene, Z_NEAR,
-                      backproject, covariance3d, depth_validity, project_points,
-                      quat_normalize, quat_to_rotmat, rig_feature_dim)
-from fgs.core import quats_to_rotmats
+from fgs.core import (CameraView, GaussianScene, Z_NEAR, backproject, covariance3d,
+                      depth_validity, project_points, quats_to_rotmats,
+                      rig_feature_dim)
 from fgs.errors import InvalidInputError
 from fgs.raster import _project_scene
 
@@ -63,22 +62,31 @@ def _yaw_pitch_rotation(yaw, pitch):
 # ---------------------------------------------------------------------------
 
 def test_quat_identity_and_z_flip():
-    npt.assert_array_equal(quat_to_rotmat([1.0, 0.0, 0.0, 0.0]), np.eye(3))
-    npt.assert_allclose(quat_to_rotmat([0.0, 0.0, 0.0, 1.0]),
-                        np.diag([-1.0, -1.0, 1.0]), atol=1e-15)
+    rot = quats_to_rotmats(np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]]))
+    npt.assert_array_equal(rot[0], np.eye(3))
+    npt.assert_allclose(rot[1], np.diag([-1.0, -1.0, 1.0]), atol=1e-15)
 
 
-def test_quat_normalize_rejects_zero():
+def test_zero_norm_quaternion_is_refused():
+    """The two places that take a quaternion from outside refuse a zero one:
+    the scene on ingest and `quats_to_rotmats` (and through it
+    `covariance3d`); the scene renormalizes any other."""
     with pytest.raises(InvalidInputError):
-        quat_normalize([0.0, 0.0, 0.0, 0.0])
-    npt.assert_allclose(np.linalg.norm(quat_normalize([3.0, 4.0, 0.0, 0.0])), 1.0)
+        quats_to_rotmats(np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]))
+    with pytest.raises(InvalidInputError):
+        covariance3d([0.1, 0.2, 0.3], [0.0, 0.0, 0.0, 0.0])
+    kw = dict(mu=np.zeros((2, 3)), scale=np.ones((2, 3)), opacity=np.full(2, 0.5),
+              feature=np.zeros((2, 1)))
+    with pytest.raises(InvalidInputError):
+        GaussianScene(quat=[[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]], **kw)
+    scene = GaussianScene(quat=[[3.0, 4.0, 0.0, 0.0], [0.0, 0.0, 0.0, 2.0]], **kw)
+    npt.assert_allclose(np.linalg.norm(scene.quat, axis=1), 1.0)
 
 
 def test_quat_rotation_matches_conjugation_oracle():
     rng = np.random.default_rng(11)
-    for _ in range(25):
-        q = rng.normal(size=4)
-        r = quat_to_rotmat(q)
+    qs = rng.normal(size=(25, 4))
+    for q, r in zip(qs, quats_to_rotmats(qs)):
         npt.assert_allclose(r @ r.T, np.eye(3), atol=1e-9)
         npt.assert_allclose(np.linalg.det(r), 1.0, atol=1e-12)
         for v in np.eye(3):
@@ -88,16 +96,20 @@ def test_quat_rotation_matches_conjugation_oracle():
 def test_quat_sign_and_scale_invariance():
     rng = np.random.default_rng(3)
     q = rng.normal(size=4)
-    npt.assert_allclose(quat_to_rotmat(q), quat_to_rotmat(-q), atol=1e-15)
-    npt.assert_allclose(quat_to_rotmat(q), quat_to_rotmat(2.5 * q), atol=1e-12)
+    rot = quats_to_rotmats(np.stack([q, -q, 2.5 * q]))
+    npt.assert_allclose(rot[0], rot[1], atol=1e-15)
+    npt.assert_allclose(rot[0], rot[2], atol=1e-12)
 
 
 def test_quats_to_rotmats_matches_scalar_path():
+    """A batch's rows equal one-row calls, the path `covariance3d` takes."""
     rng = np.random.default_rng(4)
     qs = rng.normal(size=(40, 4))
     batch = quats_to_rotmats(qs)
     for i, q in enumerate(qs):
-        npt.assert_allclose(batch[i], quat_to_rotmat(q), atol=1e-14)
+        npt.assert_allclose(batch[i], quats_to_rotmats(q[None])[0], atol=1e-14)
+        npt.assert_allclose(covariance3d([1.0, 2.0, 3.0], q),
+                            (batch[i] * [1.0, 4.0, 9.0]) @ batch[i].T, atol=1e-13)
     with pytest.raises(InvalidInputError):
         quats_to_rotmats(np.zeros((2, 4)))
 
@@ -127,20 +139,24 @@ def test_covariance3d_rejects_bad_scales():
 
 
 # ---------------------------------------------------------------------------
-# FeatureGaussian / GaussianScene
+# GaussianScene
 # ---------------------------------------------------------------------------
 
-def test_feature_gaussian_validation():
-    g = FeatureGaussian([0, 0, 5], [0.1, 0.2, 0.3], [2, 0, 0, 0], 0.7, np.ones(4))
-    npt.assert_allclose(g.r, [1, 0, 0, 0])  # renormalized on ingest
-    npt.assert_allclose(np.linalg.eigvalsh(g.cov),
+def _one(mu=(0, 0, 5), s=(0.1, 0.2, 0.3), r=(1, 0, 0, 0), sigma=0.7, f=(1.0,) * 4):
+    return GaussianScene([mu], [s], [r], [sigma], [f])
+
+
+def test_scene_row_validation():
+    g = _one(r=(2, 0, 0, 0))
+    npt.assert_allclose(g.quat[0], [1, 0, 0, 0])  # renormalized on ingest
+    npt.assert_allclose(np.linalg.eigvalsh(covariance3d(g.scale[0], g.quat[0])),
                         np.sort(np.array([0.1, 0.2, 0.3]) ** 2), atol=1e-15)
     with pytest.raises(InvalidInputError):
-        FeatureGaussian([0, 0, 5], [0.1, -0.2, 0.3], [1, 0, 0, 0], 0.7, np.ones(4))
+        _one(s=(0.1, -0.2, 0.3))
     with pytest.raises(InvalidInputError):
-        FeatureGaussian([0, 0, 5], [0.1, 0.2, 0.3], [1, 0, 0, 0], 1.2, np.ones(4))
+        _one(sigma=1.2)
     with pytest.raises(InvalidInputError):
-        FeatureGaussian([0, 0, np.nan], [0.1, 0.2, 0.3], [1, 0, 0, 0], 0.5, np.ones(4))
+        _one(mu=(0, 0, np.nan))
 
 
 def _scene(n=5, fdim=3, seed=0):
@@ -402,3 +418,13 @@ def test_pixel_rays_reconstruct_backprojection():
     npt.assert_array_equal(rays[..., 2], 1.0)
     npt.assert_allclose(rays[24, 32, :2],
                         [(32 - cam.cx) / cam.fx, (24 - cam.cy) / cam.fy])
+
+
+def test_every_name_in_all_resolves():
+    """`from fgs import *` needs every `fgs.__all__` entry to be a name of
+    the package: a stale entry breaks it."""
+    import fgs
+    assert [name for name in fgs.__all__ if not hasattr(fgs, name)] == []
+    namespace = {}
+    exec("from fgs import *", namespace)
+    assert set(fgs.__all__) <= set(namespace)

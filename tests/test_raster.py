@@ -22,7 +22,7 @@ import numpy.testing as npt
 import pytest
 
 from fgs import raster
-from fgs.core import CameraView, FeatureGaussian, GaussianScene
+from fgs.core import CameraView, GaussianScene
 from fgs.errors import InvalidInputError, NumericalDegeneracyError
 from fgs.raster import (ALPHA_FLOOR, ALPHA_MAX, EPS_ACC, LOW_PASS, SUPPORT_RADIUS,
                         Projected2D, T_STOP, TILE, _ProjectedArrays, _alpha_block,
@@ -63,22 +63,26 @@ def _random_scene(rng, n, fdim=6):
 # ---------------------------------------------------------------------------
 
 def test_on_axis_footprint_matches_jacobian_arithmetic():
-    g = FeatureGaussian([0, 0, 5.0], [0.1, 0.1, 0.1], [1, 0, 0, 0], 0.8, np.ones(2))
-    p = project_gaussian(g, _camera())
-    assert p is not None
+    scene = GaussianScene([[9.0, 9.0, 9.0], [0, 0, 5.0]], [[0.2] * 3, [0.1] * 3],
+                          [[1, 0, 0, 0]] * 2, [0.5, 0.8], np.ones((2, 2)))
+    p = project_gaussian(scene, 1, _camera())
+    assert p is not None and p.source_index == 1
     npt.assert_allclose(p.mean2d, [32.0, 24.0], atol=1e-12)
     npt.assert_allclose(p.cov2d, np.diag([100.3, 100.3]), atol=1e-9)
     assert p.z_cam == 5.0 and p.opacity == 0.8
+    for i in (-1, 2):
+        with pytest.raises(InvalidInputError):
+            project_gaussian(scene, i, _camera())
 
 
 def test_projection_culls_behind_and_offscreen():
+    scene = GaussianScene([[0, 0, -5.0], [0, 0, 0.1], [10.0, 0, 5.0]],
+                          [[0.1] * 3, [0.1] * 3, [0.01] * 3], [[1, 0, 0, 0]] * 3,
+                          [0.8] * 3, np.ones((3, 2)))
     cam = _camera()
-    behind = FeatureGaussian([0, 0, -5.0], [0.1] * 3, [1, 0, 0, 0], 0.8, np.ones(2))
-    assert project_gaussian(behind, cam) is None
-    at_plane = FeatureGaussian([0, 0, 0.1], [0.1] * 3, [1, 0, 0, 0], 0.8, np.ones(2))
-    assert project_gaussian(at_plane, cam) is None  # z > z_near is strict
-    offscreen = FeatureGaussian([10.0, 0, 5.0], [0.01] * 3, [1, 0, 0, 0], 0.8, np.ones(2))
-    assert project_gaussian(offscreen, cam) is None  # ~1000 px past the border
+    assert project_gaussian(scene, 0, cam) is None  # behind
+    assert project_gaussian(scene, 1, cam) is None  # at the plane: z > z_near is strict
+    assert project_gaussian(scene, 2, cam) is None  # ~1000 px past the border
 
 
 def test_alpha_at_fixtures():
@@ -118,6 +122,16 @@ def test_alpha_at_rejects_singular_footprint():
     p = Projected2D(np.array([0.0, 0.0]), np.zeros((2, 2)), 5.0, 0.8, 0)
     with pytest.raises(NumericalDegeneracyError):
         alpha_at(p, (0.0, 0.0))
+    # the renderers' rule, relative to a c = 1e12: det ~ 20 is below
+    # 1e-10 a c (though far above any absolute floor), det ~ 2000 is not
+    for off, singular in ((1e-5, True), (1e-3, False)):
+        b = 1e6 - off
+        p = Projected2D(np.array([0.0, 0.0]), np.array([[1e6, b], [b, 1e6]]), 5.0, 0.8, 0)
+        if singular:
+            with pytest.raises(NumericalDegeneracyError):
+                alpha_at(p, (0.0, 0.0))
+        else:
+            assert alpha_at(p, (0.0, 0.0)) == 0.8
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +305,41 @@ def test_render_rejects_a_singular_footprint():
             renderer(scene, cam)
 
 
+@pytest.mark.parametrize("quat", [[1.0, 0.0, 0.0, 0.0], [0.9, 0.2, 0.3, 0.25],
+                                  [np.cos(np.pi / 16), 0.0, 0.0, np.sin(np.pi / 16)]],
+                         ids=["identity", "rotated", "turned"])
+def test_singular_sweep_renders_as_the_oracle_does_or_both_refuse(quat):
+    """One Gaussian of scales (s, 0.4, 0.4), s = 1e6, 1e8, ..., 1e152, at
+    z = 5.  Turned off the image axes, its footprint's minor eigenvalue
+    sinks below the rounding of a c, and an absolute rule on det let some
+    rounding noise through: `render` drew those footprints while the
+    oracle's inverse raised NumPy's LinAlgError, or the two disagreed.  Every
+    case is now refused by both renderers, or drawn by both to criterion
+    01's 1e-5; on the axes (identity) every case is drawn."""
+    w, h = 47, 33
+    cam = _camera(fx=40.0, fy=40.0, cx=(w - 1) / 2, cy=(h - 1) / 2, width=w, height=h)
+    quat = np.array([quat]) / np.linalg.norm(quat)
+    drawn = 0
+    for k in range(6, 153, 2):
+        scene = GaussianScene(mu=np.array([[0.0, 0.0, 5.0]]),
+                              scale=np.array([[10.0 ** k, 0.4, 0.4]]), quat=quat,
+                              opacity=np.array([0.5]), feature=np.array([[1.0, 0.0]]))
+        try:
+            out = render(scene, cam)
+        except NumericalDegeneracyError:
+            with pytest.raises(NumericalDegeneracyError):
+                render_oracle(scene, cam)
+            continue
+        ref = render_oracle(scene, cam)
+        npt.assert_array_equal(out.valid, ref.valid, err_msg=f"s = 1e{k}")
+        for name in ("depth", "feature", "acc_alpha"):
+            npt.assert_allclose(getattr(out, name), getattr(ref, name), rtol=0,
+                                atol=1e-5, err_msg=f"{name}, s = 1e{k}")
+        drawn += 1
+    if quat[0, 0] == 1.0:
+        assert drawn == 74
+
+
 def test_render_invariant_to_tile_size_and_threads():
     # render's 8x8 tiles against the one-tile-at-a-time blend on other tiles
     rng = np.random.default_rng(77)
@@ -310,7 +359,7 @@ def _replay_pixel(scene, cam, u, v):
     """Independent per-pixel front-to-back blend via the public scalar API."""
     projected = []
     for i in range(len(scene)):
-        p = project_gaussian(scene.gaussian(i), cam, source_index=i)
+        p = project_gaussian(scene, i, cam)
         if p is not None:
             projected.append(p)
     projected.sort(key=lambda p: (p.z_cam, p.source_index))

@@ -19,7 +19,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from fgs.core import CameraView, FeatureGaussian, GaussianScene, covariance3d
+from fgs.core import CameraView, GaussianScene, covariance3d, quats_to_rotmats
 from fgs.errors import InvalidInputError, NumericalDegeneracyError
 from fgs.sampling import (DecodeHeads, DELTA_MAX, Mlp, N_OFFSETS, S_MIN,
                           aggregate, bilinear_sample, decode_update,
@@ -40,10 +40,9 @@ def _camera(width=64, height=48, fx=60.0, **kw):
                       translation=np.zeros(3), **kw)
 
 
-def _gaussian(mu=(0.0, 0.0, 5.0), s=(0.3, 0.2, 0.4), r=(1, 0, 0, 0),
-              sigma=0.8, f=None):
-    return FeatureGaussian(np.asarray(mu, dtype=np.float64), s, r, sigma,
-                           np.ones(4) if f is None else np.asarray(f))
+def _gaussian(mu=(0.0, 0.0, 5.0), s=(0.3, 0.2, 0.4), r=(1, 0, 0, 0), sigma=0.8):
+    """A one-Gaussian scene."""
+    return GaussianScene([mu], [s], [r], [sigma], np.ones((1, 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -110,8 +109,8 @@ def test_decode_heads_validation_and_roundtrip():
 # ---------------------------------------------------------------------------
 
 def _place(g, offsets):
-    """place_samples for one Gaussian and its (n, 3) offsets."""
-    return place_samples(g.mu[None], g.s[None], g.r[None], offsets[None])[0]
+    """place_samples for a one-Gaussian scene and its (n, 3) offsets."""
+    return place_samples(g.mu, g.scale, g.quat, offsets[None])[0]
 
 
 def test_gen_offsets_zero_head_and_range():
@@ -129,22 +128,21 @@ def test_place_samples_axis_aligned():
     g = _gaussian()
     npt.assert_allclose(_place(g, np.zeros((3, 3))), np.tile(g.mu, (3, 1)))
     moved = _place(g, np.array([[1.0, 0.0, 0.0]]))
-    npt.assert_allclose(moved[0], g.mu + [g.s[0], 0.0, 0.0], atol=1e-12)
+    npt.assert_allclose(moved[0], g.mu[0] + [g.scale[0, 0], 0.0, 0.0], atol=1e-12)
     with pytest.raises(InvalidInputError):
         _place(g, np.array([[1.2, 0.0, 0.0]]))
     with pytest.raises(InvalidInputError):
-        place_samples(g.mu[None], g.s[None], g.r[None], np.zeros((3, 3)))
+        place_samples(g.mu, g.scale, g.quat, np.zeros((3, 3)))
 
 
 def test_place_samples_respects_mahalanobis_bound():
     rng = np.random.default_rng(99)
     worst = 0.0
     for _ in range(200):
-        g = FeatureGaussian(rng.normal(size=3), rng.uniform(0.05, 2.0, 3),
-                            rng.normal(size=4), 0.5, np.zeros(2))
+        g = _gaussian(rng.normal(size=3), rng.uniform(0.05, 2.0, 3), rng.normal(size=4))
         offs = rng.uniform(-1.0, 1.0, size=(50, 3))
         pts = _place(g, offs)
-        prec = np.linalg.inv(covariance3d(g.s, g.r))
+        prec = np.linalg.inv(covariance3d(g.scale[0], g.quat[0]))
         d = pts - g.mu
         q = np.einsum("nd,de,ne->n", d, prec, d)
         worst = max(worst, float(q.max()))
@@ -277,9 +275,9 @@ def test_aggregate_requires_query_with_weights_head():
 
 def test_decode_update_zero_heads_fixture():
     heads = _zero_heads()
-    g = _gaussian(f=[1.0, 2.0, 3.0, 4.0])
-    mu, s, r, sigma, f = decode_update(np.ones((1, 4)), heads, g.mu[None])
-    npt.assert_array_equal(mu[0], g.mu)                        # tanh(0) = 0
+    g = _gaussian()
+    mu, s, r, sigma, f = decode_update(np.ones((1, 4)), heads, g.mu)
+    npt.assert_array_equal(mu, g.mu)                           # tanh(0) = 0
     npt.assert_allclose(s[0], np.log(2.0) + S_MIN)             # softplus(0) + floor
     npt.assert_array_equal(r[0], [1, 0, 0, 0])                 # zero-norm fallback
     assert sigma[0] == 0.5                                     # logistic(0)
@@ -289,7 +287,7 @@ def test_decode_update_zero_heads_fixture():
 def test_decode_update_position_bound():
     rng = np.random.default_rng(3)
     heads = DecodeHeads.seeded(4, 4, n_offsets=4, seed=11)
-    g = _gaussian(f=[0.5, -1.0, 2.0, 0.0])
+    g = _gaussian()
     mu, s, _, sigma, _ = decode_update(rng.normal(size=(50, 4)) * 10.0, heads,
                                        np.tile(g.mu, (50, 1)))
     assert np.all(np.abs(mu - g.mu) <= DELTA_MAX)
@@ -345,27 +343,29 @@ def test_refine_without_heads_sets_center_sample_mean():
     assert out.layer_offsets == scene.layer_offsets
 
 
-def _refine_one(g, views, heads):
-    """Per-Gaussian reference for one decoded refinement step.
+def _refine_one(scene, i, views, heads):
+    """Per-Gaussian reference for one decoded refinement step of row i, as
+    a one-Gaussian scene.
 
     Written out from the definitions (tanh offsets, mu + R (s * delta),
     softmax over valid pairs, tanh / softplus / logistic decode) rather
     than through the batched sampling functions.
     """
-    offs = np.tanh(heads.offset(g.f)).reshape(heads.n_offsets, 3)
-    pts = g.mu + (g.s * offs) @ g.rotation.T
+    mu, s, f = scene.mu[i], scene.scale[i], scene.feature[i]
+    offs = np.tanh(heads.offset(f)).reshape(heads.n_offsets, 3)
+    pts = mu + (s * offs) @ quats_to_rotmats(scene.quat[i:i + 1])[0].T
     feats, valid = sample_features(pts, views)
     if not np.any(valid):
-        return g
-    z = np.where(valid, heads.weights(g.f)[:, None], -np.inf)
+        return GaussianScene([mu], [s], [scene.quat[i]], [scene.opacity[i]], [f])
+    z = np.where(valid, heads.weights(f)[:, None], -np.inf)
     w = np.exp(z - z.max())
     w[~valid] = 0.0
     f_a = np.einsum("nl,nlf->f", w / w.sum(), feats)
     geo = heads.geo(f_a)
     r = geo[6:10] if np.linalg.norm(geo[6:10]) >= 1e-8 else [1.0, 0.0, 0.0, 0.0]
-    return FeatureGaussian(g.mu + heads.delta_max * np.tanh(geo[0:3]),
-                           np.log1p(np.exp(geo[3:6])) + heads.s_min, r,
-                           1.0 / (1.0 + np.exp(-geo[10])), heads.feat(f_a))
+    return GaussianScene([mu + heads.delta_max * np.tanh(geo[0:3])],
+                         [np.log1p(np.exp(geo[3:6])) + heads.s_min], [r],
+                         [1.0 / (1.0 + np.exp(-geo[10]))], [heads.feat(f_a)])
 
 
 def test_refine_with_heads_matches_per_gaussian_composition(monkeypatch):
@@ -380,12 +380,11 @@ def test_refine_with_heads_matches_per_gaussian_composition(monkeypatch):
     out = refine_scene(scene, views, heads=heads)
 
     for i in range(len(scene)):
-        g = scene.gaussian(i)
-        expected = _refine_one(g, views, heads)
-        npt.assert_allclose(out.mu[i], expected.mu, atol=1e-9)
-        npt.assert_allclose(out.scale[i], expected.s, atol=1e-9)
-        npt.assert_allclose(out.feature[i], expected.f, atol=1e-9)
-        npt.assert_allclose(out.opacity[i], expected.sigma, atol=1e-9)
+        expected = _refine_one(scene, i, views, heads)
+        npt.assert_allclose(out.mu[i], expected.mu[0], atol=1e-9)
+        npt.assert_allclose(out.scale[i], expected.scale[0], atol=1e-9)
+        npt.assert_allclose(out.feature[i], expected.feature[0], atol=1e-9)
+        npt.assert_allclose(out.opacity[i], expected.opacity[0], atol=1e-9)
 
 
 def test_refine_with_heads_respects_occlusion_margin():

@@ -212,12 +212,11 @@ def test_voxelize_cutoff_matches_truncated_oracle_exactly():
     occ = np.zeros(centers.shape[0])
     probs = text_probs(scene.feature, bank)
     for i in range(len(scene)):
-        g = scene.gaussian(i)
-        prec = np.linalg.inv(covariance3d(g.s, g.r))
-        d = centers - g.mu
+        prec = np.linalg.inv(covariance3d(scene.scale[i], scene.quat[i]))
+        d = centers - scene.mu[i]
         q = np.einsum("md,de,me->m", d, prec, d)
         k = np.where(q <= DEFAULT_CUTOFF**2, np.exp(-0.5 * q), 0.0)
-        occ += k * g.sigma
+        occ += k * scene.opacity[i]
     npt.assert_allclose(fast.occ_mass, occ.reshape(grid.dims), atol=1e-9)
     assert probs.shape == (12, 2)
 
