@@ -125,7 +125,8 @@ def cmd_render(args) -> int:
         raise InvalidInputError(f"view index {args.view} out of range "
                                 f"(rig has {len(views)} views)")
     scene = load_scene(args.scene)
-    out = render(scene, views[args.view])
+    # without --out-feature nothing reads the feature plane
+    out = render(scene if args.out_feature else scene.geometry(), views[args.view])
     payload = {"view": args.view, "valid_pixels": int(out.valid.sum())}
     if args.out_depth:
         _outdir(args.out_depth)
@@ -198,11 +199,13 @@ def cmd_retrieve(args) -> int:
 def cmd_loss(args) -> int:
     views = load_rig(args.rig)
     scene = load_scene(args.scene)
+    geometry = scene.geometry()
     l1s, logs, coss, mses = [], [], [], []
     for v in views:
         if v.ref_depth is None:
             continue
-        out = render(scene, v)
+        # a view without a reference feature plane reads no rendered one
+        out = render(scene if v.ref_feature is not None else geometry, v)
         ok = out.valid & v.ref_valid
         if not np.any(ok):
             continue

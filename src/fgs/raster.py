@@ -27,10 +27,17 @@ last step of a group is shorter than 64 rows when its tiles are.  A tile
 shorter than the step is padded with a row of opacity 0, whose alpha is
 exactly 0; a tile leaves the group when its rows run out or every one of its
 pixels has T below the floor.  Each pixel still gets the bits of a blend of
-its tile alone, chunk by chunk: the alpha and weight arithmetic is per pair,
-and the depth GEMV and the feature GEMM are called per tile on its own rows
-and its in-image pixels in row-major order.  Which tiles share a group, and
-how many pad rows a step carries, cannot change a bit.
+its tile alone, chunk by chunk.  The alpha and weight arithmetic is per
+pair.  The depth and feature sums of a step run over runs of tiles
+(`_runs`), the maximal slices of tiles with the same number of rows in the
+step: each run is one batched depth GEMV and one batched feature GEMM, and
+item i of a batch is tile i's own call, on its own rows and its 64 pixels
+with the strides of a call for it alone, so its bits are that call's on
+whichever BLAS kernel runs.  K is the tiles' real rows, never the step's
+n: zero-weight pad rows in a GEMV move depth bits.  A tile clipped by the
+image edge is a run of its own and is summed over its in-image pixels in row-major order.  Which
+tiles share a group or a run, and how many pad rows a step carries, cannot
+change a bit.
 
 The tile (`TILE`) is 8x8 because most evaluated pairs have alpha 0: the 34 seed-0
 pipeline renders evaluate 92.9 M pairs on 8x8 tiles and 155.4 M on 16x16.
@@ -169,16 +176,16 @@ def _project_scene(scene: GaussianScene, cam: CameraView) -> _ProjectedArrays:
     u, v = cam.cam_to_pixel(pc)
 
     # footprint: J (W Sigma W^T) J^T + low-pass, with A = W R diag(s) so that
-    # W Sigma W^T = A A^T and the 2x2 result is (J A)(J A)^T
+    # W Sigma W^T = A A^T and the 2x2 result is (J A)(J A)^T.  Each entry of
+    # A and of J A adds its terms over j = 0, 1, 2 in turn, the order of the
+    # einsums this replaced (same bits), and J's zero entries are left out
     rot = quats_to_rotmats(scene.quat[front])
-    a3 = np.einsum("ij,njk->nik", cam.rotation.T, rot) * scene.scale[front][:, None, :]
-    inv_z = 1.0 / z
-    j = np.zeros((z.size, 2, 3))
-    j[:, 0, 0] = cam.fx * inv_z
-    j[:, 0, 2] = -cam.fx * pc[:, 0] * inv_z * inv_z
-    j[:, 1, 1] = cam.fy * inv_z
-    j[:, 1, 2] = -cam.fy * pc[:, 1] * inv_z * inv_z
-    b = np.einsum("nij,njk->nik", j, a3)
+    scale, w_rot = scene.scale[front], cam.rotation.T
+    a0, a1, a2 = ((w_rot[i, 0] * rot[:, 0] + w_rot[i, 1] * rot[:, 1] + w_rot[i, 2] * rot[:, 2])
+                  * scale for i in range(3))
+    inv_z = (1.0 / z)[:, None]
+    b = np.stack([cam.fx * inv_z * a0 + (-cam.fx * pc[:, :1] * inv_z * inv_z) * a2,
+                  cam.fy * inv_z * a1 + (-cam.fy * pc[:, 1:2] * inv_z * inv_z) * a2], axis=1)
     cov_a = np.einsum("nk,nk->n", b[:, 0], b[:, 0]) + LOW_PASS
     cov_b = np.einsum("nk,nk->n", b[:, 0], b[:, 1])
     cov_c = np.einsum("nk,nk->n", b[:, 1], b[:, 1]) + LOW_PASS
@@ -281,6 +288,15 @@ def _alpha_block(proj: _ProjectedArrays, rows, us, vs):
     return q
 
 
+def _runs(count, clipped):
+    """The runs of one blend step, as (start, stop) slices of its tiles:
+    the maximal slices of tiles with equal row counts `count`, where a tile
+    `clipped` by the image edge is a run of its own."""
+    cut = np.flatnonzero(clipped[1:] | clipped[:-1] | (count[1:] != count[:-1])) + 1
+    edges = [0, *cut.tolist(), count.size]
+    return list(zip(edges[:-1], edges[1:]))
+
+
 def _blend_group(proj, feature, rows, nrows, x0, y0, w, h, out, work):
     """Front-to-back blend of a group of tiles, one chunk step at a time.
 
@@ -293,7 +309,10 @@ def _blend_group(proj, feature, rows, nrows, x0, y0, w, h, out, work):
     B) lattice: q's terms in du alone and in dv alone are then (1, 8, n, B)
     and (8, 1, n, B), and every broadcast runs along contiguous (n, B) rows.
     The blend reads alpha as (n, B, P), so that each row of a step is one
-    contiguous array.  A tile that stops writes its sums to `out` (num,
+    contiguous array.  A step's depth and feature sums take one batched
+    `matmul` each per run of tiles of equal row count (`_runs`), over
+    `wgt[:g, s:e]` with g the run's rows; only a tile clipped by the image
+    edge is summed alone.  A tile that stops writes its sums to `out` (num,
     den, feat, zmin, zmax) and leaves the group.  `work` holds three
     buffers of at least 64 * B * P floats.  Returns the (row, pixel) pairs
     evaluated, padding excluded, and the pad row's (row, lattice pixel)
@@ -307,6 +326,7 @@ def _blend_group(proj, feature, rows, nrows, x0, y0, w, h, out, work):
     in_image = ((ys < h)[:, :, None] & (xs < w)[:, None, :]).reshape(b, p)
     us = np.ascontiguousarray(xs.T, dtype=np.float64)[None, :, None, :]
     vs = np.ascontiguousarray(ys.T, dtype=np.float64)[:, None, None, :]
+    clipped = (tw < TILE) | (th < TILE)
     t_run = in_image.astype(np.float64)                # padding: T = 0
     num = np.zeros((b, p))
     den = np.zeros((b, p))
@@ -336,14 +356,24 @@ def _blend_group(proj, feature, rows, nrows, x0, y0, w, h, out, work):
         count = np.minimum(nrows - lo, n)
         # each tile's rows of the step are one contiguous (g, F) block
         fs = feature[proj.src[sub.T]] if fdim else None
-        for i, (g, ph, pw) in enumerate(zip(count.tolist(), th.tolist(), tw.tolist())):
-            # the tile's rows by its in-image pixels in row-major order: a
-            # view, copied only when the tile is clipped in width
-            wi = wgt[:g, i].reshape(g, TILE, TILE)[:, :ph, :pw].reshape(g, ph * pw)
-            num[i].reshape(TILE, TILE)[:ph, :pw] += (z[:g, i] @ wi).reshape(ph, pw)
-            if fdim:
-                f = fs[i, :g].T @ wi
-                feat[:, i].reshape(fdim, TILE, TILE)[:, :ph, :pw] += f.reshape(fdim, ph, pw)
+        for s, e in _runs(count, clipped):
+            g = int(count[s])
+            if clipped[s]:
+                # the tile's rows by its in-image pixels in row-major order:
+                # a view, copied only when the tile is clipped in width
+                ph, pw = int(th[s]), int(tw[s])
+                wi = wgt[:g, s].reshape(g, TILE, TILE)[:, :ph, :pw].reshape(g, ph * pw)
+                num[s].reshape(TILE, TILE)[:ph, :pw] += (z[:g, s] @ wi).reshape(ph, pw)
+                if fdim:
+                    f = fs[s, :g].T @ wi
+                    feat[:, s].reshape(fdim, TILE, TILE)[:, :ph, :pw] += f.reshape(fdim, ph, pw)
+            else:
+                # item i of each batch is tile s + i's own GEMV and GEMM:
+                # the same g, the same 64 pixels, the same strides
+                wr = wgt[:g, s:e].transpose(1, 0, 2)
+                num[s:e] += (z[:g, s:e].T[:, None] @ wr)[:, 0]
+                if fdim:
+                    feat[:, s:e] += (fs[s:e, :g].transpose(0, 2, 1) @ wr).transpose(1, 0, 2)
         pairs += int(count @ (th * tw))
         padded += (n * b - int(count.sum())) * p
         # rows are depth-sorted: the range is the first and last hit row
@@ -368,7 +398,7 @@ def _blend_group(proj, feature, rows, nrows, x0, y0, w, h, out, work):
             rows = rows[:, running]
             # kept C-ordered, so that alpha's temporaries are too
             us, vs = (np.ascontiguousarray(x[..., running]) for x in (us, vs))
-            nrows, tw, th = nrows[running], tw[running], th[running]
+            nrows, tw, th, clipped = (x[running] for x in (nrows, tw, th, clipped))
             flat, in_image, t_run, num, den, feat, zmin, zmax = (
                 x[..., running, :] for x in (flat, in_image, t_run, num, den, feat,
                                              zmin, zmax))

@@ -389,6 +389,59 @@ def test_render_writes_planes_and_preview(fixture_dir, tmp_path, capsys):
     assert pgm_path.read_bytes().startswith(b"P5\n48 36\n255\n")
 
 
+def _recording_render(monkeypatch):
+    """The feature widths of the scenes `fgs.cli` renders from now on."""
+    import fgs.cli
+    from fgs.raster import render
+    widths = []
+
+    def recording(scene, cam, *args, **kwargs):
+        widths.append(scene.feature_dim)
+        return render(scene, cam, *args, **kwargs)
+    monkeypatch.setattr(fgs.cli, "render", recording)
+    return widths
+
+
+def test_render_without_feature_plane_renders_geometry_only(fixture_dir, tmp_path,
+                                                            monkeypatch):
+    """Only --out-feature reads the rendered features: without it `fgs
+    render` renders the scene's geometry view, and the depth plane it
+    writes is byte-identical."""
+    widths = _recording_render(monkeypatch)
+    argv = ["render", "--rig", str(fixture_dir / "rig.json"),
+            "--scene", str(fixture_dir / "scene.fgs"), "--view", "2", "--quiet"]
+    with_feature, without = tmp_path / "with.plne", tmp_path / "without.plne"
+    assert main(argv + ["--out-depth", str(with_feature),
+                        "--out-feature", str(tmp_path / "f.plne")]) == 0
+    assert main(argv + ["--out-depth", str(without),
+                        "--preview", str(tmp_path / "p.pgm")]) == 0
+    assert widths == [8, 0]
+    assert with_feature.read_bytes() == without.read_bytes()
+
+
+def test_loss_renders_geometry_only_for_views_without_features(fixture_dir, tmp_path,
+                                                               capsys, monkeypatch):
+    """A view with no reference feature plane reads no rendered one, so `fgs
+    loss` renders the scene's geometry view for it; the breakdown equals
+    the one from full renders of every view."""
+    doc = json.loads((fixture_dir / "rig.json").read_text())
+    for i, view in enumerate(doc["views"]):
+        view["depth"] = str(fixture_dir / view["depth"])
+        feature = view.pop("feature")
+        if i in (0, 3):
+            view["feature"] = str(fixture_dir / feature)
+    rig = tmp_path / "rig.json"
+    rig.write_text(json.dumps(doc))
+    argv = ["loss", "--rig", str(rig), "--scene", str(fixture_dir / "scene.fgs")]
+    widths = _recording_render(monkeypatch)
+    code, payload, _ = _run(capsys, argv)
+    assert code == 0 and widths == [8, 0, 0, 8, 0]
+    monkeypatch.setattr(GaussianScene, "geometry", lambda self: self)
+    code, full, _ = _run(capsys, argv)
+    assert code == 0 and widths[5:] == [8] * 5
+    assert payload == full and payload["views_used"] == 5
+
+
 def test_render_singular_footprint_exit_3(tmp_path, capsys):
     """A needle 1e8 m long and 1e-3 m thin, turned 45 degrees about the
     optical axis at z = 5: its footprint's det rounds to 0."""

@@ -22,7 +22,7 @@ import numpy.testing as npt
 import pytest
 
 from fgs import raster
-from fgs.core import CameraView, GaussianScene
+from fgs.core import Z_NEAR, CameraView, GaussianScene, quats_to_rotmats
 from fgs.errors import InvalidInputError, NumericalDegeneracyError
 from fgs.raster import (ALPHA_FLOOR, ALPHA_MAX, EPS_ACC, LOW_PASS, SUPPORT_RADIUS,
                         Projected2D, T_STOP, TILE, _ProjectedArrays, _alpha_block,
@@ -73,6 +73,69 @@ def test_on_axis_footprint_matches_jacobian_arithmetic():
     for i in (-1, 2):
         with pytest.raises(InvalidInputError):
             project_gaussian(scene, i, _camera())
+
+
+def _einsum_footprints(scene, cam):
+    """The footprint chain with the two (n, 3, 3) einsums, written out:
+    A = W R diag(s) and J A as einsums over j, culled and sorted as
+    `_project_scene` does.  Returns (cov, z, src) of the survivors."""
+    pc = cam.ego_to_cam(scene.mu)
+    front = pc[:, 2] > Z_NEAR
+    idx = np.nonzero(front)[0]
+    pc = pc[front]
+    z = pc[:, 2]
+    u, v = cam.cam_to_pixel(pc)
+    rot = quats_to_rotmats(scene.quat[front])
+    a3 = np.einsum("ij,njk->nik", cam.rotation.T, rot) * scene.scale[front][:, None, :]
+    inv_z = 1.0 / z
+    j = np.zeros((z.size, 2, 3))
+    j[:, 0, 0] = cam.fx * inv_z
+    j[:, 0, 2] = -cam.fx * pc[:, 0] * inv_z * inv_z
+    j[:, 1, 1] = cam.fy * inv_z
+    j[:, 1, 2] = -cam.fy * pc[:, 1] * inv_z * inv_z
+    b = np.einsum("nij,njk->nik", j, a3)
+    cov = np.stack([np.einsum("nk,nk->n", b[:, 0], b[:, 0]) + LOW_PASS,
+                    np.einsum("nk,nk->n", b[:, 0], b[:, 1]),
+                    np.einsum("nk,nk->n", b[:, 1], b[:, 1]) + LOW_PASS], axis=1)
+    rx, ry = SUPPORT_RADIUS * np.sqrt(cov[:, 0]), SUPPORT_RADIUS * np.sqrt(cov[:, 2])
+    keep = (np.isfinite(cov).all(axis=1)
+            & (u + rx >= 0.0) & (u - rx <= cam.width - 1.0)
+            & (v + ry >= 0.0) & (v - ry <= cam.height - 1.0))
+    order = np.lexsort((idx[keep], z[keep]))
+    return cov[keep][order], z[keep][order], idx[keep][order]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_projection_has_the_bits_of_the_einsum_chain(seed):
+    """`_project_scene` sums A = W R diag(s) and J A column by column: its
+    cov, z and src equal the einsum chain's bit for bit, with the same
+    survivors, on random anisotropic scenes seen from rotated, moved
+    cameras.  A fifth of the rows has scales of 1e100-1e200, whose
+    covariance passes 2^500 or overflows (and is dropped)."""
+    rng = np.random.default_rng(seed)
+    n = 2000
+    scale = rng.uniform(0.01, 0.6, size=(n, 3))
+    huge = rng.random(n) < 0.2
+    scale[huge] *= 10.0 ** rng.uniform(100.0, 200.0, size=(huge.sum(), 1))
+    scene = GaussianScene(mu=rng.uniform([-4.0, -3.0, -2.0], [4.0, 3.0, 10.0], size=(n, 3)),
+                          scale=scale, quat=rng.normal(size=(n, 4)),
+                          opacity=rng.uniform(0.1, 0.9, size=n), feature=np.zeros((n, 2)))
+    survivors = []
+    for turn in rng.normal(size=(4, 4)):
+        cam = CameraView(fx=rng.uniform(30.0, 80.0), fy=rng.uniform(30.0, 80.0),
+                         cx=23.0, cy=16.0, width=47, height=33,
+                         rotation=quats_to_rotmats(turn[None])[0],
+                         translation=rng.normal(size=3) * 0.5)
+        proj = _project_scene(scene, cam)
+        with np.errstate(over="ignore", invalid="ignore"):
+            cov, z, src = _einsum_footprints(scene, cam)
+        assert np.array_equal(proj.src, src)
+        assert np.array_equal(proj.z, z)
+        assert np.array_equal(proj.cov, cov)
+        survivors.append((src.size, int(huge[src].sum()), np.fmax(cov[:, 0], cov[:, 2]).max()))
+    # every view keeps huge rows and drops some rows; rows past 2^500 survive
+    assert all(0 < kept < n and big > 0 for kept, big, _ in survivors)
+    assert max(top for _, _, top in survivors) > 2.0 ** 500
 
 
 def test_projection_culls_behind_and_offscreen():
@@ -625,6 +688,44 @@ def test_a_short_last_step_holding_a_clipped_tile_is_bit_identical(h, w, monkeyp
     out = render(scene, cam)
     assert any(sub.shape[0] < raster.CHUNK
                and ((x0 + TILE > w) | (y0 + TILE > h)).any() for x0, y0, sub in steps)
+    ref = _reference_render(scene, cam)
+    for name in ("depth", "feature", "acc_alpha", "valid"):
+        assert np.array_equal(getattr(out, name), getattr(ref, name)), name
+
+
+def test_steps_sum_runs_of_equal_row_count_with_the_bits_of_one_tile_at_a_time(monkeypatch):
+    """Each step sums its tiles' depth and features in runs: the maximal
+    slices of tiles with one row count in the step, a tile clipped by the
+    image edge alone in its own.  Here some step holds several runs, some
+    run several tiles, and clipped tiles are blended; every pixel still
+    gets the bits of its tile blended alone."""
+    h, w = 45, 61
+    cam = _centred_camera(h, w)
+    scene = _dense_scene(np.random.default_rng(h * 1000 + w), 600)
+    steps = _record_steps(monkeypatch)
+    runs, real = [], raster._runs
+
+    def recording(count, clipped):
+        out = real(count, clipped)
+        runs.append(out)
+        return out
+    monkeypatch.setattr(raster, "_runs", recording)
+    out = render(scene, cam)
+    pad = _project_scene(scene, cam).z.size
+    assert len(runs) == len(steps)
+    for (x0, y0, sub), step in zip(steps, runs):
+        count = (sub != pad).sum(axis=0)              # each tile's real rows
+        clipped = (x0 + TILE > w) | (y0 + TILE > h)
+        assert [s for s, _ in step] == [0] + [e for _, e in step[:-1]]
+        assert step[-1][1] == count.size
+        for s, e in step:
+            assert (count[s:e] == count[s]).all()
+            assert e - s == 1 or not clipped[s:e].any()
+        for (_, e), _ in zip(step, step[1:]):         # no two runs could merge
+            assert count[e - 1] != count[e] or clipped[e - 1] or clipped[e]
+    assert any(len(step) > 1 for step in runs)
+    assert any(e - s > 1 for step in runs for s, e in step)
+    assert any(((x0 + TILE > w) | (y0 + TILE > h)).any() for x0, y0, _ in steps)
     ref = _reference_render(scene, cam)
     for name in ("depth", "feature", "acc_alpha", "valid"):
         assert np.array_equal(getattr(out, name), getattr(ref, name)), name
