@@ -27,7 +27,7 @@ print(f"scene without the east wall: {len(scene)} Gaussians")
 cfg = DensifyConfig(gamma=0.2, layer_budgets=(1000,),
                     feature_dim=scene.feature_dim)
 renders = [render(scene, v) for v in views]
-grown, report = densify_layer(scene, views, cfg, layer=1, renders=renders)
+grown, report = densify_layer(scene, views, cfg, renders=renders)
 print(f"under-represented pixels per view: {report.selected_per_view}")
 print(f"candidates pooled: {report.candidate_points}, "
       f"added: {report.added} (budget {cfg.layer_budgets[0]})")

@@ -85,18 +85,17 @@ def cmd_init(args) -> int:
 def cmd_densify(args) -> int:
     views = load_rig(args.rig)
     scene = load_scene(args.scene)
-    layer = scene.layer_count
     cfg = DensifyConfig(gamma=args.gamma,
-                        layer_budgets=tuple([args.budget] * layer),
+                        layer_budgets=tuple([args.budget] * scene.layer_count),
                         feature_dim=rig_feature_dim(views, DensifyConfig.feature_dim))
-    grown, report = densify_layer(scene, views, cfg, layer)
+    grown, report = densify_layer(scene, views, cfg)
     _outdir(args.out)
     save_scene(args.out, grown)
     geometry = grown.geometry()
     after = selection_residual([render(geometry, v) for v in views], views,
                                report.selected)
     _emit(args, {
-        "out": args.out, "layer": layer,
+        "out": args.out, "layer": report.layer,
         "selected_pixels_per_view": report.selected_per_view,
         "added_count": report.added,
         "residual_before": report.residual_before,

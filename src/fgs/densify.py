@@ -255,21 +255,20 @@ class DensifyReport:
 
 
 def densify_layer(scene: GaussianScene, views: list[CameraView], cfg: DensifyConfig,
-                  layer: int, renders: list[RenderOutput] | None = None):
+                  renders: list[RenderOutput] | None = None):
     """Grow one layer; returns (grown scene, DensifyReport).
 
-    `layer` = b >= 1 must equal the scene's current layer count.  Candidate
-    pixels from every view are backprojected and pooled; an FPS subset of at
-    most this layer's budget becomes fresh Gaussians appended after the
-    existing ones (which stay byte-identical).  An empty candidate set yields
-    a zero-growth layer, not an error.  Pre-computed `renders` (one per view,
-    same order) are used when given; only their depth and validity are
-    read, so renders of `scene.geometry()` serve.
+    The new layer's index b is the scene's current layer count, and its
+    budget is `cfg.layer_budgets[b - 1]`.  Candidate pixels from every view
+    are backprojected and pooled; an FPS subset of at most that budget
+    becomes fresh Gaussians appended after the existing ones (which stay
+    byte-identical).  An empty candidate set yields a zero-growth layer, not
+    an error.  Pre-computed `renders` (one per view, same order) are used
+    when given; only their depth and validity are read, so renders of
+    `scene.geometry()` serve.
     """
-    if layer < 1 or layer != scene.layer_count:
-        raise InvalidInputError(
-            f"layer must equal the current layer count {scene.layer_count}, got {layer}")
-    if layer - 1 >= len(cfg.layer_budgets):
+    layer = scene.layer_count
+    if layer > len(cfg.layer_budgets):
         raise InvalidInputError(f"no budget configured for layer {layer}")
     if cfg.feature_dim != scene.feature_dim:
         raise InvalidInputError("config feature_dim does not match the scene")

@@ -1,6 +1,6 @@
 """File formats: scenes (.fgs), planes (PLNE), voxel grids (VOXG), point sets
 (PNTS or whitespace text), weight sidecars (HEAD), camera rigs and prompt
-banks (JSON), plus tiny PGM/PPM preview emitters.
+banks (JSON), plus a tiny PGM preview emitter.
 
 All binary payloads are little-endian; floats are stored as f32 regardless of
 the float64 math used in memory.  Magic-number or length mismatches raise
@@ -447,7 +447,7 @@ def load_bank(path) -> TextBank:
 
 
 # ---------------------------------------------------------------------------
-# Previews: 8-bit binary PGM (P5) / PPM (P6).
+# Previews: 8-bit binary PGM (P5).
 # ---------------------------------------------------------------------------
 
 def write_pgm(path, gray: np.ndarray) -> None:
@@ -458,17 +458,6 @@ def write_pgm(path, gray: np.ndarray) -> None:
     with open(path, "wb") as f:
         f.write(f"P5\n{g.shape[1]} {g.shape[0]}\n255\n".encode())
         f.write(g.tobytes())
-
-
-def write_ppm(path, rgb: np.ndarray) -> None:
-    """Write an (H, W, 3) array with values in [0, 1]."""
-    a = np.asarray(rgb, dtype=np.float64)
-    if a.ndim != 3 or a.shape[2] != 3:
-        raise InvalidInputError("PPM wants an (H, W, 3) array")
-    b = np.clip(a * 255.0 + 0.5, 0, 255).astype(np.uint8)
-    with open(path, "wb") as f:
-        f.write(f"P6\n{a.shape[1]} {a.shape[0]}\n255\n".encode())
-        f.write(b.tobytes())
 
 
 def depth_preview(path, depth: np.ndarray, valid: np.ndarray | None = None) -> None:

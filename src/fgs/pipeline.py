@@ -9,8 +9,10 @@ picks, and the time of base init or of the densify step).
 Refinement runs over every Gaussian without decode heads and keeps the
 geometry (`fgs refine --heads` decodes with them), so only init and densify
 change it, and the renders they leave behind always show the current scene.
-Densify selects pixels by one signed depth rule
-(`select_under_represented`), whose threshold is the config's `gamma`.
+Every stage runs with its module's fixed settings: densify selects pixels
+by one signed depth rule (`select_under_represented`) at `densify.GAMMA`,
+refine gates occlusion at `sampling.OCCLUSION_MARGIN`, and voxelize and
+eval use `voxel.TAU_OCC` and `voxel.DEFAULT_CUTOFF`.
 Timings never influence artifacts, so runs with identical config and seed
 write byte-identical scene and grid files regardless of thread count.
 """
@@ -25,19 +27,18 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import CameraView, GaussianScene, project_points, rig_feature_dim
-from .densify import (DensifyConfig, GAMMA, base_init, densify_layer,
+from .densify import (DensifyConfig, base_init, densify_layer,
                       selection_residual)
 # perfbench's tracer wraps select_under_represented on this module too.
 from .densify import select_under_represented  # noqa: F401
 from .errors import FgsError, InvalidInputError
-from .io import (dump_json, json_float, json_int, json_list, json_optional,
+from .io import (dump_json, json_int, json_list, json_optional,
                  json_str, jsonable, read_object, save_scene, save_voxel_grid)
 from .raster import RenderOutput, render
-from .sampling import OCCLUSION_MARGIN, check_occlusion_margin, refine_scene
+from .sampling import OCCLUSION_MARGIN, refine_scene
 from .synth import SynthSpec, gen_scene, room_spec
-from .voxel import (DEFAULT_CUTOFF, GridSpec, TAU_OCC, TextBank, VoxelGrid,
-                    check_cutoff, check_tau, eval_map, eval_miou,
-                    retrieval_scores, voxelize)
+from .voxel import (DEFAULT_CUTOFF, GridSpec, TextBank, VoxelGrid, eval_map,
+                    eval_miou, retrieval_scores, voxelize)
 
 STAGES = ("synth", "init", "densify", "refine", "voxelize", "eval")
 DEFAULT_STAGES = ("synth", "init", "densify", "refine", "densify", "refine",
@@ -71,13 +72,12 @@ def validate_stages(stages) -> tuple[str, ...]:
 
 @dataclass
 class PipelineConfig:
-    """Stage list plus every stage's knobs.
+    """Stage list, fixture, artifact directory and growth budgets.
 
-    Views arrive in waves (the fixture's camera rings, then its nadir
-    block): init consumes the first wave and each densify round activates
-    the next one, so later layers grow where newly arrived views expose
-    unexplained pixels.  `view_waves = ()` disables this and activates all
-    views at once.
+    Views arrive in waves, one per camera ring of the fixture
+    (`SynthResult.view_waves`): init consumes the first wave and each
+    densify round activates the next one, so later layers grow where newly
+    arrived views expose unexplained pixels.
 
     `seed` names the fixture: the stock room of that seed, or `spec` with
     its seed replaced.  Left at None, it is the spec's seed, else 0.
@@ -91,11 +91,6 @@ class PipelineConfig:
     spec: SynthSpec | None = None
     base_count: int = DensifyConfig.base_count
     layer_budgets: tuple[int, ...] = DensifyConfig.layer_budgets
-    gamma: float = GAMMA
-    occlusion_margin: float | None = OCCLUSION_MARGIN
-    tau_occ: float = TAU_OCC
-    cutoff: float | None = DEFAULT_CUTOFF
-    view_waves: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.seed is None:
@@ -103,16 +98,10 @@ class PipelineConfig:
         self.stages = validate_stages(self.stages)
         if self.threads < 1:
             raise InvalidInputError("threads must be >= 1")
-        if self.view_waves is not None and any(w <= 0 for w in self.view_waves):
-            raise InvalidInputError(
-                f"view wave sizes must be positive, got {list(self.view_waves)}")
-        # Every stage's own checks, so that a bad setting fails here and not
+        # The stages' own checks, so that a bad setting fails here and not
         # after the stages before it have run.
         self.fixture_spec()
         self.densify_config()
-        check_occlusion_margin(self.occlusion_margin)
-        check_cutoff(self.cutoff)
-        check_tau(self.tau_occ)
 
     def fixture_spec(self) -> SynthSpec:
         """The spec the synth stage builds, checked by SynthSpec itself: the
@@ -123,7 +112,7 @@ class PipelineConfig:
 
     def densify_config(self, feature_dim: int = DensifyConfig.feature_dim) -> DensifyConfig:
         """The growth settings, checked by DensifyConfig itself."""
-        return DensifyConfig(gamma=self.gamma, base_count=self.base_count,
+        return DensifyConfig(base_count=self.base_count,
                              layer_budgets=self.layer_budgets,
                              feature_dim=feature_dim)
 
@@ -136,10 +125,6 @@ class PipelineConfig:
         JSON type is a FormatError.
         """
         return cls(**read_object(d, _CONFIG_FIELDS, "pipeline config"))
-
-
-def _ints(v) -> tuple[int, ...]:
-    return tuple(json_list(v, json_int))
 
 
 def _path(v) -> str | os.PathLike:
@@ -157,10 +142,7 @@ _CONFIG_FIELDS = {
     "stages": lambda v: tuple(json_list(v, json_str)),
     "seed": json_int, "out_dir": json_optional(_path),
     "spec": json_optional(_spec), "base_count": json_int,
-    "layer_budgets": _ints, "gamma": json_float,
-    "occlusion_margin": json_optional(json_float), "tau_occ": json_float,
-    "cutoff": json_optional(json_float),
-    "view_waves": json_optional(_ints),
+    "layer_budgets": lambda v: tuple(json_list(v, json_int)),
 }
 
 
@@ -181,10 +163,9 @@ class _State:
     pred: VoxelGrid | None = None
 
     def arrive(self, layer: int) -> list[CameraView]:
-        """Activate the views of waves 0..`layer` (all views without waves;
-        once the waves run out, the last one stays)."""
-        self.active = (self.views[:sum(self.waves[:layer + 1])] if self.waves
-                       else self.views)
+        """Activate the views of waves 0..`layer` (once the waves run out,
+        the last one stays)."""
+        self.active = self.views[:sum(self.waves[:layer + 1])]
         return self.active
 
     def render_active(self, growth: dict) -> None:
@@ -203,12 +184,10 @@ class _State:
 
 
 def _synth(st: _State) -> dict:
-    c = st.config
-    spec = c.fixture_spec()
+    spec = st.config.fixture_spec()
     result = gen_scene(spec)
     st.views, st.bank, st.gt = result.views, result.bank, result.gt_grid
-    st.waves = tuple(result.view_waves if c.view_waves is None
-                     else c.view_waves)
+    st.waves = result.view_waves
     return {"views": len(st.views), "view_waves": list(st.waves),
             "classes": spec.class_names}
 
@@ -235,7 +214,7 @@ def _densify(st: _State) -> dict:
     geometry = st.scene.geometry()
     st.renders += [render(geometry, v) for v in active[len(st.renders):]]
     t0 = time.perf_counter()
-    st.scene, growth = densify_layer(st.scene, active, st.dconf, layer,
+    st.scene, growth = densify_layer(st.scene, active, st.dconf,
                                      renders=st.renders)
     st.render_active({"cloud_points": growth.candidate_points,
                       "picks": growth.added,
@@ -249,16 +228,15 @@ def _densify(st: _State) -> dict:
 
 
 def _refine(st: _State) -> dict:
-    c, t0 = st.config, time.perf_counter()
-    st.scene = refine_scene(st.scene, st.active, occlusion_margin=c.occlusion_margin)
+    t0 = time.perf_counter()
+    st.scene = refine_scene(st.scene, st.active, occlusion_margin=OCCLUSION_MARGIN)
     st.report["layers"][-1]["time_s"] += time.perf_counter() - t0
     return {"count": len(st.scene)}
 
 
 def _voxelize(st: _State) -> dict:
     gspec = GridSpec(st.gt.origin, st.gt.dims, st.gt.voxel_size)
-    st.pred = voxelize(st.scene, st.bank, gspec, tau_occ=st.config.tau_occ,
-                       cutoff=st.config.cutoff)
+    st.pred = voxelize(st.scene, st.bank, gspec)
     return {"occupied": int(st.pred.occupied.sum()),
             "dims": list(st.pred.dims)}
 
@@ -271,7 +249,7 @@ def _eval(st: _State) -> dict:
         "iou_per_class": {names[c]: v for c, v in iou.per_class.items()},
     }
     if np.any(st.gt.occupied):
-        mp = retrieval_map(st.scene, st.bank, st.gt, cutoff=st.config.cutoff)
+        mp = retrieval_map(st.scene, st.bank, st.gt)
         metrics["map"] = mp["map"]
         metrics["ap_per_class"] = mp["per_class"]
     return {"metrics": metrics}
@@ -320,6 +298,8 @@ def retrieval_map(scene: GaussianScene, bank: TextBank, gt: VoxelGrid,
     labels = gt.labels.ravel()[occ]
     scores, _ = retrieval_scores(scene, bank, points, cutoff=cutoff)
     material = [c for c in range(bank.num_classes) if c != bank.empty_index]
+    if not material:
+        raise InvalidInputError("text bank has no class besides its empty class")
     rows = np.stack([labels == c for c in material])
     visible = None if views is None else _visible_mask(points, views)
     result = eval_map(scores[material], rows, visible=visible)

@@ -41,6 +41,10 @@ class TextBankEntry:
 
     def __post_init__(self):
         self.embeddings = np.atleast_2d(np.asarray(self.embeddings, dtype=np.float64))
+        if self.embeddings.ndim != 2:
+            raise InvalidInputError(
+                f"class {self.class_name!r}: embeddings must be (P, F), got "
+                f"shape {self.embeddings.shape}")
         if self.embeddings.shape[0] != len(self.prompts):
             raise InvalidInputError(
                 f"class {self.class_name!r}: {len(self.prompts)} prompts but "

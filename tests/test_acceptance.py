@@ -228,7 +228,7 @@ def test_criterion_03_selection_sound_and_densify_progresses():
 
     cfg = DensifyConfig(gamma=0.2, layer_budgets=(1000,),
                         feature_dim=scene.feature_dim)
-    grown, _ = densify_layer(scene, views, cfg, layer=1, renders=renders)
+    grown, _ = densify_layer(scene, views, cfg, renders=renders)
     after_renders = [render(grown, v) for v in views]
     before, _ = _selection_residual(renders, views, masks)
     after, _ = _selection_residual(after_renders, views, masks)

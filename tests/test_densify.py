@@ -360,7 +360,7 @@ def test_selected_set_equals_masked_residual_region():
 def test_densify_layer_budget_membership_and_prefix():
     scene, view, hole = _wall_fixture()
     cfg = DensifyConfig(layer_budgets=(100,), feature_dim=4)
-    grown, report = densify_layer(scene, [view], cfg, 1)
+    grown, report = densify_layer(scene, [view], cfg)
     npt.assert_array_equal(report.selected[0], hole)
     assert report.selected_per_view == [int(hole.sum())]
     assert report.candidate_points == int(hole.sum())
@@ -384,7 +384,7 @@ def test_densify_layer_masks_views_without_reference_depth():
     scene, view, hole = _wall_fixture()
     blind = replace(view, ref_depth=None, ref_valid=None)
     cfg = DensifyConfig(layer_budgets=(100,), feature_dim=4)
-    grown, report = densify_layer(scene, [blind, view], cfg, 1)
+    grown, report = densify_layer(scene, [blind, view], cfg)
     assert report.selected_per_view == [0, int(hole.sum())]
     assert report.selected[0].shape == hole.shape and not report.selected[0].any()
     after = selection_residual([render(grown, v) for v in (blind, view)],
@@ -395,7 +395,7 @@ def test_densify_layer_masks_views_without_reference_depth():
 def test_densify_layer_takes_all_candidates_under_budget():
     scene, view, hole = _wall_fixture()
     cfg = DensifyConfig(layer_budgets=(10 ** 6,), feature_dim=4)
-    grown, _ = densify_layer(scene, [view], cfg, 1)
+    grown, _ = densify_layer(scene, [view], cfg)
     assert len(grown) == len(scene) + int(hole.sum())
 
 
@@ -405,7 +405,7 @@ def test_densify_layer_zero_growth_on_perfect_scene():
     out = render(scene, cam)
     view = replace(cam, ref_depth=out.depth.copy(), ref_valid=out.valid.copy())
     cfg = DensifyConfig(layer_budgets=(50,), feature_dim=4)
-    grown, report = densify_layer(scene, [view], cfg, 1)
+    grown, report = densify_layer(scene, [view], cfg)
     assert len(grown) == len(scene)
     assert grown.layer_offsets == (len(scene), len(scene))
     assert report.added == 0 and report.candidate_points == 0
@@ -414,24 +414,21 @@ def test_densify_layer_zero_growth_on_perfect_scene():
 def test_densify_layer_accepts_precomputed_renders():
     scene, view, _ = _wall_fixture()
     cfg = DensifyConfig(layer_budgets=(64,), feature_dim=4)
-    direct, _ = densify_layer(scene, [view], cfg, 1)
-    cached, _ = densify_layer(scene, [view], cfg, 1, renders=[render(scene, view)])
+    direct, _ = densify_layer(scene, [view], cfg)
+    cached, _ = densify_layer(scene, [view], cfg, renders=[render(scene, view)])
     npt.assert_array_equal(direct.mu, cached.mu)
 
 
 def test_densify_layer_validates_arguments():
     scene, view, _ = _wall_fixture()
     cfg = DensifyConfig(layer_budgets=(64,), feature_dim=4)
-    with pytest.raises(InvalidInputError):
-        densify_layer(scene, [view], cfg, 2)     # scene has 1 layer, not 2
-    with pytest.raises(InvalidInputError):
-        densify_layer(scene, [view], cfg, 0)
-    grown, _ = densify_layer(scene, [view], cfg, 1)
-    with pytest.raises(InvalidInputError):
-        densify_layer(grown, [view], cfg, 2)     # no budget for layer 2
+    grown, report = densify_layer(scene, [view], cfg)
+    assert report.layer == 1 and grown.layer_count == 2
+    with pytest.raises(InvalidInputError, match="no budget configured for layer 2"):
+        densify_layer(grown, [view], cfg)
     bad = DensifyConfig(layer_budgets=(64,), feature_dim=9)
     with pytest.raises(InvalidInputError):
-        densify_layer(scene, [view], bad, 1)
+        densify_layer(scene, [view], bad)
 
 
 def test_densify_config_validation():

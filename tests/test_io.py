@@ -22,7 +22,7 @@ from fgs.io import (json_float, json_int, load_bank, load_depth_plane,
                     load_plane, load_points, load_rig, load_scene, load_tensors,
                     load_voxel_grid, read_object, save_bank, save_depth_plane, save_plane, save_points,
                     save_rig, save_scene, save_tensors, save_voxel_grid,
-                    depth_preview, write_pgm, write_ppm)
+                    depth_preview, write_pgm)
 from fgs.voxel import EMPTY_LABEL, VoxelGrid, orthonormal_bank
 
 
@@ -468,19 +468,6 @@ def test_pgm_bytes(tmp_path):
     assert raw[len(b"P5\n3 2\n255\n"):] == bytes([0, 255, 0, 128, 7, 255])
     with pytest.raises(InvalidInputError):
         write_pgm(path, np.zeros((2, 2, 2)))
-
-
-def test_ppm_bytes(tmp_path):
-    path = tmp_path / "img.ppm"
-    rgb = np.zeros((1, 2, 3))
-    rgb[0, 0] = [0.0, 0.5, 1.0]
-    rgb[0, 1] = [2.0, -1.0, 0.25]           # clipped to [0, 255]
-    write_ppm(path, rgb)
-    raw = path.read_bytes()
-    assert raw.startswith(b"P6\n2 1\n255\n")
-    assert raw[len(b"P6\n2 1\n255\n"):] == bytes([0, 128, 255, 255, 0, 64])
-    with pytest.raises(InvalidInputError):
-        write_ppm(path, np.zeros((2, 2)))
 
 
 def test_depth_preview_normalization(tmp_path):

@@ -117,9 +117,7 @@ def _check(read, path, doc, argv):
 def _config_doc():
     return {"stages": [], "seed": 0, "out_dir": None,
             "spec": _tiny_spec().to_dict(), "base_count": 60,
-            "layer_budgets": [40, 20], "gamma": 0.2,
-            "occlusion_margin": 0.3, "tau_occ": 0.5, "cutoff": 3.0,
-            "view_waves": [1, 1]}
+            "layer_budgets": [40, 20]}
 
 
 def _documents(root):
@@ -143,7 +141,7 @@ def _documents(root):
 def test_valid_documents_are_read(fixture_dir):
     assert len(load_rig(fixture_dir / "rig.json")) == 2
     assert load_bank(fixture_dir / "bank.json").class_names == ["ground", "ball", "empty"]
-    assert PipelineConfig.from_dict(_config_doc()).view_waves == (1, 1)
+    assert PipelineConfig.from_dict(_config_doc()).layer_budgets == (40, 20)
     assert SynthSpec.from_dict(_tiny_spec().to_dict()).to_dict() == _tiny_spec().to_dict()
 
 

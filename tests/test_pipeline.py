@@ -148,14 +148,6 @@ def test_config_validation():
         PipelineConfig(threads=0)
     with pytest.raises(InvalidInputError):
         PipelineConfig(stages=("eval",))
-    for tau in (float("nan"), float("inf")):
-        with pytest.raises(InvalidInputError):
-            PipelineConfig(tau_occ=tau)
-    # views[:-3] would activate all but three views; an empty wave would
-    # fail later as an empty pseudo cloud
-    for waves in ((-3,), (0,), (2, 0)):
-        with pytest.raises(InvalidInputError, match="view wave sizes"):
-            PipelineConfig(view_waves=waves)
     assert PipelineConfig().stages == DEFAULT_STAGES
 
 
@@ -181,16 +173,13 @@ def test_config_from_dict_conversions():
         "stages": ["synth", "init"],
         "spec": spec.to_dict(),
         "layer_budgets": [40, 20],
-        "view_waves": [2, 3],
         "seed": 9,
     })
     assert cfg.stages == ("synth", "init")
     assert isinstance(cfg.spec, SynthSpec)
     assert cfg.spec.to_dict() == spec.to_dict()
     assert cfg.layer_budgets == (40, 20)
-    assert cfg.view_waves == (2, 3)
     assert cfg.seed == 9
-    assert PipelineConfig.from_dict({"view_waves": None}).view_waves is None
 
 
 def test_config_from_dict_rejects_unknown_keys():
@@ -299,7 +288,8 @@ def test_densify_selects_once_per_active_view(monkeypatch):
         layer_budgets=(60, 60)))
     active = [s["views_active"] for s in report["stages"]
               if s["name"] == "densify"]
-    assert len(active) == 2
+    # waves of 3 and 2 views: the second round keeps the last wave
+    assert active == [5, 5]
     assert len(calls) == sum(active)
 
 
@@ -397,23 +387,8 @@ def test_rerun_is_byte_identical_across_thread_counts(full_run, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Waves and edge cases
+# Edge cases
 # ---------------------------------------------------------------------------
-
-def test_empty_wave_list_activates_all_views_at_once():
-    report = run_pipeline(_tiny_config(out_dir=None, view_waves=(),
-                                       stages=("synth", "init")))
-    init = report["stages"][1]
-    assert init["views_active"] == 5
-    assert report["layers"][0]["views"] == 5
-
-
-def test_explicit_waves_override_ring_sizes():
-    report = run_pipeline(_tiny_config(out_dir=None, view_waves=(1, 4),
-                                       stages=("synth", "init")))
-    assert report["stages"][0]["view_waves"] == [1, 4]
-    assert report["stages"][1]["views_active"] == 1
-
 
 def test_empty_stage_list_is_a_noop(tmp_path):
     report = run_pipeline(PipelineConfig(stages=(), out_dir=str(tmp_path)))
