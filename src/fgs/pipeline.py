@@ -5,7 +5,9 @@ state across stages, and produces a JSON-able report with one entry per
 executed stage plus a per-layer table: Gaussian count and wall time at each
 layer, the work counts of the layer's renders (`RENDER_COUNTS`), and a
 `growth` row for the step that built the layer (pseudo-cloud points, FPS
-picks, and the time of base init or of the densify step).
+picks, and the time of base init or of the densify step).  A layer's wall
+time is that of its renders, which run concurrently on the CPUs in the
+process's affinity set (`taskset` pins a run to fewer), plus its refine.
 Refinement runs over every Gaussian without decode heads and keeps the
 geometry (`fgs refine --heads` decodes with them), so only init and densify
 change it, and the renders they leave behind always show the current scene.
@@ -14,13 +16,14 @@ by one signed depth rule (`select_under_represented`) at `densify.GAMMA`,
 refine gates occlusion at `sampling.OCCLUSION_MARGIN`, and voxelize and
 eval use `voxel.TAU_OCC` and `voxel.DEFAULT_CUTOFF`.
 Timings never influence artifacts, so runs with identical config and seed
-write byte-identical scene and grid files regardless of thread count.
+write byte-identical scene and grid files whatever the CPU count.
 """
 
 from __future__ import annotations
 
 import os
 import re
+import threading
 import time
 from dataclasses import dataclass, field, replace
 
@@ -85,7 +88,9 @@ class PipelineConfig:
 
     stages: tuple[str, ...] = DEFAULT_STAGES
     seed: int | None = None
-    # No effect; kept while perfbench/run.py, edited only on its own, passes it.
+    # No effect: renders run on every CPU in the process's affinity set
+    # whatever it says.  Kept while perfbench/run.py, edited only on its
+    # own, passes it.
     threads: int = 1
     out_dir: str | None = None
     spec: SynthSpec | None = None
@@ -146,6 +151,49 @@ _CONFIG_FIELDS = {
 }
 
 
+def _render_views(scene: GaussianScene,
+                  views: list[CameraView]) -> list[RenderOutput]:
+    """`render(scene, v)` for each of `views`, returned in view order.
+
+    The calling thread and one thread per further CPU in the process's
+    affinity set, at most one per view, each take the next view not yet
+    taken until none is left, so a thread whose CPU is slowed renders a
+    smaller share.  NumPy and OpenBLAS release the interpreter lock in
+    their kernels, so whole views overlap, and each output has the bits of
+    its view rendered alone.  A thread stops at its first error; every
+    thread is joined before the first error in view order is raised (views
+    are taken in order, so every view before it was rendered).
+    """
+    n = min(len(views), len(os.sched_getaffinity(0)))
+    out: list = [None] * len(views)
+    todo, lock = iter(range(len(views))), threading.Lock()
+
+    def share() -> None:
+        while True:
+            with lock:
+                i = next(todo, None)
+            if i is None:
+                return
+            try:
+                out[i] = render(scene, views[i])
+            except Exception as e:  # raised on the calling thread below
+                out[i] = e
+                return
+
+    workers = [threading.Thread(target=share) for _ in range(1, n)]
+    for w in workers:
+        w.start()
+    try:
+        share()
+    finally:
+        for w in workers:
+            w.join()
+    for o in out:
+        if isinstance(o, Exception):
+            raise o
+    return out
+
+
 @dataclass
 class _State:
     """The config, the report the stages build, and the run they share."""
@@ -170,12 +218,13 @@ class _State:
 
     def render_active(self, growth: dict) -> None:
         """Render the scene's geometry into every active view (the stages
-        read only depth and validity) and append the newest layer's row:
-        `growth`, the row of the step that built the layer, the time of
-        this render and the renders' work counts."""
+        read only depth and validity), the views concurrently
+        (`_render_views`), and append the newest layer's row: `growth`, the
+        row of the step that built the layer, the wall time of these
+        concurrent renders (refine adds its own) and the renders' work
+        counts."""
         t0 = time.perf_counter()
-        geometry = self.scene.geometry()
-        self.renders = [render(geometry, v) for v in self.active]
+        self.renders = _render_views(self.scene.geometry(), self.active)
         self.report["layers"].append({
             "index": self.scene.layer_count - 1, "count": len(self.scene),
             "views": len(self.active), "time_s": time.perf_counter() - t0,
@@ -211,8 +260,7 @@ def _densify(st: _State) -> dict:
     active = st.arrive(layer)
     # Render the scene into the views that just arrived, so that their
     # unexplained pixels can be selected.
-    geometry = st.scene.geometry()
-    st.renders += [render(geometry, v) for v in active[len(st.renders):]]
+    st.renders += _render_views(st.scene.geometry(), active[len(st.renders):])
     t0 = time.perf_counter()
     st.scene, growth = densify_layer(st.scene, active, st.dconf,
                                      renders=st.renders)

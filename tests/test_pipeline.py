@@ -18,12 +18,15 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from fgs.errors import InsufficientPointsError, InvalidInputError
+from fgs.errors import (InsufficientPointsError, InvalidInputError,
+                        NumericalDegeneracyError)
 from fgs.io import load_scene, load_voxel_grid
 from fgs.pipeline import (DEFAULT_STAGES, RENDER_COUNTS, STAGES, PipelineConfig,
                           run_pipeline, validate_stages)
@@ -331,8 +334,9 @@ def test_stages_render_geometry_only_and_count_the_work(monkeypatch):
 
     def recording(scene, cam, *args, **kwargs):
         assert scene.feature_dim == 0
-        outs.append(render(scene, cam, *args, **kwargs))
-        return outs[-1]
+        out = render(scene, cam, *args, **kwargs)
+        outs.append(out)      # the renders of one layer may finish in any order
+        return out
     for mod in (fgs.pipeline, fgs.densify):
         monkeypatch.setattr(mod, "render", recording)
     report = run_pipeline(_tiny_config(stages=("synth", "init", "densify", "refine")))
@@ -343,6 +347,69 @@ def test_stages_render_geometry_only_and_count_the_work(monkeypatch):
             assert row[name] == sum(getattr(out, name) for out in done), name
         assert row["binned_rows"] > row["culled_rows"] > 0
         assert row["pairs_evaluated"] > 0
+
+
+# ---------------------------------------------------------------------------
+# Concurrent renders
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 5])
+def test_render_views_returns_the_bits_of_each_view_in_view_order(
+        monkeypatch, cpus, count):
+    """Whatever the CPU count, the helper returns what `render` gives each
+    view alone, in view order.  Earlier views are made to finish later, so
+    outputs kept in completion order would come out shuffled."""
+    import fgs.pipeline
+    from fgs.raster import render
+    from fgs.synth import gen_scene
+    fixture = gen_scene(_tiny_spec())
+    scene, views = fixture.scene.geometry(), fixture.views[:count]
+    want = [render(scene, v) for v in views]
+    position = {id(v): i for i, v in enumerate(views)}
+
+    def late_first(scene, cam):
+        time.sleep(0.01 * (count - position[id(cam)]))
+        return render(scene, cam)
+    monkeypatch.setattr(fgs.pipeline, "render", late_first)
+    monkeypatch.setattr(fgs.pipeline.os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)))
+    got = fgs.pipeline._render_views(scene, views)
+    assert len(got) == count
+    for a, b in zip(got, want):
+        for name in ("depth", "acc_alpha", "valid"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+        for name in RENDER_COUNTS:
+            assert getattr(a, name) == getattr(b, name), name
+
+
+@pytest.mark.parametrize("on_caller", [False, True])
+def test_a_failed_render_reaches_the_caller_after_every_join(monkeypatch,
+                                                             on_caller):
+    """With two CPUs init's three views are rendered by the calling thread
+    and one worker thread: a render that raises on either thread fails the
+    stage, and no thread outlives the run."""
+    import fgs.pipeline
+    from fgs.raster import render
+    began, raised = {True: threading.Event(), False: threading.Event()}, []
+
+    def failing_render(scene, cam):
+        caller = threading.current_thread() is threading.main_thread()
+        began[caller].set()
+        # neither thread can take all three views before the other takes one
+        assert began[not caller].wait(timeout=60)
+        if caller == on_caller and not raised:
+            raised.append(cam)
+            raise NumericalDegeneracyError("degenerate footprint")
+        return render(scene, cam)
+    monkeypatch.setattr(fgs.pipeline, "render", failing_render)
+    monkeypatch.setattr(fgs.pipeline.os, "sched_getaffinity",
+                        lambda pid: {0, 1})
+    threads_before = threading.active_count()
+    with pytest.raises(NumericalDegeneracyError, match="stage 'init' failed"):
+        run_pipeline(_tiny_config(stages=("synth", "init")))
+    assert len(raised) == 1
+    assert threading.active_count() == threads_before
 
 
 def test_report_refine_and_voxelize(full_run):
