@@ -15,8 +15,8 @@ matches one big batch.
 import numpy as np
 
 from fgs import (AttentionWeights, DecodeHeads, asa_forward, bilinear_sample,
-                 build_mask, covariance3d, gen_offsets, gen_scene,
-                 place_samples, refine_scene, room_spec)
+                 covariance3d, gen_offsets, gen_scene, place_samples,
+                 refine_scene, room_spec)
 
 rng = np.random.default_rng(0)
 
@@ -61,8 +61,7 @@ dim, n, n_prev = 64, 12, 5
 w = AttentionWeights.seeded(dim=dim, heads=8, seed=0)
 tokens = rng.normal(size=(n, dim))
 pos = rng.normal(size=(n, 3))
-full = asa_forward(tokens, pos, w, build_mask(n_prev, n))
-prefix = asa_forward(tokens[:n_prev], pos[:n_prev], w,
-                     build_mask(n_prev, n_prev))
+full = asa_forward(tokens, pos, w, n_prev)
+prefix = asa_forward(tokens[:n_prev], pos[:n_prev], w, n_prev)
 print(f"attention prefix max |diff| = "
       f"{np.abs(full[:n_prev] - prefix).max():.3e}")

@@ -13,8 +13,7 @@ from .densify import (DensifyConfig, DensifyReport, base_init, densify_layer,
 from .sampling import (DecodeHeads, Mlp, aggregate, bilinear_sample,
                        decode_update, gen_offsets, place_samples,
                        refine_scene, sample_features)
-from .attention import (AsaMask, AttentionWeights, asa_forward, build_mask,
-                        positional_encoding)
+from .attention import AttentionWeights, asa_forward, positional_encoding
 from .losses import (LossComponents, LossWeights, feat_loss, l1_depth,
                      photometric_temporal, silog, ssim, total_loss, warp_photo)
 from .voxel import (GridSpec, IouResult, MapResult, TextBank, TextBankEntry,
@@ -39,8 +38,7 @@ __all__ = [
     "selection_residual",
     "DecodeHeads", "Mlp", "aggregate", "bilinear_sample", "decode_update",
     "gen_offsets", "place_samples", "refine_scene", "sample_features",
-    "AsaMask", "AttentionWeights", "asa_forward", "build_mask",
-    "positional_encoding",
+    "AttentionWeights", "asa_forward", "positional_encoding",
     "LossComponents", "LossWeights", "feat_loss", "l1_depth",
     "photometric_temporal", "silog", "ssim", "total_loss", "warp_photo",
     "GridSpec", "IouResult", "MapResult", "TextBank", "TextBankEntry",

@@ -1,20 +1,18 @@
 """Prefix-preserving masked self-attention over Gaussian queries.
 
-When a scene grows, queries of previously settled layers must not change:
-the attention mask blocks every (old row, new column) pair, so old queries
-attend only to old ones while new queries see everything.  Positions enter
-through a sinusoidal 3-axis encoding added to Q and K inputs only - values
-stay position-free, which keeps the prefix outputs bit-for-bit reusable.
-
-`asa_forward` applies the mask by construction: settled rows attend over
-the settled columns only, and new rows over all columns, each in blocks of
-ROW_BLOCK rows per head, so no (n, n) array is built.  The dense additive
-form (`AsaMask.matrix`) realizes "minus infinity" as the most negative finite
-float64, which underflows to exp(.) == 0 after the row-max shift.
+When a scene grows, queries of previously settled layers must not change.
+`asa_forward` takes the count x_prev of settled rows: rows below it attend
+over the settled columns only, and new rows over all columns, so settled
+outputs equal a run on the settled prefix alone, bit for bit.  Each row
+range is computed in blocks of ROW_BLOCK rows per head and no (n, n) array
+is built.  Positions enter through a sinusoidal 3-axis encoding added to Q
+and K inputs only - values stay position-free, which keeps the prefix
+outputs reusable.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,51 +23,19 @@ HEADS = 8
 MODEL_DIM = 256
 LAMBDA_MAX = 100.0  # meters; longest wavelength of the positional ladder
 ROW_BLOCK = 1024    # query rows per head and softmax block in asa_forward
-NEG_MASK = -np.finfo(np.float64).max
-
-
-@dataclass
-class AsaMask:
-    """Dense additive attention mask blocking old-row/new-column pairs."""
-
-    x_prev: int
-    x_total: int
-
-    def __post_init__(self):
-        if not 0 <= self.x_prev <= self.x_total:
-            raise InvalidInputError("need 0 <= x_prev <= x_total")
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """(x_total, x_total) additive mask: NEG_MASK where blocked, else 0."""
-        m = np.zeros((self.x_total, self.x_total))
-        m[:self.x_prev, self.x_prev:] = NEG_MASK
-        return m
-
-    @property
-    def blocked_count(self) -> int:
-        return self.x_prev * (self.x_total - self.x_prev)
-
-
-def build_mask(x_prev: int, x_total: int) -> AsaMask:
-    """Mask for `x_total` queries of which the first `x_prev` are settled.
-
-    Entry (i, j) is blocked iff i < x_prev and j >= x_prev: settled queries
-    never attend to later ones; new queries attend everywhere.
-    """
-    return AsaMask(int(x_prev), int(x_total))
 
 
 def positional_encoding(positions: np.ndarray, dim: int) -> np.ndarray:
     """Sinusoidal encoding of 3-D positions on a geometric frequency ladder.
 
-    `dim` must be divisible by 6: each axis contributes dim/6 interleaved
-    (sin, cos) pairs at frequencies 2*pi * 2^k / LAMBDA_MAX, k = 0.. .  The
-    origin therefore encodes to the alternating (0, 1, 0, 1, ...) pattern.
-    Accepts one (3,) position or an (N, 3) batch.
+    Each axis contributes dim // 6 interleaved (sin, cos) pairs at
+    frequencies 2*pi * 2^k / LAMBDA_MAX, k = 0.. ; the dim % 6 entries past
+    them are zero (model dims are rarely multiples of 6).  The origin
+    therefore encodes to the alternating (0, 1, 0, 1, ...) pattern.
+    Accepts one (3,) position or an (N, 3) batch, and any positive `dim`.
     """
-    if dim <= 0 or dim % 6:
-        raise InvalidInputError("encoding dim must be a positive multiple of 6")
+    if dim <= 0:
+        raise InvalidInputError("encoding dim must be positive")
     p = np.asarray(positions, dtype=np.float64)
     single = p.ndim == 1
     p = np.atleast_2d(p)
@@ -81,19 +47,9 @@ def positional_encoding(positions: np.ndarray, dim: int) -> np.ndarray:
     block = np.empty((p.shape[0], 3, 2 * m))
     block[:, :, 0::2] = np.sin(phase)
     block[:, :, 1::2] = np.cos(phase)
-    out = block.reshape(p.shape[0], dim)
+    out = np.zeros((p.shape[0], dim))
+    out[:, :6 * m] = block.reshape(p.shape[0], 6 * m)
     return out[0] if single else out
-
-
-def _padded_encoding(positions: np.ndarray, dim: int) -> np.ndarray:
-    """Encoding stretched to any width: encode at the largest multiple of 6
-    not above `dim` and zero-pad the tail (model dims are rarely %6)."""
-    base = (dim // 6) * 6
-    n = np.atleast_2d(positions).shape[0]
-    out = np.zeros((n, dim))
-    if base:
-        out[:, :base] = positional_encoding(positions, base)
-    return out
 
 
 @dataclass
@@ -136,31 +92,17 @@ class AttentionWeights:
         z = np.zeros(dim)
         return cls(mk(), mk(), mk(), mk(), z, z, z, z, heads=heads)
 
-    def to_tensors(self) -> dict[str, np.ndarray]:
-        out = {n: getattr(self, n) for n in
-               ("wq", "wk", "wv", "wo", "bq", "bk", "bv", "bo")}
-        out["meta.heads"] = np.array(float(self.heads))
-        return out
-
-    @classmethod
-    def from_tensors(cls, t: dict[str, np.ndarray]) -> "AttentionWeights":
-        try:
-            return cls(t["wq"], t["wk"], t["wv"], t["wo"],
-                       t["bq"], t["bk"], t["bv"], t["bo"],
-                       heads=int(t.get("meta.heads", HEADS)))
-        except KeyError as e:
-            raise InvalidInputError(f"attention sidecar missing tensor {e}") from e
-
 
 def asa_forward(queries: np.ndarray, positions: np.ndarray,
-                weights: AttentionWeights, mask: AsaMask) -> np.ndarray:
+                weights: AttentionWeights, x_prev: int) -> np.ndarray:
     """Masked multi-head self-attention with position-aware Q/K only.
 
     Q and K project (queries + positional encoding); V projects the bare
-    queries.  Per head: softmax(Q K^T / sqrt(D/h) + M) V, heads concatenated
-    and output-projected.  Rows below mask.x_prev attend to the first
-    mask.x_prev columns only, so they equal the same computation run on the
-    prefix alone, bit for bit.
+    queries.  Per head: softmax(Q K^T / sqrt(D/h)) V over the columns a row
+    may see, heads concatenated and output-projected.  The first `x_prev`
+    rows are settled and attend to the first x_prev columns only, so they
+    equal the same computation run on the prefix alone, bit for bit; the
+    other rows attend to every column.
     """
     q = np.asarray(queries, dtype=np.float64)
     if q.ndim != 2:
@@ -168,8 +110,8 @@ def asa_forward(queries: np.ndarray, positions: np.ndarray,
     n, d = q.shape
     if d != weights.dim:
         raise InvalidInputError(f"queries dim {d} != weights dim {weights.dim}")
-    if mask.x_total != n:
-        raise InvalidInputError("mask size does not match query count")
+    if not isinstance(x_prev, numbers.Integral) or not 0 <= x_prev <= n:
+        raise InvalidInputError(f"need an integer 0 <= x_prev <= {n}")
     p = np.atleast_2d(np.asarray(positions, dtype=np.float64))
     if p.shape != (n, 3):
         raise InvalidInputError("positions must be (n, 3)")
@@ -178,14 +120,12 @@ def asa_forward(queries: np.ndarray, positions: np.ndarray,
 
     h = weights.heads
     dh = d // h
-    pe = _padded_encoding(p, d)
-    qk_in = q + pe
+    qk_in = q + positional_encoding(p, d)
     # 1/sqrt(dh) folded into Q scales n*d entries instead of every logit
     big_q = (qk_in @ weights.wq.T + weights.bq) * (1.0 / np.sqrt(dh))
     big_k = qk_in @ weights.wk.T + weights.bk
     big_v = q @ weights.wv.T + weights.bv
 
-    x_prev = mask.x_prev
     out = np.empty((n, d))
     with np.errstate(under="ignore"):
         for i in range(h):

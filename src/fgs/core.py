@@ -50,16 +50,38 @@ def _as_float(x, shape: tuple, name: str) -> np.ndarray:
 # Quaternions and covariances
 # ---------------------------------------------------------------------------
 
+_QUAT_SCALE_FROM = 2.0 ** 500  # |component| past which a row is scaled for its norm
+
+
+def unit_quats(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit rows of an (N, 4) quaternion array, and the mask of rows whose
+    norm is below 1e-8: those are zero quaternions, which the caller refuses
+    or replaces, and their unit rows are zero.
+
+    A row whose largest |component| passes 2^500 is first scaled by an exact
+    power of two, since its norm would overflow from about 1.3e154 and the
+    row come out as zeros; every other row keeps the bits of r / |r|.
+    """
+    r = np.asarray(r, dtype=np.float64)
+    big = np.abs(r).max(axis=1)
+    e = np.where(big > _QUAT_SCALE_FROM, np.frexp(big)[1], 0)
+    r = np.ldexp(r, -e[:, None])
+    norms = np.linalg.norm(r, axis=1)
+    zero = norms < 1e-8
+    unit = np.divide(r, norms[:, None], out=np.zeros_like(r),
+                     where=~zero[:, None])
+    return unit, zero
+
+
 def quats_to_rotmats(r: np.ndarray) -> np.ndarray:
     """Rotation matrices (N, 3, 3) of an (N, 4) array of (w, x, y, z)
     quaternions.  Rows are renormalized, so q and -q (and any positive
     scaling) give the same matrix; a (near-)zero-norm row is refused."""
-    r = np.asarray(r, dtype=np.float64)
-    n = np.linalg.norm(r, axis=1)
-    if np.any(n < 1e-8):
+    unit, zero = unit_quats(r)
+    if np.any(zero):
         raise InvalidInputError("zero-norm quaternion in batch")
-    w, x, y, z = (r / n[:, None]).T
-    m = np.empty((r.shape[0], 3, 3))
+    w, x, y, z = unit.T
+    m = np.empty((unit.shape[0], 3, 3))
     m[:, 0, 0] = 1.0 - 2.0 * (y * y + z * z)
     m[:, 0, 1] = 2.0 * (x * y - w * z)
     m[:, 0, 2] = 2.0 * (x * z + w * y)
@@ -126,11 +148,9 @@ class GaussianScene:
             raise InvalidInputError("scales must be strictly positive")
         if n and (np.any(opacity < 0.0) or np.any(opacity > 1.0)):
             raise InvalidInputError("opacities must lie in [0, 1]")
-        if n:
-            norms = np.linalg.norm(quat, axis=1)
-            if np.any(norms < 1e-8):
-                raise InvalidInputError("zero-norm quaternion")
-            quat = quat / norms[:, None]
+        quat, zero = unit_quats(quat)
+        if np.any(zero):
+            raise InvalidInputError("zero-norm quaternion")
         if layer_offsets is None:
             layer_offsets = (n,) if n else (0,)
         layer_offsets = tuple(int(o) for o in layer_offsets)

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import CameraView, GaussianScene, depth_validity
-from .errors import FormatError, InvalidInputError
+from .errors import FormatError, InvalidInputError, NumericalDegeneracyError
 from .voxel import EMPTY_LABEL, TextBank, TextBankEntry, VoxelGrid
 
 FGS_MAGIC = b"FGSC"
@@ -78,13 +78,19 @@ def dump_json(obj, fh) -> None:
 # ---------------------------------------------------------------------------
 
 def save_scene(path, scene: GaussianScene) -> None:
+    """Write `scene`; a value past float32's range is refused before the
+    file is opened, since `load_scene` would refuse the inf it becomes."""
     n, fdim = len(scene), scene.feature_dim
     rec = np.empty((n, 11 + fdim), dtype="<f4")
-    rec[:, 0:3] = scene.mu
-    rec[:, 3:6] = scene.scale
-    rec[:, 6:10] = scene.quat
-    rec[:, 10] = scene.opacity
-    rec[:, 11:] = scene.feature
+    with np.errstate(over="ignore"):
+        rec[:, 0:3] = scene.mu
+        rec[:, 3:6] = scene.scale
+        rec[:, 6:10] = scene.quat
+        rec[:, 10] = scene.opacity
+        rec[:, 11:] = scene.feature
+    if not np.all(np.isfinite(rec)):
+        raise NumericalDegeneracyError(
+            f"{path}: scene values overflow the file's float32 records")
     with open(path, "wb") as f:
         f.write(FGS_MAGIC)
         f.write(struct.pack("<4I", 1, n, fdim, scene.layer_count))

@@ -107,6 +107,11 @@ class PipelineConfig:
         # after the stages before it have run.
         self.fixture_spec()
         self.densify_config()
+        grows = self.stages.count("densify")
+        if grows > len(self.layer_budgets):
+            raise InvalidInputError(
+                f"{grows} densify stages need {grows} layer budgets, "
+                f"got {len(self.layer_budgets)}")
 
     def fixture_spec(self) -> SynthSpec:
         """The spec the synth stage builds, checked by SynthSpec itself: the

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (CameraView, GaussianScene, IDENTITY_QUAT, project_points,
-                   quats_to_rotmats, rig_feature_dim)
+                   quats_to_rotmats, rig_feature_dim, unit_quats)
 from .errors import InvalidInputError, NumericalDegeneracyError
 
 N_OFFSETS = 16
@@ -323,8 +323,7 @@ def decode_update(f_a: np.ndarray, heads: DecodeHeads, mu_prev: np.ndarray):
     mu = mu_prev + heads.delta_max * np.tanh(geo[:, 0:3])
     s = np.logaddexp(0.0, geo[:, 3:6]) + heads.s_min
     r_raw = geo[:, 6:10]
-    norms = np.linalg.norm(r_raw, axis=1)
-    r = np.where(norms[:, None] < 1e-8, IDENTITY_QUAT, r_raw)
+    r = np.where(unit_quats(r_raw)[1][:, None], IDENTITY_QUAT, r_raw)
     return mu, s, r, expit(geo[:, 10]), new_f
 
 

@@ -55,7 +55,7 @@ import time
 import numpy as np
 import pytest
 
-from fgs.attention import AttentionWeights, asa_forward, build_mask
+from fgs.attention import AttentionWeights, asa_forward
 from fgs.core import CameraView, GaussianScene, covariance3d
 from fgs.densify import (DensifyConfig, densify_layer, fps, fps_oracle,
                          select_under_represented)
@@ -272,9 +272,8 @@ def test_criterion_05_attention_prefix_invariance():
         for x_prev, x_total in ((4, 6), (100, 150), (4000, 5000)):
             q = rng.normal(size=(x_total, 64))
             pos = rng.uniform(-50.0, 50.0, size=(x_total, 3))
-            full = asa_forward(q, pos, weights, build_mask(x_prev, x_total))
-            prefix = asa_forward(q[:x_prev], pos[:x_prev], weights,
-                                 build_mask(x_prev, x_prev))
+            full = asa_forward(q, pos, weights, x_prev)
+            prefix = asa_forward(q[:x_prev], pos[:x_prev], weights, x_prev)
             worst = max(worst, float(np.abs(full[:x_prev] - prefix).max()))
     ok = worst <= 1e-6
     _verdict(5, "prefix rows unmoved by suffix growth", ok,

@@ -1,4 +1,4 @@
-"""Masked self-attention tests: mask algebra, encodings, prefix reuse.
+"""Masked self-attention tests: encodings, prefix reuse, validation.
 
 Hand anchors:
 
@@ -21,9 +21,8 @@ import numpy.testing as npt
 import pytest
 from scipy.special import softmax
 
-from fgs.attention import (AsaMask, AttentionWeights, HEADS, LAMBDA_MAX,
-                           MODEL_DIM, NEG_MASK, asa_forward, build_mask,
-                           positional_encoding)
+from fgs.attention import (AttentionWeights, HEADS, LAMBDA_MAX, MODEL_DIM,
+                           asa_forward, positional_encoding)
 from fgs.errors import InvalidInputError
 
 
@@ -32,30 +31,6 @@ def _identity_weights(dim, heads=2):
     zero = np.zeros(dim)
     return AttentionWeights(np.zeros((dim, dim)), np.zeros((dim, dim)),
                             eye, eye, zero, zero, zero, zero, heads=heads)
-
-
-# ---------------------------------------------------------------------------
-# Mask
-# ---------------------------------------------------------------------------
-
-def test_mask_blocks_exactly_old_row_new_column_pairs():
-    mask = build_mask(2, 5)
-    m = mask.matrix
-    want = np.zeros((5, 5))
-    want[:2, 2:] = NEG_MASK
-    npt.assert_array_equal(m, want)
-    assert mask.blocked_count == 6
-    assert (m == NEG_MASK).sum() == 6
-
-
-def test_mask_edge_sizes_and_validation():
-    npt.assert_array_equal(build_mask(0, 4).matrix, np.zeros((4, 4)))
-    npt.assert_array_equal(build_mask(4, 4).matrix, np.zeros((4, 4)))
-    assert build_mask(0, 0).matrix.shape == (0, 0)
-    with pytest.raises(InvalidInputError):
-        build_mask(5, 4)
-    with pytest.raises(InvalidInputError):
-        build_mask(-1, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +68,10 @@ def test_encoding_batch_matches_rows_and_validates():
     assert enc.shape == (5, 18)
     for i in range(5):
         npt.assert_array_equal(enc[i], positional_encoding(batch[i], 18))
-    for bad in (0, 5, 8, -6):
+    # a width past a multiple of 6 adds a zero tail
+    npt.assert_array_equal(positional_encoding(batch, 23),
+                           np.pad(enc, ((0, 0), (0, 5))))
+    for bad in (0, -6):
         with pytest.raises(InvalidInputError):
             positional_encoding(batch, bad)
     with pytest.raises(InvalidInputError):
@@ -114,23 +92,13 @@ def test_encoding_is_periodic_in_the_longest_wavelength():
 # Weights container
 # ---------------------------------------------------------------------------
 
-def test_weights_seeded_roundtrip_and_validation():
-    w = AttentionWeights.seeded(dim=32, heads=4, seed=9)
-    clone = AttentionWeights.from_tensors(w.to_tensors())
-    npt.assert_array_equal(clone.wq, w.wq)
-    npt.assert_array_equal(clone.bo, w.bo)
-    assert clone.heads == 4
-
+def test_weights_seeded_and_validation():
     assert AttentionWeights.seeded().dim == MODEL_DIM
     assert AttentionWeights.seeded().heads == HEADS
     with pytest.raises(InvalidInputError):
         AttentionWeights.seeded(dim=32, heads=5)  # 32 % 5 != 0
     with pytest.raises(InvalidInputError):
         _identity_weights(4, heads=3)
-    bad = AttentionWeights.seeded(dim=8, heads=2).to_tensors()
-    del bad["wk"]
-    with pytest.raises(InvalidInputError):
-        AttentionWeights.from_tensors(bad)
     with pytest.raises(InvalidInputError):
         AttentionWeights(np.zeros((4, 3)), np.zeros((4, 4)), np.zeros((4, 4)),
                          np.zeros((4, 4)), np.zeros(4), np.zeros(4),
@@ -145,7 +113,7 @@ def test_forward_uniform_attention_hand_case():
     q = np.array([[1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
                   [7.0, 8.0, 9.0, 10.0, 11.0, 12.0]])
     pos = np.zeros((2, 3))
-    out = asa_forward(q, pos, _identity_weights(6), build_mask(1, 2))
+    out = asa_forward(q, pos, _identity_weights(6), 1)
     npt.assert_allclose(out[0], q[0], atol=1e-12)
     npt.assert_allclose(out[1], (q[0] + q[1]) / 2.0, atol=1e-12)
 
@@ -156,7 +124,7 @@ def test_forward_matches_reference_softmax_attention():
     q = rng.normal(size=(n, d))
     pos = rng.uniform(-10, 10, size=(n, 3))
     w = AttentionWeights.seeded(dim=d, heads=h, seed=41)
-    got = asa_forward(q, pos, w, build_mask(x_prev, n))
+    got = asa_forward(q, pos, w, x_prev)
     assert np.all(np.isfinite(got))
 
     qk_in = q + positional_encoding(pos, d)
@@ -182,12 +150,11 @@ def test_forward_prefix_rows_match_prefix_only_run():
     q = rng.normal(size=(n, d))
     pos = rng.uniform(-5, 5, size=(n, 3))
     w = AttentionWeights.seeded(dim=d, heads=4, seed=2)
-    full = asa_forward(q, pos, w, build_mask(x_prev, n))
-    prefix = asa_forward(q[:x_prev], pos[:x_prev], w, build_mask(x_prev, x_prev))
+    full = asa_forward(q, pos, w, x_prev)
+    prefix = asa_forward(q[:x_prev], pos[:x_prev], w, x_prev)
     npt.assert_allclose(full[:x_prev], prefix, atol=1e-12)
     # new rows do see the old ones, so they must differ from a fresh run
-    alone = asa_forward(q[x_prev:], pos[x_prev:], w,
-                        build_mask(0, n - x_prev))
+    alone = asa_forward(q[x_prev:], pos[x_prev:], w, 0)
     assert np.max(np.abs(full[x_prev:] - alone)) > 1e-6
 
 
@@ -199,22 +166,22 @@ def test_forward_prefix_is_bitwise_immune_to_suffix_positions():
     moved = pos.copy()
     moved[x_prev:] += rng.uniform(1.0, 3.0, size=(n - x_prev, 3))
     w = AttentionWeights.seeded(dim=d, heads=3, seed=5)
-    mask = build_mask(x_prev, n)
-    a = asa_forward(q, pos, w, mask)
-    b = asa_forward(q, moved, w, mask)
+    a = asa_forward(q, pos, w, x_prev)
+    b = asa_forward(q, moved, w, x_prev)
     npt.assert_array_equal(a[:x_prev], b[:x_prev])
     assert np.max(np.abs(a[x_prev:] - b[x_prev:])) > 1e-9
 
 
 def test_forward_empty_and_validation():
     w = AttentionWeights.seeded(dim=12, heads=2)
-    out = asa_forward(np.zeros((0, 12)), np.zeros((0, 3)), w, build_mask(0, 0))
+    out = asa_forward(np.zeros((0, 12)), np.zeros((0, 3)), w, 0)
     assert out.shape == (0, 12)
     with pytest.raises(InvalidInputError):
-        asa_forward(np.zeros((3, 8)), np.zeros((3, 3)), w, build_mask(0, 3))
+        asa_forward(np.zeros((3, 8)), np.zeros((3, 3)), w, 0)
+    for bad in (4, -1, 1.0, 1.5, "1", None):
+        with pytest.raises(InvalidInputError):
+            asa_forward(np.zeros((3, 12)), np.zeros((3, 3)), w, bad)
     with pytest.raises(InvalidInputError):
-        asa_forward(np.zeros((3, 12)), np.zeros((3, 3)), w, build_mask(0, 4))
+        asa_forward(np.zeros((3, 12)), np.zeros((4, 3)), w, 0)
     with pytest.raises(InvalidInputError):
-        asa_forward(np.zeros((3, 12)), np.zeros((4, 3)), w, build_mask(0, 3))
-    with pytest.raises(InvalidInputError):
-        asa_forward(np.zeros(12), np.zeros(3), w, build_mask(0, 1))
+        asa_forward(np.zeros(12), np.zeros(3), w, 0)

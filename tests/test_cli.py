@@ -365,6 +365,52 @@ def test_refine_degenerate_heads_exit_3(fixture_dir, tmp_path, capsys):
     assert "numerical degeneracy" in err
 
 
+def _refine_with(fixture_dir, tmp_path, capsys, heads):
+    path = tmp_path / "big.head"
+    save_tensors(str(path), heads.to_tensors())
+    out = tmp_path / "r.fgs"
+    return out, _run(capsys, ["refine", "--rig", str(fixture_dir / "rig.json"),
+                              "--scene", str(fixture_dir / "scene.fgs"),
+                              "--out", str(out), "--heads", str(path)])
+
+
+def test_refine_feature_past_float32_exit_3(fixture_dir, tmp_path, capsys):
+    """Every sidecar value fits float32, but the feat head outputs 9e38 in
+    one entry: the scene file could only hold it as inf, which `fgs render`
+    would refuse, so refine stops with no output file."""
+    heads = DecodeHeads.seeded(8, 8, n_offsets=4, hidden=(8,), seed=0)
+    out_w = np.zeros((8, 3))
+    out_w[0] = 3e38
+    heads.feat = Mlp([(np.zeros((3, 8)), np.ones(3)), (out_w, np.zeros(8))])
+    out, (code, payload, err) = _refine_with(fixture_dir, tmp_path, capsys, heads)
+    assert code == 3 and payload is None
+    assert "numerical degeneracy" in err and "float32" in err
+    assert not out.exists()
+
+
+def test_refine_quaternion_past_the_norm_overflow(fixture_dir, tmp_path, capsys):
+    """A 4-layer geo head of float32 weights 3e38 gives a raw w of about
+    5e155, whose norm overflows float64; the scene still normalizes it to a
+    unit quaternion, and `fgs render` reads the file refine writes."""
+    heads = DecodeHeads.seeded(8, 8, n_offsets=4, hidden=(8,), seed=0)
+    big = np.full((4, 4), 3e38)
+    out_w = np.zeros((11, 4))
+    out_w[6] = 3e38                                     # the raw w
+    heads.geo = Mlp([(np.zeros((4, 8)), np.full(4, 3e38)), (big, np.zeros(4)),
+                     (big, np.zeros(4)), (out_w, np.zeros(11))])
+    out, (code, _, _) = _refine_with(fixture_dir, tmp_path, capsys, heads)
+    assert code == 0
+    before = load_scene(str(fixture_dir / "scene.fgs"))
+    refined = load_scene(str(out))
+    decoded = refined.opacity != before.opacity          # expit(0) = 0.5
+    assert decoded.any() and np.all(refined.opacity[decoded] == 0.5)
+    assert np.all(refined.quat[decoded] == [1.0, 0.0, 0.0, 0.0])
+    code, _, _ = _run(capsys, ["render", "--rig", str(fixture_dir / "rig.json"),
+                               "--scene", str(out), "--view", "0",
+                               "--out-depth", str(tmp_path / "d.plne")])
+    assert code == 0
+
+
 # ---------------------------------------------------------------------------
 # Rendering
 # ---------------------------------------------------------------------------
@@ -677,6 +723,8 @@ _SPEC_RANGE_CASES = {
     ('{"stages": ["synth"], "spec": {"primitives": [{"shape": "box"}]}}', 4),
     ('{"layer_budgets": 5}', 4),
     ('{"layer_budgets": "12"}', 4),
+    ('{"layer_budgets": [1000]}', 2),
+    ('{"layer_budgets": []}', 2),
     ('{"seed": 1.9}', 4),
     ('{"stages": ["eval"]}', 2),
     ('{"spec": {"primitives": [{"shape": "cone", "class": "a", '
@@ -698,17 +746,22 @@ _SPEC_RANGE_CASES = {
       for spec in _SPEC_RANGE_CASES.values()],
 ], ids=["invalid_json", "not_an_object", "string_seed", "spec_not_an_object",
         "primitive_without_class", "scalar_budgets", "string_budgets",
-        "fractional_seed", "eval_without_voxelize", "spec_unknown_shape",
+        "one_budget_two_densifies", "no_budget_two_densifies", "fractional_seed", "eval_without_voxelize", "spec_unknown_shape",
         "spec_flat_box", "threads_key", "heads_key", "select_mode_key",
         "refine_which_key", "gamma_key", "occlusion_margin_key", "tau_occ_key",
         "cutoff_key", "view_waves_key", "negative_seed_no_stages",
         "negative_depth_noise_no_stages", *_SPEC_RANGE_CASES])
-def test_malformed_pipeline_config_exit_code(tmp_path, capsys, text, code):
+def test_malformed_pipeline_config_exit_code(tmp_path, capsys, monkeypatch,
+                                             text, code):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(text)
-    # no stage runs: `--stages ""` empties the list, except where the
-    # config's own stage list is what is malformed
-    no_stages = [] if '"stages"' in text else ["--stages", ""]
+    # each case fails before the first stage runs
+    monkeypatch.setattr("fgs.pipeline.gen_scene",
+                        lambda spec: pytest.fail("the synth stage ran"))
+    # `--stages ""` empties the list, except where the config's own stage
+    # list, or its budgets for the default one, is what is malformed
+    no_stages = ([] if '"stages"' in text or '"layer_budgets"' in text
+                 else ["--stages", ""])
     got, payload, err = _run(capsys, ["pipeline", "--config", str(cfg_path),
                                       *no_stages])
     assert got == code and payload is None

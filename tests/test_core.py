@@ -18,7 +18,7 @@ import pytest
 
 from fgs.core import (CameraView, GaussianScene, Z_NEAR, backproject, covariance3d,
                       depth_validity, project_points, quats_to_rotmats,
-                      rig_feature_dim)
+                      rig_feature_dim, unit_quats)
 from fgs.errors import InvalidInputError
 from fgs.raster import _project_scene
 
@@ -81,6 +81,26 @@ def test_zero_norm_quaternion_is_refused():
         GaussianScene(quat=[[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]], **kw)
     scene = GaussianScene(quat=[[3.0, 4.0, 0.0, 0.0], [0.0, 0.0, 0.0, 2.0]], **kw)
     npt.assert_allclose(np.linalg.norm(scene.quat, axis=1), 1.0)
+
+
+def test_quaternion_norm_past_float64_overflow():
+    """A finite row's norm overflows from about 1.3e154; scaled by a power of
+    two first, (1e200, 0, 0, 0) is the identity rotation, not the zero
+    quaternion, and rows below 2^500 keep the bits of q / |q|."""
+    big = np.array([[1e200, 0.0, 0.0, 0.0], [-3.0 * 2.0**900, 2.0**902, 0.0, 0.0]])
+    unit, zero = unit_quats(big)
+    npt.assert_array_equal(unit, [[1.0, 0.0, 0.0, 0.0], [-0.6, 0.8, 0.0, 0.0]])
+    assert not zero.any()
+    npt.assert_array_equal(quats_to_rotmats(big[:1])[0], np.eye(3))
+    kw = dict(mu=np.zeros((2, 3)), scale=np.ones((2, 3)), opacity=np.full(2, 0.5),
+              feature=np.zeros((2, 1)))
+    npt.assert_array_equal(GaussianScene(quat=big, **kw).quat, unit)
+    qs = np.random.default_rng(5).normal(size=(50, 4)) * 10.0 ** np.arange(-5, 145, 3)[:, None]
+    qs[7] = 0.0
+    unit, zero = unit_quats(qs)
+    npt.assert_array_equal(zero, np.arange(50) == 7)
+    keep = ~zero
+    npt.assert_array_equal(unit[keep], qs[keep] / np.linalg.norm(qs[keep], axis=1)[:, None])
 
 
 def test_quat_rotation_matches_conjugation_oracle():

@@ -17,7 +17,7 @@ import numpy.testing as npt
 import pytest
 
 from fgs.core import CameraView, GaussianScene
-from fgs.errors import FormatError, InvalidInputError
+from fgs.errors import FormatError, InvalidInputError, NumericalDegeneracyError
 from fgs.io import (json_float, json_int, load_bank, load_depth_plane,
                     load_plane, load_points, load_rig, load_scene, load_tensors,
                     load_voxel_grid, read_object, save_bank, save_depth_plane, save_plane, save_points,
@@ -59,6 +59,17 @@ def test_scene_save_is_byte_deterministic(tmp_path):
     save_scene(a, scene)
     save_scene(b, scene)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_scene_past_float32_range_is_refused_before_writing(tmp_path):
+    """A finite scale of 1e39 would be stored as inf, which `load_scene`
+    refuses; `save_scene` refuses it first and leaves no file."""
+    scene = _scene(np.random.default_rng(2))
+    big = scene.replace(scale=np.where(np.arange(3) == 1, 1e39, scene.scale))
+    path = tmp_path / "big.fgs"
+    with pytest.raises(NumericalDegeneracyError, match="float32"):
+        save_scene(path, big)
+    assert not path.exists()
 
 
 def test_scene_empty_roundtrip(tmp_path):

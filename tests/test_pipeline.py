@@ -152,6 +152,11 @@ def test_config_validation():
     with pytest.raises(InvalidInputError):
         PipelineConfig(stages=("eval",))
     assert PipelineConfig().stages == DEFAULT_STAGES
+    # one budget per densify stage; a config that grows no layer needs none
+    for budgets in ((), (1000,)):
+        with pytest.raises(InvalidInputError, match="2 densify stages"):
+            PipelineConfig(layer_budgets=budgets)
+    PipelineConfig(stages=("synth", "init", "refine"), layer_budgets=())
 
 
 def test_config_checks_its_fixture_spec_when_built():
