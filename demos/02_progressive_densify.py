@@ -13,24 +13,24 @@ the originally selected pixels collapses.
 
 import numpy as np
 
-from fgs import (DensifyConfig, densify_layer, fps, fps_oracle,
+from fgs import (densify_layer, fps, fps_oracle,
                  missing_wall_fixture, render, selection_residual)
 
 fix = missing_wall_fixture(seed=0)
 scene, views = fix.scene, fix.views
 print(f"scene without the east wall: {len(scene)} Gaussians")
 
-# Render every reference view once and grow layer 1.  densify_layer marks
-# the pixels whose rendered depth exceeds the reference by more than gamma
-# (signed mode: only overshoot counts -- the scene seeing *past* a surface
-# it should hit) and reports the mean |rendered - reference| over them.
-cfg = DensifyConfig(gamma=0.2, layer_budgets=(1000,),
-                    feature_dim=scene.feature_dim)
+# Render every reference view once and grow layer 1 on a budget of 1000
+# Gaussians.  densify_layer marks the pixels whose rendered depth exceeds
+# the reference by more than gamma (only overshoot counts -- the scene
+# seeing *past* a surface it should hit) and reports the mean
+# |rendered - reference| over them.
+budget = 1000
 renders = [render(scene, v) for v in views]
-grown, report = densify_layer(scene, views, cfg, renders=renders)
+grown, report = densify_layer(scene, views, budget, renders=renders)
 print(f"under-represented pixels per view: {report.selected_per_view}")
 print(f"candidates pooled: {report.candidate_points}, "
-      f"added: {report.added} (budget {cfg.layer_budgets[0]})")
+      f"added: {report.added} (budget {budget})")
 after = selection_residual([render(grown, v) for v in views], views,
                            report.selected)
 print(f"selection residual: {report.residual_before:.3f} m -> {after:.3f} m")

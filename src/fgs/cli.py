@@ -85,10 +85,11 @@ def cmd_init(args) -> int:
 def cmd_densify(args) -> int:
     views = load_rig(args.rig)
     scene = load_scene(args.scene)
-    cfg = DensifyConfig(gamma=args.gamma,
-                        layer_budgets=tuple([args.budget] * scene.layer_count),
-                        feature_dim=rig_feature_dim(views, DensifyConfig.feature_dim))
-    grown, report = densify_layer(scene, views, cfg)
+    width = rig_feature_dim(views, scene.feature_dim)
+    if width != scene.feature_dim:
+        raise InvalidInputError(f"the rig's {width}-wide feature planes do not "
+                                f"match a scene of width {scene.feature_dim}")
+    grown, report = densify_layer(scene, views, args.budget, gamma=args.gamma)
     _outdir(args.out)
     save_scene(args.out, grown)
     geometry = grown.geometry()
@@ -296,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--rig", required=True)
     s.add_argument("--scene", required=True)
     s.add_argument("--out", required=True)
-    s.add_argument("--budget", type=int, default=DensifyConfig.layer_budgets[0])
+    s.add_argument("--budget", type=int, default=PipelineConfig.layer_budgets[0])
     s.add_argument("--gamma", type=float, default=GAMMA)
     s.set_defaults(func=cmd_densify)
 

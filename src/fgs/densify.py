@@ -12,6 +12,7 @@ scene.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,18 +28,27 @@ INIT_SCALE = 0.2     # isotropic stddev (m) of freshly spawned Gaussians
 INIT_OPACITY = 0.5
 
 
+def check_budget(*budgets) -> None:
+    """Base counts and layer budgets are positive integers."""
+    if any(not isinstance(b, numbers.Integral) or b <= 0 for b in budgets):
+        raise InvalidInputError(
+            "base count and layer budgets must be positive integers")
+
+
+def _check_gamma(gamma) -> None:
+    if not 0 < gamma < np.inf:
+        raise InvalidInputError("gamma must be positive and finite")
+
+
 @dataclass
 class DensifyConfig:
-    gamma: float = GAMMA
+    """Base init's settings: how many Gaussians it picks, and their width."""
+
     base_count: int = 4000
-    layer_budgets: tuple[int, ...] = (1000, 1000)
     feature_dim: int = 16
 
     def __post_init__(self):
-        if not 0 < self.gamma < np.inf:
-            raise InvalidInputError("gamma must be positive and finite")
-        if self.base_count <= 0 or any(b <= 0 for b in self.layer_budgets):
-            raise InvalidInputError("base count and layer budgets must be positive")
+        check_budget(self.base_count)
 
 
 # Mean points per grid cell in `fps`.  It sets the speed, never the picks:
@@ -175,13 +185,13 @@ def pooled_backprojection(views: list[CameraView]) -> np.ndarray:
     return np.concatenate(clouds, axis=0)
 
 
-def _spawn(points: np.ndarray, cfg: DensifyConfig):
+def _spawn(points: np.ndarray, feature_dim: int):
     k = points.shape[0]
     return (points,
             np.full((k, 3), INIT_SCALE),
             np.tile(IDENTITY_QUAT, (k, 1)),
             np.full(k, INIT_OPACITY),
-            np.zeros((k, cfg.feature_dim)))
+            np.zeros((k, feature_dim)))
 
 
 def base_init(views: list[CameraView], cfg: DensifyConfig) -> GaussianScene:
@@ -195,7 +205,7 @@ def base_init(views: list[CameraView], cfg: DensifyConfig) -> GaussianScene:
         raise InsufficientPointsError(
             f"pseudo cloud has {cloud.shape[0]} points, need {cfg.base_count}")
     picks = fps(cloud, cfg.base_count)
-    mu, s, q, o, f = _spawn(cloud[picks], cfg)
+    mu, s, q, o, f = _spawn(cloud[picks], cfg.feature_dim)
     return GaussianScene(mu, s, q, o, f, (cfg.base_count,))
 
 
@@ -209,8 +219,9 @@ def select_under_represented(rendered: RenderOutput, ref_depth: np.ndarray,
     has nothing at the reference surface there.  Pixels the render leaves
     invalid count as a +infinity residual.  Pixels without valid reference
     depth (`ref_valid`, or `depth_validity`'s rule when it is None) are
-    never selected.
+    never selected.  `gamma` must be positive and finite.
     """
+    _check_gamma(gamma)
     ref_depth = np.asarray(ref_depth, dtype=np.float64)
     if ref_depth.shape != rendered.depth.shape:
         raise InvalidInputError("reference/rendered shapes differ")
@@ -254,26 +265,25 @@ class DensifyReport:
     residual_before: float = float("inf")
 
 
-def densify_layer(scene: GaussianScene, views: list[CameraView], cfg: DensifyConfig,
-                  renders: list[RenderOutput] | None = None):
-    """Grow one layer; returns (grown scene, DensifyReport).
+def densify_layer(scene: GaussianScene, views: list[CameraView], budget: int,
+                  renders: list[RenderOutput] | None = None,
+                  gamma: float = GAMMA):
+    """Grow one layer of at most `budget` Gaussians; returns (grown scene,
+    DensifyReport).
 
-    The new layer's index b is the scene's current layer count, and its
-    budget is `cfg.layer_budgets[b - 1]`.  Candidate pixels from every view
-    are backprojected and pooled; an FPS subset of at most that budget
-    becomes fresh Gaussians appended after the existing ones (which stay
-    byte-identical).  An empty candidate set yields a zero-growth layer, not
-    an error.  Pre-computed `renders` (one per view, same order) are used
-    when given; only their depth and validity are read, so renders of
-    `scene.geometry()` serve.
+    The new layer's index is the scene's current layer count.  Pixels that
+    `select_under_represented` picks at `gamma` in every view are
+    backprojected and pooled; an FPS subset of at most `budget` becomes
+    fresh Gaussians of the scene's feature width, appended after the
+    existing ones (which stay byte-identical).  An empty candidate set
+    yields a zero-growth layer, not an error.  Pre-computed `renders` (one
+    per view, same order) are used when given; only their depth and
+    validity are read, so renders of `scene.geometry()` serve.  `budget`
+    and `gamma` are checked before anything is rendered.
     """
+    check_budget(budget)
+    _check_gamma(gamma)
     layer = scene.layer_count
-    if layer > len(cfg.layer_budgets):
-        raise InvalidInputError(f"no budget configured for layer {layer}")
-    if cfg.feature_dim != scene.feature_dim:
-        raise InvalidInputError("config feature_dim does not match the scene")
-    budget = cfg.layer_budgets[layer - 1]
-
     report = DensifyReport(layer=layer)
     geometry = scene.geometry()
     clouds, used = [], []
@@ -283,7 +293,7 @@ def densify_layer(scene: GaussianScene, views: list[CameraView], cfg: DensifyCon
             sel = np.zeros((v.height, v.width), dtype=bool)
         else:
             out = renders[vi] if renders is not None else render(geometry, v)
-            sel = select_under_represented(out, v.ref_depth, v.ref_valid, cfg.gamma)
+            sel = select_under_represented(out, v.ref_depth, v.ref_valid, gamma)
         used.append(out)
         report.selected.append(sel)
         report.selected_per_view.append(int(np.count_nonzero(sel)))
@@ -295,4 +305,4 @@ def densify_layer(scene: GaussianScene, views: list[CameraView], cfg: DensifyCon
     report.candidate_points = int(pool.shape[0])
     report.added = min(budget, pool.shape[0])
     picks = fps(pool, report.added) if report.added else []
-    return scene.with_layer(*_spawn(pool[picks], cfg)), report
+    return scene.with_layer(*_spawn(pool[picks], scene.feature_dim)), report

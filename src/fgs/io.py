@@ -18,6 +18,7 @@ import math
 import numbers
 import os
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -217,9 +218,14 @@ def load_points(path) -> np.ndarray:
             return data.astype(np.float64).reshape(n, 3)
     # fall back to whitespace XYZ text
     try:
-        pts = np.loadtxt(path, dtype=np.float64, ndmin=2)
+        with warnings.catch_warnings():
+            # a text with no rows warns, and is refused below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            pts = np.loadtxt(path, dtype=np.float64, ndmin=2)
     except ValueError as e:
         raise FormatError(f"{path}: neither a PNTS binary nor XYZ text ({e})") from e
+    if pts.size == 0:
+        raise FormatError(f"{path}: XYZ text holds no points")
     if pts.shape[1] != 3:
         raise FormatError(f"{path}: expected 3 columns, got {pts.shape[1]}")
     return pts

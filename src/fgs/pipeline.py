@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import CameraView, GaussianScene, project_points, rig_feature_dim
-from .densify import (DensifyConfig, base_init, densify_layer,
+from .densify import (DensifyConfig, base_init, check_budget, densify_layer,
                       selection_residual)
 # perfbench's tracer wraps select_under_represented on this module too.
 from .densify import select_under_represented  # noqa: F401
@@ -84,6 +84,8 @@ class PipelineConfig:
 
     `seed` names the fixture: the stock room of that seed, or `spec` with
     its seed replaced.  Left at None, it is the spec's seed, else 0.
+    Init picks `base_count` Gaussians, and densify round b adds at most
+    `layer_budgets[b - 1]`.
     """
 
     stages: tuple[str, ...] = DEFAULT_STAGES
@@ -95,7 +97,7 @@ class PipelineConfig:
     out_dir: str | None = None
     spec: SynthSpec | None = None
     base_count: int = DensifyConfig.base_count
-    layer_budgets: tuple[int, ...] = DensifyConfig.layer_budgets
+    layer_budgets: tuple[int, ...] = (1000, 1000)
 
     def __post_init__(self):
         if self.seed is None:
@@ -106,7 +108,7 @@ class PipelineConfig:
         # The stages' own checks, so that a bad setting fails here and not
         # after the stages before it have run.
         self.fixture_spec()
-        self.densify_config()
+        check_budget(self.base_count, *self.layer_budgets)
         grows = self.stages.count("densify")
         if grows > len(self.layer_budgets):
             raise InvalidInputError(
@@ -119,12 +121,6 @@ class PipelineConfig:
         if self.spec is None:
             return room_spec(self.seed)
         return replace(self.spec, seed=self.seed)
-
-    def densify_config(self, feature_dim: int = DensifyConfig.feature_dim) -> DensifyConfig:
-        """The growth settings, checked by DensifyConfig itself."""
-        return DensifyConfig(base_count=self.base_count,
-                             layer_budgets=self.layer_budgets,
-                             feature_dim=feature_dim)
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
@@ -211,7 +207,6 @@ class _State:
     renders: list[RenderOutput] = field(default_factory=list)
     bank: TextBank | None = None
     gt: VoxelGrid | None = None
-    dconf: DensifyConfig | None = None
     scene: GaussianScene | None = None
     pred: VoxelGrid | None = None
 
@@ -247,10 +242,11 @@ def _synth(st: _State) -> dict:
 
 
 def _init(st: _State) -> dict:
-    c, active = st.config, st.arrive(0)
-    st.dconf = c.densify_config(rig_feature_dim(active, DensifyConfig.feature_dim))
+    active = st.arrive(0)
+    cfg = DensifyConfig(base_count=st.config.base_count,
+                        feature_dim=rig_feature_dim(active, DensifyConfig.feature_dim))
     t0 = time.perf_counter()
-    st.scene = base_init(active, st.dconf)
+    st.scene = base_init(active, cfg)
     grow_s = time.perf_counter() - t0
     # backproject emits one pseudo-cloud point per valid pixel
     st.render_active({"cloud_points": sum(int(np.count_nonzero(v.ref_valid))
@@ -267,7 +263,8 @@ def _densify(st: _State) -> dict:
     # unexplained pixels can be selected.
     st.renders += _render_views(st.scene.geometry(), active[len(st.renders):])
     t0 = time.perf_counter()
-    st.scene, growth = densify_layer(st.scene, active, st.dconf,
+    st.scene, growth = densify_layer(st.scene, active,
+                                     st.config.layer_budgets[layer - 1],
                                      renders=st.renders)
     st.render_active({"cloud_points": growth.candidate_points,
                       "picks": growth.added,

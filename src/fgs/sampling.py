@@ -222,10 +222,10 @@ def bilinear_sample(plane: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarr
 
 
 def check_occlusion_margin(occlusion_margin) -> None:
-    """An occlusion margin is None or a finite distance."""
-    if occlusion_margin is not None and not np.isfinite(occlusion_margin):
-        raise InvalidInputError(
-            f"occlusion margin must be finite, got {occlusion_margin}")
+    """An occlusion margin is None or a finite distance of at least 0."""
+    if occlusion_margin is not None and not 0 <= occlusion_margin < np.inf:
+        raise InvalidInputError(f"occlusion margin must be finite and "
+                                f"non-negative, got {occlusion_margin}")
 
 
 def sample_features(points: np.ndarray, views: list[CameraView],

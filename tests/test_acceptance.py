@@ -57,7 +57,7 @@ import pytest
 
 from fgs.attention import AttentionWeights, asa_forward
 from fgs.core import CameraView, GaussianScene, covariance3d
-from fgs.densify import (DensifyConfig, densify_layer, fps, fps_oracle,
+from fgs.densify import (densify_layer, fps, fps_oracle,
                          select_under_represented)
 from fgs.losses import (LossComponents, LossWeights, feat_loss, l1_depth,
                         photometric_temporal, silog, total_loss)
@@ -226,9 +226,7 @@ def test_criterion_03_selection_sound_and_densify_progresses():
     unsound = sum(int(np.sum((out.depth - v.ref_depth)[m & out.valid] <= 0.2))
                   for out, v, m in zip(renders, views, masks))
 
-    cfg = DensifyConfig(gamma=0.2, layer_budgets=(1000,),
-                        feature_dim=scene.feature_dim)
-    grown, _ = densify_layer(scene, views, cfg, renders=renders)
+    grown, _ = densify_layer(scene, views, 1000, renders=renders)
     after_renders = [render(grown, v) for v in views]
     before, _ = _selection_residual(renders, views, masks)
     after, _ = _selection_residual(after_renders, views, masks)

@@ -77,10 +77,8 @@ def valid_files(tmp_path_factory):
     return root, raw
 
 
-# Damaged floats may be signalling NaNs, and a points file cut to nothing
-# reads as empty text; both warn on the way to their error.
-@pytest.mark.filterwarnings("ignore:invalid value encountered in cast",
-                            "ignore:loadtxt")
+# Damaged floats may be signalling NaNs, which warn on the way to their error.
+@pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
 @pytest.mark.parametrize("kind", sorted(FORMATS))
 @EXAMPLES
 @given(data=st.data())

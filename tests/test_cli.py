@@ -216,6 +216,60 @@ def test_mixed_feature_widths_refused_by_init_and_densify(fixture_dir, tmp_path,
         assert not out.exists()
 
 
+def _narrow_scene(path):
+    """A 20-Gaussian scene whose features are 3 wide."""
+    rng = np.random.default_rng(0)
+    save_scene(str(path), GaussianScene(
+        rng.uniform(-1.0, 1.0, (20, 3)), np.full((20, 3), 0.1),
+        np.tile([1.0, 0.0, 0.0, 0.0], (20, 1)), np.full(20, 0.5),
+        np.zeros((20, 3))))
+    return str(path)
+
+
+def test_densify_rig_of_other_feature_width_exit_2(fixture_dir, tmp_path,
+                                                   capsys):
+    """The rig's planes are 8 wide; a 3-wide scene cannot grow from them."""
+    out = tmp_path / "grown.fgs"
+    code, payload, err = _run(capsys, [
+        "densify", "--rig", str(fixture_dir / "rig.json"),
+        "--scene", _narrow_scene(tmp_path / "narrow.fgs"), "--out", str(out)])
+    assert code == 2 and payload is None and "invalid input" in err
+    assert not out.exists()
+
+
+def test_densify_rig_without_feature_planes_keeps_the_scene_width(
+        fixture_dir, tmp_path, capsys):
+    """With no feature plane in the rig, the new rows take the scene's width."""
+    rig = str(fixture_dir / "rig.json")
+    base = tmp_path / "base.fgs"
+    assert main(["init", "--rig", rig, "--out", str(base), "--count", "80",
+                 "--quiet"]) == 0
+    bare = str(tmp_path / "bare.json")
+    save_rig(bare, [replace(v, ref_feature=None) for v in load_rig(rig)])
+    out = tmp_path / "grown.fgs"
+    code, payload, _ = _run(capsys, ["densify", "--rig", bare, "--scene",
+                                     str(base), "--out", str(out),
+                                     "--budget", "40"])
+    assert code == 0 and payload["added_count"] > 0
+    grown = load_scene(str(out))
+    assert grown.feature.shape == (80 + payload["added_count"], 8)
+
+
+@pytest.mark.parametrize("flag", ["--budget=0", "--budget=-1", "--gamma=0",
+                                  "--gamma=-0.2", "--gamma=nan", "--gamma=inf"])
+def test_densify_bad_budget_or_gamma_exit_2(fixture_dir, tmp_path, capsys,
+                                            monkeypatch, flag):
+    """Refused before the first selection render."""
+    monkeypatch.setattr("fgs.densify.render",
+                        lambda *a: pytest.fail("densify rendered"))
+    out = tmp_path / "grown.fgs"
+    code, payload, err = _run(capsys, ["densify", "--rig", str(fixture_dir / "rig.json"),
+                                       "--scene", str(fixture_dir / "scene.fgs"),
+                                       "--out", str(out), flag])
+    assert code == 2 and payload is None and "invalid input" in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # Refinement
 # ---------------------------------------------------------------------------
@@ -269,14 +323,9 @@ def test_refine_with_heads_file(fixture_dir, tmp_path, capsys):
 def test_refine_scene_of_other_feature_width_exit_2(fixture_dir, tmp_path,
                                                     capsys):
     """The rig's planes are 8 wide; a 3-wide scene cannot take them."""
-    rng = np.random.default_rng(0)
-    scene = tmp_path / "narrow.fgs"
-    save_scene(str(scene), GaussianScene(
-        rng.uniform(-1.0, 1.0, (20, 3)), np.full((20, 3), 0.1),
-        np.tile([1.0, 0.0, 0.0, 0.0], (20, 1)), np.full(20, 0.5),
-        np.zeros((20, 3))))
+    scene = _narrow_scene(tmp_path / "narrow.fgs")
     code, _, err = _run(capsys, ["refine", "--rig", str(fixture_dir / "rig.json"),
-                                 "--scene", str(scene),
+                                 "--scene", scene,
                                  "--out", str(tmp_path / "r.fgs")])
     assert code == 2 and "3" in err and "8" in err
 
@@ -295,7 +344,9 @@ def test_refine_heads_of_other_feature_width_exit_2(fixture_dir, tmp_path,
     assert code == 2 and "4-wide" in err
 
 
-@pytest.mark.parametrize("margin", ["nan", "inf", "-inf"])
+# a negative margin, too, is refused: it would drop the samples lying on
+# the visible surface
+@pytest.mark.parametrize("margin", ["nan", "inf", "-inf", "-1", "-1e-9"])
 def test_refine_non_finite_occlusion_margin_exit_2(fixture_dir, tmp_path,
                                                    capsys, margin):
     code, _, err = _run(capsys, ["refine", "--rig", str(fixture_dir / "rig.json"),
@@ -601,6 +652,20 @@ def test_retrieve_non_finite_point_exit_2(fixture_dir, tmp_path, capsys):
                                        "--points", str(pts)])
     assert code == 2 and payload is None
     assert "invalid input" in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text", ["", "# x y z\n", "\n  \n"])
+def test_retrieve_points_text_without_rows_exit_4(fixture_dir, tmp_path, capsys,
+                                                  text):
+    pts = tmp_path / "pts.txt"
+    pts.write_text(text)
+    code, payload, err = _run(capsys, ["retrieve",
+                                       "--scene", str(fixture_dir / "scene.fgs"),
+                                       "--bank", str(fixture_dir / "bank.json"),
+                                       "--points", str(pts)])
+    assert code == 4 and payload is None
+    assert "holds no points" in err and "Warning" not in err
 
 
 def test_loss_breakdown(fixture_dir, capsys):
@@ -914,7 +979,6 @@ _BINARY_INPUTS = {
 }
 
 
-@pytest.mark.filterwarnings("ignore:loadtxt")
 @pytest.mark.parametrize("command", sorted(_BINARY_INPUTS))
 def test_damaged_binary_input_exit_code(fixture_dir, tmp_path, capsys, command):
     """A fixed set of damaged copies of the file the command reads: cut at

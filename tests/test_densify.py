@@ -359,8 +359,7 @@ def test_selected_set_equals_masked_residual_region():
 
 def test_densify_layer_budget_membership_and_prefix():
     scene, view, hole = _wall_fixture()
-    cfg = DensifyConfig(layer_budgets=(100,), feature_dim=4)
-    grown, report = densify_layer(scene, [view], cfg)
+    grown, report = densify_layer(scene, [view], 100)
     npt.assert_array_equal(report.selected[0], hole)
     assert report.selected_per_view == [int(hole.sum())]
     assert report.candidate_points == int(hole.sum())
@@ -383,8 +382,7 @@ def test_densify_layer_budget_membership_and_prefix():
 def test_densify_layer_masks_views_without_reference_depth():
     scene, view, hole = _wall_fixture()
     blind = replace(view, ref_depth=None, ref_valid=None)
-    cfg = DensifyConfig(layer_budgets=(100,), feature_dim=4)
-    grown, report = densify_layer(scene, [blind, view], cfg)
+    grown, report = densify_layer(scene, [blind, view], 100)
     assert report.selected_per_view == [0, int(hole.sum())]
     assert report.selected[0].shape == hole.shape and not report.selected[0].any()
     after = selection_residual([render(grown, v) for v in (blind, view)],
@@ -394,8 +392,7 @@ def test_densify_layer_masks_views_without_reference_depth():
 
 def test_densify_layer_takes_all_candidates_under_budget():
     scene, view, hole = _wall_fixture()
-    cfg = DensifyConfig(layer_budgets=(10 ** 6,), feature_dim=4)
-    grown, _ = densify_layer(scene, [view], cfg)
+    grown, _ = densify_layer(scene, [view], 10 ** 6)
     assert len(grown) == len(scene) + int(hole.sum())
 
 
@@ -404,8 +401,7 @@ def test_densify_layer_zero_growth_on_perfect_scene():
     cam = _camera()
     out = render(scene, cam)
     view = replace(cam, ref_depth=out.depth.copy(), ref_valid=out.valid.copy())
-    cfg = DensifyConfig(layer_budgets=(50,), feature_dim=4)
-    grown, report = densify_layer(scene, [view], cfg)
+    grown, report = densify_layer(scene, [view], 50)
     assert len(grown) == len(scene)
     assert grown.layer_offsets == (len(scene), len(scene))
     assert report.added == 0 and report.candidate_points == 0
@@ -413,29 +409,47 @@ def test_densify_layer_zero_growth_on_perfect_scene():
 
 def test_densify_layer_accepts_precomputed_renders():
     scene, view, _ = _wall_fixture()
-    cfg = DensifyConfig(layer_budgets=(64,), feature_dim=4)
-    direct, _ = densify_layer(scene, [view], cfg)
-    cached, _ = densify_layer(scene, [view], cfg, renders=[render(scene, view)])
+    direct, _ = densify_layer(scene, [view], 64)
+    cached, _ = densify_layer(scene, [view], 64, renders=[render(scene, view)])
     npt.assert_array_equal(direct.mu, cached.mu)
 
 
-def test_densify_layer_validates_arguments():
+def test_densify_layer_new_rows_take_the_scene_width():
+    """The grown rows are as wide as the scene's features, whatever feature
+    planes the rig has (here none); each growth call spends its own budget."""
     scene, view, _ = _wall_fixture()
-    cfg = DensifyConfig(layer_budgets=(64,), feature_dim=4)
-    grown, report = densify_layer(scene, [view], cfg)
-    assert report.layer == 1 and grown.layer_count == 2
-    with pytest.raises(InvalidInputError, match="no budget configured for layer 2"):
-        densify_layer(grown, [view], cfg)
-    bad = DensifyConfig(layer_budgets=(64,), feature_dim=9)
-    with pytest.raises(InvalidInputError):
-        densify_layer(scene, [view], bad)
+    assert view.ref_feature is None and scene.feature_dim == 4
+    grown, report = densify_layer(scene, [view], 64)
+    regrown, again = densify_layer(grown, [view], 8)
+    assert (report.layer, again.layer) == (1, 2) and regrown.layer_count == 3
+    assert grown.feature.shape == (len(scene) + 64, 4)
+    assert regrown.feature.shape == (len(grown) + again.added, 4)
+    npt.assert_array_equal(regrown.feature[len(scene):], 0.0)
+
+
+def test_densify_layer_validates_arguments(monkeypatch):
+    """A budget that is not a positive integer, or a gamma that is not
+    positive and finite, is refused before anything is rendered."""
+    scene, view, _ = _wall_fixture()
+    monkeypatch.setattr("fgs.densify.render",
+                        lambda *a: pytest.fail("densify_layer rendered"))
+    for budget in (0, -1, 2.5):
+        with pytest.raises(InvalidInputError, match="budgets must be positive"):
+            densify_layer(scene, [view], budget)
+    for gamma in (0.0, -0.2, np.nan, np.inf, -np.inf):
+        with pytest.raises(InvalidInputError, match="positive and finite"):
+            densify_layer(scene, [view], 64, gamma=gamma)
+
+
+@pytest.mark.parametrize("gamma", [0.0, -0.2, np.nan, np.inf, -np.inf])
+def test_selection_refuses_a_gamma_not_positive_and_finite(gamma):
+    ref = np.full((2, 2), 5.0)
+    out = _made_output(np.full((2, 2), 9.0), np.ones((2, 2), dtype=bool))
+    with pytest.raises(InvalidInputError, match="positive and finite"):
+        select_under_represented(out, ref, None, gamma)
 
 
 def test_densify_config_validation():
-    with pytest.raises(InvalidInputError):
-        DensifyConfig(gamma=0.0)
-    with pytest.raises(InvalidInputError):
-        DensifyConfig(layer_budgets=(100, 0))
-    for value in (float("nan"), float("inf")):
-        with pytest.raises(InvalidInputError, match="finite"):
-            DensifyConfig(gamma=value)
+    for count in (0, -3, 2.0):
+        with pytest.raises(InvalidInputError, match="budgets must be positive"):
+            DensifyConfig(base_count=count)

@@ -221,6 +221,12 @@ def test_sample_features_occlusion_margin():
                   ref_valid=np.zeros((48, 64), dtype=bool))
     _, unknown = sample_features(behind, [shy], occlusion_margin=0.5)
     assert unknown[0, 0]
+    # a margin of 0 gates at the surface itself; a negative one is refused
+    on_surface = np.array([[0.0, 0.0, 2.0]])
+    assert sample_features(on_surface, [cam], occlusion_margin=0.0)[1][0, 0]
+    for margin in (-1.0, -1e-9, np.nan, np.inf):
+        with pytest.raises(InvalidInputError, match="occlusion margin"):
+            sample_features(on_surface, [cam], occlusion_margin=margin)
 
 
 # ---------------------------------------------------------------------------
