@@ -214,6 +214,8 @@ def load_points(path) -> np.ndarray:
         head = f.read(4)
         if head == POINTS_MAGIC:
             (n,) = struct.unpack("<I", _read_exact(f, 4, "point count"))
+            if n == 0:
+                raise FormatError(f"{path}: PNTS binary holds no points")
             data = np.frombuffer(_read_exact(f, 12 * n, "points"), dtype="<f4")
             return data.astype(np.float64).reshape(n, 3)
     # fall back to whitespace XYZ text

@@ -35,9 +35,10 @@ item i of a batch is tile i's own call, on its own rows and its 64 pixels
 with the strides of a call for it alone, so its bits are that call's on
 whichever BLAS kernel runs.  K is the tiles' real rows, never the step's
 n: zero-weight pad rows in a GEMV move depth bits.  A tile clipped by the
-image edge is a run of its own and is summed over its in-image pixels in row-major order.  Which
-tiles share a group or a run, and how many pad rows a step carries, cannot
-change a bit.
+image edge takes the same path on its full lattice: its pixels outside the
+image start with T = 0, so their weights are exactly 0, and they are never
+written out.  Which tiles share a group or a run, and how many pad rows a
+step carries, cannot change a bit.
 
 The tile (`TILE`) is 8x8 because most evaluated pairs have alpha 0: the 34 seed-0
 pipeline renders evaluate 92.9 M pairs on 8x8 tiles and 155.4 M on 16x16.
@@ -288,11 +289,10 @@ def _alpha_block(proj: _ProjectedArrays, rows, us, vs):
     return q
 
 
-def _runs(count, clipped):
+def _runs(count):
     """The runs of one blend step, as (start, stop) slices of its tiles:
-    the maximal slices of tiles with equal row counts `count`, where a tile
-    `clipped` by the image edge is a run of its own."""
-    cut = np.flatnonzero(clipped[1:] | clipped[:-1] | (count[1:] != count[:-1])) + 1
+    the maximal slices of tiles with equal row counts `count`."""
+    cut = np.flatnonzero(count[1:] != count[:-1]) + 1
     edges = [0, *cut.tolist(), count.size]
     return list(zip(edges[:-1], edges[1:]))
 
@@ -311,9 +311,9 @@ def _blend_group(proj, feature, rows, nrows, x0, y0, w, h, out, work):
     The blend reads alpha as (n, B, P), so that each row of a step is one
     contiguous array.  A step's depth and feature sums take one batched
     `matmul` each per run of tiles of equal row count (`_runs`), over
-    `wgt[:g, s:e]` with g the run's rows; only a tile clipped by the image
-    edge is summed alone.  A tile that stops writes its sums to `out` (num,
-    den, feat, zmin, zmax) and leaves the group.  `work` holds three
+    `wgt[:g, s:e]` with g the run's rows, whether or not the image edge
+    clips a tile of the run.  A tile that stops writes its sums to `out`
+    (num, den, feat, zmin, zmax) and leaves the group.  `work` holds three
     buffers of at least 64 * B * P floats.  Returns the (row, pixel) pairs
     evaluated, padding excluded, and the pad row's (row, lattice pixel)
     entries.
@@ -321,12 +321,10 @@ def _blend_group(proj, feature, rows, nrows, x0, y0, w, h, out, work):
     b, p, fdim = x0.size, TILE * TILE, feature.shape[1]
     lattice = np.arange(TILE)
     xs, ys = x0[:, None] + lattice, y0[:, None] + lattice       # (B, TILE)
-    tw, th = np.minimum(TILE, w - x0), np.minimum(TILE, h - y0)
     flat = (ys[:, :, None] * w + xs[:, None, :]).reshape(b, p)
     in_image = ((ys < h)[:, :, None] & (xs < w)[:, None, :]).reshape(b, p)
     us = np.ascontiguousarray(xs.T, dtype=np.float64)[None, :, None, :]
     vs = np.ascontiguousarray(ys.T, dtype=np.float64)[:, None, None, :]
-    clipped = (tw < TILE) | (th < TILE)
     t_run = in_image.astype(np.float64)                # padding: T = 0
     num = np.zeros((b, p))
     den = np.zeros((b, p))
@@ -356,25 +354,15 @@ def _blend_group(proj, feature, rows, nrows, x0, y0, w, h, out, work):
         count = np.minimum(nrows - lo, n)
         # each tile's rows of the step are one contiguous (g, F) block
         fs = feature[proj.src[sub.T]] if fdim else None
-        for s, e in _runs(count, clipped):
+        for s, e in _runs(count):
             g = int(count[s])
-            if clipped[s]:
-                # the tile's rows by its in-image pixels in row-major order:
-                # a view, copied only when the tile is clipped in width
-                ph, pw = int(th[s]), int(tw[s])
-                wi = wgt[:g, s].reshape(g, TILE, TILE)[:, :ph, :pw].reshape(g, ph * pw)
-                num[s].reshape(TILE, TILE)[:ph, :pw] += (z[:g, s] @ wi).reshape(ph, pw)
-                if fdim:
-                    f = fs[s, :g].T @ wi
-                    feat[:, s].reshape(fdim, TILE, TILE)[:, :ph, :pw] += f.reshape(fdim, ph, pw)
-            else:
-                # item i of each batch is tile s + i's own GEMV and GEMM:
-                # the same g, the same 64 pixels, the same strides
-                wr = wgt[:g, s:e].transpose(1, 0, 2)
-                num[s:e] += (z[:g, s:e].T[:, None] @ wr)[:, 0]
-                if fdim:
-                    feat[:, s:e] += (fs[s:e, :g].transpose(0, 2, 1) @ wr).transpose(1, 0, 2)
-        pairs += int(count @ (th * tw))
+            # item i of each batch is tile s + i's own GEMV and GEMM: the
+            # same g, the same 64 lattice pixels, the same strides
+            wr = wgt[:g, s:e].transpose(1, 0, 2)
+            num[s:e] += (z[:g, s:e].T[:, None] @ wr)[:, 0]
+            if fdim:
+                feat[:, s:e] += (fs[s:e, :g].transpose(0, 2, 1) @ wr).transpose(1, 0, 2)
+        pairs += int(count @ in_image.sum(axis=1))
         padded += (n * b - int(count.sum())) * p
         # rows are depth-sorted: the range is the first and last hit row
         # and each pixel's hit rows' largest rank gives its last (first) one
@@ -398,7 +386,7 @@ def _blend_group(proj, feature, rows, nrows, x0, y0, w, h, out, work):
             rows = rows[:, running]
             # kept C-ordered, so that alpha's temporaries are too
             us, vs = (np.ascontiguousarray(x[..., running]) for x in (us, vs))
-            nrows, tw, th, clipped = (x[running] for x in (nrows, tw, th, clipped))
+            nrows = nrows[running]
             flat, in_image, t_run, num, den, feat, zmin, zmax = (
                 x[..., running, :] for x in (flat, in_image, t_run, num, den, feat,
                                              zmin, zmax))

@@ -436,10 +436,15 @@ def eval_miou(pred: VoxelGrid, gt: VoxelGrid, class_ids=None,
 
     IoU_c = TP / (TP + FP + FN) counted over non-ignored voxels.  Classes
     absent from both prediction and ground truth are excluded from the mean;
-    a class present on exactly one side scores 0.
+    a class present on exactly one side scores 0.  The grids must match in
+    shape, origin and voxel size, the last two compared at float32, the
+    precision of a `.voxg` header.
     """
     if pred.labels.shape != gt.labels.shape:
         raise InvalidInputError("prediction/ground-truth grids differ in shape")
+    if (np.any(np.float32(pred.origin) != np.float32(gt.origin))
+            or np.float32(pred.voxel_size) != np.float32(gt.voxel_size)):
+        raise InvalidInputError("prediction/ground-truth grids differ in origin or voxel size")
     keep = np.ones(pred.labels.shape, dtype=bool)
     if ignore is not None:
         ignore = np.asarray(ignore, dtype=bool)

@@ -589,6 +589,25 @@ def test_voxelize_then_eval_miou(fixture_dir, tmp_path, capsys):
                                          payload["evaluated_classes"]}
 
 
+@pytest.mark.parametrize("origin,size", [("-2.4,-2.4,0", "0.4"), ("0,0,0", "0.8")],
+                         ids=["voxel_size", "origin"])
+def test_eval_miou_grid_of_other_voxels_exit_2(fixture_dir, tmp_path, capsys,
+                                               origin, size):
+    """A prediction with the ground truth's dims but other voxels is
+    refused, not scored."""
+    pred_path = tmp_path / "pred.voxg"
+    code, _, _ = _run(capsys, ["voxelize",
+                               "--scene", str(fixture_dir / "scene.fgs"),
+                               "--bank", str(fixture_dir / "bank.json"),
+                               "--out", str(pred_path), f"--origin={origin}",
+                               "--dims", "6,6,3", "--voxel-size", size])
+    assert code == 0
+    code, payload, err = _run(capsys, ["eval-miou", "--pred", str(pred_path),
+                                       "--gt", str(fixture_dir / "gt.voxg")])
+    assert code == 2 and payload is None
+    assert "invalid input" in err and "origin or voxel size" in err
+
+
 def test_voxelize_bad_dims_exit_2(fixture_dir, tmp_path, capsys):
     for origin, dims in (("0,0,0", "6,6"), ("a,b,c", "6,6,3"),
                          ("0,0,0", "4,4,x")):
@@ -655,11 +674,16 @@ def test_retrieve_non_finite_point_exit_2(fixture_dir, tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("text", ["", "# x y z\n", "\n  \n"])
+@pytest.mark.parametrize("text", ["", "# x y z\n", "\n  \n",
+                                  pytest.param(None, id="pnts_count_0")])
 def test_retrieve_points_text_without_rows_exit_4(fixture_dir, tmp_path, capsys,
                                                   text):
+    """XYZ text with no rows, and (`None`) a PNTS binary of count 0."""
     pts = tmp_path / "pts.txt"
-    pts.write_text(text)
+    if text is None:
+        save_points(str(pts), np.zeros((0, 3)))
+    else:
+        pts.write_text(text)
     code, payload, err = _run(capsys, ["retrieve",
                                        "--scene", str(fixture_dir / "scene.fgs"),
                                        "--bank", str(fixture_dir / "bank.json"),

@@ -2,8 +2,9 @@
 
 Each demo runs as its own process with `src` on the import path and must
 exit cleanly, so an API change that breaks a demo fails here.  The process
-runs with `-W error::RuntimeWarning`, the guard pytest's `filterwarnings`
-keeps in this process but cannot reach into a child.
+runs with `-W error::RuntimeWarning -W error::UserWarning`, the guards
+pytest's `filterwarnings` keeps in this process but cannot reach into a
+child.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ def test_demo_runs(demo):
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
-                           str(ROOT / "demos" / demo)],
+                           "-W", "error::UserWarning", str(ROOT / "demos" / demo)],
                           cwd=ROOT, env=env, capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr

@@ -225,7 +225,8 @@ def test_points_binary_roundtrip(tmp_path):
     save_points(path, pts)
     npt.assert_allclose(load_points(path), pts, rtol=1e-6, atol=1e-5)
     save_points(path, np.zeros((0, 3)))
-    assert load_points(path).shape == (0, 3)
+    with pytest.raises(FormatError, match="holds no points"):
+        load_points(path)
 
 
 def test_points_text_fallback(tmp_path):

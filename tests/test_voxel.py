@@ -555,6 +555,25 @@ def test_miou_ignore_mask_and_errors():
         eval_miou(_label_grid([EMPTY_LABEL]), _label_grid([EMPTY_LABEL]))
 
 
+def test_miou_refuses_grids_of_other_origin_or_voxel_size():
+    """The grids must describe the same voxels, not only as many of them;
+    origin and voxel size are compared at float32, the precision of a
+    `.voxg` header, so a grid read back from a file still matches its
+    float64 source."""
+    labels = np.array([1, 0, 1], dtype=np.int32).reshape(3, 1, 1)
+    mass = np.zeros(labels.shape)
+    gt = VoxelGrid(np.array([-4.0, -4.0, 0.0]), 0.8, mass, labels)
+    read_back = VoxelGrid(np.float32(gt.origin).astype(np.float64),
+                          float(np.float32(0.8)), mass, labels)
+    assert read_back.voxel_size != gt.voxel_size
+    assert eval_miou(read_back, gt).miou == 1.0
+    assert eval_miou(gt, read_back).miou == 1.0
+    for origin, size in (([0.0, 0.0, 0.0], 0.8), ([-4.0, -4.0, 0.0], 0.4),
+                         ([-4.0, -4.0, 1e-3], 0.8), ([-4.0, -4.0, 0.0], 0.8001)):
+        with pytest.raises(InvalidInputError, match="origin or voxel size"):
+            eval_miou(VoxelGrid(np.array(origin), size, mass, labels), gt)
+
+
 def test_average_precision_hand_cases():
     ap = average_precision(np.array([0.9, 0.8, 0.7, 0.6]),
                            np.array([True, False, True, False]))
