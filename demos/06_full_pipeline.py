@@ -44,8 +44,9 @@ for entry in report["stages"]:
         detail = json.dumps(entry["metrics"], default=str)
     print(f"{name:9s} {entry['time_s']:6.2f}s  {detail}")
 
-# The layer table: how the scene grew, how long each layer's views took to
-# render (refine time is folded into its layer), and the growth step that
+# The layer table: how the scene grew, how long each layer's renders took
+# (refine time is folded into its layer; after the last densify only the
+# tiles holding its selected pixels are rendered), and the growth step that
 # built it: FPS picks out of the pseudo cloud, and its own time.
 for l in report["layers"]:
     g = l["growth"]

@@ -8,7 +8,7 @@ from .errors import (EmptyInputError, FgsError, FormatError,
                      NumericalDegeneracyError)
 from .raster import alpha_at, project_gaussian, render, render_oracle
 from .densify import (DensifyConfig, DensifyReport, base_init, densify_layer,
-                      fps, fps_oracle, pooled_backprojection,
+                      fps, fps_oracle, pooled_backprojection, residual_after,
                       select_under_represented, selection_residual)
 from .sampling import (DecodeHeads, Mlp, aggregate, bilinear_sample,
                        decode_update, gen_offsets, place_samples,
@@ -34,8 +34,8 @@ __all__ = [
     "InsufficientPointsError", "NumericalDegeneracyError", "FormatError",
     "alpha_at", "project_gaussian", "render", "render_oracle",
     "DensifyConfig", "DensifyReport", "base_init", "densify_layer", "fps",
-    "fps_oracle", "pooled_backprojection", "select_under_represented",
-    "selection_residual",
+    "fps_oracle", "pooled_backprojection", "residual_after",
+    "select_under_represented", "selection_residual",
     "DecodeHeads", "Mlp", "aggregate", "bilinear_sample", "decode_update",
     "gen_offsets", "place_samples", "refine_scene", "sample_features",
     "AttentionWeights", "asa_forward", "positional_encoding",

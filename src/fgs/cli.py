@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import rig_feature_dim
 from .densify import (GAMMA, DensifyConfig, base_init, densify_layer,
-                      selection_residual)
+                      residual_after)
 from .errors import (FormatError, InvalidInputError, NumericalDegeneracyError)
 from .io import (depth_preview, dump_json, load_bank, load_json_object,
                  load_points, load_rig, load_scene, load_tensors,
@@ -92,9 +92,7 @@ def cmd_densify(args) -> int:
     grown, report = densify_layer(scene, views, args.budget, gamma=args.gamma)
     _outdir(args.out)
     save_scene(args.out, grown)
-    geometry = grown.geometry()
-    after = selection_residual([render(geometry, v) for v in views], views,
-                               report.selected)
+    after, _ = residual_after(grown, views, report.selected)
     _emit(args, {
         "out": args.out, "layer": report.layer,
         "selected_pixels_per_view": report.selected_per_view,

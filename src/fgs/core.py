@@ -371,9 +371,9 @@ class RenderOutput:
     `valid`); `feature` is the unnormalized alpha-weighted feature sum;
     `acc_alpha` the accumulated blend weight in [0, 1].  The counts are the
     tiled renderer's work: (tile, row) keys its 3-sigma boxes bin, those
-    culled as out of reach, (row, pixel) alphas evaluated, and the (row,
-    pixel) entries of the opacity-0 row that pads a tile shorter than its
-    blend step (all 0 from the oracle).
+    culled as out of reach, tiles blended, (row, pixel) alphas evaluated,
+    and the (row, pixel) entries of the opacity-0 row that pads a tile
+    shorter than its blend step (all 0 from the oracle).
     """
 
     depth: np.ndarray      # (H, W)
@@ -382,5 +382,6 @@ class RenderOutput:
     valid: np.ndarray      # (H, W) bool
     binned_rows: int = 0
     culled_rows: int = 0
+    blended_tiles: int = 0
     pairs_evaluated: int = 0
     padded_pairs: int = 0

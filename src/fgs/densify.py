@@ -236,8 +236,9 @@ def selection_residual(renders: list[RenderOutput], views: list[CameraView],
 
     `renders`, `views` and `selected` run in parallel, one entry per view.
     Views with no selected pixel are skipped, so they need no reference
-    depth.  Render-invalid pixels are excluded (their residual is
-    unbounded); returns inf when none of the selected pixels is resolved.
+    depth and no render (None serves).  Render-invalid pixels are excluded
+    (their residual is unbounded); returns inf when none of the selected
+    pixels is resolved.
     """
     diffs = []
     for out, v, sel in zip(renders, views, selected):
@@ -249,12 +250,30 @@ def selection_residual(renders: list[RenderOutput], views: list[CameraView],
     return float(pooled.mean()) if pooled.size else float("inf")
 
 
+def residual_after(scene: GaussianScene, views: list[CameraView],
+                   selected: list[np.ndarray]) -> tuple[float, list[RenderOutput]]:
+    """`selection_residual` of `scene` over the `selected` pixel masks (one
+    per view), and the renders it took.
+
+    Only the views with a selected pixel are rendered, one after another on
+    the calling thread, and each only at the tiles that hold its selected
+    pixels (`render`'s `mask`).  Those pixels have the bits of a full
+    render of `scene.geometry()`, so the residual is too.
+    """
+    geometry = scene.geometry()
+    renders = [render(geometry, v, mask=sel) if np.any(sel) else None
+               for v, sel in zip(views, selected)]
+    return (selection_residual(renders, views, selected),
+            [out for out in renders if out is not None])
+
+
 @dataclass
 class DensifyReport:
     """What one growth layer did; `selected` holds one pixel mask per view.
 
-    The residual after growth is `selection_residual(after_renders, views,
-    report.selected)`, from renders of the grown scene.
+    The residual after growth is `residual_after(grown, views,
+    report.selected)`, from renders of the grown scene at the selected
+    pixels.
     """
 
     layer: int

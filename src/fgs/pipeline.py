@@ -10,7 +10,11 @@ time is that of its renders, which run concurrently on the CPUs in the
 process's affinity set (`taskset` pins a run to fewer), plus its refine.
 Refinement runs over every Gaussian without decode heads and keeps the
 geometry (`fgs refine --heads` decodes with them), so only init and densify
-change it, and the renders they leave behind always show the current scene.
+change it.  Init renders every active view, and so does a densify that
+another densify follows, whose selection reads those renders.  After the
+last densify no stage reads a render: it renders only the tiles that hold
+its selected pixels (`densify.residual_after`), for its `residual_after`,
+and the last layer row's time and work counts are those renders'.
 Every stage runs with its module's fixed settings: densify selects pixels
 by one signed depth rule (`select_under_represented`) at `densify.GAMMA`,
 refine gates occlusion at `sampling.OCCLUSION_MARGIN`, and voxelize and
@@ -31,7 +35,7 @@ import numpy as np
 
 from .core import CameraView, GaussianScene, project_points, rig_feature_dim
 from .densify import (DensifyConfig, base_init, check_budget, densify_layer,
-                      selection_residual)
+                      residual_after, selection_residual)
 # perfbench's tracer wraps select_under_represented on this module too.
 from .densify import select_under_represented  # noqa: F401
 from .errors import FgsError, InvalidInputError
@@ -51,7 +55,8 @@ _GRAMMAR = "synth (init (refine | (densify refine)* densify?) (voxelize eval?)?)
 _LETTERS = dict(zip(STAGES, "sidrve"))
 _GRAMMAR_RE = re.compile(r"(s(i(r|(dr)*d?)(ve?)?)?)?")
 # RenderOutput's work counts, summed into each layer row.
-RENDER_COUNTS = ("binned_rows", "culled_rows", "pairs_evaluated", "padded_pairs")
+RENDER_COUNTS = ("binned_rows", "culled_rows", "blended_tiles", "pairs_evaluated",
+                 "padded_pairs")
 
 
 def validate_stages(stages) -> tuple[str, ...]:
@@ -204,6 +209,7 @@ class _State:
     views: list[CameraView] = field(default_factory=list)
     waves: tuple[int, ...] = ()
     active: list[CameraView] = field(default_factory=list)
+    # the current scene in the active views, while a densify is to read them
     renders: list[RenderOutput] = field(default_factory=list)
     bank: TextBank | None = None
     gt: VoxelGrid | None = None
@@ -219,17 +225,22 @@ class _State:
     def render_active(self, growth: dict) -> None:
         """Render the scene's geometry into every active view (the stages
         read only depth and validity), the views concurrently
-        (`_render_views`), and append the newest layer's row: `growth`, the
-        row of the step that built the layer, the wall time of these
-        concurrent renders (refine adds its own) and the renders' work
-        counts."""
+        (`_render_views`), for the next densify's selection, and append the
+        newest layer's row (`add_layer`) with these renders."""
         t0 = time.perf_counter()
         self.renders = _render_views(self.scene.geometry(), self.active)
+        self.add_layer(growth, self.renders, time.perf_counter() - t0)
+
+    def add_layer(self, growth: dict, renders: list[RenderOutput],
+                  time_s: float) -> None:
+        """Append the newest layer's row: `growth`, the row of the step that
+        built the layer, the wall time `time_s` of the layer's `renders`
+        (refine adds its own) and their summed work counts."""
         self.report["layers"].append({
             "index": self.scene.layer_count - 1, "count": len(self.scene),
-            "views": len(self.active), "time_s": time.perf_counter() - t0,
-            "growth": growth, **{name: sum(getattr(out, name) for out in self.renders)
-                                 for name in RENDER_COUNTS}})
+            "views": len(self.active), "time_s": time_s, "growth": growth,
+            **{name: sum(getattr(out, name) for out in renders)
+               for name in RENDER_COUNTS}})
 
 
 def _synth(st: _State) -> dict:
@@ -266,15 +277,23 @@ def _densify(st: _State) -> dict:
     st.scene, growth = densify_layer(st.scene, active,
                                      st.config.layer_budgets[layer - 1],
                                      renders=st.renders)
-    st.render_active({"cloud_points": growth.candidate_points,
-                      "picks": growth.added,
-                      "time_s": time.perf_counter() - t0})
+    row = {"cloud_points": growth.candidate_points, "picks": growth.added,
+           "time_s": time.perf_counter() - t0}
+    if layer < st.config.stages.count("densify"):
+        st.render_active(row)
+        after = selection_residual(st.renders, active, growth.selected)
+    else:
+        # No later stage reads a render of the last layer: render only
+        # where its residual reads one.
+        t0 = time.perf_counter()
+        after, renders = residual_after(st.scene, active, growth.selected)
+        st.renders = []
+        st.add_layer(row, renders, time.perf_counter() - t0)
     return {"layer": layer, "added": growth.added,
             "views_active": len(active),
             "selected_pixels_per_view": growth.selected_per_view,
             "residual_before": growth.residual_before,
-            "residual_after": selection_residual(st.renders, active,
-                                                 growth.selected)}
+            "residual_after": after}
 
 
 def _refine(st: _State) -> dict:

@@ -41,7 +41,9 @@ written out.  Which tiles share a group or a run, and how many pad rows a
 step carries, cannot change a bit.
 
 The tile (`TILE`) is 8x8 because most evaluated pairs have alpha 0: the 34 seed-0
-pipeline renders evaluate 92.9 M pairs on 8x8 tiles and 155.4 M on 16x16.
+pipeline renders of the time (before the last layer was rendered only at
+its selected tiles) evaluated 92.9 M pairs on 8x8 tiles and 155.4 M on
+16x16.
 A saturated pixel of a running tile is evaluated and gets weight 0: a
 compacted block would have to keep every pixel's BLAS order.
 
@@ -63,9 +65,12 @@ Work that cannot reach an output is skipped exactly:
 
 A scene with feature width 0 (`GaussianScene.geometry()`) renders depth,
 `valid` and `acc_alpha` bit-identical to the full scene and skips the
-feature sums; callers that read only geometry render it.  `render` reports
-its work on the output: binned and culled (tile, row) keys, the (row,
-pixel) pairs it evaluated and the pad row's (row, lattice pixel) entries.
+feature sums; callers that read only geometry render it.  A pixel `mask`
+blends only the tiles that hold a True pixel, with the full render's bits
+on every pixel of those tiles: callers that read a few pixels render only
+their tiles.  `render` reports its work on the output: binned and culled
+(tile, row) keys, the tiles it blended, the (row, pixel) pairs it
+evaluated and the pad row's (row, lattice pixel) entries.
 
 `render_oracle` evaluates every surviving Gaussian at every pixel with its
 own covariance inversion and no tiling or early termination.  The two agree
@@ -477,7 +482,18 @@ def _bin_rows(proj: _ProjectedArrays, tile: int, w: int, h: int):
     return tiles, np.append(start, key.size), row, int(keep.size - row.size)
 
 
-def render(scene: GaussianScene, cam: CameraView, threads: int = 1) -> RenderOutput:
+def _mask_tiles(mask: np.ndarray) -> np.ndarray:
+    """Whether each `TILE` x `TILE` tile, in row-major tile order, holds a
+    True pixel of the (h, w) `mask`."""
+    h, w = mask.shape
+    nty, ntx = -(-h // TILE), -(-w // TILE)
+    lattice = np.zeros((nty * TILE, ntx * TILE), dtype=bool)
+    lattice[:h, :w] = mask
+    return lattice.reshape(nty, TILE, ntx, TILE).any(axis=(1, 3)).ravel()
+
+
+def render(scene: GaussianScene, cam: CameraView, threads: int = 1, *,
+           mask: np.ndarray | None = None) -> RenderOutput:
     """Tile-binned front-to-back blend of the whole scene into one view.
 
     Gaussians are binned to the `TILE` x `TILE` tiles their support can
@@ -485,17 +501,33 @@ def render(scene: GaussianScene, cam: CameraView, threads: int = 1) -> RenderOut
     blended `_GROUP_TILES` at a time (`_blend_group`), in order of their
     row count, in the calling thread: `threads` is validated (>= 1) but
     does not affect rendering.  It stays only because perfbench/run.py and
-    perfbench/selftest.py pass it.  The output carries the work counts:
-    (tile, row) keys binned and culled, (row, pixel) pairs evaluated, and
-    the pad row's entries.
+    perfbench/selftest.py pass it.
+
+    With a boolean (height, width) `mask`, only the binned tiles that hold
+    a True pixel are blended.  Each tile is blended alone, so every pixel
+    of those tiles has the bits of the full render; every other pixel is
+    invalid, with depth, features and `acc_alpha` 0.
+
+    The output carries the work counts: (tile, row) keys binned and culled
+    (over the whole image, mask or not), and of the blended tiles the
+    count, the (row, pixel) pairs evaluated and the pad row's entries.
     """
     if threads <= 0:
         raise InvalidInputError("thread count must be positive")
-    proj = _project_drawable(scene, cam)
     h, w, fdim = cam.height, cam.width, scene.feature_dim
+    if mask is not None:
+        mask = np.asarray(mask)
+        if mask.dtype != np.bool_ or mask.shape != (h, w):
+            raise InvalidInputError(f"render mask must be a boolean ({h}, {w}) array, "
+                                    f"got {mask.dtype} {mask.shape}")
+    proj = _project_drawable(scene, cam)
     out = (np.zeros(h * w), np.zeros(h * w), np.zeros((fdim, h * w)),
            np.full(h * w, np.inf), np.full(h * w, -np.inf))
     tiles, bounds, binned, culled = _bin_rows(proj, TILE, w, h)
+    starts, stops = bounds[:-1], bounds[1:]
+    if mask is not None:
+        held = _mask_tiles(mask)[tiles]
+        tiles, starts, stops = tiles[held], starts[held], stops[held]
     binned = np.append(binned, proj.z.size)     # position -1 reads the pad row
     proj = proj.padded()
     # three (64, B, P) buffers for every step: allocating blocks this
@@ -503,11 +535,11 @@ def render(scene: GaussianScene, cam: CameraView, threads: int = 1) -> RenderOut
     work = np.empty((3, CHUNK * _GROUP_TILES * TILE * TILE))
     ntx = (w + TILE - 1) // TILE
     # groups of tiles of like length: a group pads only to its longest tile
-    by_length = np.argsort(np.diff(bounds), kind="stable")
+    by_length = np.argsort(stops - starts, kind="stable")
     pairs = padded = 0
     for g in range(0, tiles.size, _GROUP_TILES):
         sel = by_length[g:g + _GROUP_TILES]
-        lo, hi = bounds[:-1][sel], bounds[1:][sel]
+        lo, hi = starts[sel], stops[sel]
         idx = lo[:, None] + np.arange((hi - lo).max())
         rows = binned[np.where(idx < hi[:, None], idx, -1)].T
         ty, tx = np.divmod(tiles[sel], ntx)
@@ -516,7 +548,8 @@ def render(scene: GaussianScene, cam: CameraView, threads: int = 1) -> RenderOut
         pairs += group_pairs
         padded += group_padded
     return _finish(*out, h, w, fdim, binned_rows=binned.size - 1 + culled,
-                   culled_rows=culled, pairs_evaluated=pairs, padded_pairs=padded)
+                   culled_rows=culled, blended_tiles=tiles.size,
+                   pairs_evaluated=pairs, padded_pairs=padded)
 
 
 def render_oracle(scene: GaussianScene, cam: CameraView) -> RenderOutput:

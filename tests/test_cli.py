@@ -155,28 +155,58 @@ def test_init_then_densify(fixture_dir, tmp_path, capsys):
     assert grown.layer_offsets == (80, 80 + payload["added_count"])
 
 
-def test_densify_renders_geometry_only(fixture_dir, tmp_path, monkeypatch):
+def test_densify_renders_geometry_only(fixture_dir, tmp_path, monkeypatch,
+                                      capsys):
     """densify reads only depth and validity from its renders: both the
     selection renders inside densify_layer and the residual renders of the
-    grown scene take the scene's feature-free geometry view."""
+    grown scene take the scene's feature-free geometry view.  The residual
+    renders are of the views with a selected pixel, at those pixels only."""
     import fgs.cli
     import fgs.densify
     from fgs.raster import render
     rig, base = str(fixture_dir / "rig.json"), str(tmp_path / "base.fgs")
     assert main(["init", "--rig", rig, "--out", base, "--count", "80",
                  "--quiet"]) == 0
-    widths = {}
+    calls = {}
 
     def recording(name):
         def wrapped(scene, cam, *args, **kwargs):
-            widths.setdefault(name, []).append(scene.feature_dim)
+            calls.setdefault(name, []).append((scene.feature_dim,
+                                               kwargs.get("mask") is not None))
             return render(scene, cam, *args, **kwargs)
         return wrapped
     for mod in (fgs.cli, fgs.densify):
         monkeypatch.setattr(mod, "render", recording(mod.__name__))
-    assert main(["densify", "--rig", rig, "--scene", base, "--budget", "40",
-                 "--out", str(tmp_path / "grown.fgs"), "--quiet"]) == 0
-    assert widths == {"fgs.densify": [0] * 5, "fgs.cli": [0] * 5}
+    code, payload, _ = _run(capsys, ["densify", "--rig", rig, "--scene", base,
+                                     "--budget", "40",
+                                     "--out", str(tmp_path / "grown.fgs")])
+    assert code == 0
+    touched = sum(n > 0 for n in payload["selected_pixels_per_view"])
+    assert 0 < touched <= 5
+    assert calls == {"fgs.densify": [(0, False)] * 5 + [(0, True)] * touched}
+
+
+def test_densify_residual_after_is_that_of_full_renders(fixture_dir, tmp_path,
+                                                        capsys):
+    """The residual of the grown scene, read from renders of the selected
+    tiles only, equals the one over full renders of every view, exactly."""
+    from fgs.densify import densify_layer, selection_residual
+    from fgs.raster import render
+    rig, base = str(fixture_dir / "rig.json"), str(tmp_path / "base.fgs")
+    assert main(["init", "--rig", rig, "--out", base, "--count", "80",
+                 "--quiet"]) == 0
+    out = tmp_path / "grown.fgs"
+    code, payload, _ = _run(capsys, ["densify", "--rig", rig, "--scene", base,
+                                     "--budget", "40", "--out", str(out)])
+    assert code == 0
+    views = load_rig(rig)
+    # the command's own grown scene: the file rounds it to float32
+    grown, report = densify_layer(load_scene(base), views, 40)
+    geometry = grown.geometry()
+    full = selection_residual([render(geometry, v) for v in views], views,
+                              report.selected)
+    assert np.isfinite(full) and payload["residual_after"] == full
+    assert payload["residual_after"] < payload["residual_before"]
 
 
 def test_init_seeds_no_gaussian_at_a_camera_from_zero_filled_depth(

@@ -30,6 +30,7 @@ from fgs.errors import (InsufficientPointsError, InvalidInputError,
 from fgs.io import load_scene, load_voxel_grid
 from fgs.pipeline import (DEFAULT_STAGES, RENDER_COUNTS, STAGES, PipelineConfig,
                           run_pipeline, validate_stages)
+from fgs.raster import TILE
 from fgs.synth import Primitive, RigSpec, RingSpec, SynthSpec, room_spec
 from fgs.voxel import GridSpec
 
@@ -331,27 +332,72 @@ def test_stages_render_geometry_only_and_count_the_work(monkeypatch):
     """Every render the stages make reads only depth and validity, so each
     takes the scene's feature-free geometry view; each layer row sums the
     work counts of the renders that close the layer, and the renders of
-    newly arrived views before a densify count in no row."""
+    newly arrived views before a densify count in no row.  The last layer
+    is rendered only at the tiles of its densify's selected pixels, in the
+    views that have one."""
     import fgs.densify
     import fgs.pipeline
     from fgs.raster import render
-    outs = []
+    outs, masks = [], []
 
     def recording(scene, cam, *args, **kwargs):
         assert scene.feature_dim == 0
         out = render(scene, cam, *args, **kwargs)
         outs.append(out)      # the renders of one layer may finish in any order
+        masks.append(kwargs.get("mask"))
         return out
     for mod in (fgs.pipeline, fgs.densify):
         monkeypatch.setattr(mod, "render", recording)
     report = run_pipeline(_tiny_config(stages=("synth", "init", "densify", "refine")))
-    # 3 init views, the 2 views of the second wave, then all 5 views
-    assert len(outs) == 3 + 2 + 5
+    selected = report["stages"][2]["selected_pixels_per_view"]
+    touched = sum(n > 0 for n in selected)
+    assert 0 < touched <= 5
+    # 3 init views and the 2 views of the second wave in full, then the
+    # views with a selected pixel at their selected tiles
+    assert len(outs) == 3 + 2 + touched
+    assert all(m is None for m in masks[:5])
+    assert [int(m.sum()) for m in masks[5:]] == [n for n in selected if n]
+    tiles = [-(-36 // TILE) * -(-48 // TILE)] * 5
+    assert [out.blended_tiles for out in outs[:5]] == tiles
+    assert all(0 < out.blended_tiles < tiles[0] for out in outs[5:])
     for row, done in zip(report["layers"], (outs[:3], outs[5:])):
         for name in RENDER_COUNTS:
             assert row[name] == sum(getattr(out, name) for out in done), name
         assert row["binned_rows"] > row["culled_rows"] > 0
         assert row["pairs_evaluated"] > 0
+    assert report["layers"][1]["views"] == 5
+
+
+@pytest.mark.parametrize("stages", [("synth", "init", "densify"), DEFAULT_STAGES])
+def test_residual_after_is_that_of_full_renders_of_the_grown_scene(monkeypatch,
+                                                                   stages):
+    """Whether a densify renders every active view (another densify
+    follows) or only the tiles of its selected pixels (the last densify),
+    its `residual_after` equals `selection_residual` over full renders of
+    the grown scene, bit for bit."""
+    import fgs.pipeline
+    from fgs.densify import selection_residual
+    from fgs.raster import render
+    grown = []
+    real = fgs.pipeline.densify_layer
+
+    def recording(scene, views, *args, **kwargs):
+        result = real(scene, views, *args, **kwargs)
+        grown.append((list(views), *result))
+        return result
+    monkeypatch.setattr(fgs.pipeline, "densify_layer", recording)
+    report = run_pipeline(_tiny_config(stages=stages, base_count=60,
+                                       layer_budgets=(30, 60)))
+    densify = [s for s in report["stages"] if s["name"] == "densify"]
+    assert len(densify) == len(grown) == stages.count("densify")
+    if len(densify) == 2:
+        # the second densify selects pixels in three of the five views
+        assert densify[1]["selected_pixels_per_view"].count(0) == 2
+    for entry, (views, scene, growth) in zip(densify, grown):
+        geometry = scene.geometry()
+        full = selection_residual([render(geometry, v) for v in views], views,
+                                  growth.selected)
+        assert np.isfinite(full) and entry["residual_after"] == full
 
 
 # ---------------------------------------------------------------------------

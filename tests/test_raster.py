@@ -810,6 +810,7 @@ def test_render_counts_its_work():
     out = render(scene, cam)
     assert out.binned_rows == len(_box_keys(proj, TILE, 61, 45)) == kept.sum() + culled
     assert out.culled_rows == culled > 0
+    assert out.blended_tiles == tiles.size
     assert out.pairs_evaluated == int(np.dot(kept, pixels))
     assert render_oracle(scene, cam).pairs_evaluated == 0
 
@@ -847,3 +848,72 @@ def test_culling_margin_keeps_a_row_that_rounding_puts_just_outside():
     assert _alpha_block(proj, one[:, None], np.array([16.0]), np.array([24.0]))[0, 0] > 0.0
     tiles, _, _, _ = _bin_rows(proj, 16, 64, 64)
     assert 1 * 4 + 1 in tiles.tolist()
+
+
+# ---------------------------------------------------------------------------
+# Pixel masks
+# ---------------------------------------------------------------------------
+
+def _touched(mask):
+    """Each pixel's tile holds a True pixel of `mask`, tile by tile."""
+    h, w = mask.shape
+    out = np.zeros_like(mask)
+    for y in range(0, h, TILE):
+        for x in range(0, w, TILE):
+            out[y:y + TILE, x:x + TILE] = mask[y:y + TILE, x:x + TILE].any()
+    return out
+
+
+@pytest.mark.parametrize("h,w", [(120, 160), (33, 47), (120, 161)])
+def test_masked_render_has_the_full_bits_on_every_touched_tile(h, w):
+    rng = np.random.default_rng(h * 1000 + w)
+    scene, cam = _dense_scene(rng, 600), _centred_camera(h, w)
+    full = render(scene, cam)
+    mask = rng.random((h, w)) < 0.004
+    mask[h - 1, w - 1] = True           # a tile clipped by both edges
+    touched = _touched(mask)
+    assert 0 < touched.mean() < 0.5
+    out = render(scene, cam, mask=mask)
+    for name in ("depth", "feature", "acc_alpha", "valid"):
+        assert np.array_equal(getattr(out, name)[touched],
+                              getattr(full, name)[touched]), name
+    assert full.valid[touched].any()
+    assert not out.valid[~touched].any()
+    for name in ("depth", "feature", "acc_alpha"):
+        assert not getattr(out, name)[~touched].any(), name
+    # binning covers the whole image; the blend only the touched tiles
+    assert (out.binned_rows, out.culled_rows) == (full.binned_rows, full.culled_rows)
+    assert 0 < out.blended_tiles <= touched[::TILE, ::TILE].sum()
+    assert out.blended_tiles < full.blended_tiles
+    assert 0 < out.pairs_evaluated < full.pairs_evaluated
+
+
+@pytest.mark.parametrize("h,w", [(33, 47), (120, 161)])
+def test_all_true_mask_is_the_full_render_and_an_empty_one_blends_nothing(h, w):
+    rng = np.random.default_rng(h + w)
+    scene, cam = _dense_scene(rng, 400), _centred_camera(h, w)
+    full = render(scene, cam)
+    every = render(scene, cam, mask=np.ones((h, w), dtype=bool))
+    none = render(scene, cam, mask=np.zeros((h, w), dtype=bool))
+    assert 0 < full.blended_tiles <= -(-h // TILE) * -(-w // TILE)
+    for name in ("depth", "feature", "acc_alpha", "valid", "binned_rows",
+                 "culled_rows", "blended_tiles", "pairs_evaluated", "padded_pairs"):
+        assert np.array_equal(getattr(every, name), getattr(full, name)), name
+    assert (none.blended_tiles, none.pairs_evaluated, none.padded_pairs) == (0, 0, 0)
+    assert none.binned_rows == full.binned_rows
+    assert not none.valid.any()
+    for name in ("depth", "feature", "acc_alpha"):
+        assert not getattr(none, name).any(), name
+
+
+@pytest.mark.parametrize("mask", [np.ones((33, 48), dtype=bool),
+                                  np.ones((47, 33), dtype=bool),
+                                  np.ones(33 * 47, dtype=bool),
+                                  np.ones((33, 47), dtype=np.uint8),
+                                  np.ones((33, 47)),
+                                  [[True] * 47] * 32],
+                         ids=["wide", "transposed", "flat", "uint8", "float", "short_list"])
+def test_render_refuses_a_mask_of_the_wrong_shape_or_dtype(mask):
+    scene, cam = _dense_scene(np.random.default_rng(0), 20), _centred_camera(33, 47)
+    with pytest.raises(InvalidInputError, match="mask"):
+        render(scene, cam, mask=mask)
