@@ -10,8 +10,7 @@ from .raster import alpha_at, project_gaussian, render, render_oracle
 from .densify import (DensifyConfig, DensifyReport, base_init, densify_layer,
                       fps, fps_oracle, pooled_backprojection, residual_after,
                       select_under_represented, selection_residual)
-from .sampling import (DecodeHeads, Mlp, aggregate, bilinear_sample,
-                       decode_update, gen_offsets, place_samples,
+from .sampling import (aggregate, bilinear_sample, place_samples,
                        refine_scene, sample_features)
 from .attention import AttentionWeights, asa_forward, positional_encoding
 from .losses import (LossComponents, LossWeights, feat_loss, l1_depth,
@@ -36,8 +35,8 @@ __all__ = [
     "DensifyConfig", "DensifyReport", "base_init", "densify_layer", "fps",
     "fps_oracle", "pooled_backprojection", "residual_after",
     "select_under_represented", "selection_residual",
-    "DecodeHeads", "Mlp", "aggregate", "bilinear_sample", "decode_update",
-    "gen_offsets", "place_samples", "refine_scene", "sample_features",
+    "aggregate", "bilinear_sample", "place_samples", "refine_scene",
+    "sample_features",
     "AttentionWeights", "asa_forward", "positional_encoding",
     "LossComponents", "LossWeights", "feat_loss", "l1_depth",
     "photometric_temporal", "silog", "ssim", "total_loss", "warp_photo",

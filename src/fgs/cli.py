@@ -19,13 +19,13 @@ from .densify import (GAMMA, DensifyConfig, base_init, densify_layer,
                       residual_after)
 from .errors import (FormatError, InvalidInputError, NumericalDegeneracyError)
 from .io import (depth_preview, dump_json, load_bank, load_json_object,
-                 load_points, load_rig, load_scene, load_tensors,
-                 load_voxel_grid, save_bank, save_depth_plane, save_plane,
-                 save_rig, save_scene, save_voxel_grid)
+                 load_points, load_rig, load_scene, load_voxel_grid, save_bank,
+                 save_depth_plane, save_plane, save_rig, save_scene,
+                 save_voxel_grid)
 from .losses import LossComponents, feat_loss, l1_depth, silog, total_loss
 from .pipeline import PipelineConfig, retrieval_map, run_pipeline
 from .raster import render
-from .sampling import OCCLUSION_MARGIN, DecodeHeads, refine_scene
+from .sampling import OCCLUSION_MARGIN, refine_scene
 from .synth import SynthSpec, gen_scene, room_spec
 from .voxel import (DEFAULT_CUTOFF, GridSpec, TAU_OCC, eval_miou,
                     retrieval_scores, voxelize)
@@ -92,7 +92,8 @@ def cmd_densify(args) -> int:
     grown, report = densify_layer(scene, views, args.budget, gamma=args.gamma)
     _outdir(args.out)
     save_scene(args.out, grown)
-    after, _ = residual_after(grown, views, report.selected)
+    # the residual of the float32 file as written, which later commands read
+    after, _ = residual_after(load_scene(args.out), views, report.selected)
     _emit(args, {
         "out": args.out, "layer": report.layer,
         "selected_pixels_per_view": report.selected_per_view,
@@ -106,14 +107,10 @@ def cmd_densify(args) -> int:
 def cmd_refine(args) -> int:
     views = load_rig(args.rig)
     scene = load_scene(args.scene)
-    heads = None
-    if args.heads:
-        heads = DecodeHeads.from_tensors(load_tensors(args.heads))
-    refined = refine_scene(scene, views, heads=heads,
-                           occlusion_margin=args.occlusion_margin)
+    refined = refine_scene(scene, views, occlusion_margin=args.occlusion_margin)
     _outdir(args.out)
     save_scene(args.out, refined)
-    _emit(args, {"out": args.out, "count": len(refined), "heads": bool(heads)})
+    _emit(args, {"out": args.out, "count": len(refined)})
     return 0
 
 
@@ -304,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--rig", required=True)
     s.add_argument("--scene", required=True)
     s.add_argument("--out", required=True)
-    s.add_argument("--heads", help="decode-head tensor file (.head)")
     s.add_argument("--occlusion-margin", type=float, default=OCCLUSION_MARGIN)
     s.set_defaults(func=cmd_refine)
 

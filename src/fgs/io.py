@@ -1,6 +1,6 @@
 """File formats: scenes (.fgs), planes (PLNE), voxel grids (VOXG), point sets
-(PNTS or whitespace text), weight sidecars (HEAD), camera rigs and prompt
-banks (JSON), plus a tiny PGM preview emitter.
+(PNTS or whitespace text), camera rigs and prompt banks (JSON), plus a tiny
+PGM preview emitter.
 
 All binary payloads are little-endian; floats are stored as f32 regardless of
 the float64 math used in memory.  Magic-number or length mismatches raise
@@ -14,7 +14,6 @@ pixel is "no depth".
 from __future__ import annotations
 
 import json
-import math
 import numbers
 import os
 import struct
@@ -31,7 +30,6 @@ FGS_MAGIC = b"FGSC"
 PLANE_MAGIC = b"PLNE"
 VOXEL_MAGIC = b"VOXG"
 POINTS_MAGIC = b"PNTS"
-HEAD_MAGIC = b"HEAD"
 
 
 def _read_exact(f, n: int, what: str) -> bytes:
@@ -231,46 +229,6 @@ def load_points(path) -> np.ndarray:
     if pts.shape[1] != 3:
         raise FormatError(f"{path}: expected 3 columns, got {pts.shape[1]}")
     return pts
-
-
-# ---------------------------------------------------------------------------
-# Named-tensor sidecar: magic, u32 version, u32 count, then per entry
-# u16 name length, utf-8 name, u32 ndim, u32 shape..., f32 data (C order).
-# ---------------------------------------------------------------------------
-
-def save_tensors(path, tensors: dict[str, np.ndarray]) -> None:
-    with open(path, "wb") as f:
-        f.write(HEAD_MAGIC)
-        f.write(struct.pack("<2I", 1, len(tensors)))
-        for name, arr in tensors.items():
-            a = np.asarray(arr, dtype=np.float64)
-            enc = name.encode("utf-8")
-            f.write(struct.pack("<H", len(enc)))
-            f.write(enc)
-            f.write(struct.pack("<I", a.ndim))
-            f.write(struct.pack(f"<{a.ndim}I", *a.shape))
-            f.write(a.astype("<f4").tobytes())
-
-
-def load_tensors(path) -> dict[str, np.ndarray]:
-    out: dict[str, np.ndarray] = {}
-    with open(path, "rb") as f:
-        _expect_magic(f, HEAD_MAGIC, path)
-        version, count = struct.unpack("<2I", _read_exact(f, 8, "tensor header"))
-        if version != 1:
-            raise FormatError(f"{path}: unsupported sidecar version {version}")
-        for _ in range(count):
-            (nlen,) = struct.unpack("<H", _read_exact(f, 2, "name length"))
-            try:
-                name = _read_exact(f, nlen, "name").decode("utf-8")
-            except UnicodeDecodeError as e:
-                raise FormatError(f"{path}: tensor name is not UTF-8 ({e})") from e
-            (ndim,) = struct.unpack("<I", _read_exact(f, 4, "ndim"))
-            shape = struct.unpack(f"<{ndim}I", _read_exact(f, 4 * ndim, "shape"))
-            n = math.prod(shape)
-            data = np.frombuffer(_read_exact(f, 4 * n, f"tensor {name}"), dtype="<f4")
-            out[name] = data.astype(np.float64).reshape(shape)
-    return out
 
 
 # ---------------------------------------------------------------------------

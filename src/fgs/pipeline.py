@@ -8,13 +8,13 @@ layer, the work counts of the layer's renders (`RENDER_COUNTS`), and a
 picks, and the time of base init or of the densify step).  A layer's wall
 time is that of its renders, which run concurrently on the CPUs in the
 process's affinity set (`taskset` pins a run to fewer), plus its refine.
-Refinement runs over every Gaussian without decode heads and keeps the
-geometry (`fgs refine --heads` decodes with them), so only init and densify
-change it.  Init renders every active view, and so does a densify that
-another densify follows, whose selection reads those renders.  After the
-last densify no stage reads a render: it renders only the tiles that hold
-its selected pixels (`densify.residual_after`), for its `residual_after`,
-and the last layer row's time and work counts are those renders'.
+Refinement resamples every Gaussian's feature at its center and keeps the
+geometry, so only init and densify change it.  Init renders every active
+view, and so does a densify that another densify follows, whose selection
+reads those renders.  After the last densify no stage reads a render: it
+renders only the tiles that hold its selected pixels
+(`densify.residual_after`), for its `residual_after`, and the last layer
+row's time and work counts are those renders'.
 Every stage runs with its module's fixed settings: densify selects pixels
 by one signed depth rule (`select_under_represented`) at `densify.GAMMA`,
 refine gates occlusion at `sampling.OCCLUSION_MARGIN`, and voxelize and

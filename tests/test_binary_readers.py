@@ -1,5 +1,5 @@
-"""Property-based tests of the binary loaders: scene, voxel grid, plane,
-PNTS point set and tensor sidecar.
+"""Property-based tests of the binary loaders: scene, voxel grid, plane and
+PNTS point set.
 
 Each example damages a valid file in one way: it cuts the file short or
 replaces one byte with another value.  The loader must either read the
@@ -19,10 +19,8 @@ from hypothesis import given, settings, strategies as st
 
 from fgs.core import GaussianScene
 from fgs.errors import FgsError
-from fgs.io import (load_plane, load_points, load_scene, load_tensors,
-                    load_voxel_grid, save_plane, save_points, save_scene,
-                    save_tensors, save_voxel_grid)
-from fgs.sampling import DecodeHeads
+from fgs.io import (load_plane, load_points, load_scene, load_voxel_grid,
+                    save_plane, save_points, save_scene, save_voxel_grid)
 from fgs.voxel import VoxelGrid
 
 EXAMPLES = settings(derandomize=True, database=None, deadline=None,
@@ -51,8 +49,6 @@ FORMATS = {
         p, np.arange(24.0).reshape(2, 4, 3))),
     "points": (load_points, lambda p: save_points(
         p, np.arange(15.0).reshape(5, 3))),
-    "tensors": (load_tensors, lambda p: save_tensors(
-        p, DecodeHeads.seeded(2, 2, n_offsets=1, hidden=(), seed=0).to_tensors())),
 }
 
 

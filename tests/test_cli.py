@@ -26,8 +26,8 @@ from fgs.core import Z_NEAR, CameraView, GaussianScene
 from fgs.errors import InvalidInputError
 from fgs.io import (load_bank, load_depth_plane, load_plane, load_rig,
                     load_scene, load_voxel_grid, save_plane, save_points,
-                    save_rig, save_scene, save_tensors)
-from fgs.sampling import OCCLUSION_MARGIN, DecodeHeads, Mlp, refine_scene
+                    save_rig, save_scene)
+from fgs.sampling import OCCLUSION_MARGIN, refine_scene
 from fgs.synth import Primitive, RigSpec, RingSpec, SynthSpec
 from fgs.voxel import GridSpec
 
@@ -188,9 +188,10 @@ def test_densify_renders_geometry_only(fixture_dir, tmp_path, monkeypatch,
 
 def test_densify_residual_after_is_that_of_full_renders(fixture_dir, tmp_path,
                                                         capsys):
-    """The residual of the grown scene, read from renders of the selected
-    tiles only, equals the one over full renders of every view, exactly."""
-    from fgs.densify import densify_layer, selection_residual
+    """The residual of the grown scene as written, read from renders of the
+    selected tiles only, equals the one over full renders of every view of
+    that float32 file, exactly."""
+    from fgs.densify import select_under_represented, selection_residual
     from fgs.raster import render
     rig, base = str(fixture_dir / "rig.json"), str(tmp_path / "base.fgs")
     assert main(["init", "--rig", rig, "--out", base, "--count", "80",
@@ -200,11 +201,12 @@ def test_densify_residual_after_is_that_of_full_renders(fixture_dir, tmp_path,
                                      "--budget", "40", "--out", str(out)])
     assert code == 0
     views = load_rig(rig)
-    # the command's own grown scene: the file rounds it to float32
-    grown, report = densify_layer(load_scene(base), views, 40)
-    geometry = grown.geometry()
-    full = selection_residual([render(geometry, v) for v in views], views,
-                              report.selected)
+    before = load_scene(base).geometry()
+    selected = [select_under_represented(render(before, v), v.ref_depth,
+                                         v.ref_valid) for v in views]
+    grown = load_scene(str(out)).geometry()
+    full = selection_residual([render(grown, v) for v in views], views,
+                              selected)
     assert np.isfinite(full) and payload["residual_after"] == full
     assert payload["residual_after"] < payload["residual_before"]
 
@@ -304,14 +306,15 @@ def test_densify_bad_budget_or_gamma_exit_2(fixture_dir, tmp_path, capsys,
 # Refinement
 # ---------------------------------------------------------------------------
 
-def test_refine_without_heads(fixture_dir, tmp_path, capsys):
+def test_refine_resamples_features_and_keeps_geometry(fixture_dir, tmp_path,
+                                                     capsys):
     out = tmp_path / "refined.fgs"
     code, payload, _ = _run(capsys, ["refine",
                                      "--rig", str(fixture_dir / "rig.json"),
                                      "--scene", str(fixture_dir / "scene.fgs"),
                                      "--out", str(out)])
     assert code == 0
-    assert payload == {"out": str(out), "count": 250, "heads": False}
+    assert payload == {"out": str(out), "count": 250}
     before = load_scene(str(fixture_dir / "scene.fgs"))
     after = load_scene(str(out))
     np.testing.assert_array_equal(after.mu, before.mu)   # geometry untouched
@@ -337,19 +340,6 @@ def test_refine_gates_occlusion_as_the_pipeline_does(fixture_dir, tmp_path, caps
     assert np.any(ungated.feature != gated.feature)
 
 
-def test_refine_with_heads_file(fixture_dir, tmp_path, capsys):
-    heads = DecodeHeads.seeded(8, 8, n_offsets=4, hidden=(8,), seed=0)
-    path = tmp_path / "ok.head"
-    save_tensors(str(path), heads.to_tensors())
-    code, payload, _ = _run(capsys, ["refine",
-                                     "--rig", str(fixture_dir / "rig.json"),
-                                     "--scene", str(fixture_dir / "scene.fgs"),
-                                     "--out", str(tmp_path / "r.fgs"),
-                                     "--heads", str(path)])
-    assert code == 0
-    assert payload["heads"] is True
-
-
 def test_refine_scene_of_other_feature_width_exit_2(fixture_dir, tmp_path,
                                                     capsys):
     """The rig's planes are 8 wide; a 3-wide scene cannot take them."""
@@ -360,18 +350,17 @@ def test_refine_scene_of_other_feature_width_exit_2(fixture_dir, tmp_path,
     assert code == 2 and "3" in err and "8" in err
 
 
-def test_refine_heads_of_other_feature_width_exit_2(fixture_dir, tmp_path,
-                                                    capsys):
-    """A feat head that emits 4 values cannot update an 8-wide scene."""
-    heads = DecodeHeads.seeded(8, 8, n_offsets=4, hidden=(8,), seed=0)
-    heads.feat = Mlp.seeded([8, 4], np.random.default_rng(0))
-    path = tmp_path / "narrow.head"
-    save_tensors(str(path), heads.to_tensors())
-    code, _, err = _run(capsys, ["refine", "--rig", str(fixture_dir / "rig.json"),
-                                 "--scene", str(fixture_dir / "scene.fgs"),
-                                 "--out", str(tmp_path / "r.fgs"),
-                                 "--heads", str(path)])
-    assert code == 2 and "4-wide" in err
+def test_refine_heads_flag_is_an_argument_error(fixture_dir, tmp_path, capsys):
+    """Refine has no decode heads: a command line that names a head file is
+    refused, not run as a plain refine."""
+    out = tmp_path / "r.fgs"
+    with pytest.raises(SystemExit) as exc:
+        main(["refine", "--rig", str(fixture_dir / "rig.json"),
+              "--scene", str(fixture_dir / "scene.fgs"), "--out", str(out),
+              "--heads", str(tmp_path / "h.head")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --heads" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # a negative margin, too, is refused: it would drop the samples lying on
@@ -384,112 +373,6 @@ def test_refine_non_finite_occlusion_margin_exit_2(fixture_dir, tmp_path,
                                  "--out", str(tmp_path / "r.fgs"),
                                  f"--occlusion-margin={margin}"])
     assert code == 2 and "occlusion margin" in err
-
-
-def test_refine_heads_missing_tensor_exit_2(fixture_dir, tmp_path, capsys):
-    tensors = DecodeHeads.seeded(8, 8, n_offsets=4, hidden=(8,), seed=0).to_tensors()
-    del tensors["geo.0.bias"]
-    path = tmp_path / "partial.head"
-    save_tensors(str(path), tensors)
-    code, _, err = _run(capsys, ["refine",
-                                 "--rig", str(fixture_dir / "rig.json"),
-                                 "--scene", str(fixture_dir / "scene.fgs"),
-                                 "--out", str(tmp_path / "r.fgs"),
-                                 "--heads", str(path)])
-    assert code == 2
-    assert "invalid input" in err and "geo.0.bias" in err
-
-
-def _two_value_delta_max(path):
-    tensors = DecodeHeads.seeded(8, 8, n_offsets=4, hidden=(8,), seed=0).to_tensors()
-    tensors["meta.delta_max"] = np.array([0.5, 0.5])
-    save_tensors(str(path), tensors)
-
-
-def _name_not_utf8(path):
-    save_tensors(str(path), DecodeHeads.seeded(8, 8, n_offsets=4, hidden=(8,),
-                                                seed=0).to_tensors())
-    path.write_bytes(path.read_bytes().replace(b"meta.s_min", b"meta.s_mi\xff"))
-
-
-@pytest.mark.parametrize("write, code, message", [
-    (_two_value_delta_max, 2, "meta.delta_max"),
-    (_name_not_utf8, 4, "UTF-8"),
-], ids=["two_value_delta_max", "name_not_utf8"])
-def test_refine_malformed_heads_exit_code(fixture_dir, tmp_path, capsys,
-                                          write, code, message):
-    path = tmp_path / "bad.head"
-    write(path)
-    got, payload, err = _run(capsys, ["refine",
-                                      "--rig", str(fixture_dir / "rig.json"),
-                                      "--scene", str(fixture_dir / "scene.fgs"),
-                                      "--out", str(tmp_path / "r.fgs"),
-                                      "--heads", str(path)])
-    assert got == code and payload is None
-    assert ("format error" if code == 4 else "invalid input") in err
-    assert message in err
-
-
-@pytest.mark.filterwarnings("ignore:invalid value encountered")
-def test_refine_degenerate_heads_exit_3(fixture_dir, tmp_path, capsys):
-    heads = DecodeHeads.seeded(8, 8, n_offsets=4, hidden=(8,), seed=0)
-    heads.geo.layers[0] = (heads.geo.layers[0][0],
-                           np.full_like(heads.geo.layers[0][1], np.inf))
-    path = tmp_path / "bad.head"
-    save_tensors(str(path), heads.to_tensors())
-    code, _, err = _run(capsys, ["refine",
-                                 "--rig", str(fixture_dir / "rig.json"),
-                                 "--scene", str(fixture_dir / "scene.fgs"),
-                                 "--out", str(tmp_path / "r.fgs"),
-                                 "--heads", str(path)])
-    assert code == 3
-    assert "numerical degeneracy" in err
-
-
-def _refine_with(fixture_dir, tmp_path, capsys, heads):
-    path = tmp_path / "big.head"
-    save_tensors(str(path), heads.to_tensors())
-    out = tmp_path / "r.fgs"
-    return out, _run(capsys, ["refine", "--rig", str(fixture_dir / "rig.json"),
-                              "--scene", str(fixture_dir / "scene.fgs"),
-                              "--out", str(out), "--heads", str(path)])
-
-
-def test_refine_feature_past_float32_exit_3(fixture_dir, tmp_path, capsys):
-    """Every sidecar value fits float32, but the feat head outputs 9e38 in
-    one entry: the scene file could only hold it as inf, which `fgs render`
-    would refuse, so refine stops with no output file."""
-    heads = DecodeHeads.seeded(8, 8, n_offsets=4, hidden=(8,), seed=0)
-    out_w = np.zeros((8, 3))
-    out_w[0] = 3e38
-    heads.feat = Mlp([(np.zeros((3, 8)), np.ones(3)), (out_w, np.zeros(8))])
-    out, (code, payload, err) = _refine_with(fixture_dir, tmp_path, capsys, heads)
-    assert code == 3 and payload is None
-    assert "numerical degeneracy" in err and "float32" in err
-    assert not out.exists()
-
-
-def test_refine_quaternion_past_the_norm_overflow(fixture_dir, tmp_path, capsys):
-    """A 4-layer geo head of float32 weights 3e38 gives a raw w of about
-    5e155, whose norm overflows float64; the scene still normalizes it to a
-    unit quaternion, and `fgs render` reads the file refine writes."""
-    heads = DecodeHeads.seeded(8, 8, n_offsets=4, hidden=(8,), seed=0)
-    big = np.full((4, 4), 3e38)
-    out_w = np.zeros((11, 4))
-    out_w[6] = 3e38                                     # the raw w
-    heads.geo = Mlp([(np.zeros((4, 8)), np.full(4, 3e38)), (big, np.zeros(4)),
-                     (big, np.zeros(4)), (out_w, np.zeros(11))])
-    out, (code, _, _) = _refine_with(fixture_dir, tmp_path, capsys, heads)
-    assert code == 0
-    before = load_scene(str(fixture_dir / "scene.fgs"))
-    refined = load_scene(str(out))
-    decoded = refined.opacity != before.opacity          # expit(0) = 0.5
-    assert decoded.any() and np.all(refined.opacity[decoded] == 0.5)
-    assert np.all(refined.quat[decoded] == [1.0, 0.0, 0.0, 0.0])
-    code, _, _ = _run(capsys, ["render", "--rig", str(fixture_dir / "rig.json"),
-                               "--scene", str(out), "--view", "0",
-                               "--out-depth", str(tmp_path / "d.plne")])
-    assert code == 0
 
 
 # ---------------------------------------------------------------------------
@@ -1023,13 +906,6 @@ _BINARY_INPUTS = {
         lambda fx, tmp: _written(tmp, save_points, np.ones((2, 3))), (0, 4, 8), 4,
         lambda fx, bad, tmp: ["retrieve", "--scene", str(fx / "scene.fgs"),
                               "--bank", str(fx / "bank.json"), "--points", bad]),
-    "refine_heads": (
-        lambda fx, tmp: _written(tmp, save_tensors, DecodeHeads.seeded(
-            8, 8, n_offsets=4, hidden=(8,), seed=0).to_tensors()),
-        (0, 4, 8, 12, 14), 8,
-        lambda fx, bad, tmp: ["refine", "--rig", str(fx / "rig.json"),
-                              "--scene", str(fx / "scene.fgs"),
-                              "--out", str(tmp / "r.fgs"), "--heads", bad]),
 }
 
 

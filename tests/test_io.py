@@ -1,4 +1,4 @@
-"""File format tests: binary round trips, sidecars, rigs, banks, previews.
+"""File format tests: binary round trips, rigs, banks, previews.
 
 Every binary payload stores floats as little-endian f32, so a round trip of
 float64 data is exact only to f32 resolution (relative 2^-24); the tests
@@ -19,10 +19,10 @@ import pytest
 from fgs.core import CameraView, GaussianScene
 from fgs.errors import FormatError, InvalidInputError, NumericalDegeneracyError
 from fgs.io import (json_float, json_int, load_bank, load_depth_plane,
-                    load_plane, load_points, load_rig, load_scene, load_tensors,
-                    load_voxel_grid, read_object, save_bank, save_depth_plane, save_plane, save_points,
-                    save_rig, save_scene, save_tensors, save_voxel_grid,
-                    depth_preview, write_pgm)
+                    load_plane, load_points, load_rig, load_scene,
+                    load_voxel_grid, read_object, save_bank, save_depth_plane,
+                    save_plane, save_points, save_rig, save_scene,
+                    save_voxel_grid, depth_preview, write_pgm)
 from fgs.voxel import EMPTY_LABEL, VoxelGrid, orthonormal_bank
 
 
@@ -253,51 +253,6 @@ def test_points_binary_truncation(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Named-tensor sidecars
-# ---------------------------------------------------------------------------
-
-def test_tensor_sidecar_roundtrip(tmp_path):
-    tensors = {
-        "meta.heads": np.array(8.0),
-        "offset.0.weight": np.random.default_rng(6).normal(size=(12, 4)),
-        "offset.0.bias": np.zeros(12),
-        "blöck.weight": np.arange(24.0).reshape(2, 3, 4),
-    }
-    path = tmp_path / "heads.head"
-    save_tensors(path, tensors)
-    back = load_tensors(path)
-    assert list(back) == list(tensors)      # insertion order preserved
-    assert back["meta.heads"].shape == ()
-    assert back["meta.heads"] == 8.0
-    for k in tensors:
-        assert back[k].shape == np.asarray(tensors[k]).shape
-        npt.assert_allclose(back[k], tensors[k], rtol=1e-6, atol=1e-7)
-
-
-def test_tensor_sidecar_errors(tmp_path):
-    path = tmp_path / "heads.head"
-    save_tensors(path, {"w": np.ones(3)})
-    raw = bytearray(path.read_bytes())
-    raw[4:8] = (9).to_bytes(4, "little")
-    bad = tmp_path / "bad.head"
-    bad.write_bytes(bytes(raw))
-    with pytest.raises(FormatError):
-        load_tensors(bad)
-    short = tmp_path / "short.head"
-    short.write_bytes(path.read_bytes()[:-4])
-    with pytest.raises(FormatError):
-        load_tensors(short)
-    junk = tmp_path / "junk.head"
-    junk.write_bytes(b"NOPE")
-    with pytest.raises(FormatError):
-        load_tensors(junk)
-    latin = tmp_path / "latin.head"
-    latin.write_bytes(path.read_bytes().replace(b"\x01\x00w", b"\x01\x00\xe9"))
-    with pytest.raises(FormatError, match="UTF-8"):
-        load_tensors(latin)
-
-
-# ---------------------------------------------------------------------------
 # Declared sizes beyond the file
 # ---------------------------------------------------------------------------
 
@@ -309,10 +264,6 @@ OVERSIZED = {
     "voxel_grid": (load_voxel_grid, b"VOXG" + struct.pack("<3I", BIG, BIG, BIG)
                    + struct.pack("<4f", 0.0, 0.0, 0.0, 0.5)),
     "points": (load_points, b"PNTS" + struct.pack("<I", BIG)),
-    # the element count 2^64 wraps to 0 in 64-bit integer arithmetic
-    "tensors": (load_tensors, b"HEAD" + struct.pack("<2I", 1, 1)
-                + struct.pack("<H", 1) + b"w"
-                + struct.pack("<5I", 4, 2**16, 2**16, 2**16, 2**16)),
 }
 
 
