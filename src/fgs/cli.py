@@ -15,8 +15,7 @@ from dataclasses import replace
 import numpy as np
 
 from .core import rig_feature_dim
-from .densify import (GAMMA, DensifyConfig, base_init, densify_layer,
-                      residual_after)
+from .densify import DensifyConfig, base_init, densify_layer, residual_after
 from .errors import (FormatError, InvalidInputError, NumericalDegeneracyError)
 from .io import (depth_preview, dump_json, load_bank, load_json_object,
                  load_points, load_rig, load_scene, load_voxel_grid, save_bank,
@@ -25,10 +24,9 @@ from .io import (depth_preview, dump_json, load_bank, load_json_object,
 from .losses import LossComponents, feat_loss, l1_depth, silog, total_loss
 from .pipeline import PipelineConfig, retrieval_map, run_pipeline
 from .raster import render
-from .sampling import OCCLUSION_MARGIN, refine_scene
+from .sampling import refine_scene
 from .synth import SynthSpec, gen_scene, room_spec
-from .voxel import (DEFAULT_CUTOFF, GridSpec, TAU_OCC, eval_miou,
-                    retrieval_scores, voxelize)
+from .voxel import GridSpec, eval_miou, retrieval_scores, voxelize
 
 
 def _emit(args, payload: dict) -> None:
@@ -89,7 +87,7 @@ def cmd_densify(args) -> int:
     if width != scene.feature_dim:
         raise InvalidInputError(f"the rig's {width}-wide feature planes do not "
                                 f"match a scene of width {scene.feature_dim}")
-    grown, report = densify_layer(scene, views, args.budget, gamma=args.gamma)
+    grown, report = densify_layer(scene, views, args.budget)
     _outdir(args.out)
     save_scene(args.out, grown)
     # the residual of the float32 file as written, which later commands read
@@ -107,7 +105,7 @@ def cmd_densify(args) -> int:
 def cmd_refine(args) -> int:
     views = load_rig(args.rig)
     scene = load_scene(args.scene)
-    refined = refine_scene(scene, views, occlusion_margin=args.occlusion_margin)
+    refined = refine_scene(scene, views)
     _outdir(args.out)
     save_scene(args.out, refined)
     _emit(args, {"out": args.out, "count": len(refined)})
@@ -157,8 +155,7 @@ def cmd_voxelize(args) -> int:
                                            "--origin wants x,y,z")),
                     _parse_values(args.dims, 3, int, "--dims wants nx,ny,nz"),
                     args.voxel_size)
-    cutoff = None if args.no_cutoff else args.cutoff
-    pred = voxelize(scene, bank, grid, tau_occ=args.tau, cutoff=cutoff)
+    pred = voxelize(scene, bank, grid)
     _outdir(args.out)
     save_voxel_grid(args.out, pred)
     _emit(args, {"out": args.out, "occupied": int(pred.occupied.sum()),
@@ -170,8 +167,7 @@ def cmd_retrieve(args) -> int:
     scene = load_scene(args.scene)
     bank = load_bank(args.bank)
     points = load_points(args.points)
-    cutoff = None if args.no_cutoff else args.cutoff
-    scores, p_occ = retrieval_scores(scene, bank, points, cutoff=cutoff)
+    scores, p_occ = retrieval_scores(scene, bank, points)
     names = [e.class_name for e in bank.entries]
     best = np.argmax(scores, axis=0)
     payload = {
@@ -238,7 +234,7 @@ def cmd_eval_map(args) -> int:
     bank = load_bank(args.bank)
     gt = load_voxel_grid(args.gt)
     views = load_rig(args.rig) if args.rig else None
-    _emit(args, retrieval_map(scene, bank, gt, cutoff=args.cutoff, views=views))
+    _emit(args, retrieval_map(scene, bank, gt, views=views))
     return 0
 
 
@@ -293,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--scene", required=True)
     s.add_argument("--out", required=True)
     s.add_argument("--budget", type=int, default=PipelineConfig.layer_budgets[0])
-    s.add_argument("--gamma", type=float, default=GAMMA)
     s.set_defaults(func=cmd_densify)
 
     s = sub.add_parser("refine", parents=[common],
@@ -301,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--rig", required=True)
     s.add_argument("--scene", required=True)
     s.add_argument("--out", required=True)
-    s.add_argument("--occlusion-margin", type=float, default=OCCLUSION_MARGIN)
     s.set_defaults(func=cmd_refine)
 
     s = sub.add_parser("render", parents=[common],
@@ -322,9 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--origin", required=True, help="x,y,z of the low corner")
     s.add_argument("--dims", required=True, help="nx,ny,nz voxel counts")
     s.add_argument("--voxel-size", type=float, default=GridSpec.voxel_size)
-    s.add_argument("--tau", type=float, default=TAU_OCC)
-    s.add_argument("--cutoff", type=float, default=DEFAULT_CUTOFF)
-    s.add_argument("--no-cutoff", action="store_true")
     s.set_defaults(func=cmd_voxelize)
 
     s = sub.add_parser("retrieve", parents=[common],
@@ -333,8 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--bank", required=True)
     s.add_argument("--points", required=True, help="PNTS file or x y z text")
     s.add_argument("--out", help="write the score table to this JSON file")
-    s.add_argument("--cutoff", type=float, default=DEFAULT_CUTOFF)
-    s.add_argument("--no-cutoff", action="store_true")
     s.set_defaults(func=cmd_retrieve)
 
     s = sub.add_parser("loss", parents=[common],
@@ -355,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--bank", required=True)
     s.add_argument("--gt", required=True)
     s.add_argument("--rig", help="restrict to camera-visible points")
-    s.add_argument("--cutoff", type=float, default=DEFAULT_CUTOFF)
     s.set_defaults(func=cmd_eval_map)
 
     s = sub.add_parser("pipeline", parents=[seeded],

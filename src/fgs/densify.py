@@ -22,7 +22,7 @@ from .core import (CameraView, GaussianScene, IDENTITY_QUAT, RenderOutput,
 from .errors import InsufficientPointsError, InvalidInputError
 from .raster import render
 
-# Residual threshold default: half the target occupancy voxel size.
+# Residual threshold (m): half the target occupancy voxel size.
 GAMMA = 0.2
 INIT_SCALE = 0.2     # isotropic stddev (m) of freshly spawned Gaussians
 INIT_OPACITY = 0.5
@@ -33,11 +33,6 @@ def check_budget(*budgets) -> None:
     if any(not isinstance(b, numbers.Integral) or b <= 0 for b in budgets):
         raise InvalidInputError(
             "base count and layer budgets must be positive integers")
-
-
-def _check_gamma(gamma) -> None:
-    if not 0 < gamma < np.inf:
-        raise InvalidInputError("gamma must be positive and finite")
 
 
 @dataclass
@@ -210,24 +205,22 @@ def base_init(views: list[CameraView], cfg: DensifyConfig) -> GaussianScene:
 
 
 def select_under_represented(rendered: RenderOutput, ref_depth: np.ndarray,
-                             ref_valid: np.ndarray | None,
-                             gamma: float = GAMMA) -> np.ndarray:
+                             ref_valid: np.ndarray | None) -> np.ndarray:
     """Boolean mask of reference pixels the scene fails to explain.
 
     A pixel is selected where the rendered depth overshoots the reference
-    by more than gamma (rendered - reference > gamma, strictly): the scene
+    by more than GAMMA (rendered - reference > GAMMA, strictly): the scene
     has nothing at the reference surface there.  Pixels the render leaves
     invalid count as a +infinity residual.  Pixels without valid reference
     depth (`ref_valid`, or `depth_validity`'s rule when it is None) are
-    never selected.  `gamma` must be positive and finite.
+    never selected.
     """
-    _check_gamma(gamma)
     ref_depth = np.asarray(ref_depth, dtype=np.float64)
     if ref_depth.shape != rendered.depth.shape:
         raise InvalidInputError("reference/rendered shapes differ")
     ref_ok = depth_validity(ref_depth, ref_valid)
     resid = np.where(rendered.valid, rendered.depth - ref_depth, np.inf)
-    return ref_ok & (resid > gamma)
+    return ref_ok & (resid > GAMMA)
 
 
 def selection_residual(renders: list[RenderOutput], views: list[CameraView],
@@ -285,23 +278,21 @@ class DensifyReport:
 
 
 def densify_layer(scene: GaussianScene, views: list[CameraView], budget: int,
-                  renders: list[RenderOutput] | None = None,
-                  gamma: float = GAMMA):
+                  renders: list[RenderOutput] | None = None):
     """Grow one layer of at most `budget` Gaussians; returns (grown scene,
     DensifyReport).
 
     The new layer's index is the scene's current layer count.  Pixels that
-    `select_under_represented` picks at `gamma` in every view are
+    `select_under_represented` picks in every view are
     backprojected and pooled; an FPS subset of at most `budget` becomes
     fresh Gaussians of the scene's feature width, appended after the
     existing ones (which stay byte-identical).  An empty candidate set
     yields a zero-growth layer, not an error.  Pre-computed `renders` (one
     per view, same order) are used when given; only their depth and
     validity are read, so renders of `scene.geometry()` serve.  `budget`
-    and `gamma` are checked before anything is rendered.
+    is checked before anything is rendered.
     """
     check_budget(budget)
-    _check_gamma(gamma)
     layer = scene.layer_count
     report = DensifyReport(layer=layer)
     geometry = scene.geometry()
@@ -312,7 +303,7 @@ def densify_layer(scene: GaussianScene, views: list[CameraView], budget: int,
             sel = np.zeros((v.height, v.width), dtype=bool)
         else:
             out = renders[vi] if renders is not None else render(geometry, v)
-            sel = select_under_represented(out, v.ref_depth, v.ref_valid, gamma)
+            sel = select_under_represented(out, v.ref_depth, v.ref_valid)
         used.append(out)
         report.selected.append(sel)
         report.selected_per_view.append(int(np.count_nonzero(sel)))

@@ -15,10 +15,11 @@ reads those renders.  After the last densify no stage reads a render: it
 renders only the tiles that hold its selected pixels
 (`densify.residual_after`), for its `residual_after`, and the last layer
 row's time and work counts are those renders'.
-Every stage runs with its module's fixed settings: densify selects pixels
-by one signed depth rule (`select_under_represented`) at `densify.GAMMA`,
-refine gates occlusion at `sampling.OCCLUSION_MARGIN`, and voxelize and
-eval use `voxel.TAU_OCC` and `voxel.DEFAULT_CUTOFF`.
+Every stage runs with its module's fixed settings, and so does the CLI
+subcommand of the same name: densify selects pixels by one signed depth
+rule (`select_under_represented`) at `densify.GAMMA`, refine gates
+occlusion at `sampling.OCCLUSION_MARGIN`, and voxelize and eval use
+`voxel.TAU_OCC` and `voxel.DEFAULT_CUTOFF`.
 Timings never influence artifacts, so runs with identical config and seed
 write byte-identical scene and grid files whatever the CPU count.
 """
@@ -42,10 +43,10 @@ from .errors import FgsError, InvalidInputError
 from .io import (dump_json, json_int, json_list, json_optional,
                  json_str, jsonable, read_object, save_scene, save_voxel_grid)
 from .raster import RenderOutput, render
-from .sampling import OCCLUSION_MARGIN, refine_scene
+from .sampling import refine_scene
 from .synth import SynthSpec, gen_scene, room_spec
-from .voxel import (DEFAULT_CUTOFF, GridSpec, TextBank, VoxelGrid, eval_map,
-                    eval_miou, retrieval_scores, voxelize)
+from .voxel import (GridSpec, TextBank, VoxelGrid, eval_map, eval_miou,
+                    retrieval_scores, voxelize)
 
 STAGES = ("synth", "init", "densify", "refine", "voxelize", "eval")
 DEFAULT_STAGES = ("synth", "init", "densify", "refine", "densify", "refine",
@@ -298,7 +299,7 @@ def _densify(st: _State) -> dict:
 
 def _refine(st: _State) -> dict:
     t0 = time.perf_counter()
-    st.scene = refine_scene(st.scene, st.active, occlusion_margin=OCCLUSION_MARGIN)
+    st.scene = refine_scene(st.scene, st.active)
     st.report["layers"][-1]["time_s"] += time.perf_counter() - t0
     return {"count": len(st.scene)}
 
@@ -350,27 +351,29 @@ def run_pipeline(config: PipelineConfig) -> dict:
 
 
 def retrieval_map(scene: GaussianScene, bank: TextBank, gt: VoxelGrid,
-                  cutoff: float | None = DEFAULT_CUTOFF,
                   views: list[CameraView] | None = None) -> dict:
     """Retrieval mAP of the scene's text scores at the occupied GT voxels.
 
     Every non-empty bank class is one query, ranked over the occupied voxel
     centres and judged against the GT labels.  With `views`, only centres
-    that project in front of and inside at least one camera are ranked.
-    Returns map, per_class (class name -> AP), visible_points (None
-    without views) and points.
+    that project in front of and inside at least one camera are ranked,
+    and views that see none of them are invalid input.  Returns map,
+    per_class (class name -> AP), visible_points (None without views) and
+    points.
     """
     occ = gt.occupied.ravel()
     if not np.any(occ):
         raise InvalidInputError("ground-truth grid has no occupied voxels")
     points = GridSpec(gt.origin, gt.dims, gt.voxel_size).centers_flat()[occ]
     labels = gt.labels.ravel()[occ]
-    scores, _ = retrieval_scores(scene, bank, points, cutoff=cutoff)
     material = [c for c in range(bank.num_classes) if c != bank.empty_index]
     if not material:
         raise InvalidInputError("text bank has no class besides its empty class")
-    rows = np.stack([labels == c for c in material])
     visible = None if views is None else _visible_mask(points, views)
+    if visible is not None and not np.any(visible):
+        raise InvalidInputError("no occupied ground-truth voxel is visible")
+    scores, _ = retrieval_scores(scene, bank, points)
+    rows = np.stack([labels == c for c in material])
     result = eval_map(scores[material], rows, visible=visible)
     names = [e.class_name for e in bank.entries]
     return {"map": result.map,

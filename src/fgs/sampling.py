@@ -4,7 +4,9 @@
 carries a feature plane, reads the plane there by bilinear interpolation
 (`sample_features`), and replaces the Gaussian's feature with the uniform
 mean over the views that see it (`aggregate`); geometry is kept.  It runs
-over every Gaussian of the scene in chunks of `REFINE_CHUNK` rows.
+over every Gaussian of the scene in chunks of `REFINE_CHUNK` rows.  The
+sampler always gates occlusion at `OCCLUSION_MARGIN`, in the pipeline's
+refine stage and in `fgs refine` alike.
 
 `place_samples` maps unit-cube offsets into a Gaussian's ellipsoid, where
 every sample stays within Mahalanobis sqrt(3) of the center.
@@ -19,9 +21,7 @@ from .core import (CameraView, GaussianScene, project_points, quats_to_rotmats,
 from .errors import InvalidInputError
 
 REFINE_CHUNK = 2048   # Gaussians per `refine_scene` step
-# meters; the occlusion gate's margin in the pipeline's refine stage and in
-# `fgs refine` (see `sample_features`)
-OCCLUSION_MARGIN = 0.3
+OCCLUSION_MARGIN = 0.3   # meters; see `sample_features`
 
 
 # ---------------------------------------------------------------------------
@@ -77,15 +77,7 @@ def bilinear_sample(plane: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarr
     return out[:, 0] if squeeze else out
 
 
-def check_occlusion_margin(occlusion_margin) -> None:
-    """An occlusion margin is None or a finite distance of at least 0."""
-    if occlusion_margin is not None and not 0 <= occlusion_margin < np.inf:
-        raise InvalidInputError(f"occlusion margin must be finite and "
-                                f"non-negative, got {occlusion_margin}")
-
-
-def sample_features(points: np.ndarray, views: list[CameraView],
-                    occlusion_margin: float | None = None):
+def sample_features(points: np.ndarray, views: list[CameraView]):
     """Project ego points into every feature-carrying view and interpolate.
 
     Returns (features (M, L, F), valid (M, L)) over the views that carry a
@@ -93,13 +85,12 @@ def sample_features(points: np.ndarray, views: list[CameraView],
     the near plane and inside the image rectangle.  Rows of invalid pairs
     are zero.
 
-    With `occlusion_margin` set, a point is additionally invalid in a view
-    whose reference depth at the nearest pixel is more than the margin
-    closer than the point itself: the point sits behind the visible surface
-    and the plane there describes the occluder, not it.  Pixels without a
-    valid reference depth are left ungated.
+    A point is also invalid in a view whose reference depth at the nearest
+    pixel is more than OCCLUSION_MARGIN closer than the point itself: the
+    point sits behind the visible surface and the plane there describes the
+    occluder, not it.  Pixels without a valid reference depth are left
+    ungated.
     """
-    check_occlusion_margin(occlusion_margin)
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     fdim = rig_feature_dim(views)
     if fdim is None:
@@ -111,11 +102,11 @@ def sample_features(points: np.ndarray, views: list[CameraView],
     for l, v in enumerate(feat_views):
         uv, z, _ = project_points(points, v)
         ok = v.in_image(uv)
-        if occlusion_margin is not None and v.ref_depth is not None and np.any(ok):
+        if v.ref_depth is not None and np.any(ok):
             iu, iv = np.rint(uv[ok]).astype(int).T
             ref_z = v.ref_depth[iv, iu]
             known = v.ref_valid[iv, iu]
-            ok[np.flatnonzero(ok)[known & (z[ok] > ref_z + occlusion_margin)]] = False
+            ok[np.flatnonzero(ok)[known & (z[ok] > ref_z + OCCLUSION_MARGIN)]] = False
         if np.any(ok):
             feats[ok, l] = bilinear_sample(v.ref_feature, *uv[ok].T)
         valid[:, l] = ok
@@ -143,15 +134,13 @@ def aggregate(features: np.ndarray, valid: np.ndarray) -> np.ndarray:
     return np.einsum("ml,mlf->mf", w, features)
 
 
-def refine_scene(scene: GaussianScene, views: list[CameraView],
-                 occlusion_margin: float | None = None) -> GaussianScene:
+def refine_scene(scene: GaussianScene, views: list[CameraView]) -> GaussianScene:
     """One center-sample pass over every Gaussian.
 
     Each Gaussian's feature becomes the uniform mean of the feature planes
-    at its center over the views that see it (`occlusion_margin` is
-    forwarded to the plane sampler).  Geometry and layer structure are
-    kept, a Gaussian no view sees keeps its feature, and rows go
-    `REFINE_CHUNK` at a time.
+    at its center over the views that see it, occlusion gated
+    (`sample_features`).  Geometry and layer structure are kept, a Gaussian
+    no view sees keeps its feature, and rows go `REFINE_CHUNK` at a time.
     """
     width = rig_feature_dim(views, scene.feature_dim)
     if width != scene.feature_dim:
@@ -160,8 +149,7 @@ def refine_scene(scene: GaussianScene, views: list[CameraView],
     feature = scene.feature.copy()
     for lo in range(0, len(scene), REFINE_CHUNK):
         rows = slice(lo, lo + REFINE_CHUNK)
-        feats, valid = sample_features(scene.mu[rows], views,
-                                       occlusion_margin=occlusion_margin)
+        feats, valid = sample_features(scene.mu[rows], views)
         seen = valid.any(axis=1)[:, None]
         feature[rows] = np.where(seen, aggregate(feats, valid), feature[rows])
     return scene.replace(feature=feature)

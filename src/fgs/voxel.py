@@ -19,7 +19,7 @@ import numpy as np
 from .core import GaussianScene, covariance3d, quats_to_rotmats
 from .errors import EmptyInputError, InvalidInputError
 
-# Default decision threshold on accumulated opacity mass.
+# Decision threshold on accumulated opacity mass.
 TAU_OCC = 0.1
 # Default Mahalanobis support radius for accumulation (None disables).
 DEFAULT_CUTOFF = 3.0
@@ -213,12 +213,6 @@ def check_cutoff(cutoff) -> None:
             f"cutoff must be None or positive and finite, got {cutoff}")
 
 
-def check_tau(tau_occ) -> None:
-    """An occupancy threshold is a finite number."""
-    if not np.isfinite(tau_occ):
-        raise InvalidInputError(f"tau_occ must be finite, got {tau_occ}")
-
-
 class _BallQuery:
     """Candidate points near each centre: every point within `radius[i]` of
     `centers[i]`, and a few more, found without a tree.
@@ -332,14 +326,13 @@ def _accumulate_kernel(points, scene, weights, cutoff):
 
 
 def voxelize(scene: GaussianScene, bank: TextBank, grid: GridSpec,
-             tau_occ: float = TAU_OCC,
              cutoff: float | None = DEFAULT_CUTOFF) -> VoxelGrid:
     """Accumulate a scene into an occupancy + semantics grid.
 
     Per voxel center x: occupancy mass V_o(x) = sum_i k_i(x) * opacity_i and
     class mass V_p(x) = sum_i k_i(x) * p_i with k_i the unnormalized Gaussian
     density and p_i the per-Gaussian text-probability vector.  A voxel is
-    occupied iff V_o >= tau_occ and the argmax class (ties -> lowest index)
+    occupied iff V_o >= TAU_OCC and the argmax class (ties -> lowest index)
     is not the bank's empty class; its label is that argmax.
 
     Each Gaussian contributes only to voxel centers within Mahalanobis
@@ -347,21 +340,19 @@ def voxelize(scene: GaussianScene, bank: TextBank, grid: GridSpec,
     """
     if bank.feature_dim != scene.feature_dim:
         raise InvalidInputError("bank/scene feature dimensions differ")
-    check_tau(tau_occ)
     weights = np.column_stack([scene.opacity, text_probs(scene.feature, bank)])
     acc = _accumulate_kernel(grid.centers_flat(), scene, weights, cutoff)
     occ = acc[:, 0].reshape(grid.dims)
     cls = acc[:, 1:].reshape(*grid.dims, bank.num_classes)
     labels = np.argmax(cls, axis=-1).astype(np.int32)  # ties -> lowest index
-    occupied = occ >= tau_occ
+    occupied = occ >= TAU_OCC
     if bank.empty_index is not None:
         occupied &= labels != bank.empty_index
     labels[~occupied] = EMPTY_LABEL
     return VoxelGrid(grid.origin, grid.voxel_size, occ, labels, cls)
 
 
-def voxelize_oracle(scene: GaussianScene, bank: TextBank, grid: GridSpec,
-                    tau_occ: float = TAU_OCC) -> VoxelGrid:
+def voxelize_oracle(scene: GaussianScene, bank: TextBank, grid: GridSpec) -> VoxelGrid:
     """Reference accumulation: every Gaussian against every voxel, no cutoff.
 
     Kept deliberately simple (explicit covariance inverses, dense evaluation)
@@ -369,7 +360,6 @@ def voxelize_oracle(scene: GaussianScene, bank: TextBank, grid: GridSpec,
     """
     if bank.feature_dim != scene.feature_dim:
         raise InvalidInputError("bank/scene feature dimensions differ")
-    check_tau(tau_occ)
     centers = grid.centers_flat()
     occ = np.zeros(centers.shape[0])
     cls = np.zeros((centers.shape[0], bank.num_classes))
@@ -383,7 +373,7 @@ def voxelize_oracle(scene: GaussianScene, bank: TextBank, grid: GridSpec,
     occ = occ.reshape(nx, ny, nz)
     cls = cls.reshape(nx, ny, nz, bank.num_classes)
     labels = np.argmax(cls, axis=-1).astype(np.int32)
-    occupied = occ >= tau_occ
+    occupied = occ >= TAU_OCC
     if bank.empty_index is not None:
         occupied &= labels != bank.empty_index
     labels[~occupied] = EMPTY_LABEL
@@ -430,45 +420,30 @@ class IouResult:
     evaluated_classes: list[int] = field(default_factory=list)
 
 
-def eval_miou(pred: VoxelGrid, gt: VoxelGrid, class_ids=None,
-              ignore: np.ndarray | None = None) -> IouResult:
+def eval_miou(pred: VoxelGrid, gt: VoxelGrid) -> IouResult:
     """Per-class intersection-over-union and its mean.
 
-    IoU_c = TP / (TP + FP + FN) counted over non-ignored voxels.  Classes
-    absent from both prediction and ground truth are excluded from the mean;
-    a class present on exactly one side scores 0.  The grids must match in
-    shape, origin and voxel size, the last two compared at float32, the
-    precision of a `.voxg` header.
+    IoU_c = TP / (TP + FP + FN) counted over every voxel, for each label
+    that occurs in either grid; a class present on exactly one side scores
+    0.  The grids must match in shape, origin and voxel size, the last two
+    compared at float32, the precision of a `.voxg` header.
     """
     if pred.labels.shape != gt.labels.shape:
         raise InvalidInputError("prediction/ground-truth grids differ in shape")
     if (np.any(np.float32(pred.origin) != np.float32(gt.origin))
             or np.float32(pred.voxel_size) != np.float32(gt.voxel_size)):
         raise InvalidInputError("prediction/ground-truth grids differ in origin or voxel size")
-    keep = np.ones(pred.labels.shape, dtype=bool)
-    if ignore is not None:
-        ignore = np.asarray(ignore, dtype=bool)
-        if ignore.shape != pred.labels.shape:
-            raise InvalidInputError("ignore mask shape mismatch")
-        keep = ~ignore
-    p = pred.labels[keep]
-    g = gt.labels[keep]
-    if class_ids is None:
-        ids = np.union1d(np.unique(p), np.unique(g))
-        class_ids = [int(c) for c in ids if c != EMPTY_LABEL]
+    p, g = pred.labels, gt.labels
     per_class: dict[int, float] = {}
-    evaluated = []
-    for c in class_ids:
+    for c in (int(c) for c in np.union1d(p, g) if c != EMPTY_LABEL):
         tp = int(np.count_nonzero((p == c) & (g == c)))
         fp = int(np.count_nonzero((p == c) & (g != c)))
         fn = int(np.count_nonzero((p != c) & (g == c)))
-        if tp + fp + fn == 0:
-            continue  # absent on both sides: excluded
         per_class[c] = tp / (tp + fp + fn)
-        evaluated.append(c)
     if not per_class:
         raise EmptyInputError("no class present in either grid")
-    return IouResult(per_class, float(np.mean(list(per_class.values()))), evaluated)
+    return IouResult(per_class, float(np.mean(list(per_class.values()))),
+                     list(per_class))
 
 
 def average_precision(scores: np.ndarray, gt: np.ndarray) -> float:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import struct
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -27,7 +28,7 @@ from fgs.errors import InvalidInputError
 from fgs.io import (load_bank, load_depth_plane, load_plane, load_rig,
                     load_scene, load_voxel_grid, save_plane, save_points,
                     save_rig, save_scene)
-from fgs.sampling import OCCLUSION_MARGIN, refine_scene
+from fgs.sampling import refine_scene
 from fgs.synth import Primitive, RigSpec, RingSpec, SynthSpec
 from fgs.voxel import GridSpec
 
@@ -287,8 +288,7 @@ def test_densify_rig_without_feature_planes_keeps_the_scene_width(
     assert grown.feature.shape == (80 + payload["added_count"], 8)
 
 
-@pytest.mark.parametrize("flag", ["--budget=0", "--budget=-1", "--gamma=0",
-                                  "--gamma=-0.2", "--gamma=nan", "--gamma=inf"])
+@pytest.mark.parametrize("flag", ["--budget=0", "--budget=-1"])
 def test_densify_bad_budget_or_gamma_exit_2(fixture_dir, tmp_path, capsys,
                                             monkeypatch, flag):
     """Refused before the first selection render."""
@@ -321,10 +321,10 @@ def test_refine_resamples_features_and_keeps_geometry(fixture_dir, tmp_path,
     assert np.any(after.feature != before.feature)       # features resampled
 
 
-def test_refine_gates_occlusion_as_the_pipeline_does(fixture_dir, tmp_path, capsys):
-    """Without `--occlusion-margin`, `fgs refine` gates occluded samples by
-    the pipeline's margin: its scene file holds the bytes that
-    `refine_scene(..., occlusion_margin=OCCLUSION_MARGIN)` saves, and on this
+def test_refine_gates_occlusion_as_the_pipeline_does(fixture_dir, tmp_path, capsys,
+                                                     monkeypatch):
+    """`fgs refine` gates occluded samples by the pipeline's margin: its
+    scene file holds the bytes that `refine_scene` saves, and on this
     fixture the gate changes features."""
     out = tmp_path / "cli.fgs"
     code, _, _ = _run(capsys, ["refine", "--rig", str(fixture_dir / "rig.json"),
@@ -333,10 +333,11 @@ def test_refine_gates_occlusion_as_the_pipeline_does(fixture_dir, tmp_path, caps
     assert code == 0
     views = load_rig(str(fixture_dir / "rig.json"))
     scene = load_scene(str(fixture_dir / "scene.fgs"))
-    gated = refine_scene(scene, views, occlusion_margin=OCCLUSION_MARGIN)
+    gated = refine_scene(scene, views)
     save_scene(str(tmp_path / "api.fgs"), gated)
     assert out.read_bytes() == (tmp_path / "api.fgs").read_bytes()
-    ungated = refine_scene(scene, views, occlusion_margin=None)
+    monkeypatch.setattr("fgs.sampling.OCCLUSION_MARGIN", np.inf)
+    ungated = refine_scene(scene, views)
     assert np.any(ungated.feature != gated.feature)
 
 
@@ -361,18 +362,6 @@ def test_refine_heads_flag_is_an_argument_error(fixture_dir, tmp_path, capsys):
     assert exc.value.code == 2
     assert "unrecognized arguments: --heads" in capsys.readouterr().err
     assert not out.exists()
-
-
-# a negative margin, too, is refused: it would drop the samples lying on
-# the visible surface
-@pytest.mark.parametrize("margin", ["nan", "inf", "-inf", "-1", "-1e-9"])
-def test_refine_non_finite_occlusion_margin_exit_2(fixture_dir, tmp_path,
-                                                   capsys, margin):
-    code, _, err = _run(capsys, ["refine", "--rig", str(fixture_dir / "rig.json"),
-                                 "--scene", str(fixture_dir / "scene.fgs"),
-                                 "--out", str(tmp_path / "r.fgs"),
-                                 f"--occlusion-margin={margin}"])
-    assert code == 2 and "occlusion margin" in err
 
 
 # ---------------------------------------------------------------------------
@@ -535,12 +524,8 @@ def test_voxelize_bad_dims_exit_2(fixture_dir, tmp_path, capsys):
 
 @pytest.mark.parametrize("extra", [
     ["--origin=nan,-4,0"], ["--origin=0,inf,0"], ["--voxel-size", "nan"],
-    ["--voxel-size", "inf"], ["--cutoff=-1"], ["--cutoff", "0"],
-    ["--cutoff", "nan"], ["--cutoff", "inf"], ["--tau", "nan"],
-    ["--tau", "inf"], ["--tau=-inf"],
-], ids=["nan_origin", "inf_origin", "nan_voxel_size", "inf_voxel_size",
-        "negative_cutoff", "zero_cutoff", "nan_cutoff", "inf_cutoff", "nan_tau",
-        "inf_tau", "negative_inf_tau"])
+    ["--voxel-size", "inf"],
+], ids=["nan_origin", "inf_origin", "nan_voxel_size", "inf_voxel_size"])
 def test_voxelize_non_finite_grid_or_bad_cutoff_exit_2(fixture_dir, tmp_path,
                                                        capsys, extra):
     out = tmp_path / "p.voxg"
@@ -1062,6 +1047,24 @@ def test_eval_map_bank_of_only_the_empty_class_exit_2(fixture_dir, tmp_path, cap
     assert "no class besides its empty class" in err
 
 
+def test_eval_map_rig_that_sees_no_occupied_voxel_exit_2(fixture_dir, tmp_path,
+                                                         capsys):
+    """A rig that sees none of the occupied ground-truth voxels leaves no
+    point to rank: one invalid-input error, and no per-query warning."""
+    rig = tmp_path / "rig.json"
+    rig.write_text('{"views": []}')
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, payload, err = _run(capsys, ["eval-map",
+                                           "--scene", str(fixture_dir / "scene.fgs"),
+                                           "--bank", str(fixture_dir / "bank.json"),
+                                           "--gt", str(fixture_dir / "gt.voxg"),
+                                           "--rig", str(rig)])
+    assert code == 2 and payload is None
+    assert "no occupied ground-truth voxel is visible" in err
+    assert not caught
+
+
 def test_non_object_bank_exit_4(fixture_dir, tmp_path, capsys):
     bank = tmp_path / "bank.json"
     bank.write_text("5")
@@ -1088,13 +1091,14 @@ def test_bank_empty_class_not_a_string_exit_4(fixture_dir, tmp_path, capsys,
     assert "format error" in err and "empty_class" in err
 
 
-def test_stdout_is_strict_json(fixture_dir, tmp_path, capsys):
+def test_stdout_is_strict_json(fixture_dir, tmp_path, capsys, monkeypatch):
     rig = str(fixture_dir / "rig.json")
     base = str(tmp_path / "base.fgs")
     assert main(["init", "--rig", rig, "--out", base, "--count", "80",
                  "--quiet"]) == 0
-    # nothing is selected at gamma = 100, so both residuals are infinite
-    code = main(["densify", "--rig", rig, "--scene", base, "--gamma", "100",
+    # nothing is selected at GAMMA = 100, so both residuals are infinite
+    monkeypatch.setattr("fgs.densify.GAMMA", 100.0)
+    code = main(["densify", "--rig", rig, "--scene", base,
                  "--out", str(tmp_path / "grown.fgs")])
 
     def reject(name):

@@ -16,10 +16,9 @@ import numpy.testing as npt
 import pytest
 
 from fgs.core import Z_NEAR, CameraView, GaussianScene, RenderOutput, backproject
-from fgs.densify import (DensifyConfig, GAMMA, INIT_OPACITY, INIT_SCALE,
-                         base_init, densify_layer, fps, fps_oracle,
-                         pooled_backprojection, select_under_represented,
-                         selection_residual)
+from fgs.densify import (DensifyConfig, INIT_OPACITY, INIT_SCALE, base_init,
+                         densify_layer, fps, fps_oracle, pooled_backprojection,
+                         select_under_represented, selection_residual)
 from fgs.errors import InsufficientPointsError, InvalidInputError
 from fgs.raster import render
 
@@ -270,15 +269,16 @@ def test_base_init_rejects_a_non_finite_pixel_marked_valid():
 # Selection semantics
 # ---------------------------------------------------------------------------
 
-def test_selection_strict_at_gamma():
-    # gamma = 0.25 keeps every probe value exactly representable, so the
-    # "difference equals gamma" pixel really sits on the boundary
+def test_selection_strict_at_gamma(monkeypatch):
+    # GAMMA = 0.25 keeps every probe value exactly representable, so the
+    # "difference equals GAMMA" pixel really sits on the boundary
+    monkeypatch.setattr("fgs.densify.GAMMA", 0.25)
     ref = np.full((2, 2), 5.0)
     valid = np.ones((2, 2), dtype=bool)
     depth = np.array([[5.25, 5.25 + 1e-9],
                       [5.0, 5.25 - 1.5]])
     out = _made_output(depth, valid)
-    sel = select_under_represented(out, ref, valid, gamma=0.25)
+    sel = select_under_represented(out, ref, valid)
     npt.assert_array_equal(sel, [[False, True], [False, False]])
 
 
@@ -286,11 +286,11 @@ def test_selection_treats_render_invalid_as_infinite():
     ref = np.full((2, 2), 5.0)
     out = _made_output(np.full((2, 2), 5.0),
                        np.array([[True, False], [True, False]]))
-    sel = select_under_represented(out, ref, None, gamma=GAMMA)
+    sel = select_under_represented(out, ref, None)
     npt.assert_array_equal(sel, [[False, True], [False, True]])
     # ... but pixels without reference depth are never selected
     ref_ok = np.array([[True, True], [True, False]])
-    sel2 = select_under_represented(out, ref, ref_ok, gamma=GAMMA)
+    sel2 = select_under_represented(out, ref, ref_ok)
     npt.assert_array_equal(sel2, [[False, True], [False, False]])
 
 
@@ -428,25 +428,14 @@ def test_densify_layer_new_rows_take_the_scene_width():
 
 
 def test_densify_layer_validates_arguments(monkeypatch):
-    """A budget that is not a positive integer, or a gamma that is not
-    positive and finite, is refused before anything is rendered."""
+    """A budget that is not a positive integer is refused before anything
+    is rendered."""
     scene, view, _ = _wall_fixture()
     monkeypatch.setattr("fgs.densify.render",
                         lambda *a: pytest.fail("densify_layer rendered"))
     for budget in (0, -1, 2.5):
         with pytest.raises(InvalidInputError, match="budgets must be positive"):
             densify_layer(scene, [view], budget)
-    for gamma in (0.0, -0.2, np.nan, np.inf, -np.inf):
-        with pytest.raises(InvalidInputError, match="positive and finite"):
-            densify_layer(scene, [view], 64, gamma=gamma)
-
-
-@pytest.mark.parametrize("gamma", [0.0, -0.2, np.nan, np.inf, -np.inf])
-def test_selection_refuses_a_gamma_not_positive_and_finite(gamma):
-    ref = np.full((2, 2), 5.0)
-    out = _made_output(np.full((2, 2), 9.0), np.ones((2, 2), dtype=bool))
-    with pytest.raises(InvalidInputError, match="positive and finite"):
-        select_under_represented(out, ref, None, gamma)
 
 
 def test_densify_config_validation():

@@ -124,28 +124,24 @@ def test_sample_features_exact_pixel_and_bounds():
         sample_features(np.zeros((1, 3)), [_camera()])  # no feature plane
 
 
-def test_sample_features_occlusion_margin():
+def test_sample_features_occlusion_margin(monkeypatch):
     feat = np.ones((48, 64, 2))
     depth = np.full((48, 64), 2.0)
     cam = _camera(ref_feature=feat, ref_depth=depth)
     behind = np.array([[0.0, 0.0, 3.0]])
-    _, ungated = sample_features(behind, [cam])
-    assert ungated[0, 0]
-    _, gated = sample_features(behind, [cam], occlusion_margin=0.5)
-    assert not gated[0, 0]
-    _, loose = sample_features(behind, [cam], occlusion_margin=1.5)
-    assert loose[0, 0]
-    # unknown reference depth leaves the point ungated
+    # 1 m behind the surface, past OCCLUSION_MARGIN (0.3 m): gated
+    assert not sample_features(behind, [cam])[1][0, 0]
+    # unknown reference depth, or none at all, leaves the point ungated
     shy = _camera(ref_feature=feat, ref_depth=depth,
                   ref_valid=np.zeros((48, 64), dtype=bool))
-    _, unknown = sample_features(behind, [shy], occlusion_margin=0.5)
-    assert unknown[0, 0]
-    # a margin of 0 gates at the surface itself; a negative one is refused
-    on_surface = np.array([[0.0, 0.0, 2.0]])
-    assert sample_features(on_surface, [cam], occlusion_margin=0.0)[1][0, 0]
-    for margin in (-1.0, -1e-9, np.nan, np.inf):
-        with pytest.raises(InvalidInputError, match="occlusion margin"):
-            sample_features(on_surface, [cam], occlusion_margin=margin)
+    assert sample_features(behind, [shy])[1][0, 0]
+    assert sample_features(behind, [_camera(ref_feature=feat)])[1][0, 0]
+    monkeypatch.setattr("fgs.sampling.OCCLUSION_MARGIN", 1.5)
+    assert sample_features(behind, [cam])[1][0, 0]
+    # a margin of 0 gates behind the surface, not on it
+    monkeypatch.setattr("fgs.sampling.OCCLUSION_MARGIN", 0.0)
+    assert sample_features(np.array([[0.0, 0.0, 2.0]]), [cam])[1][0, 0]
+    assert not sample_features(np.array([[0.0, 0.0, 2.001]]), [cam])[1][0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -235,10 +231,12 @@ def test_refine_across_chunk_boundaries_matches_per_gaussian_mean(monkeypatch):
     npt.assert_array_equal(out.mu, scene.mu)
 
 
-def test_refine_respects_occlusion_margin():
+def test_refine_respects_occlusion_margin(monkeypatch):
     fdim = 4
     near = _camera(ref_feature=np.full((48, 64, fdim), 5.0),
                    ref_depth=np.full((48, 64), 2.0))
     scene = _grid_scene(3, fdim=fdim, z=4.0)
-    out = refine_scene(scene, [near], occlusion_margin=0.5)
+    out = refine_scene(scene, [near])
     npt.assert_array_equal(out.feature, scene.feature)  # everything occluded
+    monkeypatch.setattr("fgs.sampling.OCCLUSION_MARGIN", 2.5)
+    npt.assert_array_equal(refine_scene(scene, [near]).feature, 5.0)

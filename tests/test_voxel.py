@@ -233,7 +233,7 @@ def test_voxelize_cutoff_only_removes_far_mass():
     assert cut.occ_mass[6, 3, 3] == 0.0 and full.occ_mass[6, 3, 3] > 0.0
 
 
-def _reference_voxelize(scene, bank, grid, tau_occ=TAU_OCC, cutoff=DEFAULT_CUTOFF):
+def _reference_voxelize(scene, bank, grid, cutoff=DEFAULT_CUTOFF):
     """The per-Gaussian box loop `voxelize` replaced, written out.
 
     Each Gaussian touches the voxels of its axis-aligned box
@@ -275,7 +275,7 @@ def _reference_voxelize(scene, bank, grid, tau_occ=TAU_OCC, cutoff=DEFAULT_CUTOF
             occ[sl] += k * scene.opacity[i]
             cls[sl] += k[..., None] * probs[i]
     labels = np.argmax(cls, axis=-1).astype(np.int32)
-    occupied = occ >= tau_occ
+    occupied = occ >= TAU_OCC
     if bank.empty_index is not None:
         occupied &= labels != bank.empty_index
     labels[~occupied] = EMPTY_LABEL
@@ -395,14 +395,6 @@ def test_cutoff_must_be_none_or_positive_and_finite(cutoff):
         query_points(_single(), np.zeros((1, 3)), cutoff=cutoff)
     with pytest.raises(InvalidInputError):
         voxelize(_single(), bank, _grid(3), cutoff=cutoff)
-
-
-@pytest.mark.parametrize("tau_occ", [np.nan, np.inf, -np.inf])
-def test_tau_occ_must_be_finite(tau_occ):
-    bank = orthonormal_bank(["empty", "wall"], dim=4)
-    for vox in (voxelize, voxelize_oracle):
-        with pytest.raises(InvalidInputError):
-            vox(_single(), bank, _grid(3), tau_occ=tau_occ)
 
 
 def test_query_points_at_voxel_centers_is_voxelize_occupancy():
@@ -532,25 +524,17 @@ def test_miou_hand_case_and_exclusions():
     npt.assert_allclose(res.miou, 0.625)
     assert res.evaluated_classes == [0, 1]
 
-    res = eval_miou(pred, gt, class_ids=[0, 1, 7])
-    assert 7 not in res.per_class and res.evaluated_classes == [0, 1]
-
     one_sided = eval_miou(_label_grid([2, EMPTY_LABEL]),
-                          _label_grid([EMPTY_LABEL, EMPTY_LABEL] ), class_ids=[2])
-    npt.assert_allclose(one_sided.per_class[2], 0.0)
+                          _label_grid([EMPTY_LABEL, EMPTY_LABEL]))
+    assert one_sided.per_class == {2: 0.0} and one_sided.miou == 0.0
 
 
 def test_miou_ignore_mask_and_errors():
     pred = _label_grid([1, 1, 0])
     gt = _label_grid([1, 0, 0])
-    assert eval_miou(pred, gt).miou < 1.0
-    ignore = np.zeros((3, 1, 1), dtype=bool)
-    ignore[1] = True
-    assert eval_miou(pred, gt, ignore=ignore).miou == 1.0
+    assert eval_miou(pred, gt).per_class == {0: 0.5, 1: 0.5}
     with pytest.raises(InvalidInputError):
         eval_miou(pred, _label_grid([1, 0]))
-    with pytest.raises(InvalidInputError):
-        eval_miou(pred, gt, ignore=np.zeros((2, 1, 1), dtype=bool))
     with pytest.raises(EmptyInputError):
         eval_miou(_label_grid([EMPTY_LABEL]), _label_grid([EMPTY_LABEL]))
 
